@@ -2,14 +2,13 @@
 //! full-sort selection vs the bounded-heap kernel vs co-cluster candidate
 //! generation, batched throughput, the quantized scoring kernels on a
 //! 100k-item catalog (per-dtype rows: f64 vs f32 vs int8), and batched
-//! scatter-gather serving through the sharded coordinator at 1/2/4
-//! shards.
+//! serving through the engine split into 1/2/4 user partitions.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ocular_core::{fit, recommend_top_m, FactorModel, OcularConfig, Recommendation};
 use ocular_datasets::powerlaw::{generate, PowerLawConfig};
 use ocular_serve::{
-    CandidatePolicy, EngineBuilder, IndexConfig, QuantDtype, Request, ServeConfig, ShardedEngine,
+    AnySnapshot, CandidatePolicy, EngineBuilder, IndexConfig, QuantDtype, Request, ServeConfig,
     Snapshot,
 };
 use rand::rngs::StdRng;
@@ -145,10 +144,10 @@ fn bench_serve(c: &mut Criterion) {
     });
     group.finish();
 
-    // batched scatter-gather through the sharded coordinator: warm
-    // requests hash-route to their owning shard, one worker per shard.
-    // The 1-shard row is the coordinator-overhead reference; larger
-    // counts show the partitioned scaling the serve_latency gate pins.
+    // the same batch through the engine split into 1/2/4 user partitions:
+    // warm requests hash-route to their owning partition on the one pool.
+    // The rows differ only by the routing table, which the serve_latency
+    // gate pins at no cost.
     let snapshot = Snapshot::build(
         model.clone(),
         &IndexConfig {
@@ -159,21 +158,16 @@ fn bench_serve(c: &mut Criterion) {
     let mut group = c.benchmark_group("scatter_gather_batch");
     group.sample_size(10);
     for n_shards in [1usize, 2, 4] {
-        let coordinator = ShardedEngine::split(
-            snapshot.clone(),
-            &r,
-            n_shards,
-            ServeConfig {
-                default_m: 50,
-                candidates: CandidatePolicy::Clusters { min_candidates: 50 },
-                ..Default::default()
-            },
-            1,
-            None,
-        )
-        .unwrap();
+        let engine = EngineBuilder::from_snapshot(AnySnapshot::Ocular(snapshot.clone()))
+            .dataset(r.clone())
+            .default_m(50)
+            .candidates(CandidatePolicy::Clusters { min_candidates: 50 })
+            .generation(1)
+            .shards(n_shards)
+            .build()
+            .unwrap();
         group.bench_function(format!("all_users_top50_{n_shards}_shards"), |b| {
-            b.iter(|| black_box(coordinator.serve_batch(&requests).len()))
+            b.iter(|| black_box(engine.serve_batch(&requests).len()))
         });
     }
     group.finish();

@@ -5,13 +5,13 @@
 //! (`ci/bench-baseline.json`) and exits non-zero when p50 serve latency,
 //! train time, or network serving performance regresses more than the
 //! tolerance (default 25%). Latencies and durations gate higher-is-worse;
-//! network and sharded-coordinator throughput gate lower-is-worse. A
+//! network and partitioned-engine throughput gate lower-is-worse. A
 //! machine-independent check compares cluster-mode p50 against the same
 //! run's full-sort p50, so "candidate generation stopped helping" is
 //! caught even when absolute wall-clock differs across runner hardware;
-//! two more same-run checks bound the scatter-gather coordinator's N=1
-//! overhead at 5% and require 4-shard throughput to beat 1-shard on
-//! multi-core runners. Skipped entirely — exit 0 —
+//! one more same-run check holds 4-partition batched throughput within
+//! 5% of 1-partition — routing must cost nothing. Skipped entirely —
+//! exit 0 —
 //! when the `BENCH_BASELINE_RESET` environment variable is set to `1`
 //! (CI sets it from the `bench-baseline-reset` PR label), in which case
 //! the gate prints the JSON to commit as the new baseline.
@@ -102,10 +102,7 @@ fn run() -> Result<Vec<String>, String> {
         .get("errors")
         .and_then(|v| v.as_f64())
         .ok_or("missing field `errors` in net artifact")?;
-    // scatter-gather shard scaling: batched throughput at each shard
-    // count plus the single-thread unsharded row the overhead bound
-    // compares against
-    let shard_base = field(&serve, "shard_scaling.baseline_1thread_rps")?;
+    // batched throughput at each partition count
     let shard_counts = [1usize, 2, 4];
     let shard_rps = shard_counts
         .iter()
@@ -310,7 +307,7 @@ fn run() -> Result<Vec<String>, String> {
              ({load_text:.5}s)"
         ));
     }
-    // sharded-coordinator throughput gates in the same direction as
+    // partitioned-engine throughput gates in the same direction as
     // net_rps: no shard count may fall more than the tolerance below its
     // committed baseline
     for (n, rps) in shard_counts.iter().zip(&shard_rps) {
@@ -333,36 +330,19 @@ fn run() -> Result<Vec<String>, String> {
             ));
         }
     }
-    // machine-independent same-run check: at one shard the scatter-gather
-    // coordinator may cost at most 5% of the unsharded engine's batched
-    // throughput on one thread — hash routing and the top-M merge must
-    // stay invisible next to scoring
+    // machine-independent same-run check: the 1- and 4-partition rows run
+    // the same batch on the same pool and differ only by the routing
+    // table, so four partitions may cost at most 5% of one
     println!(
-        "bench_gate: shard_overhead 1-shard={:10.1}  unsharded(1t)={shard_base:10.1}  overhead={:4.1}%",
+        "bench_gate: shard_routing  1={:8.1}  2={:8.1}  4={:8.1} rps  4-vs-1={:+4.1}%",
         shard_rps[0],
-        (1.0 - shard_rps[0] / shard_base) * 100.0
+        shard_rps[1],
+        shard_rps[2],
+        (shard_rps[2] / shard_rps[0] - 1.0) * 100.0
     );
-    if shard_rps[0] < 0.95 * shard_base {
+    if shard_rps[2] < 0.95 * shard_rps[0] {
         failures.push(format!(
-            "1-shard coordinator throughput ({:.1} rps) is more than 5% below the \
-             single-thread unsharded engine ({shard_base:.1} rps)",
-            shard_rps[0]
-        ));
-    }
-    // …and on any multi-core runner, four shards must beat one in the
-    // same run — the scaling claim itself (single-core CI gates only the
-    // overhead bound above, where parallel shards cannot win)
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    println!(
-        "bench_gate: shard_scaling  1={:8.1}  2={:8.1}  4={:8.1} rps  ({cores} cores)",
-        shard_rps[0], shard_rps[1], shard_rps[2]
-    );
-    if cores > 1 && shard_rps[2] < shard_rps[0] {
-        failures.push(format!(
-            "4-shard throughput ({:.1} rps) fell below 1-shard ({:.1} rps) on a \
-             {cores}-core runner",
+            "4-partition throughput ({:.1} rps) is more than 5% below 1-partition ({:.1} rps)",
             shard_rps[2], shard_rps[0]
         ));
     }

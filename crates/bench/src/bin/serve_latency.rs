@@ -10,10 +10,10 @@
 //! A second section measures the quantized scoring kernels (f64 vs f32 vs
 //! int8) on a large synthetic catalog — 100k items by default — where the
 //! memory-bandwidth difference between the dtypes is actually visible.
-//! A third section measures scatter-gather shard scaling: batched warm
-//! throughput through the sharded coordinator at 1/2/4 shards against the
-//! unsharded engine pinned to one thread, so the N=1 row isolates the
-//! coordinator's routing + merge overhead rather than parallelism.
+//! A third section measures partition routing: batched warm throughput
+//! through the engine split into 1/2/4 user partitions, all on the same
+//! pool — the rows differ only by the routing table, which must cost
+//! nothing.
 //! Flags: `--scale`, `--seed`, `--requests N`, `--m N`,
 //! `--rel R` / `--floor N` (index build knobs),
 //! `--quant-items N` / `--quant-k N` / `--quant-requests N` (quantized
@@ -25,9 +25,7 @@ use ocular_bench::Args;
 use ocular_core::{fit, FactorModel, OcularConfig, Recommendation};
 use ocular_datasets::profiles;
 use ocular_serve::json::{obj, Json};
-use ocular_serve::{
-    CandidatePolicy, EngineBuilder, IndexConfig, QuantDtype, Request, ServeConfig, ShardedEngine,
-};
+use ocular_serve::{CandidatePolicy, EngineBuilder, IndexConfig, QuantDtype, Request, ServeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -211,52 +209,34 @@ fn main() {
     assert!(served.iter().all(|s| s.is_ok()));
     let throughput = n_requests as f64 / batch_seconds;
 
-    // scatter-gather shard scaling on the same warm batch. The unsharded
-    // row is pinned to one worker thread so the N=1 comparison isolates
-    // the coordinator's hash-routing + top-M merge cost from parallelism;
-    // the 1/2/4-shard rows then show batched throughput growing with the
-    // shard count. bench_gate pins the ≤5% N=1 overhead bound on every
-    // runner and the 4-shard ≥ 1-shard scaling claim on multi-core ones.
-    // Best-of-3 per row so one scheduler hiccup does not trip the gate.
-    let rps_best = |run: &mut dyn FnMut()| {
-        let mut best = 0.0f64;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            run();
-            best = best.max(n_requests as f64 / t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let baseline_1thread_rps = rps_best(&mut || {
-        let served = engine_clusters.serve_batch_threads(&batch, Some(1));
-        assert!(served.iter().all(|s| s.is_ok()));
-        std::hint::black_box(served.len());
-    });
+    // partition routing on the same warm batch: the engine split 1/2/4
+    // ways serves it on the same pool each time, so the rows differ only
+    // by the routing table. bench_gate pins 4 partitions within 5% of 1
+    // on every runner. Best-of-3 per row so one scheduler hiccup does not
+    // trip the gate.
     let mut shard_rps = Vec::new();
     for n_shards in [1usize, 2, 4] {
-        let coordinator = ShardedEngine::split(
-            snapshot.clone(),
-            &r,
-            n_shards,
-            ServeConfig {
-                default_m: m,
-                candidates: CandidatePolicy::Clusters { min_candidates: m },
-                foldin: cfg.clone(),
-                ..Default::default()
-            },
-            7,
-            None,
-        )
-        .expect("sharded coordinator");
-        let rps = rps_best(&mut || {
-            let served = coordinator.serve_batch(&batch);
+        let engine =
+            EngineBuilder::from_snapshot(ocular_serve::AnySnapshot::Ocular(snapshot.clone()))
+                .dataset(r.clone())
+                .config(ServeConfig {
+                    default_m: m,
+                    candidates: CandidatePolicy::Clusters { min_candidates: m },
+                    foldin: cfg.clone(),
+                    ..Default::default()
+                })
+                .generation(7)
+                .shards(n_shards)
+                .build()
+                .expect("partitioned engine");
+        let mut rps = 0.0f64;
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            let served = engine.serve_batch(&batch);
+            rps = rps.max(n_requests as f64 / t0.elapsed().as_secs_f64());
             assert!(served.iter().all(|s| s.is_ok()));
-            std::hint::black_box(served.len());
-        });
-        eprintln!(
-            "scatter-gather {n_shards} shard(s): {rps:.0} req/s \
-             (unsharded on one thread: {baseline_1thread_rps:.0})"
-        );
+        }
+        eprintln!("{n_shards} partition(s): {rps:.0} req/s");
         shard_rps.push(rps);
     }
 
@@ -401,7 +381,6 @@ fn main() {
         (
             "shard_scaling",
             obj(vec![
-                ("baseline_1thread_rps", Json::Num(baseline_1thread_rps)),
                 ("shards_1_rps", Json::Num(shard_rps[0])),
                 ("shards_2_rps", Json::Num(shard_rps[1])),
                 ("shards_4_rps", Json::Num(shard_rps[2])),

@@ -182,7 +182,7 @@ pub fn fold_in_user_with(
 /// excluding the basket itself. The serving path for new clients.
 ///
 /// Selection runs through the bounded-heap kernel
-/// [`top_m_excluding`](crate::topm::top_m_excluding), matching the warm-user
+/// [`ocular_linalg::topk::top_k_excluding`], matching the warm-user
 /// path's ties convention exactly.
 pub fn recommend_for_basket(
     model: &FactorModel,
@@ -201,7 +201,10 @@ pub fn recommend_for_basket(
         .map(|&i| ocular_sparse::col_index(i))
         .collect();
     exclude.sort_unstable();
-    let recs = crate::topm::top_m_excluding(&scores, &exclude, m);
+    let recs = ocular_linalg::topk::top_k_excluding(&scores, &exclude, m)
+        .into_iter()
+        .map(Recommendation::from)
+        .collect();
     (recs, fold)
 }
 

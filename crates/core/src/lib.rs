@@ -52,7 +52,6 @@
 //! | [`linesearch`] | IV-D | Armijo backtracking along the projection arc |
 //! | [`trainer`] | IV-B/D | block coordinate descent, telemetry, [`fit`] |
 //! | [`recommend`] | IV-C | top-M recommendation lists |
-//! | [`topm`] | IV-C | bounded-heap top-M selection kernel |
 //! | [`recommender`] | — | [`ocular_api`] trait hierarchy impls for [`FactorModel`] |
 //! | [`coclusters`] | IV-C | co-cluster extraction and statistics |
 //! | [`explain`](mod@explain) | IV-C, VIII | interpretable rationales (Figures 3 & 10) |
@@ -71,7 +70,6 @@ pub mod loss;
 pub mod model;
 pub mod recommend;
 pub mod recommender;
-pub mod topm;
 pub mod trainer;
 
 pub use coclusters::{default_threshold, extract_coclusters, CoCluster};
@@ -81,5 +79,4 @@ pub use explain::{explain, Explanation};
 pub use foldin::{fold_in_user, fold_in_user_with, recommend_for_basket, FoldIn, FoldInScratch};
 pub use model::FactorModel;
 pub use recommend::{recommend_top_m, Recommendation};
-pub use topm::{top_m_excluding, TopM};
 pub use trainer::{fit, try_fit, TrainResult, TrainingHistory};

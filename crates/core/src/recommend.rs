@@ -6,7 +6,7 @@
 //! convention, so model + evaluation agree exactly.
 
 use crate::model::FactorModel;
-use crate::topm::top_m_excluding;
+use ocular_linalg::topk::top_k_excluding;
 use ocular_sparse::CsrMatrix;
 
 /// One recommendation: an item and the model's confidence.
@@ -18,12 +18,20 @@ pub struct Recommendation {
     pub probability: f64,
 }
 
+/// The `(score, index)` pairs of [`ocular_linalg::topk`] are
+/// `(probability, item)`.
+impl From<(f64, usize)> for Recommendation {
+    fn from((probability, item): (f64, usize)) -> Self {
+        Recommendation { item, probability }
+    }
+}
+
 /// The top-M recommendations for user `u`, excluding items the user already
 /// has in `r` (the training matrix). Sorted by probability descending,
 /// ties by item index ascending.
 ///
 /// Selection runs through the bounded-heap kernel
-/// [`top_m_excluding`] — `O(n_items log M)`
+/// [`top_k_excluding`] — `O(n_items log M)`
 /// instead of a full sort — and the exclusion filter compares indices in
 /// the `usize` domain, so oversized catalogs can never wrap a `u32` cast
 /// and silently corrupt filtering.
@@ -35,7 +43,10 @@ pub fn recommend_top_m(
 ) -> Vec<Recommendation> {
     let mut scores = Vec::new();
     model.score_user(u, &mut scores);
-    top_m_excluding(&scores, r.row(u), m)
+    top_k_excluding(&scores, r.row(u), m)
+        .into_iter()
+        .map(Recommendation::from)
+        .collect()
 }
 
 /// Top-M lists for every user. Memory: `n_users × m` recommendations.

@@ -69,13 +69,14 @@
 //!       [--max-connections 1024]    (+ the serve-mode engine flags)
 //! ```
 //!
-//! `--shards N` (any serve mode) stands up the scatter-gather
-//! coordinator: user rows are hash-partitioned across `N` in-process
-//! worker engines (warm requests route to the owning shard, cold
-//! requests fan out or round-robin), each mmap'ing only its own
+//! `--shards N` (any serve mode) hash-partitions the user rows across
+//! `N` partitions of the one engine (a warm request is answered by the
+//! partition owning the user, a cold one by partition 0's copy of the
+//! replicated item-side state), each partition mmap'ing only its own
 //! per-shard snapshot file when `--train --shards N` wrote them, and
 //! `GET /stats` grows an additive per-shard `shard` array. Responses are
-//! byte-identical to unsharded serving at every shard count.
+//! byte-identical to unsharded serving at every shard count; the thread
+//! count stays `--threads`, whatever `N` is.
 //!
 //! `SIGINT`/`SIGTERM` drain in-flight requests and exit cleanly. When
 //! the admission queue (`--queue-cap`) is full, requests are answered
@@ -116,11 +117,10 @@
 use ocular_api::SnapshotMeta;
 use ocular_baselines::{Bpr, BprConfig, ItemKnn, KnnConfig, Popularity, UserKnn, Wals, WalsConfig};
 use ocular_core::{fit, OcularConfig};
-use ocular_serve::shard::AnyEngine;
 use ocular_serve::snapshot::ShardedLoad;
 use ocular_serve::{
     shard_path, AnySnapshot, CandidatePolicy, EngineBuilder, QuantDtype, Request, ServeConfig,
-    ShardedEngine, Snapshot, SnapshotFormat, WireReply, WireRequest,
+    ServeEngine, Snapshot, SnapshotFormat, WireReply, WireRequest,
 };
 use ocular_sparse::io::{append_edge_list, read_edge_list};
 use ocular_sparse::{CsrMatrix, Dataset, IdMaps};
@@ -169,10 +169,28 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
-    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+    /// A numeric flag when present; malformed values are an error, never
+    /// a silent default.
+    fn opt_num<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
         self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{key} must be a number, got `{v}`"))
+            })
+            .transpose()
+    }
+
+    /// [`Flags::opt_num`] with a default for an absent flag.
+    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.opt_num(key)?.unwrap_or(default))
+    }
+
+    /// The `--shards` flag: a positive partition count, default 1.
+    fn shards(&self) -> Result<usize, String> {
+        match self.num("shards", 1usize)? {
+            0 => Err("--shards must be a positive shard count".into()),
+            n => Ok(n),
+        }
     }
 
     /// The `--quantize {f32,int8}` flag, when present and well-formed.
@@ -246,7 +264,7 @@ fn train_mode(flags: &Flags) -> Result<(), String> {
     let sep = flags.get("sep").unwrap_or("\t");
     let algo = flags.get("algo").unwrap_or("ocular");
     let r = load_dataset(flags, data, sep)?;
-    let seed = flags.num("seed", 0u64);
+    let seed = flags.num("seed", 0u64)?;
     let quantize = flags.quantize()?;
     if quantize.is_some() && algo != "ocular" {
         return Err(format!(
@@ -263,16 +281,16 @@ fn train_mode(flags: &Flags) -> Result<(), String> {
     let snapshot: AnySnapshot = match algo {
         "ocular" => {
             let cfg = OcularConfig {
-                k: flags.num("k", 8),
-                lambda: flags.num("lambda", 0.5),
-                max_iters: flags.num("iters", 60),
+                k: flags.num("k", 8)?,
+                lambda: flags.num("lambda", 0.5)?,
+                max_iters: flags.num("iters", 60)?,
                 seed,
                 ..Default::default()
             };
             let model = fit(&r, &cfg).model;
             let index_cfg = ocular_serve::IndexConfig {
-                rel: flags.num("rel", 0.5),
-                floor: flags.num("floor", 100),
+                rel: flags.num("rel", 0.5)?,
+                floor: flags.num("floor", 100)?,
             };
             let mut snap = Snapshot::build(model, &index_cfg);
             if let Some(dtype) = quantize {
@@ -282,10 +300,10 @@ fn train_mode(flags: &Flags) -> Result<(), String> {
         }
         "wals" => {
             let cfg = WalsConfig {
-                k: flags.num("k", 16),
-                b: flags.num("b", 0.01),
-                lambda: flags.num("lambda", 0.01),
-                iters: flags.num("iters", 15),
+                k: flags.num("k", 16)?,
+                b: flags.num("b", 0.01)?,
+                lambda: flags.num("lambda", 0.01)?,
+                iters: flags.num("iters", 15)?,
                 seed,
                 ..Default::default()
             };
@@ -295,10 +313,10 @@ fn train_mode(flags: &Flags) -> Result<(), String> {
         }
         "bpr" => {
             let cfg = BprConfig {
-                k: flags.num("k", 16),
-                lambda: flags.num("lambda", 0.01),
-                learning_rate: flags.num("lr", 0.05),
-                epochs: flags.num("iters", 30),
+                k: flags.num("k", 16)?,
+                lambda: flags.num("lambda", 0.01)?,
+                learning_rate: flags.num("lr", 0.05)?,
+                epochs: flags.num("iters", 30)?,
                 seed,
                 ..Default::default()
             };
@@ -306,13 +324,13 @@ fn train_mode(flags: &Flags) -> Result<(), String> {
         }
         "user-knn" => {
             let cfg = KnnConfig {
-                k: flags.num("k", 50),
+                k: flags.num("k", 50)?,
             };
             AnySnapshot::Other(Box::new(UserKnn::fit(&r, &cfg)))
         }
         "item-knn" => {
             let cfg = KnnConfig {
-                k: flags.num("k", 50),
+                k: flags.num("k", 50)?,
             };
             AnySnapshot::Other(Box::new(ItemKnn::fit(&r, &cfg)))
         }
@@ -337,7 +355,7 @@ fn train_mode(flags: &Flags) -> Result<(), String> {
     // hot-swap tier and `/stats` report, and what lets an operator check
     // a snapshot against the log it is about to serve.
     let meta = SnapshotMeta {
-        generation: flags.num("generation", 1u64),
+        generation: flags.num("generation", 1u64)?,
         n_users: r.n_users() as u64,
         n_items: r.n_items() as u64,
         nnz: r.nnz() as u64,
@@ -349,10 +367,7 @@ fn train_mode(flags: &Flags) -> Result<(), String> {
     // sets next to the base snapshot (user rows hash-partitioned,
     // item-side state replicated), so each serve worker mmaps only its
     // own shard
-    let n_shards: usize = flags.num("shards", 1);
-    if n_shards == 0 {
-        return Err("--shards must be a positive shard count".into());
-    }
+    let n_shards = flags.shards()?;
     if n_shards > 1 {
         let paths = snapshot
             .save_path_sharded(std::path::Path::new(out), r.ids(), Some(&meta), n_shards)
@@ -375,12 +390,12 @@ fn train_mode(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// The serving knobs shared by every engine arity.
+/// The serving knobs.
 fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
     let candidates = match flags.get("mode").unwrap_or("clusters") {
         "full" => CandidatePolicy::FullCatalog,
         "clusters" => CandidatePolicy::Clusters {
-            min_candidates: flags.num("min-candidates", 50),
+            min_candidates: flags.num("min-candidates", 50)?,
         },
         other => {
             return Err(format!(
@@ -389,13 +404,13 @@ fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
         }
     };
     Ok(ServeConfig {
-        default_m: flags.num("m", 10),
+        default_m: flags.num("m", 10)?,
         candidates,
         // cold-start fold-in solves with the regularization the model was
         // trained with — the snapshot does not carry it, so `--lambda` here
         // must match the training run (both default to 0.5)
         foldin: OcularConfig {
-            lambda: flags.num("lambda", 0.5),
+            lambda: flags.num("lambda", 0.5)?,
             ..Default::default()
         },
         ..Default::default()
@@ -427,65 +442,42 @@ fn merged_shard_ids(load: &ShardedLoad) -> Option<ocular_sparse::IdMaps> {
 /// keeps reloads monotone: the engine's generation is the larger of the
 /// snapshot's own and this floor (0 for a fresh start).
 ///
-/// `--shards N` (N > 1) builds the scatter-gather coordinator instead of
-/// one engine: when the per-shard snapshot files written by
-/// `--train --shards N` exist next to `--model`, each in-process worker
-/// mmaps only its own shard file; otherwise the base snapshot is loaded
-/// once and split in memory along the same hash partition.
-fn build_engine(flags: &Flags, floor_generation: u64) -> Result<AnyEngine, String> {
+/// With `--shards N` (N > 1), when the per-shard snapshot files written
+/// by `--train --shards N` exist next to `--model`, each partition mmaps
+/// only its own shard file and the base file is never touched; otherwise
+/// the base snapshot is loaded once and split in memory along the same
+/// hash partition.
+fn build_engine(flags: &Flags, floor_generation: u64) -> Result<ServeEngine, String> {
     let snap_path = flags.get("model").expect("checked by caller");
     let data = flags
         .get("interactions")
         .ok_or("serving requires --interactions <edge list> (owned-item exclusion)")?;
     let sep = flags.get("sep").unwrap_or("\t");
-    let n_shards: usize = flags.num("shards", 1);
-    if n_shards == 0 {
-        return Err("--shards must be a positive shard count".into());
-    }
-    let cfg = serve_config(flags)?;
-    let quantize = flags.quantize()?;
+    let n_shards = flags.shards()?;
     let path = std::path::Path::new(snap_path);
-
-    // sharded snapshot files on disk: each worker's sections come out of
-    // its own mmap'd shard file — the base file is never touched
-    if n_shards > 1 && shard_path(path, 0, n_shards).exists() {
-        let t_load = std::time::Instant::now();
-        let load = AnySnapshot::load_path_sharded(path, n_shards)
-            .map_err(|e| format!("load shards of {snap_path}: {e}"))?;
-        eprintln!(
-            "snapshot_load_seconds={:.6}",
-            t_load.elapsed().as_secs_f64()
-        );
-        let r = load_dataset(flags, data, sep)?;
-        let r = match merged_shard_ids(&load) {
-            Some(ids) => align_to_ids(r, ids)?,
-            None => r,
-        };
-        let engine = ShardedEngine::assemble(load, &r, cfg, floor_generation, quantize)
-            .map_err(|e| e.to_string())?;
-        eprintln!(
-            "serving `{}` ×{} shard files from {snap_path} (generation {}, dtype {})",
-            engine.kind(),
-            engine.n_shards(),
-            engine.generation(),
-            engine.dtype().unwrap_or("f64")
-        );
-        return Ok(engine.into());
-    }
 
     // magic-sniffing load: v3 binary containers are mmap'd and borrowed
     // zero-copy, v1/v2 text snapshots parse through the legacy path
     let t_load = std::time::Instant::now();
-    let loaded = AnySnapshot::load_path_full(path).map_err(|e| format!("load {snap_path}: {e}"))?;
+    let (builder, ids, meta) = if n_shards > 1 && shard_path(path, 0, n_shards).exists() {
+        let load = AnySnapshot::load_path_sharded(path, n_shards)
+            .map_err(|e| format!("load shards of {snap_path}: {e}"))?;
+        let (ids, meta) = (merged_shard_ids(&load), load.shards[0].meta);
+        (EngineBuilder::from_shard_files(load), ids, meta)
+    } else {
+        let mut loaded =
+            AnySnapshot::load_path_full(path).map_err(|e| format!("load {snap_path}: {e}"))?;
+        let (ids, meta) = (loaded.ids.take(), loaded.meta);
+        (
+            EngineBuilder::from_loaded(loaded).shards(n_shards),
+            ids,
+            meta,
+        )
+    };
     eprintln!(
         "snapshot_load_seconds={:.6}",
         t_load.elapsed().as_secs_f64()
     );
-    let kind = loaded.snapshot.kind();
-    let generation = loaded
-        .meta
-        .map_or(0, |m| m.generation)
-        .max(floor_generation);
     let r = load_dataset(flags, data, sep)?;
     // When the snapshot embeds id maps, they are authoritative for the
     // model's row/column space: re-align the interaction log to them so
@@ -493,44 +485,30 @@ fn build_engine(flags: &Flags, floor_generation: u64) -> Result<AnyEngine, Strin
     // record order (no-op when the log equals or extends the training
     // file). Otherwise the file's own first-appearance compaction must
     // reproduce the training-time mapping (same file → same maps).
-    let r = match loaded.ids {
+    let r = match ids {
         Some(ids) => align_to_ids(r, ids)?,
         None => r,
     };
-
-    if n_shards > 1 {
-        let AnySnapshot::Ocular(snap) = loaded.snapshot else {
-            return Err(format!(
-                "--shards requires an `ocular` snapshot (got `{kind}`)"
-            ));
-        };
-        let engine = ShardedEngine::split(snap, &r, n_shards, cfg, generation, quantize)
-            .map_err(|e| e.to_string())?;
-        eprintln!(
-            "serving `{kind}` split ×{n_shards} in memory from {snap_path} \
-             (generation {generation}, dtype {})",
-            engine.dtype().unwrap_or("f64")
-        );
-        return Ok(engine.into());
-    }
-
-    let mut builder = EngineBuilder::from_snapshot(loaded.snapshot)
+    let mut builder = builder
         .dataset(r)
-        .config(cfg)
-        .generation(generation);
+        .config(serve_config(flags)?)
+        .generation(meta.map_or(0, |m| m.generation).max(floor_generation));
     // `--quantize` at serve time re-quantizes from the f64 master when
     // the snapshot does not already carry the requested dtype, so old
     // snapshots opt in without retraining; without the flag a
     // snapshot-embedded quantized copy is served as-is
-    if let Some(dtype) = quantize {
+    if let Some(dtype) = flags.quantize()? {
         builder = builder.quantization(dtype);
     }
     let engine = builder.build().map_err(|e| e.to_string())?;
     eprintln!(
-        "serving `{kind}` snapshot from {snap_path} (generation {generation}, dtype {})",
-        engine.dtype().unwrap_or("f64")
+        "serving `{}` snapshot from {snap_path} (generation {}, dtype {}, {} shard(s))",
+        engine.kind(),
+        engine.generation(),
+        engine.dtype().unwrap_or("f64"),
+        engine.n_shards()
     );
-    Ok(engine.into())
+    Ok(engine)
 }
 
 /// The JSON-lines stdin transport: decode each line through
@@ -540,8 +518,8 @@ fn build_engine(flags: &Flags, floor_generation: u64) -> Result<AnyEngine, Strin
 /// object and the stream keeps going.
 fn serve_mode(flags: &Flags) -> Result<(), String> {
     let engine = build_engine(flags, 0)?;
-    let threads = flags.get("threads").and_then(|v| v.parse().ok());
-    let batch_size: usize = flags.num("batch", 256).max(1);
+    let threads: Option<usize> = flags.opt_num("threads")?;
+    let batch_size: usize = flags.num("batch", 256)?.max(1);
 
     let stdin = std::io::stdin();
     let mut out = BufWriter::new(std::io::stdout().lock());
@@ -553,7 +531,8 @@ fn serve_mode(flags: &Flags) -> Result<(), String> {
             .iter()
             .filter_map(|p| p.as_ref().ok().cloned())
             .collect();
-        let mut served = engine.serve_batch_threads(&requests, threads).into_iter();
+        let mut served =
+            ocular_parallel::with_threads(threads, || engine.serve_batch(&requests)).into_iter();
         for parsed in pending.drain(..) {
             let reply = match parsed {
                 Err(reply) => reply,
@@ -606,10 +585,10 @@ fn listen_mode(flags: &Flags, addr: &str) -> Result<(), String> {
         }),
     ));
     let cfg = ServerConfig {
-        queue_cap: flags.num("queue-cap", 1024),
-        batch_max: flags.num("batch", 256usize).max(1),
-        workers: flags.num("threads", 1usize).max(1),
-        max_connections: flags.num("max-connections", 1024),
+        queue_cap: flags.num("queue-cap", 1024)?,
+        batch_max: flags.num("batch", 256usize)?.max(1),
+        workers: flags.num("threads", 1usize)?.max(1),
+        max_connections: flags.num("max-connections", 1024)?,
         handle_signals: true,
     };
     let server = Server::bind(swap, addr, cfg).map_err(|e| format!("bind {addr}: {e}"))?;

@@ -1,6 +1,6 @@
 //! The in-process serving engine: candidate generation, heap selection,
-//! cold-start fold-in, and rayon-parallel batching — polymorphic over
-//! model kinds.
+//! cold-start fold-in, user-axis partitioning and rayon-parallel batching
+//! — polymorphic over model kinds.
 //!
 //! OCuLaR models keep their specialised request path (co-cluster candidate
 //! generation against the [`ClusterIndex`], factor-level scoring); every
@@ -8,17 +8,38 @@
 //! [`CandidatePolicy::Clusters`] degrading gracefully to the full catalog
 //! — non-co-clustered models have no cluster structure to generate
 //! candidates from, so they are served exactly.
+//!
+//! ## Partitions
+//!
+//! Given the item factors, users decompose independently (Heckel et al.
+//! §VII), so one engine holds `N ≥ 1` **user-axis partitions**
+//! ([`EngineBuilder::shards`]). A partition owns a hash-disjoint slice of
+//! the user-factor rows and the matching dataset rows
+//! ([`ocular_bytes::shard_of_key`] over the external user id — the rule
+//! [`ocular_sparse::ShardedDataset`] and the sharded snapshot writer
+//! share); the item-side state (item factors, cluster index, quantized
+//! copy, item id map) is replicated into every partition as loaded. A warm
+//! request is answered by the partition that owns the user's row; a cold
+//! request is answered whole by partition 0, whose replicated item state
+//! folds and scores any basket exactly like every other copy. Every
+//! request therefore runs the one request path over the same numbers, and
+//! replies are byte-identical at every `N`. `N = 1` — the default — is
+//! the unsharded engine: one partition holding everything, no routing
+//! table. The partition count places data; it never sets the thread
+//! count, which belongs to the pool [`ServeEngine::serve_batch`] runs on.
 
 use crate::index::{ClusterIndex, IndexConfig};
-use crate::snapshot::{AnySnapshot, LoadedSnapshot, Snapshot, OCULAR_KIND};
+use crate::snapshot::{AnySnapshot, LoadedSnapshot, ShardedLoad, Snapshot, OCULAR_KIND};
 use ocular_api::{validate_basket, Model, OcularError};
+use ocular_bytes::shard_of_key;
 use ocular_core::model::prob_from_affinity;
-use ocular_core::topm::{top_m_excluding, TopM};
 use ocular_core::{fold_in_user_with, FactorModel, FoldInScratch, OcularConfig, Recommendation};
+use ocular_linalg::topk::{top_k_excluding, TopK};
 use ocular_linalg::{ops, QuantDtype, QuantizedFactors};
-use ocular_sparse::Dataset;
+use ocular_sparse::{Dataset, ShardedDataset};
 use rayon::prelude::*;
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     // Cold-request working memory, one set per serving thread (rayon
@@ -157,6 +178,38 @@ enum EngineModel {
 }
 
 impl EngineModel {
+    /// Puts a loaded snapshot behind the engine, narrowing the item
+    /// factors to `quantize` when asked. A snapshot-carried quantized copy
+    /// is kept only when it matches the requested dtype (or none was
+    /// requested); otherwise the copy is re-quantized from the f64 master.
+    fn new(snapshot: AnySnapshot, quantize: Option<QuantDtype>) -> Result<Self, OcularError> {
+        match snapshot {
+            AnySnapshot::Ocular(s) => {
+                let quant = match quantize {
+                    Some(dtype) if s.quant.as_ref().map(QuantizedFactors::dtype) != Some(dtype) => {
+                        Some(QuantizedFactors::quantize(&s.model.item_factors, dtype))
+                    }
+                    _ => s.quant,
+                };
+                let item_sum = s.model.item_factors.column_sums();
+                Ok(EngineModel::Ocular {
+                    model: s.model,
+                    index: s.index,
+                    quant,
+                    item_sum,
+                })
+            }
+            AnySnapshot::Other(m) => match quantize {
+                Some(dtype) => Err(OcularError::InvalidConfig(format!(
+                    "quantized serving ({dtype}) needs an OCuLaR snapshot; kind `{}` \
+                     has no factor representation to narrow",
+                    m.kind()
+                ))),
+                None => Ok(EngineModel::Generic(m)),
+            },
+        }
+    }
+
     fn n_users(&self) -> usize {
         match self {
             EngineModel::Ocular { model, .. } => model.n_users(),
@@ -170,6 +223,37 @@ impl EngineModel {
             EngineModel::Generic(m) => m.n_items(),
         }
     }
+
+    /// The quantized item factors scoring dispatches to, if any.
+    fn quant(&self) -> Option<&QuantizedFactors> {
+        match self {
+            EngineModel::Ocular { quant, .. } => quant.as_ref(),
+            EngineModel::Generic(_) => None,
+        }
+    }
+}
+
+/// One user-axis partition: the model over this partition's user-factor
+/// rows (item-side state replicated in full) and the interaction rows of
+/// the same users, in the same order. With one partition it is the whole
+/// model and the whole dataset.
+struct Partition {
+    model: EngineModel,
+    owned: Dataset,
+}
+
+/// Per-partition serving telemetry, reported by `/stats` as the additive
+/// `shard` field when the engine has more than one partition.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardStat {
+    /// Partition index.
+    pub shard: usize,
+    /// Dataset users owned by this partition.
+    pub users: usize,
+    /// Requests dispatched to this partition since the engine was built:
+    /// warm requests on the partition owning the user (an unknown external
+    /// id on the partition its hash names), cold requests on partition 0.
+    pub requests: u64,
 }
 
 /// What an [`EngineBuilder`] builds an engine around.
@@ -182,15 +266,13 @@ enum EngineSource {
     /// An OCuLaR factor model — the builder derives the candidate index
     /// with its configured [`IndexConfig`].
     Model(FactorModel),
-    /// Any boxed [`Model`] (no snapshot file involved) — the programmatic
-    /// path for baseline kinds.
-    Boxed(Box<dyn Model>),
+    /// A loaded per-shard snapshot file family: one partition per file.
+    ShardFiles(ShardedLoad),
 }
 
-/// The one way to construct a [`ServeEngine`] — from a snapshot, an
-/// OCuLaR model, or any boxed [`Model`], plus the serving dataset and
-/// knobs. The accreted positional `new` / `from_any` / `from_recommender`
-/// / `from_model` constructors it replaced are gone.
+/// The one way to construct a [`ServeEngine`] — from a snapshot, a shard
+/// file family, an OCuLaR model, or any boxed [`Model`], plus the serving
+/// dataset and knobs.
 ///
 /// ```ignore
 /// let engine = EngineBuilder::from_loaded(loaded)   // LoadedSnapshot
@@ -211,19 +293,25 @@ pub struct EngineBuilder {
     index_cfg: IndexConfig,
     generation: u64,
     quantize: Option<QuantDtype>,
+    shards: usize,
 }
 
 impl EngineBuilder {
-    /// Starts from a snapshot of any model kind.
-    pub fn from_snapshot(snapshot: AnySnapshot) -> Self {
+    fn new(source: EngineSource) -> Self {
         EngineBuilder {
-            source: EngineSource::Any(snapshot),
+            source,
             dataset: None,
             cfg: ServeConfig::default(),
             index_cfg: IndexConfig::default(),
             generation: 0,
             quantize: None,
+            shards: 1,
         }
+    }
+
+    /// Starts from a snapshot of any model kind.
+    pub fn from_snapshot(snapshot: AnySnapshot) -> Self {
+        Self::new(EngineSource::Any(snapshot))
     }
 
     /// Starts from a freshly loaded snapshot, adopting its generation
@@ -234,31 +322,35 @@ impl EngineBuilder {
         Self::from_snapshot(loaded.snapshot).generation(generation)
     }
 
+    /// Starts from a loaded per-shard snapshot file family (see
+    /// [`AnySnapshot::load_path_sharded`]): one partition per shard file,
+    /// each keeping the sections its own mapping holds, under the
+    /// family's metadata generation. The partition count is the family's;
+    /// [`EngineBuilder::shards`] does not apply. At build, each file's
+    /// `shgid` table must agree with the same hash partition of the
+    /// serving dataset — a family written against different ingestion
+    /// data is an [`OcularError::Corrupt`], not a silently misrouted
+    /// server.
+    pub fn from_shard_files(load: ShardedLoad) -> Self {
+        let generation = load
+            .shards
+            .first()
+            .and_then(|l| l.meta)
+            .map_or(0, |m| m.generation);
+        Self::new(EngineSource::ShardFiles(load)).generation(generation)
+    }
+
     /// Starts from an OCuLaR factor model; the builder derives the
     /// co-cluster candidate index with the configured
     /// [`EngineBuilder::index_config`].
     pub fn from_model(model: FactorModel) -> Self {
-        EngineBuilder {
-            source: EngineSource::Model(model),
-            dataset: None,
-            cfg: ServeConfig::default(),
-            index_cfg: IndexConfig::default(),
-            generation: 0,
-            quantize: None,
-        }
+        Self::new(EngineSource::Model(model))
     }
 
     /// Starts from any boxed [`Model`] — the programmatic path for
     /// baseline kinds.
     pub fn from_recommender(model: Box<dyn Model>) -> Self {
-        EngineBuilder {
-            source: EngineSource::Boxed(model),
-            dataset: None,
-            cfg: ServeConfig::default(),
-            index_cfg: IndexConfig::default(),
-            generation: 0,
-            quantize: None,
-        }
+        Self::from_snapshot(AnySnapshot::Other(model))
     }
 
     /// The serving interaction [`Dataset`] — owned-item exclusion, id
@@ -313,94 +405,160 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds the engine, validating dataset ⊇ model.
+    /// Splits the user axis into `n` partitions in memory (default 1, the
+    /// unsharded engine): user-factor rows and dataset rows along the one
+    /// external-id hash, item-side state replicated. Responses are
+    /// byte-identical at every `n`. Only OCuLaR sources have user-factor
+    /// rows to split; `n > 1` for any other kind, or `n == 0`, is an
+    /// [`OcularError::InvalidConfig`] at build.
+    pub fn shards(mut self, n: usize) -> Self {
+        self.shards = n;
+        self
+    }
+
+    /// Builds the engine, validating dataset ⊇ model on every partition.
     pub fn build(self) -> Result<ServeEngine, OcularError> {
-        let model = match self.source {
-            EngineSource::Any(AnySnapshot::Ocular(s)) => {
-                // keep a snapshot-carried copy only when it matches the
-                // requested dtype; otherwise re-quantize from the master
-                let quant = match self.quantize {
-                    Some(dtype) if s.quant.as_ref().map(QuantizedFactors::dtype) != Some(dtype) => {
-                        Some(QuantizedFactors::quantize(&s.model.item_factors, dtype))
-                    }
-                    _ => s.quant,
-                };
-                let item_sum = s.model.item_factors.column_sums();
-                EngineModel::Ocular {
-                    model: s.model,
-                    index: s.index,
-                    quant,
-                    item_sum,
-                }
-            }
-            EngineSource::Model(m) => {
-                let s = Snapshot::build(m, &self.index_cfg);
-                let quant = self
-                    .quantize
-                    .map(|dtype| QuantizedFactors::quantize(&s.model.item_factors, dtype));
-                let item_sum = s.model.item_factors.column_sums();
-                EngineModel::Ocular {
-                    model: s.model,
-                    index: s.index,
-                    quant,
-                    item_sum,
-                }
-            }
-            EngineSource::Any(AnySnapshot::Other(m)) | EngineSource::Boxed(m) => {
-                if let Some(dtype) = self.quantize {
-                    return Err(OcularError::InvalidConfig(format!(
-                        "quantized serving ({dtype}) needs an OCuLaR snapshot; kind `{}` \
-                         has no factor representation to narrow",
-                        m.kind()
-                    )));
-                }
-                EngineModel::Generic(m)
-            }
-        };
-        let owned = self.dataset.ok_or_else(|| {
+        let dataset = self.dataset.ok_or_else(|| {
             OcularError::InvalidConfig(
                 "EngineBuilder needs a serving dataset (call .dataset(...))".into(),
             )
         })?;
-        // dataset ⊇ model: equal shapes are the steady state, a strictly
-        // larger dataset means deltas arrived since the snapshot was
-        // trained and the overhang is served by fold-in.
-        if owned.n_users() < model.n_users() || owned.n_items() < model.n_items() {
-            return Err(OcularError::ShapeMismatch {
-                expected: (model.n_users(), model.n_items()),
-                found: (owned.n_users(), owned.n_items()),
-            });
+        // the model as one snapshot per partition, with the ascending
+        // global training row of every partition-local row when N > 1
+        let (snapshots, global_rows) = match self.source {
+            EngineSource::ShardFiles(load) => (
+                load.shards.into_iter().map(|l| l.snapshot).collect(),
+                load.global_rows,
+            ),
+            EngineSource::Any(s) => split_snapshot(s, &dataset, self.shards)?,
+            EngineSource::Model(m) => split_snapshot(
+                AnySnapshot::Ocular(Snapshot::build(m, &self.index_cfg)),
+                &dataset,
+                self.shards,
+            )?,
+        };
+        let n = snapshots.len();
+        let (datasets, global_of, assign) = if n == 1 {
+            (vec![dataset], Vec::new(), Vec::new())
+        } else {
+            ShardedDataset::split(&dataset, n)
+                .map_err(|e| OcularError::InvalidConfig(e.to_string()))?
+                .into_parts()
+        };
+        let model_users: usize = global_rows.iter().map(Vec::len).sum();
+        let mut parts = Vec::with_capacity(n);
+        for (s, (snapshot, owned)) in snapshots.into_iter().zip(datasets).enumerate() {
+            // the dataset's hash partition must put exactly the rows this
+            // partition's model holds first, in the same order, and only
+            // users newer than the whole model after them
+            if n > 1 {
+                let (model_rows, data_rows) = (&global_rows[s], &global_of[s]);
+                let aligned = model_rows.len() <= data_rows.len()
+                    && model_rows
+                        .iter()
+                        .zip(data_rows)
+                        .all(|(&a, &b)| a == u64::from(b))
+                    && data_rows[model_rows.len()..]
+                        .iter()
+                        .all(|&g| g as usize >= model_users);
+                if !aligned {
+                    return Err(OcularError::Corrupt(format!(
+                        "shard {s} snapshot file and dataset disagree on the user \
+                         partition — the snapshot family was written against \
+                         different ingestion data"
+                    )));
+                }
+            }
+            let model = EngineModel::new(snapshot, self.quantize)?;
+            // dataset ⊇ model: equal shapes are the steady state, a strictly
+            // larger dataset means deltas arrived since the snapshot was
+            // trained and the overhang is served by fold-in.
+            if owned.n_users() < model.n_users() || owned.n_items() < model.n_items() {
+                return Err(OcularError::ShapeMismatch {
+                    expected: (model.n_users(), model.n_items()),
+                    found: (owned.n_users(), owned.n_items()),
+                });
+            }
+            parts.push(Partition { model, owned });
         }
         Ok(ServeEngine {
-            model,
-            owned,
+            requests: if n > 1 {
+                parts.iter().map(|_| AtomicU64::new(0)).collect()
+            } else {
+                Vec::new()
+            },
+            parts,
+            assign,
             cfg: self.cfg,
             generation: self.generation,
         })
     }
 }
 
+/// One snapshot per partition plus each partition's ascending global
+/// training rows: `snapshot` itself (and no row tables) at `n == 1`, its
+/// [`Snapshot::split_users`] parts along `dataset`'s user ids otherwise.
+fn split_snapshot(
+    snapshot: AnySnapshot,
+    dataset: &Dataset,
+    n: usize,
+) -> Result<(Vec<AnySnapshot>, Vec<Vec<u64>>), OcularError> {
+    if n == 1 {
+        return Ok((vec![snapshot], Vec::new()));
+    }
+    let AnySnapshot::Ocular(snap) = snapshot else {
+        return Err(OcularError::InvalidConfig(format!(
+            "a shard count other than 1 (got {n}) needs an OCuLaR snapshot; kind `{}` has \
+             no user-factor rows to split",
+            snapshot.kind()
+        )));
+    };
+    let (model_users, model_items) = (snap.model.n_users(), snap.model.n_items());
+    if dataset.n_users() < model_users || dataset.n_items() < model_items {
+        return Err(OcularError::ShapeMismatch {
+            expected: (model_users, model_items),
+            found: (dataset.n_users(), dataset.n_items()),
+        });
+    }
+    let ids = dataset.ids().map(|m| &m.users()[..model_users]);
+    Ok(snap
+        .split_users(ids, n)?
+        .into_iter()
+        .map(|part| (AnySnapshot::Ocular(part.snapshot), part.global_rows))
+        .unzip())
+}
+
 /// The in-process serving engine.
 ///
 /// Holds the loaded model (any snapshot kind) and the training
 /// interaction [`Dataset`] — used both for owned-item exclusion and for
-/// resolving external-id requests through the dataset's id maps. All
+/// resolving external-id requests through the dataset's id maps — as
+/// `N ≥ 1` user-axis partitions (see the [module docs](self)). All
 /// serving methods take `&self`, so one engine can be shared across
 /// threads; [`ServeEngine::serve_batch`] does exactly that via rayon.
 ///
 /// Construct through [`EngineBuilder`].
 pub struct ServeEngine {
-    model: EngineModel,
-    owned: Dataset,
+    parts: Vec<Partition>,
+    /// Per global user row `(partition, partition-local row)`; empty with
+    /// one partition, where global rows are the partition's rows.
+    assign: Vec<(u32, u32)>,
+    /// Requests dispatched per partition (see [`ShardStat::requests`]);
+    /// empty with one partition, so the unsharded request path has no
+    /// counter that every serving thread writes.
+    requests: Vec<AtomicU64>,
     cfg: ServeConfig,
     generation: u64,
 }
 
 impl ServeEngine {
     /// The training interaction store behind the engine — owned-item
-    /// exclusion lists plus the external↔internal id maps.
+    /// exclusion lists plus the external↔internal id maps. With more than
+    /// one partition this is partition 0's: the item axis (and its id
+    /// map) is the full, replicated one; the user rows are that
+    /// partition's only.
     pub fn dataset(&self) -> &Dataset {
-        &self.owned
+        &self.parts[0].owned
     }
 
     /// External id of internal item `i` (identity when the dataset has no
@@ -410,16 +568,17 @@ impl ServeEngine {
     /// # Panics
     /// Panics if `i >= n_items`.
     pub fn external_item(&self, i: usize) -> u64 {
-        self.owned.external_item(i)
+        self.dataset().external_item(i)
     }
 
-    /// The engine's factor model.
+    /// The engine's factor model (partition 0's user rows when there is
+    /// more than one partition; the item factors are replicated).
     ///
     /// # Panics
     /// Panics if the engine serves a non-OCuLaR kind; check
     /// [`ServeEngine::kind`] first, or use the trait-level accessors.
     pub fn model(&self) -> &FactorModel {
-        match &self.model {
+        match &self.parts[0].model {
             EngineModel::Ocular { model, .. } => model,
             EngineModel::Generic(m) => {
                 panic!("engine serves kind `{}`, not an OCuLaR model", m.kind())
@@ -427,12 +586,12 @@ impl ServeEngine {
         }
     }
 
-    /// The engine's candidate-generation index.
+    /// The engine's candidate-generation index (replicated per partition).
     ///
     /// # Panics
     /// Panics if the engine serves a non-OCuLaR kind (no index exists).
     pub fn index(&self) -> &ClusterIndex {
-        match &self.model {
+        match &self.parts[0].model {
             EngineModel::Ocular { index, .. } => index,
             EngineModel::Generic(m) => {
                 panic!(
@@ -445,7 +604,7 @@ impl ServeEngine {
 
     /// The kind tag of the model being served.
     pub fn kind(&self) -> &'static str {
-        match &self.model {
+        match &self.parts[0].model {
             EngineModel::Ocular { .. } => OCULAR_KIND,
             EngineModel::Generic(m) => m.kind(),
         }
@@ -455,15 +614,7 @@ impl ServeEngine {
     /// or `None` when the engine scores through the f64 master —
     /// reported in wire responses and `/stats`.
     pub fn dtype(&self) -> Option<&'static str> {
-        self.quant().map(|q| q.dtype().name())
-    }
-
-    /// The quantized item factors scoring dispatches to, if any.
-    fn quant(&self) -> Option<&QuantizedFactors> {
-        match &self.model {
-            EngineModel::Ocular { quant, .. } => quant.as_ref(),
-            EngineModel::Generic(_) => None,
-        }
+        self.parts[0].model.quant().map(|q| q.dtype().name())
     }
 
     /// The model generation this engine serves (0 when never set) —
@@ -473,15 +624,26 @@ impl ServeEngine {
         self.generation
     }
 
-    /// Users the model was trained on; dataset users at or past this row
-    /// arrived after the snapshot and are served by fold-in.
+    /// Number of user-axis partitions (1 = unsharded).
+    pub fn n_shards(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// Users in the serving dataset, across all partitions.
+    pub fn n_users(&self) -> usize {
+        self.parts.iter().map(|p| p.owned.n_users()).sum()
+    }
+
+    /// Users the model was trained on, across all partitions; dataset
+    /// users past a partition's model rows arrived after the snapshot and
+    /// are served by fold-in.
     pub fn model_users(&self) -> usize {
-        self.model.n_users()
+        self.parts.iter().map(|p| p.model.n_users()).sum()
     }
 
     /// Items the model was trained on (recommendable catalog).
     pub fn model_items(&self) -> usize {
-        self.model.n_items()
+        self.parts[0].model.n_items()
     }
 
     /// The engine's configuration.
@@ -489,27 +651,84 @@ impl ServeEngine {
         &self.cfg
     }
 
-    /// Serves one request. External-id requests resolve through the
-    /// dataset's id maps first and then take exactly the warm/cold paths.
+    /// Per-partition telemetry, in partition order; empty with one
+    /// partition, where nothing is dispatched and so nothing is counted.
+    pub fn shard_stats(&self) -> Vec<ShardStat> {
+        self.parts
+            .iter()
+            .zip(&self.requests)
+            .enumerate()
+            .map(|(shard, (p, requests))| ShardStat {
+                shard,
+                users: p.owned.n_users(),
+                requests: requests.load(Ordering::Relaxed),
+            })
+            .collect()
+    }
+
+    /// `(partition, partition-local row)` of global user row `user`, when
+    /// the serving dataset has such a row.
+    fn locate(&self, user: usize) -> Option<(usize, usize)> {
+        if self.parts.len() == 1 {
+            return (user < self.parts[0].owned.n_users()).then_some((0, user));
+        }
+        let &(s, row) = self.assign.get(user)?;
+        Some((s as usize, row as usize))
+    }
+
+    /// Hands out partition `s`, counting the request against it when
+    /// there is more than one to choose from.
+    fn dispatch(&self, s: usize) -> &Partition {
+        if let Some(requests) = self.requests.get(s) {
+            requests.fetch_add(1, Ordering::Relaxed);
+        }
+        &self.parts[s]
+    }
+
+    /// Serves one request on the calling thread. External-id requests
+    /// resolve through the dataset's id maps first and then take exactly
+    /// the warm/cold paths.
     pub fn serve_one(&self, req: &Request) -> Result<ServedList, ServeError> {
         match req {
-            Request::Warm { user, m } => self.serve_warm(*user, self.effective_m(*m)),
-            Request::Cold { basket, m } => self.serve_cold(basket, self.effective_m(*m)),
+            Request::Warm { user, m } => {
+                let (s, row) = self.locate(*user).ok_or(OcularError::UnknownUser {
+                    user: *user,
+                    n_users: self.n_users(),
+                })?;
+                self.serve_warm(self.dispatch(s), row, self.effective_m(*m))
+            }
             Request::WarmExternal { user, m } => {
-                let internal =
-                    self.owned
-                        .user_index(*user)
-                        .ok_or(OcularError::UnknownExternalId {
-                            external: *user,
-                            entity: "user",
-                        })?;
-                self.serve_warm(internal, self.effective_m(*m))
+                let unknown = OcularError::UnknownExternalId {
+                    external: *user,
+                    entity: "user",
+                };
+                let n = self.parts.len();
+                let (p, row) = if n > 1 && self.dataset().ids().is_none() {
+                    // identity mapping: the external id is the global row
+                    let (s, row) = usize::try_from(*user)
+                        .ok()
+                        .and_then(|g| self.locate(g))
+                        .ok_or(unknown)?;
+                    (self.dispatch(s), row)
+                } else {
+                    // an id present anywhere lives on the partition its
+                    // hash names, whose id maps resolve it
+                    let p = self.dispatch(if n == 1 { 0 } else { shard_of_key(*user, n) });
+                    (p, p.owned.user_index(*user).ok_or(unknown)?)
+                };
+                self.serve_warm(p, row, self.effective_m(*m))
+            }
+            // cold requests need only the replicated item-side state, which
+            // every partition holds byte-identically
+            Request::Cold { basket, m } => {
+                self.serve_cold(self.dispatch(0), basket, self.effective_m(*m))
             }
             Request::ColdExternal { basket, m } => {
+                let p = self.dispatch(0);
                 let internal = basket
                     .iter()
                     .map(|&ext| {
-                        self.owned
+                        p.owned
                             .item_index(ext)
                             .ok_or(OcularError::UnknownExternalId {
                                 external: ext,
@@ -517,28 +736,18 @@ impl ServeEngine {
                             })
                     })
                     .collect::<Result<Vec<usize>, _>>()?;
-                self.serve_cold(&internal, self.effective_m(*m))
+                self.serve_cold(p, &internal, self.effective_m(*m))
             }
         }
     }
 
-    /// Serves a batch of requests in parallel on the ambient rayon pool.
-    /// Responses are returned in request order, and every response is
-    /// identical to what [`ServeEngine::serve_one`] returns for that
-    /// request — batching changes wall-clock, never output.
+    /// Serves a batch of requests in parallel on the ambient rayon pool
+    /// (size it with [`ocular_parallel::with_threads`]). Responses are
+    /// returned in request order, and every response is identical to what
+    /// [`ServeEngine::serve_one`] returns for that request — batching
+    /// changes wall-clock, never output.
     pub fn serve_batch(&self, requests: &[Request]) -> Vec<Result<ServedList, ServeError>> {
         requests.par_iter().map(|r| self.serve_one(r)).collect()
-    }
-
-    /// [`ServeEngine::serve_batch`] under an explicit thread count
-    /// (`None` = ambient pool) — the same knob as
-    /// [`ocular_parallel::fit_parallel`].
-    pub fn serve_batch_threads(
-        &self,
-        requests: &[Request],
-        threads: Option<usize>,
-    ) -> Vec<Result<ServedList, ServeError>> {
-        ocular_parallel::with_threads(threads, || self.serve_batch(requests))
     }
 
     /// Renders a serving result as the wire protocol's reply — the one
@@ -554,7 +763,7 @@ impl ServeEngine {
             Err(e) => WireReply::Err(e.into()),
             Ok(list) => {
                 let external = |i: usize| self.external_item(i);
-                let translate: Option<&dyn Fn(usize) -> u64> = if self.owned.ids().is_some() {
+                let translate: Option<&dyn Fn(usize) -> u64> = if self.dataset().ids().is_some() {
                     Some(&external)
                 } else {
                     None
@@ -576,47 +785,55 @@ impl ServeEngine {
         }
     }
 
-    fn serve_warm(&self, user: usize, m: usize) -> Result<ServedList, ServeError> {
-        if user >= self.model.n_users() {
+    /// Serves row `user` of partition `p` (`user < p.owned.n_users()`).
+    fn serve_warm(&self, p: &Partition, user: usize, m: usize) -> Result<ServedList, ServeError> {
+        if user >= p.model.n_users() {
             // dataset ⊇ model: a row past the model but inside the dataset
             // belongs to a user appended after the snapshot was trained —
             // serve them by request-time fold-in on their interactions
             // (truncated to the model's catalog) until the next hot swap.
-            if user < self.owned.n_users() {
-                let basket: Vec<usize> = self
-                    .owned
-                    .row(user)
-                    .iter()
-                    .map(|&i| i as usize)
-                    .filter(|&i| i < self.model.n_items())
-                    .collect();
-                let mut list = self.serve_cold(&basket, m)?;
-                list.folded_in = true;
-                return Ok(list);
-            }
-            return Err(OcularError::UnknownUser {
-                user,
-                n_users: self.owned.n_users(),
-            });
+            let basket: Vec<usize> = p
+                .owned
+                .row(user)
+                .iter()
+                .map(|&i| i as usize)
+                .filter(|&i| i < p.model.n_items())
+                .collect();
+            let mut list = self.serve_cold(p, &basket, m)?;
+            list.folded_in = true;
+            return Ok(list);
         }
-        match &self.model {
-            EngineModel::Ocular { model, .. } => {
+        match &p.model {
+            EngineModel::Ocular {
+                model,
+                index,
+                quant,
+                ..
+            } => {
                 let factors = model.user_factors.row(user);
-                Ok(self.select(model, factors, self.owned.row(user), m))
+                Ok(self.select(model, index, quant.as_ref(), factors, p.owned.row(user), m))
             }
             EngineModel::Generic(model) => {
                 let mut scores = Vec::new();
                 model.score_user(user, &mut scores);
-                Ok(self.select_scores(&scores, self.owned.row(user), m))
+                Ok(self.select_scores(&scores, p.owned.row(user), m))
             }
         }
     }
 
-    fn serve_cold(&self, basket: &[usize], m: usize) -> Result<ServedList, ServeError> {
-        let exclude = validate_basket(basket, self.model.n_items())?;
-        match &self.model {
+    fn serve_cold(
+        &self,
+        p: &Partition,
+        basket: &[usize],
+        m: usize,
+    ) -> Result<ServedList, ServeError> {
+        let exclude = validate_basket(basket, p.model.n_items())?;
+        match &p.model {
             EngineModel::Ocular {
-                model, item_sum, ..
+                model,
+                index,
+                quant,
+                item_sum,
             } => {
                 let fold = FOLD_SCRATCH.with(|s| {
                     fold_in_user_with(
@@ -629,7 +846,7 @@ impl ServeEngine {
                         &mut s.borrow_mut(),
                     )
                 });
-                Ok(self.select(model, &fold.factors, &exclude, m))
+                Ok(self.select(model, index, quant.as_ref(), &fold.factors, &exclude, m))
             }
             EngineModel::Generic(model) => {
                 let fold_in = model.as_fold_in().ok_or(OcularError::Unsupported {
@@ -649,7 +866,7 @@ impl ServeEngine {
     /// reports it as such.
     fn select_scores(&self, scores: &[f64], exclude: &[u32], m: usize) -> ServedList {
         ServedList {
-            items: top_m_excluding(scores, exclude, m),
+            items: to_recommendations(top_k_excluding(scores, exclude, m)),
             scored: scores.len(),
             fell_back: !matches!(self.cfg.candidates, CandidatePolicy::FullCatalog),
             folded_in: false,
@@ -662,20 +879,21 @@ impl ServeEngine {
     fn select(
         &self,
         model: &FactorModel,
+        index: &ClusterIndex,
+        quant: Option<&QuantizedFactors>,
         factors: &[f64],
         exclude: &[u32],
         m: usize,
     ) -> ServedList {
         if let CandidatePolicy::Clusters { min_candidates } = self.cfg.candidates {
-            let index = self.index();
             let candidates = index.candidates(factors);
             // usable = candidates not excluded (both lists ascending)
             let usable = candidates.len() - intersection_size(&candidates, exclude);
             if usable >= m.max(min_candidates) {
-                return self.select_candidates(model, factors, &candidates, exclude, m);
+                return select_candidates(model, quant, factors, &candidates, exclude, m);
             }
         }
-        self.select_full(model, factors, exclude, m)
+        self.select_full(model, quant, factors, exclude, m)
     }
 
     /// Scores the full catalog. For a warm user this computes exactly the
@@ -685,6 +903,7 @@ impl ServeEngine {
     fn select_full(
         &self,
         model: &FactorModel,
+        quant: Option<&QuantizedFactors>,
         factors: &[f64],
         exclude: &[u32],
         m: usize,
@@ -694,7 +913,7 @@ impl ServeEngine {
             let mut scores = cell.borrow_mut();
             scores.clear();
             scores.resize(n, 0.0);
-            if let Some(quant) = self.quant() {
+            if let Some(quant) = quant {
                 // blocked quantized kernel over the whole catalog (the user
                 // row — warm or freshly folded-in — narrows per request)
                 let query = quant.prepare(factors);
@@ -710,187 +929,46 @@ impl ServeEngine {
             self.select_scores(&scores, exclude, m)
         })
     }
+}
 
-    /// Scores only the candidate list (ascending), skipping exclusions.
-    fn select_candidates(
-        &self,
-        model: &FactorModel,
-        factors: &[f64],
-        candidates: &[u32],
-        exclude: &[u32],
-        m: usize,
-    ) -> ServedList {
-        let query = self.quant().map(|q| q.prepare(factors));
-        let mut heap = TopM::new(m);
-        let mut cursor = 0usize;
-        let mut scored = 0usize;
-        for &c in candidates {
-            let item = c as usize;
-            while cursor < exclude.len() && (exclude[cursor] as usize) < item {
-                cursor += 1;
-            }
-            if cursor < exclude.len() && exclude[cursor] as usize == item {
-                cursor += 1;
-                continue;
-            }
-            let affinity = match (&query, self.quant()) {
-                (Some(q), Some(quant)) => quant.score_row(q, item),
-                _ => ops::dot(factors, model.item_factors.row(item)),
-            };
-            heap.push(item, prob_from_affinity(affinity));
-            scored += 1;
+fn to_recommendations(pairs: Vec<(f64, usize)>) -> Vec<Recommendation> {
+    pairs.into_iter().map(Recommendation::from).collect()
+}
+
+/// Scores only the candidate list (ascending), skipping exclusions.
+fn select_candidates(
+    model: &FactorModel,
+    quant: Option<&QuantizedFactors>,
+    factors: &[f64],
+    candidates: &[u32],
+    exclude: &[u32],
+    m: usize,
+) -> ServedList {
+    let query = quant.map(|q| (q, q.prepare(factors)));
+    let mut heap = TopK::new(m);
+    let mut cursor = 0usize;
+    let mut scored = 0usize;
+    for &c in candidates {
+        let item = c as usize;
+        while cursor < exclude.len() && (exclude[cursor] as usize) < item {
+            cursor += 1;
         }
-        ServedList {
-            items: heap.into_sorted(),
-            scored,
-            fell_back: false,
-            folded_in: false,
+        if cursor < exclude.len() && exclude[cursor] as usize == item {
+            cursor += 1;
+            continue;
         }
+        let affinity = match &query {
+            Some((quant, q)) => quant.score_row(q, item),
+            None => ops::dot(factors, model.item_factors.row(item)),
+        };
+        heap.push(item, prob_from_affinity(affinity));
+        scored += 1;
     }
-
-    // ---- scatter-gather support --------------------------------------
-    //
-    // The sharded coordinator (`crate::shard::ShardedEngine`) fans one
-    // cold request across every shard engine, each scoring a contiguous
-    // span of the item domain with its replicated item-side state. These
-    // span kernels run exactly the per-item arithmetic of `select_full` /
-    // `select_candidates`, so the coordinator's merged top-M is bitwise
-    // identical to unsharded serving. All of them are OCuLaR-only — the
-    // coordinator rejects generic kinds at construction.
-
-    /// Validates and folds a cold basket on the **calling** thread's
-    /// [`FoldInScratch`], returning the folded user factors plus the
-    /// ascending exclusion list. Scatter-gather runs this once per
-    /// request on the worker that owns it, so cold-path allocation stays
-    /// gated per shard worker, never globally.
-    pub(crate) fn fold_cold(&self, basket: &[usize]) -> Result<(Vec<f64>, Vec<u32>), ServeError> {
-        let exclude = validate_basket(basket, self.model.n_items())?;
-        match &self.model {
-            EngineModel::Ocular {
-                model, item_sum, ..
-            } => {
-                let fold = FOLD_SCRATCH.with(|s| {
-                    fold_in_user_with(
-                        model,
-                        basket,
-                        &self.cfg.foldin,
-                        1.0,
-                        self.cfg.foldin_steps,
-                        item_sum,
-                        &mut s.borrow_mut(),
-                    )
-                });
-                Ok((fold.factors, exclude))
-            }
-            EngineModel::Generic(m) => Err(OcularError::Unsupported {
-                kind: m.name(),
-                capability: "scatter-gather fold-in",
-            }),
-        }
-    }
-
-    /// Replicates [`ServeEngine::select`]'s policy decision for a folded
-    /// factor row: `Some(candidates)` when the cluster path would serve
-    /// it, `None` when the full catalog would. The index is item-side
-    /// state, replicated per shard, so every engine decides identically.
-    pub(crate) fn cold_plan(&self, factors: &[f64], exclude: &[u32], m: usize) -> Option<Vec<u32>> {
-        if let CandidatePolicy::Clusters { min_candidates } = self.cfg.candidates {
-            let candidates = self.index().candidates(factors);
-            let usable = candidates.len() - intersection_size(&candidates, exclude);
-            if usable >= m.max(min_candidates) {
-                return Some(candidates);
-            }
-        }
-        None
-    }
-
-    /// Scores the contiguous item span `start .. start + len` (the span
-    /// analogue of `select_full`), returning the span's top-`m` with
-    /// `exclude` skipped, plus the rows scored (`len`, matching
-    /// `select_full`'s whole-catalog count when spans partition it).
-    pub(crate) fn score_full_span(
-        &self,
-        factors: &[f64],
-        exclude: &[u32],
-        m: usize,
-        start: usize,
-        len: usize,
-    ) -> (Vec<Recommendation>, usize) {
-        let model = self.model();
-        SCORES.with(|cell| {
-            let mut scores = cell.borrow_mut();
-            scores.clear();
-            scores.resize(len, 0.0);
-            if let Some(quant) = self.quant() {
-                // the blocked kernel scores rows independently, so a span
-                // sees the same floats it would inside a whole-catalog call
-                let query = quant.prepare(factors);
-                quant.score_block(&query, start, &mut scores);
-                for s in scores.iter_mut() {
-                    *s = prob_from_affinity(*s);
-                }
-            } else {
-                for (j, s) in scores.iter_mut().enumerate() {
-                    *s = prob_from_affinity(ops::dot(factors, model.item_factors.row(start + j)));
-                }
-            }
-            let mut heap = TopM::new(m);
-            let mut cursor = exclude.partition_point(|&e| (e as usize) < start);
-            for (j, &p) in scores.iter().enumerate() {
-                let item = start + j;
-                if cursor < exclude.len() && exclude[cursor] as usize == item {
-                    cursor += 1;
-                    continue;
-                }
-                heap.push(item, p);
-            }
-            (heap.into_sorted(), len)
-        })
-    }
-
-    /// Scores one contiguous slice of the (ascending) candidate list —
-    /// the span analogue of `select_candidates`. Returns the slice's
-    /// top-`m` and the number of un-excluded candidates scored.
-    pub(crate) fn score_candidates_span(
-        &self,
-        factors: &[f64],
-        candidates: &[u32],
-        exclude: &[u32],
-        m: usize,
-    ) -> (Vec<Recommendation>, usize) {
-        let model = self.model();
-        let query = self.quant().map(|q| q.prepare(factors));
-        let mut heap = TopM::new(m);
-        let mut cursor = 0usize;
-        let mut scored = 0usize;
-        for &c in candidates {
-            let item = c as usize;
-            while cursor < exclude.len() && (exclude[cursor] as usize) < item {
-                cursor += 1;
-            }
-            if cursor < exclude.len() && exclude[cursor] as usize == item {
-                cursor += 1;
-                continue;
-            }
-            let affinity = match (&query, self.quant()) {
-                (Some(q), Some(quant)) => quant.score_row(q, item),
-                _ => ops::dot(factors, model.item_factors.row(item)),
-            };
-            heap.push(item, prob_from_affinity(affinity));
-            scored += 1;
-        }
-        (heap.into_sorted(), scored)
-    }
-
-    /// Whether the cluster policy would report a full-catalog serve as a
-    /// fallback — the `fell_back` flag `select_scores` stamps.
-    pub(crate) fn full_catalog_is_fallback(&self) -> bool {
-        !matches!(self.cfg.candidates, CandidatePolicy::FullCatalog)
-    }
-
-    /// `m == 0` ⇒ the engine's configured default list length.
-    pub(crate) fn effective_m_pub(&self, m: usize) -> usize {
-        self.effective_m(m)
+    ServedList {
+        items: to_recommendations(heap.into_sorted()),
+        scored,
+        fell_back: false,
+        folded_in: false,
     }
 }
 
@@ -1051,7 +1129,7 @@ mod tests {
                 m: 7,
             }])
             .collect();
-        let batch = e.serve_batch_threads(&reqs, Some(4));
+        let batch = ocular_parallel::with_threads(Some(4), || e.serve_batch(&reqs));
         assert_eq!(batch.len(), reqs.len());
         for (req, got) in reqs.iter().zip(&batch) {
             assert_eq!(got, &e.serve_one(req));
@@ -1212,9 +1290,12 @@ mod tests {
         let reqs: Vec<Request> = (0..r.n_rows())
             .map(|user| Request::Warm { user, m: 6 })
             .collect();
-        let reference = e.serve_batch_threads(&reqs, Some(1));
+        let reference = ocular_parallel::with_threads(Some(1), || e.serve_batch(&reqs));
         for threads in [2usize, 4] {
-            assert_eq!(e.serve_batch_threads(&reqs, Some(threads)), reference);
+            assert_eq!(
+                ocular_parallel::with_threads(Some(threads), || e.serve_batch(&reqs)),
+                reference
+            );
         }
     }
 

@@ -9,24 +9,33 @@
 //! ## What serving adds over batch evaluation
 //!
 //! * **Snapshots** ([`snapshot`]) — versioned, **kind-tagged** on-disk
-//!   artifacts with truncation/corruption detection, in two formats:
-//!   the line-oriented text envelope (`ocular-snapshot v2 <kind>`) and
-//!   the **mmap-able binary container** (`ocular-snapshot v3`,
-//!   [`SnapshotFormat::Binary`]) whose factor matrices, cluster-index
-//!   CSR and id-map tables are **borrowed zero-copy** from the mapped
-//!   file at engine start. Every model kind in the workspace zoo
-//!   (`ocular`, `wals`, `bpr`, `user-knn`, `item-knn`, `popularity`)
+//!   artifacts with truncation/corruption detection, in three layouts:
+//!   the line-oriented text envelope (`ocular-snapshot v2 <kind>`, legacy
+//!   v1 OCuLaR files still load), the **mmap-able binary container**
+//!   (`ocular-snapshot v3`, [`SnapshotFormat::Binary`]) whose factor
+//!   matrices, cluster-index CSR, quantized factors and id-map tables are
+//!   **borrowed zero-copy** from the mapped file at engine start, and the
+//!   per-shard v3 family ([`AnySnapshot::save_path_sharded`]) that gives
+//!   each user partition its own file. Every model kind in the workspace
+//!   zoo (`ocular`, `wals`, `bpr`, `user-knn`, `item-knn`, `popularity`)
 //!   snapshots through [`ocular_api::SnapshotModel`] and loads back
-//!   through [`AnySnapshot`] (magic-byte sniffing picks the codec);
-//!   legacy v1 OCuLaR snapshots still load.
+//!   through [`AnySnapshot`] (magic-byte sniffing picks the codec).
+//! * **One engine** ([`engine`]) — [`ServeEngine`], built by
+//!   [`EngineBuilder`], over `N ≥ 1` user-axis partitions
+//!   ([`EngineBuilder::shards`] / [`EngineBuilder::from_shard_files`]):
+//!   user rows are hash-partitioned, item-side state is replicated, and
+//!   replies are byte-identical at every `N`; `N = 1` is the unsharded
+//!   engine.
 //! * **Candidate generation** ([`index`]) — per-cluster inverted item
 //!   lists built once at load; a request scores only items reachable from
 //!   the requester's co-clusters, with a full-catalog fallback knob
 //!   ([`CandidatePolicy`]).
-//! * **Bounded-heap selection** — top-M via
-//!   [`ocular_core::topm`], `O(candidates · log M)` instead of a full
-//!   sort; in [`CandidatePolicy::FullCatalog`] mode the served lists are
+//! * **Bounded-heap selection** — top-M via [`ocular_linalg::topk`],
+//!   `O(candidates · log M)` instead of a full sort; in
+//!   [`CandidatePolicy::FullCatalog`] mode the served lists are
 //!   **bitwise identical** to [`ocular_core::recommend_top_m`].
+//! * **Quantized scoring** — f32 / per-row affine int8 item factors
+//!   ([`QuantizedFactors`]) scored through a blocked kernel.
 //! * **Cold start** — unseen users are folded in at request time
 //!   (OCuLaR via [`ocular_core::fold_in_user`]; other kinds through their
 //!   [`ocular_api::FoldIn`] capability, with a typed
@@ -34,9 +43,16 @@
 //!   admits none), then served through the same selection path.
 //! * **Batching** ([`ServeEngine::serve_batch`]) — rayon-parallel over
 //!   requests, deterministic in request order and output regardless of
-//!   thread count.
-//! * **A CLI** (`serve` binary) — JSON-lines requests on stdin, JSON-lines
-//!   responses on stdout, plus a `--train` mode that fits a model from an
+//!   thread count or partition count.
+//! * **A wire protocol and a network tier** ([`protocol`], [`net`]) — one
+//!   versioned request/response/error encoding behind both the stdin CLI
+//!   and the epoll HTTP/1.1 front-end (keep-alive, pipelining, batch
+//!   coalescing, typed 429 shedding, `/stats`).
+//! * **Hot swap** ([`swap`]) — [`SwapEngine`] replaces the serving engine
+//!   under load with zero dropped requests and monotone generations
+//!   (`POST /admin/reload`, `SIGHUP`).
+//! * **A CLI** (`serve` binary) — JSON-lines requests on stdin or
+//!   `--listen` over TCP, plus a `--train` mode that fits a model from an
 //!   edge list and writes a snapshot. See the README's *Serving* section.
 //!
 //! ## Example
@@ -66,16 +82,15 @@ pub mod index;
 pub mod json;
 pub mod net;
 pub mod protocol;
-pub mod shard;
 pub mod snapshot;
 pub mod swap;
 
 pub use engine::{
     CandidatePolicy, EngineBuilder, Request, ServeConfig, ServeEngine, ServeError, ServedList,
+    ShardStat,
 };
 pub use index::{ClusterIndex, IndexConfig};
 pub use protocol::{WireError, WireReply, WireRequest, WireResponse, PROTOCOL_VERSION};
-pub use shard::{AnyEngine, ShardStat, ShardedEngine};
 pub use snapshot::{
     shard_path, AnySnapshot, LoadedSnapshot, ShardedLoad, Snapshot, SnapshotFormat, SnapshotShard,
     OCULAR_KIND,

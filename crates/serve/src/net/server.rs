@@ -705,7 +705,7 @@ fn route(
                     current.dtype(),
                     swap.swap_count(),
                     swap.reloading(),
-                    current.shard_stats().as_deref(),
+                    &current.shard_stats(),
                 )
                 .to_string();
             body.push('\n');

@@ -215,10 +215,10 @@ impl ServerStats {
     /// which `model_generation` and `kind` answer requests right now,
     /// the quantized scoring `dtype` when one is active, how many hot
     /// `swaps` have landed, whether a reload is in flight, and how many
-    /// `reloads` were attempted. A sharded engine additionally reports
-    /// the per-shard `shard` array (`[{shard, users, requests}, …]`) —
-    /// additive: unsharded servers omit the field entirely, so existing
-    /// consumers parse unchanged.
+    /// `reloads` were attempted. An engine with more than one partition
+    /// additionally reports the per-partition `shard` array
+    /// (`[{shard, users, requests}, …]`) — additive: unsharded servers
+    /// omit the field entirely, so existing consumers parse unchanged.
     pub fn to_json_with_model(
         &self,
         generation: u64,
@@ -226,7 +226,7 @@ impl ServerStats {
         dtype: Option<&str>,
         swaps: u64,
         reloading: bool,
-        shards: Option<&[crate::shard::ShardStat]>,
+        shards: &[crate::engine::ShardStat],
     ) -> Json {
         let Json::Obj(mut fields) = self.to_json() else {
             unreachable!("stats body is an object");
@@ -246,7 +246,7 @@ impl ServerStats {
             "reloads".into(),
             Json::Int(self.reloads.load(Ordering::Relaxed)),
         ));
-        if let Some(shards) = shards {
+        if !shards.is_empty() {
             let rows = shards
                 .iter()
                 .map(|s| {
@@ -342,7 +342,7 @@ mod tests {
         let stats = ServerStats::new(1);
         stats.reloads.store(4, Ordering::Relaxed);
         let text = stats
-            .to_json_with_model(9, "ocular", None, 3, true, None)
+            .to_json_with_model(9, "ocular", None, 3, true, &[])
             .to_string();
         let back = Json::parse(&text).unwrap();
         assert_eq!(back.get("model_generation").unwrap().as_u64(), Some(9));
@@ -353,7 +353,7 @@ mod tests {
         assert_eq!(back.get("reloads").unwrap().as_u64(), Some(4));
         // a quantized engine names its representation
         let text = stats
-            .to_json_with_model(9, "ocular", Some("int8"), 3, false, None)
+            .to_json_with_model(9, "ocular", Some("int8"), 3, false, &[])
             .to_string();
         let back = Json::parse(&text).unwrap();
         assert_eq!(back.get("dtype").unwrap().as_str(), Some("int8"));
@@ -361,19 +361,19 @@ mod tests {
         assert_eq!(back.get("shard"), None);
         // a sharded engine appends the per-shard array
         let shards = vec![
-            crate::shard::ShardStat {
+            crate::engine::ShardStat {
                 shard: 0,
                 users: 3,
                 requests: 7,
             },
-            crate::shard::ShardStat {
+            crate::engine::ShardStat {
                 shard: 1,
                 users: 2,
                 requests: 5,
             },
         ];
         let text = stats
-            .to_json_with_model(9, "ocular", None, 3, false, Some(&shards))
+            .to_json_with_model(9, "ocular", None, 3, false, &shards)
             .to_string();
         let back = Json::parse(&text).unwrap();
         let rows = back.get("shard").unwrap().as_array().unwrap();

@@ -929,8 +929,10 @@ impl AnySnapshot {
     /// Loads an `n_shards`-way shard family written by
     /// [`AnySnapshot::save_path_sharded`], memory-mapping each shard file
     /// zero-copy and validating the family: every file must be an OCuLaR
-    /// v3 shard whose `shnfo` coordinates match its name, and the
-    /// `shgid` tables must be a disjoint ascending cover of
+    /// v3 shard whose `shnfo` coordinates match its name, all files must
+    /// carry the same metadata section (one training: one generation, one
+    /// watermark — a half-rewritten family is [`OcularError::Corrupt`]),
+    /// and the `shgid` tables must be a disjoint ascending cover of
     /// `0..total_users`.
     pub fn load_path_sharded(path: &Path, n_shards: usize) -> Result<ShardedLoad, OcularError> {
         if n_shards == 0 {
@@ -938,7 +940,7 @@ impl AnySnapshot {
                 "shard count must be positive".into(),
             ));
         }
-        let mut shards = Vec::with_capacity(n_shards);
+        let mut shards: Vec<LoadedSnapshot> = Vec::with_capacity(n_shards);
         let mut global_rows = Vec::with_capacity(n_shards);
         for s in 0..n_shards {
             let p = shard_path(path, s, n_shards);
@@ -975,6 +977,14 @@ impl AnySnapshot {
                 )));
             }
             let meta = SnapshotMeta::read_section(&r)?;
+            if let Some(first) = shards.first().filter(|first| first.meta != meta) {
+                return Err(OcularError::Corrupt(format!(
+                    "shard files {} ({:?}) and {} ({meta:?}) come from different trainings",
+                    shard_path(path, 0, n_shards).display(),
+                    first.meta,
+                    p.display(),
+                )));
+            }
             let ids = read_ids_sections(&r)?;
             shards.push(LoadedSnapshot {
                 snapshot: AnySnapshot::Ocular(snapshot),

@@ -1,6 +1,6 @@
 //! Zero-downtime snapshot hot-swap: a generation-counted handle that
-//! atomically replaces the [`AnyEngine`] behind a running server —
-//! unsharded engine and sharded scatter-gather coordinator alike.
+//! atomically replaces the [`ServeEngine`] behind a running server,
+//! whatever its partition count.
 //!
 //! The live-refresh loop (append deltas → retrain → redeploy) ends here:
 //! a freshly trained snapshot is loaded **off the request path** (on the
@@ -18,7 +18,7 @@
 //! while one is in flight answers [`ReloadError::Busy`] (wire code
 //! `reloading`, HTTP 503) instead of queueing.
 
-use crate::shard::AnyEngine;
+use crate::engine::ServeEngine;
 use ocular_api::OcularError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -26,10 +26,11 @@ use std::sync::{Arc, RwLock};
 /// How a reload produces the next engine: called with the currently
 /// served generation, must return an engine whose generation is strictly
 /// greater (the CLI closure re-loads the snapshot and dataset from disk
-/// and stamps `max(snapshot generation, current + 1)`). Reloads yield an
-/// [`AnyEngine`], so a sharded deployment rebuilds its whole coordinator
-/// atomically — shards never hot-swap independently.
-pub type ReloadFn = Box<dyn Fn(u64) -> Result<AnyEngine, OcularError> + Send + Sync>;
+/// and stamps `max(snapshot generation, current + 1)`). A reload yields a
+/// whole engine, so every partition of a sharded deployment swaps in the
+/// same pointer store — partitions never hot-swap independently, and a
+/// reload may change the partition count.
+pub type ReloadFn = Box<dyn Fn(u64) -> Result<ServeEngine, OcularError> + Send + Sync>;
 
 /// Why a reload did not publish a new engine.
 #[derive(Debug)]
@@ -55,13 +56,12 @@ impl std::fmt::Display for ReloadError {
 
 /// The swap handle every transport holds instead of a bare engine.
 ///
-/// [`SwapEngine::engine`] hands out the current `Arc<AnyEngine>` —
-/// unsharded engine or scatter-gather coordinator alike; the caller
-/// serves its whole request (or batch) against that pinned engine and
-/// drops the `Arc` when done. [`SwapEngine::swap`] publishes a new
+/// [`SwapEngine::engine`] hands out the current `Arc<ServeEngine>`; the
+/// caller serves its whole request (or batch) against that pinned engine
+/// and drops the `Arc` when done. [`SwapEngine::swap`] publishes a new
 /// engine without disturbing pinned ones.
 pub struct SwapEngine {
-    current: RwLock<Arc<AnyEngine>>,
+    current: RwLock<Arc<ServeEngine>>,
     reload: Option<ReloadFn>,
     reload_in_flight: AtomicBool,
     swaps: AtomicU64,
@@ -70,9 +70,9 @@ pub struct SwapEngine {
 impl SwapEngine {
     /// Wraps an engine with no reload source — swaps only happen through
     /// explicit [`SwapEngine::swap`] calls (tests, embedded use).
-    pub fn new(initial: impl Into<AnyEngine>) -> SwapEngine {
+    pub fn new(initial: ServeEngine) -> SwapEngine {
         SwapEngine {
-            current: RwLock::new(Arc::new(initial.into())),
+            current: RwLock::new(Arc::new(initial)),
             reload: None,
             reload_in_flight: AtomicBool::new(false),
             swaps: AtomicU64::new(0),
@@ -82,7 +82,7 @@ impl SwapEngine {
     /// Wraps an engine with a reload source: `POST /admin/reload` and
     /// `SIGHUP` call `reload`, which rebuilds the engine from wherever
     /// the deployment keeps its artifacts (snapshot path + data log).
-    pub fn with_reload(initial: impl Into<AnyEngine>, reload: ReloadFn) -> SwapEngine {
+    pub fn with_reload(initial: ServeEngine, reload: ReloadFn) -> SwapEngine {
         SwapEngine {
             reload: Some(reload),
             ..SwapEngine::new(initial)
@@ -93,7 +93,7 @@ impl SwapEngine {
     /// across their whole request so a concurrent swap never changes the
     /// model mid-request, and the old engine stays mapped until the last
     /// such pin drops.
-    pub fn engine(&self) -> Arc<AnyEngine> {
+    pub fn engine(&self) -> Arc<ServeEngine> {
         Arc::clone(&self.current.read().expect("engine lock poisoned"))
     }
 
@@ -115,8 +115,8 @@ impl SwapEngine {
     /// Publishes `next` as the serving engine. Rejects non-monotone
     /// generations (`next.generation() <= current`) without touching the
     /// serving state. Returns the published generation.
-    pub fn swap(&self, next: impl Into<AnyEngine>) -> Result<u64, OcularError> {
-        let next = Arc::new(next.into());
+    pub fn swap(&self, next: ServeEngine) -> Result<u64, OcularError> {
+        let next = Arc::new(next);
         let generation = next.generation();
         let mut current = self.current.write().expect("engine lock poisoned");
         if generation <= current.generation() {
@@ -153,7 +153,7 @@ impl SwapEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineBuilder, Request, ServeEngine};
+    use crate::engine::{EngineBuilder, Request};
     use ocular_baselines::Popularity;
     use ocular_sparse::{Dataset, Triplets};
 
@@ -207,7 +207,7 @@ mod tests {
                 if current >= 3 {
                     Err(OcularError::Io("artifact store unreachable".into()))
                 } else {
-                    Ok(engine(current + 1, 4).into())
+                    Ok(engine(current + 1, 4))
                 }
             }),
         );
@@ -232,7 +232,7 @@ mod tests {
             Box::new(move |current| {
                 entered_tx.send(()).unwrap();
                 release_rx.lock().unwrap().recv().unwrap();
-                Ok(engine(current + 1, 4).into())
+                Ok(engine(current + 1, 4))
             }),
         ));
         let slow = {

@@ -12,6 +12,10 @@
 //! * **bounded engine lifetime** — the swapped-out engine (and with it
 //!   any mmap'd snapshot region it owns) is released exactly when the
 //!   last in-flight borrower drops, never while a batch is serving.
+//!
+//! Every reload also changes the engine's arity (1 → 4 → 1 → … user
+//! partitions), so the same guarantees hold across partition counts and
+//! the `/stats` `shard` array comes and goes with them.
 #![cfg(target_os = "linux")]
 
 use std::io::{BufReader, Write};
@@ -19,15 +23,25 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
-use ocular_baselines::Popularity;
+use ocular_core::FactorModel;
+use ocular_linalg::Matrix;
 use ocular_serve::json::Json;
 use ocular_serve::net::{http, Server, ServerConfig};
 use ocular_serve::swap::SwapEngine;
-use ocular_serve::{AnyEngine, EngineBuilder, ServeEngine};
+use ocular_serve::{EngineBuilder, ServeEngine};
 use ocular_sparse::{Dataset, Triplets};
 
 const N_USERS: usize = 48;
 const RELOADS: u64 = 5;
+
+/// Odd generations are unsharded, even ones split four ways.
+fn shards_of(generation: u64) -> usize {
+    if generation % 2 == 1 {
+        1
+    } else {
+        4
+    }
+}
 
 fn engine(generation: u64) -> ServeEngine {
     let mut t = Triplets::new(N_USERS, N_USERS);
@@ -36,9 +50,14 @@ fn engine(generation: u64) -> ServeEngine {
         t.push(i, (i + 3) % N_USERS).unwrap();
     }
     let data = Dataset::from_matrix(t.into_csr());
-    EngineBuilder::from_recommender(Box::new(Popularity::fit(&data)))
+    let factors = |salt: usize| {
+        let values = (0..N_USERS * 2).map(|x| 0.1 + ((x + salt) % 7) as f64 * 0.2);
+        Matrix::from_vec(N_USERS, 2, values.collect())
+    };
+    EngineBuilder::from_model(FactorModel::new(factors(0), factors(3), false))
         .dataset(data)
         .generation(generation)
+        .shards(shards_of(generation))
         .build()
         .unwrap()
 }
@@ -92,12 +111,10 @@ fn generation_of(body: &[u8]) -> u64 {
 fn hot_swap_under_load_drops_nothing_and_keeps_generations_monotone() {
     let swap = Arc::new(SwapEngine::with_reload(
         engine(1),
-        Box::new(|current| Ok(engine(current + 1).into())),
+        Box::new(|current| Ok(engine(current + 1))),
     ));
-    // watch the initial engine's lifetime from outside
-    let first_pin = swap.engine();
-    let first: Weak<AnyEngine> = Arc::downgrade(&first_pin);
-    drop(first_pin);
+    // watch every swapped-out engine's lifetime from outside
+    let mut retired: Vec<Weak<ServeEngine>> = Vec::new();
 
     let server = Server::bind(
         Arc::clone(&swap),
@@ -147,6 +164,7 @@ fn hot_swap_under_load_drops_nothing_and_keeps_generations_monotone() {
     // the control plane: RELOADS sequential swaps while the load runs
     let mut admin = Client::connect(addr);
     for expect in 2..=(RELOADS + 1) {
+        retired.push(Arc::downgrade(&swap.engine()));
         let resp = admin.round_trip("POST", "/admin/reload", "");
         assert_eq!(resp.status, 200, "reload must succeed");
         let body = String::from_utf8(resp.body).unwrap();
@@ -157,6 +175,13 @@ fn hot_swap_under_load_drops_nothing_and_keeps_generations_monotone() {
             Some(expect),
             "each reload bumps the generation by exactly one"
         );
+        // the per-shard rows appear and disappear with the partition count
+        let resp = admin.round_trip("GET", "/stats", "");
+        let body = String::from_utf8(resp.body).unwrap();
+        let v = Json::parse(body.trim_end()).unwrap();
+        let rows = v.get("shard").and_then(Json::as_array).map(<[Json]>::len);
+        let n = shards_of(expect);
+        assert_eq!(rows, (n > 1).then_some(n), "generation {expect}");
         // let a few batches serve on the fresh engine before the next swap
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
@@ -188,11 +213,12 @@ fn hot_swap_under_load_drops_nothing_and_keeps_generations_monotone() {
 
     server.shutdown().unwrap();
 
-    // the first-generation engine must be gone: it was swapped out and
-    // every batch that pinned it has finished — nothing may still hold
-    // the (in production, mmap-backed) model alive
+    // every earlier engine, of either arity, must be gone: it was swapped
+    // out and every batch that pinned it has finished — nothing may still
+    // hold the (in production, mmap-backed) model alive
+    assert_eq!(retired.len() as u64, RELOADS);
     assert!(
-        first.upgrade().is_none(),
+        retired.iter().all(|engine| engine.upgrade().is_none()),
         "swapped-out engine still referenced after the last borrower dropped"
     );
     assert_eq!(swap.generation(), RELOADS + 1);
@@ -205,7 +231,7 @@ fn hot_swap_under_load_drops_nothing_and_keeps_generations_monotone() {
 fn pipelined_requests_survive_a_mid_stream_swap() {
     let swap = Arc::new(SwapEngine::with_reload(
         engine(1),
-        Box::new(|current| Ok(engine(current + 1).into())),
+        Box::new(|current| Ok(engine(current + 1))),
     ));
     let server = Server::bind(Arc::clone(&swap), "127.0.0.1:0", ServerConfig::default())
         .expect("bind ephemeral port")

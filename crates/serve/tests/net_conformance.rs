@@ -18,8 +18,7 @@ use ocular_serve::net::http;
 use ocular_serve::net::{RunningServer, Server, ServerConfig};
 use ocular_serve::protocol::ErrorCode;
 use ocular_serve::{
-    AnySnapshot, CandidatePolicy, EngineBuilder, ServeConfig, ServeEngine, ShardedEngine,
-    SwapEngine, WireReply,
+    AnySnapshot, CandidatePolicy, EngineBuilder, ServeConfig, ServeEngine, SwapEngine, WireReply,
 };
 use ocular_sparse::io::read_edge_list;
 
@@ -132,6 +131,24 @@ const REQUESTS: &[&str] = &[
     r#"{"user": 0, "basket": [1]}"#,
 ];
 
+/// A malformed numeric flag is a usage error, never a silent default:
+/// `--shards four` must not serve unsharded.
+#[test]
+fn cli_rejects_malformed_numeric_flags() {
+    let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--model", "unread.snap", "--interactions", "unread.tsv"])
+        .args(["--shards", "four"])
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("--shards must be a number, got `four`"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn cli_and_tcp_serve_byte_identical_bodies() {
     let (edges, snap) = train_fixture("conform");
@@ -194,33 +211,26 @@ fn cli_and_tcp_serve_byte_identical_bodies() {
     let _ = std::fs::remove_file(&snap);
 }
 
-/// The scatter-gather coordinator behind the TCP front-end must answer
-/// the whole conformance stream byte-identically to the single engine,
-/// and its `/stats` grows additive per-shard rows (absent unsharded).
+/// A 4-partition engine behind the TCP front-end must answer the whole
+/// conformance stream byte-identically to the unsharded engine, and its
+/// `/stats` grows additive per-shard rows (absent unsharded).
 #[test]
 fn sharded_coordinator_serves_byte_identical_bodies_over_tcp() {
     let (edges, snap) = train_fixture("sharded");
     let single_server = spawn_server(build_engine(&edges, &snap), ServerConfig::default());
 
-    // the same artifacts, split into a 4-shard coordinator
-    let loaded = AnySnapshot::load_path_full(&snap).unwrap();
-    let generation = loaded.meta.as_ref().map_or(0, |m| m.generation);
-    let AnySnapshot::Ocular(snapshot) = loaded.snapshot else {
-        panic!("fixture trains an ocular snapshot");
-    };
+    // the same artifacts, split into 4 partitions
     let dataset = read_edge_list(edges.to_str().unwrap(), "\t", None)
         .unwrap()
         .into_dataset();
     let n_users = dataset.n_users();
-    let sharded = ShardedEngine::split(snapshot, &dataset, 4, serve_cfg(), generation, None)
-        .expect("split coordinator");
-    let sharded_server = Server::bind(
-        Arc::new(SwapEngine::new(sharded)),
-        "127.0.0.1:0",
-        ServerConfig::default(),
-    )
-    .expect("bind ephemeral port")
-    .spawn();
+    let sharded = EngineBuilder::from_loaded(AnySnapshot::load_path_full(&snap).unwrap())
+        .dataset(dataset)
+        .config(serve_cfg())
+        .shards(4)
+        .build()
+        .expect("split engine");
+    let sharded_server = spawn_server(sharded, ServerConfig::default());
 
     let mut single = Client::connect(single_server.addr());
     let mut scatter = Client::connect(sharded_server.addr());

@@ -6,8 +6,8 @@
 //! 2. Snapshots round-trip exactly, and corrupted/truncated snapshot bytes
 //!    are rejected rather than mis-loaded.
 
-use ocular_core::topm::top_m_excluding;
 use ocular_core::{FactorModel, Recommendation};
+use ocular_linalg::topk::top_k_excluding;
 use ocular_linalg::Matrix;
 use ocular_serve::{IndexConfig, Snapshot};
 use proptest::prelude::*;
@@ -66,7 +66,10 @@ fn arb_model() -> impl Strategy<Value = FactorModel> {
 proptest! {
     #[test]
     fn heap_equals_sort_including_ties((scores, exclude) in arb_scores(), m in 0usize..60) {
-        let heap = top_m_excluding(&scores, &exclude, m);
+        let heap: Vec<Recommendation> = top_k_excluding(&scores, &exclude, m)
+            .into_iter()
+            .map(Recommendation::from)
+            .collect();
         let sorted = sort_based(&scores, &exclude, m);
         prop_assert_eq!(heap, sorted);
     }

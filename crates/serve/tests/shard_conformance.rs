@@ -1,18 +1,20 @@
-//! Scatter-gather conformance: sharded serving must be **byte-identical**
+//! Partition conformance: sharded serving must be **byte-identical**
 //! to the unsharded engine — same wire bytes, same telemetry, same typed
 //! errors — for every warm user (internal and external addressing), cold
 //! baskets (internal and external), unknown ids, and users appended
 //! after the snapshot (fold-in overhang); across shard counts 1 and 4,
 //! both id regimes, and every quantized dtype. Plus: the sharded v3
 //! snapshot family round-trips through disk into an equally identical
-//! coordinator, and per-shard `/stats` telemetry reconciles.
+//! engine (and a family mixing two trainings is refused, at load and at
+//! hot reload), and per-shard `/stats` telemetry reconciles.
 
-use ocular_api::SnapshotMeta;
+use ocular_api::{OcularError, SnapshotMeta};
 use ocular_core::{fit, OcularConfig};
 use ocular_datasets::planted::{generate, PlantedConfig};
+use ocular_serve::swap::ReloadError;
 use ocular_serve::{
     AnySnapshot, CandidatePolicy, EngineBuilder, IndexConfig, QuantDtype, Request, ServeConfig,
-    ServeEngine, ShardedEngine, Snapshot,
+    ServeEngine, Snapshot, SwapEngine,
 };
 use ocular_sparse::{Dataset, IdMaps};
 
@@ -58,7 +60,7 @@ fn config() -> ServeConfig {
     ServeConfig {
         default_m: 6,
         // small floor so some baskets take the candidate path and others
-        // fall back — both scatter branches get exercised
+        // fall back — both selection branches get exercised
         candidates: CandidatePolicy::Clusters { min_candidates: 8 },
         ..Default::default()
     }
@@ -69,16 +71,19 @@ fn engines(
     d: &Dataset,
     n_shards: usize,
     quant: Option<QuantDtype>,
-) -> (ServeEngine, ShardedEngine) {
-    let mut b = EngineBuilder::from_snapshot(AnySnapshot::Ocular(snap.clone()))
-        .dataset(d.clone())
-        .config(config())
-        .generation(7);
-    if let Some(dtype) = quant {
-        b = b.quantization(dtype);
-    }
-    let single = b.build().unwrap();
-    let sharded = ShardedEngine::split(snap.clone(), d, n_shards, config(), 7, quant).unwrap();
+) -> (ServeEngine, ServeEngine) {
+    let builder = || {
+        let b = EngineBuilder::from_snapshot(AnySnapshot::Ocular(snap.clone()))
+            .dataset(d.clone())
+            .config(config())
+            .generation(7);
+        match quant {
+            Some(dtype) => b.quantization(dtype),
+            None => b,
+        }
+    };
+    let single = builder().build().unwrap();
+    let sharded = builder().shards(n_shards).build().unwrap();
     (single, sharded)
 }
 
@@ -131,7 +136,7 @@ fn request_zoo(d: &Dataset) -> Vec<Request> {
 
 /// One-at-a-time and batched serving must both match the unsharded
 /// engine byte for byte — wire encoding and structured telemetry alike.
-fn assert_identical(single: &ServeEngine, sharded: &ShardedEngine, reqs: &[Request], label: &str) {
+fn assert_identical(single: &ServeEngine, sharded: &ServeEngine, reqs: &[Request], label: &str) {
     for req in reqs {
         let a = single.serve_one(req);
         let b = sharded.serve_one(req);
@@ -179,8 +184,13 @@ fn sharded_serving_is_byte_identical_to_unsharded() {
                     &reqs,
                     &format!("ids={with_ids} quant={quant:?} shards={n_shards}"),
                 );
-                // per-shard telemetry reconciles with the population
+                // per-shard telemetry reconciles with the population; one
+                // partition dispatches nothing and reports no rows
                 let stats = sharded.shard_stats();
+                if n_shards == 1 {
+                    assert!(stats.is_empty());
+                    continue;
+                }
                 assert_eq!(stats.len(), n_shards);
                 let users: usize = stats.iter().map(|s| s.users).sum();
                 assert_eq!(users, d.n_users());
@@ -235,9 +245,10 @@ fn post_snapshot_users_fold_in_identically_on_their_shard() {
 }
 
 /// The sharded v3 family round-trips through disk: `save_path_sharded` →
-/// `load_path_sharded` → `assemble` serves byte-identically to the
+/// `load_path_sharded` → `from_shard_files` serves byte-identically to the
 /// unsharded engine, adopts the family's metadata generation, and a
-/// wrong `--shards` count fails loudly instead of mapping a mismatch.
+/// wrong `--shards` count — or a family whose files come from two
+/// trainings — fails loudly instead of mapping a mismatch.
 #[test]
 fn sharded_snapshot_files_round_trip_into_an_identical_coordinator() {
     const N: usize = 4;
@@ -270,7 +281,11 @@ fn sharded_snapshot_files_round_trip_into_an_identical_coordinator() {
         let load = AnySnapshot::load_path_sharded(&base, N).unwrap();
         let total_rows: usize = load.global_rows.iter().map(Vec::len).sum();
         assert_eq!(total_rows, d.n_users());
-        let sharded = ShardedEngine::assemble(load, &d, config(), 0, None).unwrap();
+        let sharded = EngineBuilder::from_shard_files(load)
+            .dataset(d.clone())
+            .config(config())
+            .build()
+            .unwrap();
         assert_eq!(
             sharded.generation(),
             7,
@@ -280,7 +295,46 @@ fn sharded_snapshot_files_round_trip_into_an_identical_coordinator() {
 
         // a family is only loadable under its own shard count
         assert!(AnySnapshot::load_path_sharded(&base, 3).is_err());
-        for p in paths {
+
+        // a half-rewritten family — shard 2 replaced by the next
+        // training's — is refused whole, naming both files, instead of
+        // answering for two trainings under one `model_generation`
+        let next = base.with_extension("next");
+        let next_meta = SnapshotMeta {
+            generation: 8,
+            ..meta
+        };
+        let next_paths = AnySnapshot::Ocular(snap.clone())
+            .save_path_sharded(&next, d.ids(), Some(&next_meta), N)
+            .unwrap();
+        std::fs::rename(&next_paths[2], &paths[2]).unwrap();
+        match AnySnapshot::load_path_sharded(&base, N) {
+            Err(OcularError::Corrupt(msg)) => {
+                for p in [&paths[0], &paths[2]] {
+                    assert!(msg.contains(&*p.to_string_lossy()), "{msg}");
+                }
+            }
+            other => panic!("mixed family must be corrupt, got {:?}", other.err()),
+        }
+        // and through a hot reload the old generation keeps serving
+        let (reload_base, reload_d) = (base.clone(), d.clone());
+        let swap = SwapEngine::with_reload(
+            sharded,
+            Box::new(move |_| {
+                EngineBuilder::from_shard_files(AnySnapshot::load_path_sharded(&reload_base, N)?)
+                    .dataset(reload_d.clone())
+                    .config(config())
+                    .build()
+            }),
+        );
+        assert!(matches!(
+            swap.reload(),
+            Err(ReloadError::Failed(OcularError::Corrupt(_)))
+        ));
+        assert_eq!(swap.generation(), 7);
+        assert!(swap.engine().serve_one(&reqs[0]).is_ok());
+
+        for p in paths.iter().chain(&next_paths) {
             std::fs::remove_file(p).ok();
         }
     }

@@ -1,5 +1,5 @@
 //! Horizontal user sharding of a [`Dataset`] — the data-side half of the
-//! scatter-gather serving tier.
+//! serving engine's user partitions.
 //!
 //! Heckel et al. argue OCuLaR scales "across cores and machines" because
 //! users decompose independently given the item-side state. This module
@@ -146,7 +146,7 @@ impl ShardedDataset {
     /// Decomposes the partition into its owned pieces — the shard
     /// datasets, the per-shard ascending global-row tables, and the
     /// per-global-row `(shard, local)` assignments — so a consumer (the
-    /// serving coordinator) can take ownership without cloning `N`
+    /// serving engine) can take ownership without cloning `N`
     /// datasets.
     #[allow(clippy::type_complexity)]
     pub fn into_parts(self) -> (Vec<Dataset>, Vec<Vec<u32>>, Vec<(u32, u32)>) {
@@ -261,7 +261,7 @@ mod tests {
                     assert_eq!(sharded.shard(s).row(l), d.row(g));
                     if with_ids {
                         // identity-mapped shards renumber externals locally
-                        // (the serving coordinator routes those via
+                        // (the serving engine routes those via
                         // `assignments` instead); id-mapped shards keep the
                         // global external ids
                         assert_eq!(sharded.shard(s).external_user(l), d.external_user(g));

@@ -70,8 +70,8 @@ pub mod prelude {
     pub use ocular_eval::protocol::{evaluate, EvalReport};
     pub use ocular_parallel::fit_parallel;
     pub use ocular_serve::{
-        AnyEngine, AnySnapshot, CandidatePolicy, EngineBuilder, QuantDtype, QuantizedFactors,
-        Request, ServeConfig, ServeEngine, ServedList, ShardedEngine, Snapshot, SwapEngine,
+        AnySnapshot, CandidatePolicy, EngineBuilder, QuantDtype, QuantizedFactors, Request,
+        ServeConfig, ServeEngine, ServedList, Snapshot, SwapEngine,
     };
     pub use ocular_sparse::{
         CsrMatrix, Dataset, IdMaps, ShardedDataset, Split, SplitConfig, StreamingTriplets, Triplets,

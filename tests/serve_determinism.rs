@@ -4,9 +4,13 @@
 //! count — batching and the bounded-heap kernel change wall-clock, never
 //! output. Cluster candidate generation is an explicit approximation, but
 //! it too must be deterministic across thread counts, and its fallback
-//! path must coincide with the exact lists.
+//! path must coincide with the exact lists. An engine split into four
+//! user partitions runs its batches on the same pool, so it goes through
+//! the same thread loop and must answer exactly what the unsharded one
+//! does.
 
 use ocular::datasets::planted::{generate, PlantedConfig};
+use ocular::parallel::with_threads;
 use ocular::prelude::*;
 use ocular::serve::IndexConfig;
 
@@ -35,6 +39,13 @@ fn trained() -> (FactorModel, ocular::sparse::Dataset, OcularConfig) {
 }
 
 fn engine(policy: CandidatePolicy) -> (ServeEngine, ocular::sparse::Dataset) {
+    sharded_engine(policy, 1)
+}
+
+fn sharded_engine(
+    policy: CandidatePolicy,
+    shards: usize,
+) -> (ServeEngine, ocular::sparse::Dataset) {
     let (model, r, train_cfg) = trained();
     let cfg = ServeConfig {
         default_m: 20,
@@ -49,6 +60,7 @@ fn engine(policy: CandidatePolicy) -> (ServeEngine, ocular::sparse::Dataset) {
             floor: 10,
         })
         .config(cfg)
+        .shards(shards)
         .build()
         .unwrap();
     (e, r)
@@ -68,7 +80,7 @@ fn serve_batch_bitwise_identical_to_recommend_top_m_across_threads() {
         .collect();
 
     for threads in [1usize, 2, 4, 8] {
-        let served = e.serve_batch_threads(&requests, Some(threads));
+        let served = with_threads(Some(threads), || e.serve_batch(&requests));
         assert_eq!(served.len(), expected.len());
         for (u, (got, want)) in served.iter().zip(&expected).enumerate() {
             let got = got.as_ref().expect("warm users must serve");
@@ -84,8 +96,9 @@ fn serve_batch_bitwise_identical_to_recommend_top_m_across_threads() {
 /// its lists must agree with single-request serving.
 #[test]
 fn cluster_mode_deterministic_across_threads() {
-    let (e, _r) = engine(CandidatePolicy::Clusters { min_candidates: 5 });
-    let requests: Vec<Request> = (0..e.model().n_users())
+    let policy = CandidatePolicy::Clusters { min_candidates: 5 };
+    let (e, r) = engine(policy);
+    let requests: Vec<Request> = (0..r.n_users())
         .map(|user| Request::Warm { user, m: 10 })
         .chain([
             Request::Cold {
@@ -98,13 +111,17 @@ fn cluster_mode_deterministic_across_threads() {
             },
         ])
         .collect();
-    let reference = e.serve_batch_threads(&requests, Some(1));
-    for threads in [2usize, 4, 8] {
-        assert_eq!(
-            e.serve_batch_threads(&requests, Some(threads)),
-            reference,
-            "{threads}-thread batch must be identical to the 1-thread batch"
-        );
+    let reference = with_threads(Some(1), || e.serve_batch(&requests));
+    let (split, _) = sharded_engine(policy, 4);
+    for threads in [1usize, 2, 4, 8] {
+        for (engine, shards) in [(&e, 1), (&split, 4)] {
+            assert_eq!(
+                with_threads(Some(threads), || engine.serve_batch(&requests)),
+                reference,
+                "{shards}-partition {threads}-thread batch must be identical to the \
+                 unsharded 1-thread batch"
+            );
+        }
     }
     // and batching is a no-op semantically
     for (req, want) in requests.iter().zip(&reference) {
@@ -142,7 +159,11 @@ fn cluster_fallback_is_exact_and_scores_are_model_probabilities() {
 #[test]
 fn quantized_engines_deterministic_across_threads() {
     let (model, r, train_cfg) = trained();
-    for dtype in [QuantDtype::F32, QuantDtype::I8] {
+    for (dtype, shards) in [
+        (QuantDtype::F32, 1),
+        (QuantDtype::I8, 1),
+        (QuantDtype::I8, 4),
+    ] {
         let e = EngineBuilder::from_model(model.clone())
             .dataset(r.clone())
             .index_config(IndexConfig {
@@ -156,10 +177,11 @@ fn quantized_engines_deterministic_across_threads() {
                 ..Default::default()
             })
             .quantization(dtype)
+            .shards(shards)
             .build()
             .unwrap();
         assert_eq!(e.dtype(), Some(dtype.name()));
-        let requests: Vec<Request> = (0..e.model().n_users())
+        let requests: Vec<Request> = (0..r.n_users())
             .map(|user| Request::Warm { user, m: 10 })
             .chain([
                 Request::Cold {
@@ -172,12 +194,12 @@ fn quantized_engines_deterministic_across_threads() {
                 },
             ])
             .collect();
-        let reference = e.serve_batch_threads(&requests, Some(1));
+        let reference = with_threads(Some(1), || e.serve_batch(&requests));
         for threads in [2usize, 4, 8] {
             assert_eq!(
-                e.serve_batch_threads(&requests, Some(threads)),
+                with_threads(Some(threads), || e.serve_batch(&requests)),
                 reference,
-                "{} engine must be identical at {threads} threads",
+                "{} engine ×{shards} must be identical at {threads} threads",
                 dtype.name()
             );
         }

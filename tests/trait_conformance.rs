@@ -285,7 +285,8 @@ fn serve_batch_equals_offline_recommend_for_every_kind_across_threads() {
             .map(|user| Request::Warm { user, m })
             .collect();
         for threads in [1usize, 2, 4, 8] {
-            let served = engine.serve_batch_threads(&requests, Some(threads));
+            let served =
+                ocular::parallel::with_threads(Some(threads), || engine.serve_batch(&requests));
             for (u, (got, want)) in served.iter().zip(&expected).enumerate() {
                 let got = got.as_ref().expect("warm users must serve");
                 assert_eq!(

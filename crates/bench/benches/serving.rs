@@ -1,12 +1,15 @@
 //! Criterion benches for the `ocular-serve` request path: the retired
 //! full-sort selection vs the bounded-heap kernel vs co-cluster candidate
 //! generation, batched throughput, the quantized scoring kernels on a
-//! 100k-item catalog (per-dtype rows: f64 vs f32 vs int8), and batched
-//! serving through the engine split into 1/2/4 user partitions.
+//! 100k-item catalog (per-dtype rows: f64 vs f32 vs int8, plus the int8
+//! `serve_one` at the repo benchmark's M = 10 beside the bare int8 kernel
+//! it is built on), and batched serving through the engine split into
+//! 1/2/4 user partitions.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ocular_core::{fit, recommend_top_m, FactorModel, OcularConfig, Recommendation};
 use ocular_datasets::powerlaw::{generate, PowerLawConfig};
+use ocular_linalg::QuantizedFactors;
 use ocular_serve::{
     AnySnapshot, CandidatePolicy, EngineBuilder, IndexConfig, QuantDtype, Request, ServeConfig,
     Snapshot,
@@ -231,6 +234,33 @@ fn bench_quant_catalog(c: &mut Criterion) {
                 )
             })
         });
+        if quantize == Some(QuantDtype::I8) {
+            // the repo benchmark's `http_warm_catalog` request (top-10),
+            // and what it cannot go below: the scoring kernel alone,
+            // every affinity into a dense vector
+            group.bench_function("int8_serve_one_top10", |b| {
+                b.iter(|| {
+                    user = (user + 131) % n_users;
+                    black_box(
+                        engine
+                            .serve_one(&Request::Warm { user, m: 10 })
+                            .unwrap()
+                            .items
+                            .len(),
+                    )
+                })
+            });
+            let quant = QuantizedFactors::quantize(&model.item_factors, QuantDtype::I8);
+            let mut affinities = vec![0.0f64; n_items];
+            group.bench_function("int8_bare_kernel", |b| {
+                b.iter(|| {
+                    user = (user + 131) % n_users;
+                    let query = quant.prepare(model.user_factors.row(user));
+                    quant.score_block(&query, 0, &mut affinities);
+                    black_box(affinities[n_items - 1])
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -10,11 +10,13 @@
 //! run's full-sort p50, so "candidate generation stopped helping" is
 //! caught even when absolute wall-clock differs across runner hardware;
 //! one more same-run check holds 4-partition batched throughput within
-//! 5% of 1-partition — routing must cost nothing. Skipped entirely —
-//! exit 0 —
-//! when the `BENCH_BASELINE_RESET` environment variable is set to `1`
-//! (CI sets it from the `bench-baseline-reset` PR label), in which case
-//! the gate prints the JSON to commit as the new baseline.
+//! 5% of 1-partition — routing must cost nothing — and another holds the
+//! int8 full-catalog request within 1.3× of the bare int8 scoring kernel,
+//! so a probability transform or selection pass creeping back over the
+//! whole catalog fails on any runner. Skipped entirely — exit 0 — when
+//! the `BENCH_BASELINE_RESET` environment variable is set to `1` (CI sets
+//! it from the `bench-baseline-reset` PR label), in which case the gate
+//! prints the JSON to commit as the new baseline.
 //!
 //! ```text
 //! bench_gate --baseline ci/bench-baseline.json \
@@ -90,6 +92,7 @@ fn run() -> Result<Vec<String>, String> {
     let quant_f64 = field(&serve, "quant.f64.p50_us")?;
     let quant_f32 = field(&serve, "quant.f32.p50_us")?;
     let quant_i8 = field(&serve, "quant.int8.p50_us")?;
+    let kernel_i8 = field(&serve, "quant.int8_kernel.p50_us")?;
     // snapshot cold-start cost, both formats (the v3 zero-copy claim)
     let load_text = field(&serve, "snapshot_load.text_seconds")?;
     let load_binary = field(&serve, "snapshot_load.binary_seconds")?;
@@ -290,6 +293,19 @@ fn run() -> Result<Vec<String>, String> {
         failures.push(format!(
             "int8 full-catalog p50 ({quant_i8:.1}µs) is not strictly below f32's \
              ({quant_f32:.1}µs)"
+        ));
+    }
+    // …and the int8 request must stay a scoring kernel plus a thin fused
+    // selection: transforming or re-walking all 100k scores costs ~0.5×
+    // the kernel, well past this bound
+    println!(
+        "bench_gate: scan_vs_kernel int8 request={quant_i8:8.1}µs  bare kernel={kernel_i8:8.1}µs  ratio={:5.2}",
+        quant_i8 / kernel_i8
+    );
+    if quant_i8 > 1.3 * kernel_i8 {
+        failures.push(format!(
+            "int8 full-catalog request p50 ({quant_i8:.1}µs) is more than 1.3× the bare int8 \
+             kernel's ({kernel_i8:.1}µs)"
         ));
     }
     // …and, machine-independently within the same run, the v3 mmap load

@@ -9,7 +9,10 @@
 //! the polymorphic engine can serve (wals, bpr, item-knn, popularity).
 //! A second section measures the quantized scoring kernels (f64 vs f32 vs
 //! int8) on a large synthetic catalog — 100k items by default — where the
-//! memory-bandwidth difference between the dtypes is actually visible.
+//! memory-bandwidth difference between the dtypes is actually visible:
+//! per dtype, a full-catalog engine request and, in the same run, the bare
+//! scoring kernel over the same catalog (what the request cannot go
+//! below; bench_gate holds the int8 request within 1.3× of it).
 //! A third section measures partition routing: batched warm throughput
 //! through the engine split into 1/2/4 user partitions, all on the same
 //! pool — the rows differ only by the routing table, which must cost
@@ -24,6 +27,7 @@ use ocular_baselines::{BaselineConfigs, Bpr, ItemKnn, Popularity, Wals};
 use ocular_bench::Args;
 use ocular_core::{fit, FactorModel, OcularConfig, Recommendation};
 use ocular_datasets::profiles;
+use ocular_linalg::{ops, QuantizedFactors};
 use ocular_serve::json::{obj, Json};
 use ocular_serve::{CandidatePolicy, EngineBuilder, IndexConfig, QuantDtype, Request, ServeConfig};
 use rand::rngs::StdRng;
@@ -316,7 +320,9 @@ fn main() {
         quant_users,
         quant_items,
     ));
-    let mut quant_rows: Vec<(&'static str, Latency)> = Vec::new();
+    // (dtype, full-catalog engine request, bare scoring kernel)
+    let mut quant_rows: Vec<(&'static str, Latency, Latency)> = Vec::new();
+    let mut affinities = vec![0.0f64; quant_items];
     for (name, quantize) in [
         ("f64", None),
         ("f32", Some(QuantDtype::F32)),
@@ -333,11 +339,12 @@ fn main() {
             builder = builder.quantization(dtype);
         }
         let engine = builder.build().expect("quantized engine");
+        let quant_user = |i: usize| (i * 131) % quant_users;
         let lat = measure(quant_requests, |i| {
             std::hint::black_box(
                 engine
                     .serve_one(&Request::Warm {
-                        user: (i * 131) % quant_users,
+                        user: quant_user(i),
                         m,
                     })
                     .unwrap()
@@ -346,7 +353,24 @@ fn main() {
             );
         });
         report(&format!("quant {quant_items}×{quant_k} {name}"), &lat);
-        quant_rows.push((name, lat));
+        // the same catalog through the scoring kernel alone: every item's
+        // raw affinity into a dense vector, no transform, no selection
+        let narrowed =
+            quantize.map(|dtype| QuantizedFactors::quantize(&qmodel.item_factors, dtype));
+        let kernel = measure(quant_requests, |i| {
+            let row = qmodel.user_factors.row(quant_user(i));
+            match &narrowed {
+                Some(quant) => quant.score_block(&quant.prepare(row), 0, &mut affinities),
+                None => {
+                    for (item, a) in affinities.iter_mut().enumerate() {
+                        *a = ops::dot(row, qmodel.item_factors.row(item));
+                    }
+                }
+            }
+            std::hint::black_box(&affinities);
+        });
+        report(&format!("  bare {name} kernel"), &kernel);
+        quant_rows.push((name, lat, kernel));
     }
 
     let lat_json = |l: &Latency| {
@@ -408,6 +432,9 @@ fn main() {
                 ("f64", lat_json(&quant_rows[0].1)),
                 ("f32", lat_json(&quant_rows[1].1)),
                 ("int8", lat_json(&quant_rows[2].1)),
+                ("f64_kernel", lat_json(&quant_rows[0].2)),
+                ("f32_kernel", lat_json(&quant_rows[1].2)),
+                ("int8_kernel", lat_json(&quant_rows[2].2)),
             ]),
         ),
     ]);

@@ -181,9 +181,8 @@ pub fn fold_in_user_with(
 /// Recommends top-M items for an *unseen* user described only by a basket,
 /// excluding the basket itself. The serving path for new clients.
 ///
-/// Selection runs through the bounded-heap kernel
-/// [`ocular_linalg::topk::top_k_excluding`], matching the warm-user
-/// path's ties convention exactly.
+/// Selection runs through [`crate::recommend::top_m_for_factors`], the
+/// warm-user path's kernel, so the ties convention matches exactly.
 pub fn recommend_for_basket(
     model: &FactorModel,
     basket: &[usize],
@@ -191,20 +190,9 @@ pub fn recommend_for_basket(
     m: usize,
 ) -> (Vec<Recommendation>, FoldIn) {
     let fold = fold_in_user(model, basket, cfg, 1.0, 100);
-    let mut scores = vec![0.0; model.n_items()];
-    for (item, s) in scores.iter_mut().enumerate() {
-        let p = ocular_linalg::ops::dot(&fold.factors, model.item_factors.row(item));
-        *s = crate::model::prob_from_affinity(p);
-    }
-    let mut exclude: Vec<u32> = basket
-        .iter()
-        .map(|&i| ocular_sparse::col_index(i))
-        .collect();
-    exclude.sort_unstable();
-    let recs = ocular_linalg::topk::top_k_excluding(&scores, &exclude, m)
-        .into_iter()
-        .map(Recommendation::from)
-        .collect();
+    let exclude = ocular_api::validate_basket(basket, model.n_items())
+        .expect("fold_in_user checked the basket");
+    let recs = crate::recommend::top_m_for_factors(model, &fold.factors, &exclude, m);
     (recs, fold)
 }
 

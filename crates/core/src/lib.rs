@@ -78,5 +78,5 @@ pub use diagnostics::{diagnose, ModelDiagnostics};
 pub use explain::{explain, Explanation};
 pub use foldin::{fold_in_user, fold_in_user_with, recommend_for_basket, FoldIn, FoldInScratch};
 pub use model::FactorModel;
-pub use recommend::{recommend_top_m, Recommendation};
+pub use recommend::{recommend_top_m, top_m_for_factors, Recommendation};
 pub use trainer::{fit, try_fit, TrainResult, TrainingHistory};

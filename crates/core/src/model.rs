@@ -11,6 +11,10 @@ pub const P_MIN: f64 = 1e-10;
 
 /// `P[r_ui = 1] = 1 − e^{−p}` computed as `−expm1(−p)` for accuracy at
 /// small affinities.
+///
+/// The serving scans ([`ocular_linalg::topk::MonotoneTopK`]) skip this call
+/// below their cut-off, which is exact only because the map never
+/// decreases — pinned by `prob_from_affinity_never_decreases` below.
 #[inline]
 pub fn prob_from_affinity(p: f64) -> f64 {
     -(-p).exp_m1()
@@ -245,6 +249,46 @@ mod tests {
         let p = 1e-14;
         let v = prob_from_affinity(p);
         assert!((v - p).abs() < 1e-20, "expm1 path must stay accurate");
+    }
+
+    #[test]
+    fn prob_from_affinity_never_decreases() {
+        // the next float above a finite `a`
+        fn next_up(a: f64) -> f64 {
+            match a {
+                _ if a == 0.0 => f64::from_bits(1),
+                _ if a > 0.0 => f64::from_bits(a.to_bits() + 1),
+                _ => f64::from_bits(a.to_bits() - 1),
+            }
+        }
+        let mut starts = vec![-0.0, 0.0];
+        for exp in -300..=3 {
+            for mantissa in [1.0, 1.5, 2.2, 3.3, 5.0, 7.7, 9.99] {
+                starts.push(mantissa * 10f64.powi(exp));
+            }
+        }
+        // where libm `expm1` implementations switch branches (in `−a`),
+        // approached from a few dozen floats below
+        let ln2 = std::f64::consts::LN_2;
+        for branch in [
+            2f64.powi(-54),
+            0.5 * ln2,
+            1.5 * ln2,
+            56.0 * ln2,
+            709.782712893384,
+        ] {
+            starts.push(branch * (1.0 - 1e-14));
+        }
+        for start in starts {
+            for mut a in [start, -start] {
+                for _ in 0..128 {
+                    let b = next_up(a);
+                    let (pa, pb) = (prob_from_affinity(a), prob_from_affinity(b));
+                    assert!(pa <= pb, "P({a:e}) = {pa:e} > P({b:e}) = {pb:e}");
+                    a = b;
+                }
+            }
+        }
     }
 
     #[test]

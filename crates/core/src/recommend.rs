@@ -5,8 +5,9 @@
 //! Ties break by ascending item index, matching the evaluation crate's
 //! convention, so model + evaluation agree exactly.
 
-use crate::model::FactorModel;
-use ocular_linalg::topk::top_k_excluding;
+use crate::model::{prob_from_affinity, FactorModel};
+use ocular_linalg::ops;
+use ocular_linalg::topk::MonotoneTopK;
 use ocular_sparse::CsrMatrix;
 
 /// One recommendation: an item and the model's confidence.
@@ -26,27 +27,39 @@ impl From<(f64, usize)> for Recommendation {
     }
 }
 
+/// The top-M items for the affiliation vector `factors` (a trained user
+/// row or a folded-in one), skipping the ascending item list `exclude`.
+/// Sorted by probability descending, ties by item index ascending.
+///
+/// One pass through [`MonotoneTopK`]: every affinity `⟨factors, f_i⟩` is
+/// computed, but `1 − e^(−a)` runs only on those that can still enter the
+/// list — bit-identical to selecting from the dense probability vector.
+pub fn top_m_for_factors(
+    model: &FactorModel,
+    factors: &[f64],
+    exclude: &[u32],
+    m: usize,
+) -> Vec<Recommendation> {
+    let mut top = MonotoneTopK::new(m, exclude, prob_from_affinity);
+    for item in 0..model.n_items() {
+        top.offer(item, || ops::dot(factors, model.item_factors.row(item)));
+    }
+    top.into_sorted()
+        .into_iter()
+        .map(Recommendation::from)
+        .collect()
+}
+
 /// The top-M recommendations for user `u`, excluding items the user already
 /// has in `r` (the training matrix). Sorted by probability descending,
 /// ties by item index ascending.
-///
-/// Selection runs through the bounded-heap kernel
-/// [`top_k_excluding`] — `O(n_items log M)`
-/// instead of a full sort — and the exclusion filter compares indices in
-/// the `usize` domain, so oversized catalogs can never wrap a `u32` cast
-/// and silently corrupt filtering.
 pub fn recommend_top_m(
     model: &FactorModel,
     r: &CsrMatrix,
     u: usize,
     m: usize,
 ) -> Vec<Recommendation> {
-    let mut scores = Vec::new();
-    model.score_user(u, &mut scores);
-    top_k_excluding(&scores, r.row(u), m)
-        .into_iter()
-        .map(Recommendation::from)
-        .collect()
+    top_m_for_factors(model, model.user_factors.row(u), r.row(u), m)
 }
 
 /// Top-M lists for every user. Memory: `n_users × m` recommendations.

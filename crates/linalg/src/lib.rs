@@ -34,4 +34,4 @@ pub mod topk;
 pub use cholesky::{Cholesky, CholeskyError};
 pub use matrix::Matrix;
 pub use quant::{PreparedQuery, QuantDtype, QuantizedFactors};
-pub use topk::{top_k_excluding, TopK};
+pub use topk::{top_k_excluding, MonotoneTopK, TopK};

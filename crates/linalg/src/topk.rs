@@ -13,6 +13,14 @@
 //! pushes are single-comparison rejections. Selection is **exactly**
 //! equivalent to full-sort-then-truncate under the same total order
 //! (property-tested in `ocular-serve`).
+//!
+//! Two selectors share that heap. [`TopK`] takes finished scores in any
+//! order. [`MonotoneTopK`] takes *raw keys* in ascending index order plus
+//! a non-decreasing transform (OCuLaR's `1 − e^(−a)` over affinities) and
+//! ranks by the transformed score, but calls the transform only on keys
+//! that can still enter the heap: the recommendation and serving paths
+//! scan a catalog through it in one pass, with no catalog-sized
+//! probability vector in between.
 
 use std::cmp::Ordering;
 
@@ -32,54 +40,59 @@ fn ranks_below(a: (f64, usize), b: (f64, usize)) -> bool {
     }
 }
 
-/// A bounded binary min-heap keeping the `k` best `(score, index)` pairs
-/// seen so far; the root is the *worst* retained pair.
+/// The bounded binary min-heap both selectors run on: at most `k`
+/// `(score, index, tag)` entries ordered by [`ranks_below`] on
+/// `(score, index)`, `heap[0]` the worst retained. The tag rides along
+/// unordered — `()` for [`TopK`], the raw key for [`MonotoneTopK`].
 #[derive(Debug, Clone)]
-pub struct TopK {
+struct BoundedHeap<T> {
     k: usize,
-    /// Min-heap under [`ranks_below`]: `heap[0]` ranks below its children.
-    heap: Vec<(f64, usize)>,
+    heap: Vec<(f64, usize, T)>,
 }
 
-impl TopK {
-    /// An empty selector that will retain at most `k` pairs.
-    pub fn new(k: usize) -> Self {
-        TopK {
+impl<T: Copy> BoundedHeap<T> {
+    fn new(k: usize) -> Self {
+        BoundedHeap {
             k,
             heap: Vec::with_capacity(k.min(1024)),
         }
     }
 
-    /// Number of pairs currently retained (`≤ k`).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether nothing has been retained yet.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Offers `(index, score)`; keeps it only if it ranks among the best
-    /// `k` seen so far.
+    /// The worst retained entry once `k` are retained — the one a new
+    /// entry has to beat.
     #[inline]
-    pub fn push(&mut self, index: usize, score: f64) {
+    fn full_root(&self) -> Option<&(f64, usize, T)> {
+        if self.heap.len() == self.k {
+            self.heap.first()
+        } else {
+            None
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, score: f64, index: usize, tag: T) {
         if self.k == 0 {
             return;
         }
         if self.heap.len() < self.k {
-            self.heap.push((score, index));
+            self.heap.push((score, index, tag));
             self.sift_up(self.heap.len() - 1);
-        } else if ranks_below(self.heap[0], (score, index)) {
-            self.heap[0] = (score, index);
+        } else if ranks_below(self.key(0), (score, index)) {
+            self.heap[0] = (score, index, tag);
             self.sift_down(0);
         }
+    }
+
+    /// The ordered `(score, index)` part of entry `i`.
+    #[inline]
+    fn key(&self, i: usize) -> (f64, usize) {
+        (self.heap[i].0, self.heap[i].1)
     }
 
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / 2;
-            if ranks_below(self.heap[i], self.heap[parent]) {
+            if ranks_below(self.key(i), self.key(parent)) {
                 self.heap.swap(i, parent);
                 i = parent;
             } else {
@@ -93,10 +106,10 @@ impl TopK {
         loop {
             let (l, r) = (2 * i + 1, 2 * i + 2);
             let mut lowest = i;
-            if l < n && ranks_below(self.heap[l], self.heap[lowest]) {
+            if l < n && ranks_below(self.key(l), self.key(lowest)) {
                 lowest = l;
             }
-            if r < n && ranks_below(self.heap[r], self.heap[lowest]) {
+            if r < n && ranks_below(self.key(r), self.key(lowest)) {
                 lowest = r;
             }
             if lowest == i {
@@ -107,39 +120,163 @@ impl TopK {
         }
     }
 
-    /// Consumes the selector, returning the retained `(score, index)` pairs
-    /// sorted by score descending, ties by ascending index — identical to
-    /// sorting all offered pairs with the same comparator and truncating.
-    pub fn into_sorted(self) -> Vec<(f64, usize)> {
-        let mut out = self.heap;
-        out.sort_by(|a, b| {
+    fn into_sorted(mut self) -> Vec<(f64, usize)> {
+        self.heap.sort_by(|a, b| {
             b.0.partial_cmp(&a.0)
                 .expect("scores must not be NaN")
                 .then_with(|| a.1.cmp(&b.1))
         });
-        out
+        self.heap.into_iter().map(|(s, i, _)| (s, i)).collect()
+    }
+}
+
+/// A bounded binary min-heap keeping the `k` best `(score, index)` pairs
+/// seen so far; the root is the *worst* retained pair.
+#[derive(Debug, Clone)]
+pub struct TopK(BoundedHeap<()>);
+
+impl TopK {
+    /// An empty selector that will retain at most `k` pairs.
+    pub fn new(k: usize) -> Self {
+        TopK(BoundedHeap::new(k))
+    }
+
+    /// Number of pairs currently retained (`≤ k`).
+    pub fn len(&self) -> usize {
+        self.0.heap.len()
+    }
+
+    /// Whether nothing has been retained yet.
+    pub fn is_empty(&self) -> bool {
+        self.0.heap.is_empty()
+    }
+
+    /// Offers `(index, score)`; keeps it only if it ranks among the best
+    /// `k` seen so far.
+    #[inline]
+    pub fn push(&mut self, index: usize, score: f64) {
+        self.0.push(score, index, ());
+    }
+
+    /// Consumes the selector, returning the retained `(score, index)` pairs
+    /// sorted by score descending, ties by ascending index — identical to
+    /// sorting all offered pairs with the same comparator and truncating.
+    pub fn into_sorted(self) -> Vec<(f64, usize)> {
+        self.0.into_sorted()
+    }
+}
+
+/// Walks a sorted exclusion list (ascending `u32` indices, the CSR row
+/// convention) alongside an ascending index stream.
+///
+/// The walk runs in the `usize` domain, so no index is ever narrowed to
+/// `u32` — catalogs larger than `u32::MAX` cannot silently alias into the
+/// exclusion filter.
+struct Exclusions<'a> {
+    list: &'a [u32],
+    cursor: usize,
+}
+
+impl<'a> Exclusions<'a> {
+    fn new(list: &'a [u32]) -> Self {
+        Exclusions { list, cursor: 0 }
+    }
+
+    /// Whether `index` is excluded; indices must not decrease over calls.
+    #[inline]
+    fn contains(&mut self, index: usize) -> bool {
+        while self.cursor < self.list.len() && (self.list[self.cursor] as usize) < index {
+            self.cursor += 1;
+        }
+        self.cursor < self.list.len() && self.list[self.cursor] as usize == index
+    }
+}
+
+/// Streaming top-`k` over *raw keys* ranked by a non-decreasing transform
+/// of them, skipping a sorted exclusion list — output identical, bit for
+/// bit, to transforming every key and calling [`top_k_excluding`].
+///
+/// Keys are offered in **strictly ascending index order**. Once `k` pairs
+/// are retained, a key with `raw <= raw_of_root` is rejected without
+/// calling the transform. That is exact, not approximate: the transform is
+/// non-decreasing, so the key's score cannot exceed the root's, and every
+/// retained index is smaller than the offered one, so the key also loses
+/// the tie. A NaN key fails `raw <= x`, reaches the heap and panics there
+/// like any NaN score.
+pub struct MonotoneTopK<'a, F> {
+    /// Entries tagged with the raw key their score came from.
+    heap: BoundedHeap<f64>,
+    /// The root's raw key once `k` pairs are retained — no offer at or
+    /// below it can enter. NaN until then, which no key is `<=`.
+    cutoff: f64,
+    exclude: Exclusions<'a>,
+    transform: F,
+    /// Smallest index the next offer may carry (checked in debug builds).
+    next_index: usize,
+}
+
+impl<'a, F: Fn(f64) -> f64> MonotoneTopK<'a, F> {
+    /// An empty selector retaining at most `k` pairs, never an index in
+    /// the ascending list `exclude`, ranked by `transform(raw)`.
+    /// `transform` must be non-decreasing.
+    pub fn new(k: usize, exclude: &'a [u32], transform: F) -> Self {
+        MonotoneTopK {
+            heap: BoundedHeap::new(k),
+            cutoff: f64::NAN,
+            exclude: Exclusions::new(exclude),
+            transform,
+            next_index: 0,
+        }
+    }
+
+    /// Offers item `index`, whose raw key `raw` computes on demand: an
+    /// excluded index is dropped before `raw` runs, so callers that score
+    /// lazily never score an excluded item.
+    #[inline]
+    pub fn offer(&mut self, index: usize, raw: impl FnOnce() -> f64) {
+        debug_assert!(
+            index >= self.next_index,
+            "keys must be offered in ascending index order (got {index}, expected at least {})",
+            self.next_index
+        );
+        self.next_index = index + 1;
+        if self.exclude.contains(index) {
+            return;
+        }
+        let raw = raw();
+        if raw <= self.cutoff {
+            return;
+        }
+        self.heap.push((self.transform)(raw), index, raw);
+        if let Some(&(_, _, root_raw)) = self.heap.full_root() {
+            self.cutoff = root_raw;
+        }
+    }
+
+    /// Offers the contiguous run `first, first + 1, …` of already-scored
+    /// keys.
+    pub fn offer_run(&mut self, first: usize, raws: &[f64]) {
+        for (offset, &raw) in raws.iter().enumerate() {
+            self.offer(first + offset, || raw);
+        }
+    }
+
+    /// The retained `(transformed score, index)` pairs in ranking order.
+    pub fn into_sorted(self) -> Vec<(f64, usize)> {
+        self.heap.into_sorted()
     }
 }
 
 /// Selects the top-`k` of `scores`, skipping the sorted exclusion list
 /// `exclude` (ascending `u32` indices, the CSR row convention). Returns
 /// `(score, index)` pairs in ranking order.
-///
-/// The exclusion walk runs in the `usize` domain with a cursor over
-/// `exclude`, so no index is ever narrowed to `u32` — catalogs larger than
-/// `u32::MAX` cannot silently alias into the exclusion filter.
 pub fn top_k_excluding(scores: &[f64], exclude: &[u32], k: usize) -> Vec<(f64, usize)> {
     let mut heap = TopK::new(k);
-    let mut cursor = 0usize;
+    let mut exclude = Exclusions::new(exclude);
     for (index, &score) in scores.iter().enumerate() {
-        while cursor < exclude.len() && (exclude[cursor] as usize) < index {
-            cursor += 1;
+        if !exclude.contains(index) {
+            heap.push(index, score);
         }
-        if cursor < exclude.len() && exclude[cursor] as usize == index {
-            cursor += 1;
-            continue;
-        }
-        heap.push(index, score);
     }
     heap.into_sorted()
 }
@@ -193,5 +330,81 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_scores_rejected_loudly() {
         top_k_excluding(&[0.5, f64::NAN], &[], 2);
+    }
+
+    /// OCuLaR's probability map, the transform the serving paths pass.
+    fn prob(a: f64) -> f64 {
+        -(-a).exp_m1()
+    }
+
+    fn monotone(raws: &[f64], exclude: &[u32], k: usize) -> Vec<(f64, usize)> {
+        let mut top = MonotoneTopK::new(k, exclude, prob);
+        top.offer_run(0, raws);
+        top.into_sorted()
+    }
+
+    #[test]
+    fn monotone_selector_matches_transform_then_select() {
+        // ties, saturated keys (probability exactly 1.0, index decides),
+        // both zeros and a negative key
+        let raws = [0.5, 45.0, 0.0, 41.0, -0.0, 0.5, -0.25, 700.0, 41.0, 3.0];
+        let probs: Vec<f64> = raws.iter().map(|&a| prob(a)).collect();
+        for exclude in [&[][..], &[1], &[0, 7, 9]] {
+            for k in 0..=raws.len() + 1 {
+                let (got, want) = (
+                    monotone(&raws, exclude, k),
+                    top_k_excluding(&probs, exclude, k),
+                );
+                assert_eq!(got.len(), want.len(), "k = {k}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!((g.0.to_bits(), g.1), (w.0.to_bits(), w.1), "k = {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn monotone_selector_transforms_only_possible_entrants() {
+        let calls = std::cell::Cell::new(0usize);
+        let mut top = MonotoneTopK::new(2, &[], |a| {
+            calls.set(calls.get() + 1);
+            prob(a)
+        });
+        top.offer_run(0, &[3.0, 2.0, 1.0, 2.0, 0.5, 2.5, 2.0]);
+        assert_eq!(calls.get(), 3, "only 3.0, 2.0 and 2.5 can enter a top-2");
+        let items: Vec<usize> = top.into_sorted().into_iter().map(|p| p.1).collect();
+        assert_eq!(items, vec![0, 5]);
+    }
+
+    #[test]
+    fn monotone_selector_never_scores_an_excluded_index() {
+        let mut top = MonotoneTopK::new(1, &[1], prob);
+        top.offer(0, || 0.5);
+        top.offer(1, || panic!("index 1 is excluded"));
+        assert_eq!(top.into_sorted(), vec![(prob(0.5), 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn monotone_selector_rejects_nan_keys_loudly() {
+        monotone(&[0.5, f64::NAN], &[], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn monotone_selector_rejects_nan_keys_loudly_when_full() {
+        // `NaN <= root` is false, so the filter cannot swallow the key
+        monotone(&[0.5, 0.7, f64::NAN], &[], 2);
+    }
+
+    // the filter's proof needs every retained index to be smaller than the
+    // offered one; release builds compile the check out
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "ascending index order")]
+    fn monotone_selector_pins_ascending_offers() {
+        let mut top = MonotoneTopK::new(2, &[], prob);
+        top.offer(3, || 0.5);
+        top.offer(3, || 0.7);
     }
 }

@@ -9,6 +9,15 @@
 //! — non-co-clustered models have no cluster structure to generate
 //! candidates from, so they are served exactly.
 //!
+//! The OCuLaR path is one fused scan-and-select pass per request: items
+//! (candidates or the whole catalog, a 1024-affinity stack tile at a time
+//! through a quantized copy) are scored in ascending order straight into
+//! [`MonotoneTopK`], which ranks by `1 − e^(−a)` but evaluates it only for
+//! affinities above the heap root's — a few hundred calls at 100k items,
+//! not 100k. Lists are bit-identical to transforming every score and
+//! selecting with [`top_k_excluding`], the path the trait-served kinds
+//! (whose contract is a dense score vector) take.
+//!
 //! ## Partitions
 //!
 //! Given the item factors, users decompose independently (Heckel et al.
@@ -33,8 +42,10 @@ use crate::snapshot::{AnySnapshot, LoadedSnapshot, ShardedLoad, Snapshot, OCULAR
 use ocular_api::{validate_basket, Model, OcularError};
 use ocular_bytes::shard_of_key;
 use ocular_core::model::prob_from_affinity;
-use ocular_core::{fold_in_user_with, FactorModel, FoldInScratch, OcularConfig, Recommendation};
-use ocular_linalg::topk::{top_k_excluding, TopK};
+use ocular_core::{
+    fold_in_user_with, top_m_for_factors, FactorModel, FoldInScratch, OcularConfig, Recommendation,
+};
+use ocular_linalg::topk::{top_k_excluding, MonotoneTopK};
 use ocular_linalg::{ops, QuantDtype, QuantizedFactors};
 use ocular_sparse::{Dataset, ShardedDataset};
 use rayon::prelude::*;
@@ -42,14 +53,18 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
-    // Cold-request working memory, one set per serving thread (rayon
-    // workers included): the fold-in solver scratch and the dense score
-    // vector. Allocating these per request is what put the cold path's
-    // p99 an order of magnitude over its p50; buffers are cleared and
-    // resized on every use, so served output is unchanged.
+    // Request working memory, one set per serving thread (rayon workers
+    // included): the OCuLaR fold-in solver scratch, and the dense score
+    // vector of the trait-served kinds. Allocating these per request is
+    // what put the cold path's p99 an order of magnitude over its p50;
+    // buffers are cleared and resized on every use, so output is unchanged.
     static FOLD_SCRATCH: RefCell<FoldInScratch> = RefCell::new(FoldInScratch::new());
     static SCORES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
+
+/// Affinities the quantized full-catalog scan scores per `score_block`
+/// call: 8 KB on the stack, a whole number of the kernel's own tiles.
+const SCAN_TILE: usize = 1024;
 
 /// How the engine picks the items a request scores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -813,11 +828,10 @@ impl ServeEngine {
                 let factors = model.user_factors.row(user);
                 Ok(self.select(model, index, quant.as_ref(), factors, p.owned.row(user), m))
             }
-            EngineModel::Generic(model) => {
-                let mut scores = Vec::new();
-                model.score_user(user, &mut scores);
-                Ok(self.select_scores(&scores, p.owned.row(user), m))
-            }
+            EngineModel::Generic(model) => self.select_dense(p.owned.row(user), m, |scores| {
+                model.score_user(user, scores);
+                Ok(())
+            }),
         }
     }
 
@@ -853,29 +867,44 @@ impl ServeEngine {
                     kind: model.name(),
                     capability: "cold-start fold-in",
                 })?;
-                let mut scores = Vec::new();
-                fold_in.score_basket(basket, &mut scores)?;
-                Ok(self.select_scores(&scores, &exclude, m))
+                self.select_dense(&exclude, m, |scores| fold_in.score_basket(basket, scores))
             }
         }
     }
 
-    /// Generic selection over a dense score vector: the whole catalog is
-    /// scored, then selected through the shared bounded-heap kernel. Under
-    /// the cluster policy this *is* the fallback path, so `fell_back`
-    /// reports it as such.
-    fn select_scores(&self, scores: &[f64], exclude: &[u32], m: usize) -> ServedList {
+    /// Generic selection: `fill` scores the whole catalog into this
+    /// thread's dense vector (the [`ocular_api`] contract), then the shared
+    /// bounded-heap kernel selects from it.
+    fn select_dense(
+        &self,
+        exclude: &[u32],
+        m: usize,
+        fill: impl FnOnce(&mut Vec<f64>) -> Result<(), ServeError>,
+    ) -> Result<ServedList, ServeError> {
+        SCORES.with(|cell| {
+            let mut scores = cell.borrow_mut();
+            fill(&mut scores)?;
+            let top = to_recommendations(top_k_excluding(&scores, exclude, m));
+            Ok(self.full_catalog_list(top, scores.len()))
+        })
+    }
+
+    /// A list selected from all `scored` catalog items. Under the cluster
+    /// policy this *is* the fallback path, so `fell_back` reports it as
+    /// such.
+    fn full_catalog_list(&self, items: Vec<Recommendation>, scored: usize) -> ServedList {
         ServedList {
-            items: to_recommendations(top_k_excluding(scores, exclude, m)),
-            scored: scores.len(),
+            items,
+            scored,
             fell_back: !matches!(self.cfg.candidates, CandidatePolicy::FullCatalog),
             folded_in: false,
         }
     }
 
-    /// OCuLaR core selection: candidate generation per policy, then
-    /// bounded-heap top-M with the workspace ties convention (probability
-    /// descending, ties by ascending item index). `exclude` is ascending.
+    /// OCuLaR core selection: candidate generation per policy, else the
+    /// full catalog, in one scan-and-select pass with the workspace ties
+    /// convention (probability descending, ties by ascending item index).
+    /// `exclude` is ascending.
     fn select(
         &self,
         model: &FactorModel,
@@ -893,41 +922,26 @@ impl ServeEngine {
                 return select_candidates(model, quant, factors, &candidates, exclude, m);
             }
         }
-        self.select_full(model, quant, factors, exclude, m)
-    }
-
-    /// Scores the full catalog. For a warm user this computes exactly the
-    /// floats of [`FactorModel::score_user`] and selects through the same
-    /// kernel as [`ocular_core::recommend_top_m`], hence bitwise-identical
-    /// lists.
-    fn select_full(
-        &self,
-        model: &FactorModel,
-        quant: Option<&QuantizedFactors>,
-        factors: &[f64],
-        exclude: &[u32],
-        m: usize,
-    ) -> ServedList {
         let n = model.n_items();
-        SCORES.with(|cell| {
-            let mut scores = cell.borrow_mut();
-            scores.clear();
-            scores.resize(n, 0.0);
-            if let Some(quant) = quant {
-                // blocked quantized kernel over the whole catalog (the user
-                // row — warm or freshly folded-in — narrows per request)
+        let items = match quant {
+            // [`ocular_core::recommend_top_m`]'s own kernel, hence
+            // bitwise-identical lists for a warm user
+            None => top_m_for_factors(model, factors, exclude, m),
+            // the user row (warm or folded-in) narrows once; the selector
+            // takes each tile of the blocked kernel while it is in L1
+            Some(quant) => {
                 let query = quant.prepare(factors);
-                quant.score_block(&query, 0, &mut scores);
-                for s in scores.iter_mut() {
-                    *s = prob_from_affinity(*s);
+                let mut top = MonotoneTopK::new(m, exclude, prob_from_affinity);
+                let mut tile = [0.0f64; SCAN_TILE];
+                for first in (0..n).step_by(SCAN_TILE) {
+                    let tile = &mut tile[..SCAN_TILE.min(n - first)];
+                    quant.score_block(&query, first, tile);
+                    top.offer_run(first, tile);
                 }
-            } else {
-                for (i, s) in scores.iter_mut().enumerate() {
-                    *s = prob_from_affinity(ops::dot(factors, model.item_factors.row(i)));
-                }
+                to_recommendations(top.into_sorted())
             }
-            self.select_scores(&scores, exclude, m)
-        })
+        };
+        self.full_catalog_list(items, n)
     }
 }
 
@@ -945,27 +959,20 @@ fn select_candidates(
     m: usize,
 ) -> ServedList {
     let query = quant.map(|q| (q, q.prepare(factors)));
-    let mut heap = TopK::new(m);
-    let mut cursor = 0usize;
+    let mut top = MonotoneTopK::new(m, exclude, prob_from_affinity);
     let mut scored = 0usize;
     for &c in candidates {
         let item = c as usize;
-        while cursor < exclude.len() && (exclude[cursor] as usize) < item {
-            cursor += 1;
-        }
-        if cursor < exclude.len() && exclude[cursor] as usize == item {
-            cursor += 1;
-            continue;
-        }
-        let affinity = match &query {
-            Some((quant, q)) => quant.score_row(q, item),
-            None => ops::dot(factors, model.item_factors.row(item)),
-        };
-        heap.push(item, prob_from_affinity(affinity));
-        scored += 1;
+        top.offer(item, || {
+            scored += 1;
+            match &query {
+                Some((quant, q)) => quant.score_row(q, item),
+                None => ops::dot(factors, model.item_factors.row(item)),
+            }
+        });
     }
     ServedList {
-        items: to_recommendations(heap.into_sorted()),
+        items: to_recommendations(top.into_sorted()),
         scored,
         fell_back: false,
         folded_in: false,
@@ -996,6 +1003,8 @@ mod tests {
     use ocular_baselines::{ItemKnn, KnnConfig, Popularity, UserKnn};
     use ocular_core::{fit, recommend_top_m};
     use ocular_datasets::planted::{generate, PlantedConfig};
+    use ocular_linalg::Matrix;
+    use ocular_sparse::CsrMatrix;
 
     fn trained() -> (FactorModel, Dataset, OcularConfig) {
         let data = generate(&PlantedConfig {
@@ -1533,5 +1542,174 @@ mod tests {
             }),
             Err(OcularError::UnknownExternalId { .. })
         ));
+    }
+
+    /// What the fused scan must reproduce: score the whole catalog in one
+    /// call, transform **every** affinity, then select with
+    /// [`top_k_excluding`]. On the candidate path everything outside the
+    /// candidate list joins the exclusions.
+    fn transform_all_reference(
+        model: &FactorModel,
+        index: &ClusterIndex,
+        quantize: Option<QuantDtype>,
+        policy: CandidatePolicy,
+        factors: &[f64],
+        exclude: &[u32],
+        m: usize,
+    ) -> ServedList {
+        let n = model.n_items();
+        let mut scores = vec![0.0; n];
+        match quantize {
+            Some(dtype) => {
+                let quant = QuantizedFactors::quantize(&model.item_factors, dtype);
+                quant.score_block(&quant.prepare(factors), 0, &mut scores);
+            }
+            None => {
+                for (i, s) in scores.iter_mut().enumerate() {
+                    *s = ops::dot(factors, model.item_factors.row(i));
+                }
+            }
+        }
+        for s in scores.iter_mut() {
+            *s = prob_from_affinity(*s);
+        }
+        let mut list = ServedList {
+            items: Vec::new(),
+            scored: n,
+            fell_back: policy != CandidatePolicy::FullCatalog,
+            folded_in: false,
+        };
+        let mut skip = exclude.to_vec();
+        if let CandidatePolicy::Clusters { min_candidates } = policy {
+            let candidates = index.candidates(factors);
+            let usable = candidates.len() - intersection_size(&candidates, exclude);
+            if usable >= m.max(min_candidates) {
+                skip.extend((0..n as u32).filter(|i| candidates.binary_search(i).is_err()));
+                skip.sort_unstable();
+                skip.dedup();
+                (list.scored, list.fell_back) = (usable, false);
+            }
+        }
+        list.items = to_recommendations(top_k_excluding(&scores, &skip, m));
+        list
+    }
+
+    #[test]
+    fn fused_scan_matches_transform_all_on_hostile_shapes() {
+        let n_items = 2 * SCAN_TILE + 37;
+        let (n_users, k, default_m) = (6usize, 3usize, 5usize);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        // few distinct factor values, so affinities tie in long runs
+        let mut ties = |rows: usize| {
+            Matrix::from_vec(
+                rows,
+                k,
+                (0..rows * k).map(|_| (next() % 4) as f64 * 0.5).collect(),
+            )
+        };
+        let tied = FactorModel::new(ties(n_users), ties(n_items), false);
+        // every affinity ≥ 3·4·4 = 48: each probability is exactly 1.0 and
+        // the whole list is ordered by index alone
+        let mut high = |rows: usize| {
+            Matrix::from_vec(
+                rows,
+                k,
+                (0..rows * k).map(|_| 4.0 + (next() % 3) as f64).collect(),
+            )
+        };
+        let saturated = FactorModel::new(high(n_users), high(n_items), false);
+
+        // owned items straddle a tile boundary and include the last index;
+        // row `n_users` belongs to a user newer than the model
+        let owned = [SCAN_TILE - 1, SCAN_TILE, SCAN_TILE + 1, n_items - 1];
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for u in 0..=n_users {
+            pairs.extend(owned.iter().map(|&i| (u, i)));
+            pairs.push((u, u * 7));
+        }
+        let data =
+            Dataset::from_matrix(CsrMatrix::from_pairs(n_users + 1, n_items, &pairs).unwrap());
+        let index_cfg = IndexConfig {
+            rel: 0.5,
+            floor: 10,
+        };
+
+        let mut candidate_lists = 0usize;
+        for model in [&tied, &saturated] {
+            let index = Snapshot::build(model.clone(), &index_cfg).index;
+            for quantize in [None, Some(QuantDtype::F32), Some(QuantDtype::I8)] {
+                for policy in [
+                    CandidatePolicy::FullCatalog,
+                    CandidatePolicy::Clusters { min_candidates: 20 },
+                ] {
+                    for shards in [1usize, 4] {
+                        let mut builder = EngineBuilder::from_model(model.clone())
+                            .dataset(data.clone())
+                            .index_config(index_cfg)
+                            .candidates(policy)
+                            .default_m(default_m)
+                            .shards(shards);
+                        if let Some(dtype) = quantize {
+                            builder = builder.quantization(dtype);
+                        }
+                        let e = builder.build().unwrap();
+                        let fold = |basket: &[usize]| {
+                            ocular_core::fold_in_user(
+                                model,
+                                basket,
+                                &e.cfg.foldin,
+                                1.0,
+                                e.cfg.foldin_steps,
+                            )
+                            .factors
+                        };
+                        for m in [0, 7, n_items, n_items + 5] {
+                            let expected = |factors: &[f64], exclude: &[u32]| {
+                                let m = if m == 0 { default_m } else { m };
+                                transform_all_reference(
+                                    model, &index, quantize, policy, factors, exclude, m,
+                                )
+                            };
+                            let ctx = format!("{quantize:?} {policy:?} shards={shards} m={m}");
+                            for user in 0..n_users {
+                                let got = e.serve_one(&Request::Warm { user, m }).unwrap();
+                                let want = expected(model.user_factors.row(user), data.row(user));
+                                assert_eq!(got, want, "warm user {user} {ctx}");
+                                candidate_lists += usize::from(got.scored < n_items);
+                                if std::ptr::eq(model, &saturated) {
+                                    assert!(got.items.iter().all(|r| r.probability == 1.0));
+                                }
+                            }
+                            // the user newer than the model folds in on their row
+                            let basket: Vec<usize> =
+                                data.row(n_users).iter().map(|&i| i as usize).collect();
+                            let got = e.serve_one(&Request::Warm { user: n_users, m }).unwrap();
+                            let mut want = expected(&fold(&basket), data.row(n_users));
+                            want.folded_in = true;
+                            assert_eq!(got, want, "new user {ctx}");
+                            // cold baskets, one of them unsorted across tiles
+                            for basket in [vec![0], vec![n_items - 1, SCAN_TILE, 3]] {
+                                let got = e
+                                    .serve_one(&Request::Cold {
+                                        basket: basket.clone(),
+                                        m,
+                                    })
+                                    .unwrap();
+                                let exclude = validate_basket(&basket, n_items).unwrap();
+                                let want = expected(&fold(&basket), &exclude);
+                                assert_eq!(got, want, "cold {basket:?} {ctx}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(candidate_lists > 0, "the candidate path must be exercised");
     }
 }

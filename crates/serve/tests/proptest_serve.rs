@@ -3,11 +3,14 @@
 //! 1. The bounded-heap top-M kernel equals sort-based selection on random
 //!    score vectors — including heavy ties, which is where a wrong
 //!    comparator or heap invariant would diverge.
+//!    The streaming raw-key selector the serving scans run on equals
+//!    "transform every key, then that kernel", bit for bit.
 //! 2. Snapshots round-trip exactly, and corrupted/truncated snapshot bytes
 //!    are rejected rather than mis-loaded.
 
+use ocular_core::model::prob_from_affinity;
 use ocular_core::{FactorModel, Recommendation};
-use ocular_linalg::topk::top_k_excluding;
+use ocular_linalg::topk::{top_k_excluding, MonotoneTopK};
 use ocular_linalg::Matrix;
 use ocular_serve::{IndexConfig, Snapshot};
 use proptest::prelude::*;
@@ -46,6 +49,27 @@ fn arb_scores() -> impl Strategy<Value = (Vec<f64>, Vec<u32>)> {
     })
 }
 
+/// Raw affinities from a small set, so equal keys are common: negative
+/// (int8 reconstruction can dip below zero), both zeros, tiny, ordinary,
+/// and saturated keys — past `a ≈ 37` every probability is exactly `1.0`
+/// and only the index decides.
+const RAW_LEVELS: [f64; 11] = [
+    -0.75, -0.0, 0.0, 1e-12, 0.5, 0.5, 2.0, 36.5, 41.0, 45.0, 700.0,
+];
+
+fn arb_raws() -> impl Strategy<Value = (Vec<f64>, Vec<u32>)> {
+    (1usize..120).prop_flat_map(|n| {
+        (
+            proptest::collection::vec(0usize..RAW_LEVELS.len(), n),
+            proptest::collection::btree_set(0..n as u32, 0..n.min(20)),
+        )
+            .prop_map(|(levels, excl)| {
+                let raws: Vec<f64> = levels.into_iter().map(|l| RAW_LEVELS[l]).collect();
+                (raws, excl.into_iter().collect::<Vec<u32>>())
+            })
+    })
+}
+
 fn arb_model() -> impl Strategy<Value = FactorModel> {
     (1usize..6, 1usize..8, 1usize..4).prop_flat_map(|(n_users, n_items, k)| {
         (
@@ -72,6 +96,23 @@ proptest! {
             .collect();
         let sorted = sort_based(&scores, &exclude, m);
         prop_assert_eq!(heap, sorted);
+    }
+
+    #[test]
+    fn streaming_selector_equals_transform_all_then_select(
+        (raws, exclude) in arb_raws(),
+        k in 0usize..122,
+    ) {
+        let k = k % (raws.len() + 2); // 0 ..= n + 1
+        let mut top = MonotoneTopK::new(k, &exclude, prob_from_affinity);
+        top.offer_run(0, &raws);
+        let got = top.into_sorted();
+        let probs: Vec<f64> = raws.iter().map(|&a| prob_from_affinity(a)).collect();
+        let want = top_k_excluding(&probs, &exclude, k);
+        let bits = |pairs: &[(f64, usize)]| -> Vec<(u64, usize)> {
+            pairs.iter().map(|&(p, i)| (p.to_bits(), i)).collect()
+        };
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

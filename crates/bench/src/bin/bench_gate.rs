@@ -13,10 +13,13 @@
 //! 5% of 1-partition — routing must cost nothing — and another holds the
 //! int8 full-catalog request within 1.3× of the bare int8 scoring kernel,
 //! so a probability transform or selection pass creeping back over the
-//! whole catalog fails on any runner. Skipped entirely — exit 0 — when
-//! the `BENCH_BASELINE_RESET` environment variable is set to `1` (CI sets
-//! it from the `bench-baseline-reset` PR label), in which case the gate
-//! prints the JSON to commit as the new baseline.
+//! whole catalog fails on any runner; a last one, on an exact count, holds
+//! the positives the Armijo search visits inside its trials to at most
+//! 0.63 of what evaluating every trial in full would visit. Skipped
+//! entirely — exit 0 — when the `BENCH_BASELINE_RESET` environment
+//! variable is set to `1` (CI sets it from the `bench-baseline-reset` PR
+//! label), in which case the gate prints the JSON to commit as the new
+//! baseline.
 //!
 //! ```text
 //! bench_gate --baseline ci/bench-baseline.json \
@@ -60,7 +63,7 @@ fn run() -> Result<Vec<String>, String> {
     let train_seconds = field(&train, "train_seconds")?;
     let ingest_seconds = field(&train, "ingest_seconds")?;
     let delta_append_seconds = field(&train, "delta_append_seconds")?;
-    // mean per-sweep seconds of the fixed-work flatness run
+    // mean per-sweep seconds of the probe's 12-sweep line-search fit
     let per_sweep = train
         .get("per_sweep_seconds")
         .and_then(|v| v.as_array())
@@ -78,6 +81,9 @@ fn run() -> Result<Vec<String>, String> {
     }
     let train_sweep_seconds = sweep_times.iter().sum::<f64>() / sweep_times.len() as f64;
     let sweep_flatness = field(&train, "sweep_flatness")?;
+    // positives visited inside Armijo trials ÷ (trials × degree): a count,
+    // not a timing, so it repeats exactly on any runner
+    let visited_share = field(&train, "line_search.visited_share")?;
     // per-model-kind serving rows (baseline key = "<kind>_p50_us", with
     // `-` mapped to `_`)
     let kinds = ["wals", "bpr", "item-knn", "popularity"];
@@ -275,6 +281,22 @@ fn run() -> Result<Vec<String>, String> {
     if net_errors > 0.0 {
         failures.push(format!(
             "loadgen observed {net_errors:.0} transport/protocol errors (must be 0)"
+        ));
+    }
+    // machine-independent same-run check: a failing Armijo trial must be
+    // rejected from its O(K) part or cut short, not summed to the end. The
+    // share is 1.0 when every trial pays for its whole objective; the
+    // probe's small profile, run 12 sweeps to near convergence where
+    // trials fail by narrow margins, measures 0.569 (0.22 in its first
+    // sweep, 0.20 on the repo benchmark's 24k × 900 fit), and the count
+    // repeats exactly, so the bound is 1.1× that
+    println!(
+        "bench_gate: ls_visited     positives visited inside trials = {visited_share:.3} of trials × degree"
+    );
+    if visited_share > 0.63 {
+        failures.push(format!(
+            "line search visits {visited_share:.3} of trials × degree positives (> 0.63): \
+             failing trials are being evaluated in full again"
         ));
     }
     // …and, machine-independently within the same run, each narrower

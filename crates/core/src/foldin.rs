@@ -9,8 +9,8 @@
 //! microseconds, against a full retrain.
 
 use crate::config::OcularConfig;
-use crate::gradient::{negative_sum, LocalProblem, PosWeights};
-use crate::linesearch::{armijo_step, LineSearch, StepOutcome};
+use crate::gradient::PosWeights;
+use crate::linesearch::{RowScratch, RowUpdate, SearchStats};
 use crate::model::FactorModel;
 use crate::recommend::Recommendation;
 
@@ -27,19 +27,17 @@ pub struct FoldIn {
 }
 
 /// Reusable working memory for [`fold_in_user_with`] — the sorted basket,
-/// the negative sum, the iterate, and the two solver temporaries.
+/// the iterate, and the row update's temporaries.
 ///
 /// A serving tier folds users in on every cold request; allocating these
-/// five vectors per request is pure tail latency. Keep one scratch per
+/// vectors per request is pure tail latency. Keep one scratch per
 /// worker thread (the buffers are cleared and resized on each call, so
 /// results are identical to the allocate-fresh path).
 #[derive(Debug, Clone, Default)]
 pub struct FoldInScratch {
     positives: Vec<u32>,
-    negsum: Vec<f64>,
     own: Vec<f64>,
-    grad: Vec<f64>,
-    step: Vec<f64>,
+    row: RowScratch,
 }
 
 impl FoldInScratch {
@@ -52,13 +50,16 @@ impl FoldInScratch {
 /// Infers the affiliation vector of a user with the given `basket` of item
 /// indices, against a fitted model's (frozen) item factors.
 ///
-/// `weight` is the positive-example weight (1.0 for plain OCuLaR; a
-/// R-OCuLaR-style weight `(n_items − |basket|)/|basket|` may be passed).
+/// `weight` is the positive-example weight, finite and `≥ 0` (1.0 for
+/// plain OCuLaR; a R-OCuLaR-style weight `(n_items − |basket|)/|basket|`
+/// may be passed).
 /// `max_steps` bounds the inner solve; the subproblem is strongly convex
 /// for `lambda > 0`, so 50–100 steps reach machine-precision stationarity.
 ///
 /// # Panics
-/// Panics if any basket item is out of range, or on duplicate items.
+/// Panics if any basket item is out of range, on duplicate items, or if
+/// `weight` is negative or not finite (the subproblem would not be convex,
+/// and the line search relies on non-negative positive terms).
 pub fn fold_in_user(
     model: &FactorModel,
     basket: &[usize],
@@ -85,7 +86,7 @@ pub fn fold_in_user(
 /// returns for the same inputs.
 ///
 /// # Panics
-/// In addition to [`fold_in_user`]'s basket checks, panics if
+/// In addition to [`fold_in_user`]'s basket and weight checks, panics if
 /// `item_sum.len() != model.k_total()`.
 pub fn fold_in_user_with(
     model: &FactorModel,
@@ -110,31 +111,12 @@ pub fn fold_in_user_with(
     scratch.positives.sort_unstable();
     let dups = scratch.positives.windows(2).any(|w| w[0] == w[1]);
     assert!(!dups, "basket contains duplicate items");
-
-    scratch.negsum.clear();
-    scratch.negsum.resize(k, 0.0);
-    negative_sum(
-        &model.item_factors,
-        item_sum,
-        &scratch.positives,
-        &mut scratch.negsum,
+    assert!(
+        weight >= 0.0 && weight.is_finite(),
+        "fold-in weight must be finite and non-negative, got {weight}"
     );
     // bias layout: the user-side frozen dimension is k_clusters + 1
     let fixed_dim = model.has_bias().then(|| model.n_clusters() + 1);
-    let problem = LocalProblem {
-        positives: &scratch.positives,
-        other: &model.item_factors,
-        weights: PosWeights::Uniform(weight),
-        negsum: &scratch.negsum,
-        lambda: cfg.lambda,
-        fixed_dim,
-    };
-    let ls = LineSearch {
-        sigma: cfg.sigma,
-        beta: cfg.beta,
-        max_backtracks: cfg.max_backtracks,
-    };
-
     // warm start: mean of the basket items' factors (a reasonable prior —
     // the user is "like" their items), bias column forced to 1
     let own = &mut scratch.own;
@@ -155,26 +137,28 @@ pub fn fold_in_user_with(
         own[d] = 1.0;
     }
 
-    scratch.grad.clear();
-    scratch.grad.resize(k, 0.0);
-    scratch.step.clear();
-    scratch.step.resize(k, 0.0);
-    let mut q = problem.objective(own);
-    let mut steps = 0;
-    for _ in 0..max_steps {
-        problem.gradient(own, &mut scratch.grad);
-        match armijo_step(own, &scratch.grad, q, &problem, &ls, &mut scratch.step) {
-            StepOutcome::Accepted { q_new, .. } => {
-                q = q_new;
-                steps += 1;
-            }
-            StepOutcome::Rejected | StepOutcome::Stationary => break,
-        }
-    }
+    // one user subproblem, solved by up to `max_steps` Armijo steps
+    let update = RowUpdate {
+        other: &model.item_factors,
+        other_sum: item_sum,
+        fixed_dim,
+        lambda: cfg.lambda,
+        search: cfg.into(),
+        steps: max_steps,
+        fixed_step: None,
+    };
+    let mut stats = SearchStats::default();
+    let q = update.run(
+        own,
+        &scratch.positives,
+        PosWeights::Uniform(weight),
+        &mut scratch.row,
+        &mut stats,
+    );
     FoldIn {
         factors: own.clone(),
         objective: q,
-        steps,
+        steps: stats.accepted as usize,
     }
 }
 
@@ -321,6 +305,20 @@ mod tests {
     fn duplicate_basket_rejected() {
         let (model, _r, cfg) = trained();
         fold_in_user(&model, &[1, 1], &cfg, 1.0, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn negative_weight_rejected() {
+        let (model, _r, cfg) = trained();
+        fold_in_user(&model, &[0, 1], &cfg, -1.0, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn non_finite_weight_rejected() {
+        let (model, _r, cfg) = trained();
+        fold_in_user(&model, &[0, 1], &cfg, f64::INFINITY, 10);
     }
 
     #[test]

@@ -23,6 +23,12 @@ use crate::loss::{pair_loss, positive_coefficient};
 use ocular_linalg::{ops, Matrix};
 
 /// Weights attached to the positive examples of a subproblem.
+///
+/// Every weight must be `≥ 0` (or NaN): the line search rejects a trial
+/// from a partial sum of the objective, which is exact only while each
+/// positive contributes a non-negative term. `Weighting::Relative` yields
+/// non-negative weights by construction; fold-in asserts it on the
+/// caller-supplied weight.
 #[derive(Debug, Clone, Copy)]
 pub enum PosWeights<'a> {
     /// Every positive weighs the same (user subproblems: `w_u`; plain
@@ -66,28 +72,62 @@ pub struct LocalProblem<'a> {
 impl LocalProblem<'_> {
     /// Local objective `Q(f)` for a candidate row `own`.
     pub fn objective(&self, own: &[f64]) -> f64 {
+        self.objective_within(own, 0.0, f64::INFINITY)
+            .expect("nothing exceeds an infinite bound")
+    }
+
+    /// `Q(own)`, summed only as far as deciding `Q(own) − q0 ≤ bound` needs:
+    /// `Err(n)` once a partial sum fails it, `n` positives in (`Err(0)`: the
+    /// `O(K)` part alone decided) — the terms still to come are `≥ 0`, see
+    /// [`crate::linesearch`] — otherwise `Ok(Q(own))`, accumulated in the
+    /// order, and so to the bits, of an unbounded evaluation.
+    pub fn objective_within(&self, own: &[f64], q0: f64, bound: f64) -> Result<f64, usize> {
         let mut q = ops::dot(own, self.negsum) + self.lambda * ops::norm_sq(own);
-        for &e in self.positives {
+        for (visited, &e) in self.positives.iter().enumerate() {
+            if q - q0 > bound {
+                return Err(visited);
+            }
             let p = ops::dot(own, self.other.row(e as usize));
             q += self.weights.get(e as usize) * pair_loss(p);
         }
-        q
+        Ok(q)
     }
 
     /// Writes `∇Q(own)` into `grad`.
     pub fn gradient(&self, own: &[f64], grad: &mut [f64]) {
+        self.pass::<false>(own, grad);
+    }
+
+    /// Writes `∇Q(own)` into `grad` and returns `Q(own)`, computing each
+    /// `⟨own, f_e⟩` once for both. Same bits as [`Self::objective`] and
+    /// [`Self::gradient`] called separately.
+    pub fn value_and_gradient(&self, own: &[f64], grad: &mut [f64]) -> f64 {
+        self.pass::<true>(own, grad)
+    }
+
+    /// One pass over the positives for the gradient and, if `VALUE`, the
+    /// objective (0 otherwise).
+    fn pass<const VALUE: bool>(&self, own: &[f64], grad: &mut [f64]) -> f64 {
         debug_assert_eq!(own.len(), grad.len());
+        let mut q = 0.0;
+        if VALUE {
+            q = ops::dot(own, self.negsum) + self.lambda * ops::norm_sq(own);
+        }
         grad.copy_from_slice(self.negsum);
         ops::axpy(2.0 * self.lambda, own, grad);
         for &e in self.positives {
             let row = self.other.row(e as usize);
             let p = ops::dot(own, row);
-            let coef = positive_coefficient(p, self.weights.get(e as usize));
-            ops::axpy(-coef, row, grad);
+            let w = self.weights.get(e as usize);
+            if VALUE {
+                q += w * pair_loss(p);
+            }
+            ops::axpy(-positive_coefficient(p, w), row, grad);
         }
         if let Some(d) = self.fixed_dim {
             grad[d] = 0.0;
         }
+        q
     }
 }
 

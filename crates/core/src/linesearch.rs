@@ -11,9 +11,24 @@
 //! right-hand side is non-positive for a projected gradient step, every
 //! accepted update decreases the local objective, which makes the overall
 //! block-coordinate sweep monotone.
+//!
+//! Most trials fail (about ten per accepted step on the B2B profile), and
+//! a failing trial is decided long before its objective is summed:
+//!
+//! 1. after the `O(K)` part `⟨c, negsum⟩ + λ‖c‖²`, every term of the trial
+//!    objective is `w · pair_loss(p) ≥ 0`;
+//! 2. floating-point addition of a non-negative term never lowers the
+//!    running sum, and `q ↦ q − Q(f^k)` rounds monotonically;
+//! 3. so a partial sum that already fails the predicate above means the
+//!    finished sum fails the *same* predicate — the trial is dropped there.
+//!
+//! An accepted trial is summed to the end in the usual order, so the search
+//! picks the same `t_k` and writes the same bits as one that evaluates
+//! every trial in full ([`LocalProblem::objective_within`]).
 
-use crate::gradient::LocalProblem;
-use ocular_linalg::ops;
+use crate::config::OcularConfig;
+use crate::gradient::{negative_sum, LocalProblem, PosWeights};
+use ocular_linalg::{ops, Matrix};
 
 /// Line-search constants (paper: user-set `σ, β ∈ (0,1)`).
 #[derive(Debug, Clone, Copy)]
@@ -24,6 +39,16 @@ pub struct LineSearch {
     pub beta: f64,
     /// Maximum trials before giving up on this factor for the sweep.
     pub max_backtracks: usize,
+}
+
+impl From<&OcularConfig> for LineSearch {
+    fn from(cfg: &OcularConfig) -> Self {
+        LineSearch {
+            sigma: cfg.sigma,
+            beta: cfg.beta,
+            max_backtracks: cfg.max_backtracks,
+        }
+    }
 }
 
 /// Outcome of one factor update.
@@ -45,6 +70,36 @@ pub enum StepOutcome {
     Stationary,
 }
 
+/// What the step search did, as plain counts: they depend on the data and
+/// the seed only, never on timing or thread count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// Steps that moved a row (accepted Armijo steps, or fixed steps).
+    pub accepted: u64,
+    /// Armijo trials evaluated.
+    pub trials: u64,
+    /// Trials rejected from the `O(K)` part alone, no positive visited.
+    pub screened: u64,
+    /// Trials abandoned part-way through their positives.
+    pub cut_short: u64,
+    /// Positives visited inside trials.
+    pub visited: u64,
+    /// Positives a search evaluating every trial in full would have
+    /// visited (`Σ degree` over trials).
+    pub visited_unscreened: u64,
+}
+
+impl std::ops::AddAssign for SearchStats {
+    fn add_assign(&mut self, o: SearchStats) {
+        self.accepted += o.accepted;
+        self.trials += o.trials;
+        self.screened += o.screened;
+        self.cut_short += o.cut_short;
+        self.visited += o.visited;
+        self.visited_unscreened += o.visited_unscreened;
+    }
+}
+
 /// Performs one projected gradient step with backtracking on `own`.
 ///
 /// `grad` must hold `∇Q(own)`; `candidate` is caller-provided scratch of the
@@ -57,8 +112,23 @@ pub fn armijo_step(
     params: &LineSearch,
     candidate: &mut [f64],
 ) -> StepOutcome {
+    let stats = &mut SearchStats::default();
+    armijo_counted(own, grad, q0, problem, params, candidate, stats)
+}
+
+/// [`armijo_step`], adding what the search did to `stats`.
+fn armijo_counted(
+    own: &mut [f64],
+    grad: &[f64],
+    q0: f64,
+    problem: &LocalProblem<'_>,
+    params: &LineSearch,
+    candidate: &mut [f64],
+    stats: &mut SearchStats,
+) -> StepOutcome {
     debug_assert_eq!(own.len(), grad.len());
     debug_assert_eq!(own.len(), candidate.len());
+    let degree = problem.positives.len() as u64;
     let mut alpha = 1.0;
     for _ in 0..params.max_backtracks {
         ops::projected_step(own, grad, alpha, candidate);
@@ -70,10 +140,23 @@ pub fn armijo_step(
                 return StepOutcome::Stationary;
             }
         }
-        let q1 = problem.objective(candidate);
-        if q1 - q0 <= params.sigma * predicted {
-            own.copy_from_slice(candidate);
-            return StepOutcome::Accepted { q_new: q1, alpha };
+        let bound = params.sigma * predicted;
+        stats.trials += 1;
+        stats.visited_unscreened += degree;
+        match problem.objective_within(candidate, q0, bound) {
+            Ok(q1) => {
+                stats.visited += degree;
+                if q1 - q0 <= bound {
+                    own.copy_from_slice(candidate);
+                    stats.accepted += 1;
+                    return StepOutcome::Accepted { q_new: q1, alpha };
+                }
+            }
+            Err(0) => stats.screened += 1,
+            Err(visited) => {
+                stats.cut_short += 1;
+                stats.visited += visited as u64;
+            }
         }
         alpha *= params.beta;
     }
@@ -95,11 +178,79 @@ pub fn fixed_step(
     problem.objective(own)
 }
 
+/// Working memory of one row update — negative sum, gradient and
+/// candidate, `K` floats each — reusable across rows (one per worker).
+#[derive(Debug, Clone, Default)]
+pub struct RowScratch(Vec<f64>);
+
+/// The block-coordinate update of one factor row against a fixed other
+/// side: the single implementation behind the sequential and parallel
+/// half-sweeps and behind fold-in.
+#[derive(Debug, Clone, Copy)]
+pub struct RowUpdate<'a> {
+    /// Factor matrix of the fixed side.
+    pub other: &'a Matrix,
+    /// `other.column_sums()`, computed once per half-sweep (or per model).
+    pub other_sum: &'a [f64],
+    /// Frozen bias dimension, if any (see [`LocalProblem::fixed_dim`]).
+    pub fixed_dim: Option<usize>,
+    /// Regularisation weight λ.
+    pub lambda: f64,
+    /// Armijo constants.
+    pub search: LineSearch,
+    /// Steps to take; an Armijo search that stalls (rejected or
+    /// stationary) ends the update early.
+    pub steps: usize,
+    /// `Some(α)` takes fixed steps of size α instead of searching.
+    pub fixed_step: Option<f64>,
+}
+
+impl RowUpdate<'_> {
+    /// Updates `row` in place given its `positives` and their `weights`;
+    /// returns the local objective at the updated row.
+    pub fn run(
+        &self,
+        row: &mut [f64],
+        positives: &[u32],
+        weights: PosWeights<'_>,
+        scratch: &mut RowScratch,
+        stats: &mut SearchStats,
+    ) -> f64 {
+        let k = row.len();
+        scratch.0.resize(3 * k, 0.0);
+        let (negsum, rest) = scratch.0.split_at_mut(k);
+        let (grad, candidate) = rest.split_at_mut(k);
+        negative_sum(self.other, self.other_sum, positives, negsum);
+        let problem = LocalProblem {
+            positives,
+            other: self.other,
+            weights,
+            negsum,
+            lambda: self.lambda,
+            fixed_dim: self.fixed_dim,
+        };
+        let mut q = problem.value_and_gradient(row, grad);
+        for step in 0..self.steps {
+            if step > 0 {
+                problem.gradient(row, grad);
+            }
+            if let Some(alpha) = self.fixed_step {
+                q = fixed_step(row, grad, alpha, &problem, candidate);
+                stats.accepted += 1;
+                continue;
+            }
+            match armijo_counted(row, grad, q, &problem, &self.search, candidate, stats) {
+                StepOutcome::Accepted { q_new, .. } => q = q_new,
+                StepOutcome::Rejected | StepOutcome::Stationary => break,
+            }
+        }
+        q
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradient::{negative_sum, PosWeights};
-    use ocular_linalg::Matrix;
 
     fn params() -> LineSearch {
         LineSearch {

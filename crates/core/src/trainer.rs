@@ -8,8 +8,8 @@
 //! its `O(nnz · K)` per-sweep complexity.
 
 use crate::config::OcularConfig;
-use crate::gradient::{negative_sum, LocalProblem, PosWeights};
-use crate::linesearch::{armijo_step, fixed_step, LineSearch, StepOutcome};
+use crate::gradient::PosWeights;
+use crate::linesearch::{RowScratch, RowUpdate, SearchStats};
 use crate::loss::user_weights;
 use crate::model::FactorModel;
 use ocular_linalg::Matrix;
@@ -26,6 +26,10 @@ pub struct TrainingHistory {
     /// Wall-clock seconds of each sweep (excludes the objective evaluation,
     /// matching the paper's "running time per iteration" in Figure 7).
     pub sweep_seconds: Vec<f64>,
+    /// What the step search did in each sweep (both half-sweeps summed):
+    /// exact counts, equal between [`fit`] and the parallel trainer at any
+    /// thread count.
+    pub search: Vec<SearchStats>,
     /// Whether the relative-decrease tolerance was met before `max_iters`.
     pub converged: bool,
 }
@@ -91,84 +95,29 @@ fn init_factors(
     m
 }
 
-/// Updates one side (all items, or all users) in place. Returns the number
-/// of accepted steps.
-#[allow(clippy::too_many_arguments)]
-fn sweep_side<'w>(
+/// Maps a row of the side being updated to the weights of its positives.
+pub type WeightsFor<'w> = dyn Fn(usize) -> PosWeights<'w> + Sync + 'w;
+
+/// Updates one side (all items, or all users) in place; returns what the
+/// step search did.
+fn sweep_side(
     own: &mut Matrix,
-    other: &Matrix,
     adjacency: &CsrMatrix, // rows = own entities, cols = other entities
-    weights_for_positives: &dyn Fn(usize) -> PosWeights<'w>,
-    cfg: &OcularConfig,
-    fixed_dim: Option<usize>,
-    ls: &LineSearch,
-    scratch: &mut SweepScratch,
-) -> usize {
-    other.column_sums_into(&mut scratch.other_sum);
-    let mut accepted = 0usize;
+    update: &RowUpdate<'_>,
+    weights_for_positives: &WeightsFor<'_>,
+    scratch: &mut RowScratch,
+) -> SearchStats {
+    let mut stats = SearchStats::default();
     for e in 0..own.rows() {
-        let positives = adjacency.row(e);
-        negative_sum(other, &scratch.other_sum, positives, &mut scratch.negsum);
-        let problem = LocalProblem {
-            positives,
-            other,
-            weights: weights_for_positives(e),
-            negsum: &scratch.negsum,
-            lambda: cfg.lambda,
-            fixed_dim,
-        };
-        let row = own.row_mut(e);
-        let mut q_local = problem.objective(row);
-        for _ in 0..cfg.inner_steps {
-            problem.gradient(row, &mut scratch.grad);
-            if cfg.line_search {
-                match armijo_step(
-                    row,
-                    &scratch.grad,
-                    q_local,
-                    &problem,
-                    ls,
-                    &mut scratch.candidate,
-                ) {
-                    StepOutcome::Accepted { q_new, .. } => {
-                        q_local = q_new;
-                        accepted += 1;
-                    }
-                    StepOutcome::Rejected | StepOutcome::Stationary => break,
-                }
-            } else {
-                q_local = fixed_step(
-                    row,
-                    &scratch.grad,
-                    cfg.fixed_step,
-                    &problem,
-                    &mut scratch.candidate,
-                );
-                accepted += 1;
-            }
-        }
+        update.run(
+            own.row_mut(e),
+            adjacency.row(e),
+            weights_for_positives(e),
+            scratch,
+            &mut stats,
+        );
     }
-    accepted
-}
-
-/// Reusable per-sweep buffers (one allocation for the whole training run,
-/// including the fixed side's column sums — no per-sweep churn).
-struct SweepScratch {
-    negsum: Vec<f64>,
-    grad: Vec<f64>,
-    candidate: Vec<f64>,
-    other_sum: Vec<f64>,
-}
-
-impl SweepScratch {
-    fn new(k_total: usize) -> Self {
-        SweepScratch {
-            negsum: vec![0.0; k_total],
-            grad: vec![0.0; k_total],
-            candidate: vec![0.0; k_total],
-            other_sum: Vec::with_capacity(k_total),
-        }
-    }
+    stats
 }
 
 /// The bias-extension column layout: `(user_frozen, user_bias, item_frozen,
@@ -243,6 +192,31 @@ pub fn initial_factors(r: &CsrMatrix, cfg: &OcularConfig) -> (Matrix, Matrix) {
 /// Panics if `cfg` fails [`OcularConfig::validate`]. Use [`try_fit`] for a
 /// fallible variant.
 pub fn fit(data: &Dataset, cfg: &OcularConfig) -> TrainResult {
+    // the row update's temporaries, allocated once for the whole run
+    let mut scratch = RowScratch::default();
+    fit_with(data, cfg, &mut |own, adjacency, update, weights| {
+        sweep_side(own, adjacency, update, weights, &mut scratch)
+    })
+}
+
+/// The training loop around a caller-supplied half-sweep, which must apply
+/// `update` to every row of `own` (row `e` has positives
+/// `adjacency.row(e)`, weighted by `weights(e)`) and return the summed
+/// [`SearchStats`]. Rows of one side are independent, so any schedule —
+/// [`fit`]'s sequential one, the parallel trainer's — gives the same model.
+///
+/// # Panics
+/// Panics if `cfg` fails [`OcularConfig::validate`].
+pub fn fit_with(
+    data: &Dataset,
+    cfg: &OcularConfig,
+    half_sweep: &mut dyn for<'w> FnMut(
+        &mut Matrix,
+        &CsrMatrix,
+        &RowUpdate<'_>,
+        &WeightsFor<'w>,
+    ) -> SearchStats,
+) -> TrainResult {
     if let Err(msg) = cfg.validate() {
         panic!("invalid OcularConfig: {msg}");
     }
@@ -252,12 +226,10 @@ pub fn fit(data: &Dataset, cfg: &OcularConfig) -> TrainResult {
 
     let rt = data.item_view();
     let weights = user_weights(r, cfg.weighting);
-    let ls = LineSearch {
-        sigma: cfg.sigma,
-        beta: cfg.beta,
-        max_backtracks: cfg.max_backtracks,
-    };
-    let mut scratch = SweepScratch::new(cfg.k_total());
+    // the fixed side's column sums: one buffer for the whole run
+    let mut other_sum: Vec<f64> = Vec::with_capacity(cfg.k_total());
+    let (lambda, search, steps) = (cfg.lambda, cfg.into(), cfg.inner_steps);
+    let fixed_step = (!cfg.line_search).then_some(cfg.fixed_step);
 
     let eval =
         |uf: &Matrix, itf: &Matrix| crate::loss::objective_parts(r, uf, itf, cfg.lambda, &weights);
@@ -265,6 +237,7 @@ pub fn fit(data: &Dataset, cfg: &OcularConfig) -> TrainResult {
     let mut history = TrainingHistory {
         objective: vec![q],
         sweep_seconds: Vec::new(),
+        search: Vec::new(),
         converged: false,
     };
 
@@ -272,29 +245,39 @@ pub fn fit(data: &Dataset, cfg: &OcularConfig) -> TrainResult {
         let t0 = Instant::now();
         // item half-sweep: positives of item i are the users rt.row(i);
         // each positive's weight is that user's w_u
-        sweep_side(
+        user_factors.column_sums_into(&mut other_sum);
+        let mut stats = half_sweep(
             &mut item_factors,
-            &user_factors,
             rt,
+            &RowUpdate {
+                other: &user_factors,
+                other_sum: &other_sum,
+                fixed_dim: item_frozen,
+                lambda,
+                search,
+                steps,
+                fixed_step,
+            },
             &|_| PosWeights::PerEntity(&weights),
-            cfg,
-            item_frozen,
-            &ls,
-            &mut scratch,
         );
         // user half-sweep: positives of user u are r.row(u), all weighted w_u
-        let w_ref = &weights;
-        sweep_side(
+        item_factors.column_sums_into(&mut other_sum);
+        stats += half_sweep(
             &mut user_factors,
-            &item_factors,
             r,
-            &|u| PosWeights::Uniform(w_ref[u]),
-            cfg,
-            user_frozen,
-            &ls,
-            &mut scratch,
+            &RowUpdate {
+                other: &item_factors,
+                other_sum: &other_sum,
+                fixed_dim: user_frozen,
+                lambda,
+                search,
+                steps,
+                fixed_step,
+            },
+            &|u| PosWeights::Uniform(weights[u]),
         );
         history.sweep_seconds.push(t0.elapsed().as_secs_f64());
+        history.search.push(stats);
 
         let q_new = eval(&user_factors, &item_factors);
         history.objective.push(q_new);

@@ -87,6 +87,7 @@ mod tests {
         TrainingHistory {
             objective: obj.to_vec(),
             sweep_seconds: times.to_vec(),
+            search: Vec::new(),
             converged: true,
         }
     }

@@ -13,73 +13,39 @@
 //! thousands of CUDA cores.)
 
 use ocular_core::config::OcularConfig;
-use ocular_core::gradient::{negative_sum, LocalProblem, PosWeights};
-use ocular_core::linesearch::{armijo_step, fixed_step, LineSearch, StepOutcome};
-use ocular_core::loss::{objective_parts, user_weights};
-use ocular_core::model::FactorModel;
-use ocular_core::trainer::{bias_layout, initial_factors, TrainResult, TrainingHistory};
+use ocular_core::linesearch::{RowScratch, RowUpdate, SearchStats};
+use ocular_core::trainer::{fit_with, TrainResult, WeightsFor};
 use ocular_linalg::Matrix;
 use ocular_sparse::{CsrMatrix, Dataset};
 use rayon::prelude::*;
-use std::time::Instant;
 
-/// Which side's weighting rule a half-sweep uses.
-enum SideWeights<'a> {
-    /// Item updates: each positive's weight is its *user's* `w_u`.
-    PerCounterpart(&'a [f64]),
-    /// User updates: all positives of user `u` share `w_u`.
-    OwnWeight(&'a [f64]),
-}
-
-/// One parallel half-sweep over all rows of `own`.
-#[allow(clippy::too_many_arguments)]
+/// One parallel half-sweep over all rows of `own`; returns what the step
+/// search did (integer sums, so independent of how rows were scheduled).
 fn parallel_sweep_side(
     own: &mut Matrix,
-    other: &Matrix,
     adjacency: &CsrMatrix,
-    side_weights: &SideWeights<'_>,
-    cfg: &OcularConfig,
-    fixed_dim: Option<usize>,
-    ls: &LineSearch,
-    other_sum: &mut Vec<f64>,
-) {
-    other.column_sums_into(other_sum);
-    let other_sum: &[f64] = other_sum;
+    update: &RowUpdate<'_>,
+    weights_for_positives: &WeightsFor<'_>,
+) -> SearchStats {
     let k = own.cols();
     own.as_mut_slice()
         .par_chunks_mut(k)
         .enumerate()
-        .for_each_init(
-            || (vec![0.0; k], vec![0.0; k], vec![0.0; k]),
-            |(negsum, grad, candidate), (e, row)| {
-                let positives = adjacency.row(e);
-                negative_sum(other, other_sum, positives, negsum);
-                let weights = match side_weights {
-                    SideWeights::PerCounterpart(w) => PosWeights::PerEntity(w),
-                    SideWeights::OwnWeight(w) => PosWeights::Uniform(w[e]),
-                };
-                let problem = LocalProblem {
-                    positives,
-                    other,
-                    weights,
-                    negsum,
-                    lambda: cfg.lambda,
-                    fixed_dim,
-                };
-                let mut q_local = problem.objective(row);
-                for _ in 0..cfg.inner_steps {
-                    problem.gradient(row, grad);
-                    if cfg.line_search {
-                        match armijo_step(row, grad, q_local, &problem, ls, candidate) {
-                            StepOutcome::Accepted { q_new, .. } => q_local = q_new,
-                            StepOutcome::Rejected | StepOutcome::Stationary => break,
-                        }
-                    } else {
-                        q_local = fixed_step(row, grad, cfg.fixed_step, &problem, candidate);
-                    }
-                }
-            },
-        );
+        .map_init(RowScratch::default, |scratch, (e, row)| {
+            let mut stats = SearchStats::default();
+            update.run(
+                row,
+                adjacency.row(e),
+                weights_for_positives(e),
+                scratch,
+                &mut stats,
+            );
+            stats
+        })
+        .reduce(SearchStats::default, |mut a, b| {
+            a += b;
+            a
+        })
 }
 
 /// Fits OCuLaR with data-parallel half-sweeps. Same configuration, same
@@ -93,67 +59,7 @@ fn parallel_sweep_side(
 /// # Panics
 /// Panics if `cfg` fails validation or the thread pool cannot be built.
 pub fn fit_parallel(data: &Dataset, cfg: &OcularConfig, threads: Option<usize>) -> TrainResult {
-    crate::with_threads(threads, || fit_parallel_inner(data, cfg))
-}
-
-fn fit_parallel_inner(data: &Dataset, cfg: &OcularConfig) -> TrainResult {
-    if let Err(msg) = cfg.validate() {
-        panic!("invalid OcularConfig: {msg}");
-    }
-    let r: &CsrMatrix = data.matrix();
-    let (user_frozen, _, item_frozen, _) = bias_layout(cfg);
-    let (mut user_factors, mut item_factors) = initial_factors(r, cfg);
-    let rt = data.item_view();
-    let weights = user_weights(r, cfg.weighting);
-    // one reusable column-sum buffer for the whole run (no per-sweep churn)
-    let mut sum_buf: Vec<f64> = Vec::with_capacity(cfg.k_total());
-    let ls = LineSearch {
-        sigma: cfg.sigma,
-        beta: cfg.beta,
-        max_backtracks: cfg.max_backtracks,
-    };
-    let mut q = objective_parts(r, &user_factors, &item_factors, cfg.lambda, &weights);
-    let mut history = TrainingHistory {
-        objective: vec![q],
-        sweep_seconds: Vec::new(),
-        converged: false,
-    };
-    for _ in 0..cfg.max_iters {
-        let t0 = Instant::now();
-        parallel_sweep_side(
-            &mut item_factors,
-            &user_factors,
-            rt,
-            &SideWeights::PerCounterpart(&weights),
-            cfg,
-            item_frozen,
-            &ls,
-            &mut sum_buf,
-        );
-        parallel_sweep_side(
-            &mut user_factors,
-            &item_factors,
-            r,
-            &SideWeights::OwnWeight(&weights),
-            cfg,
-            user_frozen,
-            &ls,
-            &mut sum_buf,
-        );
-        history.sweep_seconds.push(t0.elapsed().as_secs_f64());
-        let q_new = objective_parts(r, &user_factors, &item_factors, cfg.lambda, &weights);
-        history.objective.push(q_new);
-        let decrease = q - q_new;
-        q = q_new;
-        if cfg.line_search && decrease <= cfg.tol * q.abs().max(1.0) {
-            history.converged = true;
-            break;
-        }
-    }
-    TrainResult {
-        model: FactorModel::new(user_factors, item_factors, cfg.bias),
-        history,
-    }
+    crate::with_threads(threads, || fit_with(data, cfg, &mut parallel_sweep_side))
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 //! half-sweeps. This is the property that lets Figure 8-style speedups be
 //! claimed without an accuracy asterisk.
 
+use ocular::core::linesearch::SearchStats;
 use ocular::datasets::planted::{generate, PlantedConfig};
 use ocular::prelude::*;
 
@@ -68,4 +69,45 @@ fn recall_identical_across_thread_counts() {
         ref_report.recall > 0.4,
         "planted recall should be comfortably recovered: {ref_report}"
     );
+}
+
+/// The step-search telemetry is plain integer sums over rows, so it must
+/// not depend on how rows were scheduled: every thread count reports what
+/// the sequential trainer reports, sweep by sweep.
+#[test]
+fn search_counts_identical_across_thread_counts() {
+    let r = dataset();
+    let cfg = OcularConfig {
+        k: 4,
+        lambda: 0.3,
+        max_iters: 12,
+        tol: 0.0,
+        seed: 6,
+        ..Default::default()
+    };
+    let seq = fit(&r, &cfg).history.search;
+    assert_eq!(seq.len(), 12, "one record per sweep");
+    for threads in [1usize, 2, 4, 8] {
+        let par = fit_parallel(&r, &cfg, Some(threads)).history.search;
+        assert_eq!(
+            par, seq,
+            "{threads}-thread search counts must equal fit()'s"
+        );
+    }
+    // the counts describe a search that actually backtracked and actually
+    // skipped work, and they add up
+    let mut total = SearchStats::default();
+    seq.iter().for_each(|&s| total += s);
+    let SearchStats {
+        accepted,
+        trials,
+        screened,
+        cut_short,
+        visited,
+        visited_unscreened,
+    } = total;
+    assert!(accepted > 0 && trials > accepted, "{total:?}");
+    assert!(screened > 0 && cut_short > 0, "{total:?}");
+    assert!(screened + cut_short + accepted <= trials, "{total:?}");
+    assert!(visited < visited_unscreened, "{total:?}");
 }

@@ -13,7 +13,9 @@
 //! 5% of 1-partition — routing must cost nothing — and another holds the
 //! int8 full-catalog request within 1.3× of the bare int8 scoring kernel,
 //! so a probability transform or selection pass creeping back over the
-//! whole catalog fails on any runner; a last one, on an exact count, holds
+//! whole catalog fails on any runner; where the runner has AVX2, the bare
+//! int8 kernel's AVX2 stamp must beat its baseline stamp by 1.4× in the
+//! same run; a last one, on an exact count, holds
 //! the positives the Armijo search visits inside its trials to at most
 //! 0.63 of what evaluating every trial in full would visit. Skipped
 //! entirely — exit 0 — when the `BENCH_BASELINE_RESET` environment
@@ -99,6 +101,10 @@ fn run() -> Result<Vec<String>, String> {
     let quant_f32 = field(&serve, "quant.f32.p50_us")?;
     let quant_i8 = field(&serve, "quant.int8.p50_us")?;
     let kernel_i8 = field(&serve, "quant.int8_kernel.p50_us")?;
+    // the same kernel pinned to each ISA level; the AVX2 row exists only
+    // on a runner that has AVX2
+    let kernel_i8_baseline = field(&serve, "quant.int8_kernel_levels.baseline.p50_us")?;
+    let kernel_i8_avx2 = field(&serve, "quant.int8_kernel_levels.avx2.p50_us").ok();
     // snapshot cold-start cost, both formats (the v3 zero-copy claim)
     let load_text = field(&serve, "snapshot_load.text_seconds")?;
     let load_binary = field(&serve, "snapshot_load.binary_seconds")?;
@@ -329,6 +335,25 @@ fn run() -> Result<Vec<String>, String> {
             "int8 full-catalog request p50 ({quant_i8:.1}µs) is more than 1.3× the bare int8 \
              kernel's ({kernel_i8:.1}µs)"
         ));
+    }
+    // …and the AVX2 stamp of that kernel must actually be wide: the same
+    // source under `#[target_feature]` de-vectorizes silently when the
+    // attribute misses the loop (measured 2.5× *slower* than baseline), so
+    // the two stamps are timed back to back and AVX2 must lead by 1.4×
+    match kernel_i8_avx2 {
+        Some(avx2) => {
+            println!(
+                "bench_gate: simd_vs_baseline int8 kernel baseline={kernel_i8_baseline:8.1}µs  avx2={avx2:8.1}µs  ratio={:5.2}",
+                kernel_i8_baseline / avx2
+            );
+            if kernel_i8_baseline < 1.4 * avx2 {
+                failures.push(format!(
+                    "the AVX2 int8 kernel ({avx2:.1}µs) is less than 1.4× faster than the \
+                     baseline stamp ({kernel_i8_baseline:.1}µs): it is no longer vectorized wide"
+                ));
+            }
+        }
+        None => println!("bench_gate: simd_vs_baseline skipped — this runner has no AVX2 level"),
     }
     // …and, machine-independently within the same run, the v3 mmap load
     // must be *strictly* faster than parsing the text snapshot of the

@@ -12,7 +12,9 @@
 //! memory-bandwidth difference between the dtypes is actually visible:
 //! per dtype, a full-catalog engine request and, in the same run, the bare
 //! scoring kernel over the same catalog (what the request cannot go
-//! below; bench_gate holds the int8 request within 1.3× of it).
+//! below; bench_gate holds the int8 request within 1.3× of it), and the
+//! bare int8 kernel pinned to each ISA level the CPU has (bench_gate
+//! holds AVX2 at least 1.4× ahead of the baseline stamp).
 //! A third section measures partition routing: batched warm throughput
 //! through the engine split into 1/2/4 user partitions, all on the same
 //! pool — the rows differ only by the routing table, which must cost
@@ -27,7 +29,7 @@ use ocular_baselines::{BaselineConfigs, Bpr, ItemKnn, Popularity, Wals};
 use ocular_bench::Args;
 use ocular_core::{fit, FactorModel, OcularConfig, Recommendation};
 use ocular_datasets::profiles;
-use ocular_linalg::{ops, QuantizedFactors};
+use ocular_linalg::{ops, KernelLevel, QuantizedFactors};
 use ocular_serve::json::{obj, Json};
 use ocular_serve::{CandidatePolicy, EngineBuilder, IndexConfig, QuantDtype, Request, ServeConfig};
 use rand::rngs::StdRng;
@@ -322,6 +324,8 @@ fn main() {
     ));
     // (dtype, full-catalog engine request, bare scoring kernel)
     let mut quant_rows: Vec<(&'static str, Latency, Latency)> = Vec::new();
+    // (kernel level, bare int8 kernel pinned to it)
+    let mut level_rows: Vec<(&'static str, Latency)> = Vec::new();
     let mut affinities = vec![0.0f64; quant_items];
     for (name, quantize) in [
         ("f64", None),
@@ -357,19 +361,32 @@ fn main() {
         // raw affinity into a dense vector, no transform, no selection
         let narrowed =
             quantize.map(|dtype| QuantizedFactors::quantize(&qmodel.item_factors, dtype));
-        let kernel = measure(quant_requests, |i| {
-            let row = qmodel.user_factors.row(quant_user(i));
-            match &narrowed {
-                Some(quant) => quant.score_block(&quant.prepare(row), 0, &mut affinities),
-                None => {
-                    for (item, a) in affinities.iter_mut().enumerate() {
-                        *a = ops::dot(row, qmodel.item_factors.row(item));
+        let mut bare_kernel = |narrowed: Option<&QuantizedFactors>| {
+            measure(quant_requests, |i| {
+                let row = qmodel.user_factors.row(quant_user(i));
+                match narrowed {
+                    Some(quant) => quant.score_block(&quant.prepare(row), 0, &mut affinities),
+                    None => {
+                        for (item, a) in affinities.iter_mut().enumerate() {
+                            *a = ops::dot(row, qmodel.item_factors.row(item));
+                        }
                     }
                 }
-            }
-            std::hint::black_box(&affinities);
-        });
+                std::hint::black_box(&affinities);
+            })
+        };
+        let kernel = bare_kernel(narrowed.as_ref());
         report(&format!("  bare {name} kernel"), &kernel);
+        // and the int8 kernel once per ISA level this CPU has, back to
+        // back, so the gate can hold the wide stamp to a same-run ratio
+        if quantize == Some(QuantDtype::I8) {
+            for level in KernelLevel::available() {
+                let pinned = narrowed.clone().map(|q| q.with_kernel_level(level));
+                let lat = bare_kernel(pinned.as_ref());
+                report(&format!("  bare {name} kernel @ {level}"), &lat);
+                level_rows.push((level.name(), lat));
+            }
+        }
         quant_rows.push((name, lat, kernel));
     }
 
@@ -435,6 +452,13 @@ fn main() {
                 ("f64_kernel", lat_json(&quant_rows[0].2)),
                 ("f32_kernel", lat_json(&quant_rows[1].2)),
                 ("int8_kernel", lat_json(&quant_rows[2].2)),
+                (
+                    "int8_kernel_levels",
+                    obj(level_rows
+                        .iter()
+                        .map(|(level, lat)| (*level, lat_json(lat)))
+                        .collect()),
+                ),
             ]),
         ),
     ]);

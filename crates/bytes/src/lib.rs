@@ -17,11 +17,13 @@
 //!   container (trailing integrity checksum) and the id-map raw hash
 //!   tables.
 //!
-//! This is the **only** crate in the workspace that contains `unsafe`
-//! code: the mmap syscall wrapper, the `&[u8]` → `&[T]`
-//! reinterpretation, and the `epoll`/`eventfd`/signal wrappers behind the
-//! network serving tier ([`net`], Linux only). Every unsafe block is
-//! small and carries a SAFETY comment; every crate above this one keeps
+//! This crate holds the workspace's `unsafe` code — the mmap syscall
+//! wrapper, the `&[u8]` → `&[T]` reinterpretation, and the
+//! `epoll`/`eventfd`/signal wrappers behind the network serving tier
+//! ([`net`], Linux only) — with one exception outside it: the call into
+//! `ocular-linalg`'s AVX2 kernel stamp (`quant::avx2`), which has to sit
+//! next to the kernels it enters. Every unsafe block is small and
+//! carries a SAFETY comment; every other crate above this one keeps
 //! `#![forbid(unsafe_code)]`.
 //!
 //! Zero-copy reinterpretation is only performed on little-endian targets

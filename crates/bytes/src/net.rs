@@ -6,8 +6,9 @@
 //! mmap wrapper — the syscalls are bound directly against libc's symbols
 //! (always linked by std on unix) instead of pulling in `libc`/`mio`/
 //! `tokio`. Every unsafe block is small and carries a SAFETY comment;
-//! every crate above `ocular-bytes` keeps `#![forbid(unsafe_code)]` and
-//! consumes these types through safe APIs only.
+//! every crate above `ocular-bytes` consumes these types through safe
+//! APIs only (all but `ocular-linalg`, which holds one block of its own,
+//! keep `#![forbid(unsafe_code)]`).
 
 use std::io;
 use std::os::unix::io::RawFd;

@@ -15,14 +15,19 @@
 //! * bounded top-K selection under the workspace ranking ties convention,
 //!   shared by evaluation and serving — [`topk`];
 //! * quantized serving representations (`f32`, affine per-row `int8`) with
-//!   blocked, auto-vectorizable score-many kernels — [`quant`].
+//!   blocked, auto-vectorizable score-many kernels, compiled once per ISA
+//!   level (baseline, AVX2) and picked at run time — [`quant`].
 //!
 //! The master representation is `f64`, row-major, and
 //! allocation-conscious: the hot kernels in [`ops`] write into
 //! caller-provided buffers. [`quant`] narrows item factors for the serve
 //! path only; training and fold-in stay `f64`.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: `quant::avx2` carries the crate's one
+// `#[allow(unsafe_code)]` — the AVX2 stamp of the scoring kernels
+// (`#[target_feature]` fns are `unsafe fn` on the MSRV) and the single
+// `unsafe` block that calls it under the CPU feature check.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cholesky;
@@ -33,5 +38,5 @@ pub mod topk;
 
 pub use cholesky::{Cholesky, CholeskyError};
 pub use matrix::Matrix;
-pub use quant::{PreparedQuery, QuantDtype, QuantizedFactors};
+pub use quant::{KernelLevel, PreparedQuery, QuantDtype, QuantizedFactors};
 pub use topk::{top_k_excluding, MonotoneTopK, TopK};

@@ -21,6 +21,20 @@
 //! auto-vectorizes the inner loops — no intrinsics, verified by the
 //! workspace benches.
 //!
+//! # Kernel levels
+//!
+//! The tile kernels are one source body compiled once per ISA level
+//! ([`KernelLevel`]): the x86-64 **baseline** (SSE2, every x86-64 CPU, and
+//! the only level on other architectures) and **AVX2**, the same loops
+//! under `#[target_feature(enable = "avx2")]` so LLVM vectorizes them at
+//! 256 bits. The level is detected once per process and picked per
+//! [`QuantizedFactors::score_block`] call — automatically, with nothing
+//! to configure. Both levels write the same bits: the int8 dot is an
+//! integer sum (exact in any lane order), and the f32 dot fixes its own
+//! add order with explicit lane accumulators that the vector width does
+//! not change; neither level fuses a multiply into an add. The property
+//! tests in `tests/proptest_linalg.rs` pin that.
+//!
 //! The query side stays `f64` until [`QuantizedFactors::prepare`]
 //! narrows one user row per request (warm rows come from the master
 //! matrix; cold rows from fold-in — "quantize the folded row on the
@@ -28,6 +42,7 @@
 
 use crate::Matrix;
 use ocular_bytes::{F32Buf, I8Buf};
+use std::sync::OnceLock;
 
 /// Accumulator lanes of the unrolled inner loops. Eight `f32` lanes fill
 /// a 256-bit vector register; eight `i32` lanes likewise.
@@ -86,6 +101,60 @@ impl std::fmt::Display for QuantDtype {
     }
 }
 
+/// ISA level a [`QuantizedFactors`] scores at — which compilation of the
+/// one kernel source [`QuantizedFactors::score_block`] runs. Picked
+/// automatically ([`KernelLevel::detect`]); every level writes the same
+/// bits, so the choice moves wall-clock only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelLevel {
+    /// The target's baseline instruction set (SSE2 on x86-64).
+    Baseline,
+    /// 256-bit integer and float vectors; x86-64 CPUs that report AVX2.
+    Avx2,
+}
+
+impl KernelLevel {
+    /// Every level, narrowest first.
+    const ALL: [KernelLevel; 2] = [KernelLevel::Baseline, KernelLevel::Avx2];
+
+    /// `/stats` and log spelling (`"baseline"` / `"avx2"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelLevel::Baseline => "baseline",
+            KernelLevel::Avx2 => "avx2",
+        }
+    }
+
+    /// Whether this CPU can run the level.
+    pub fn is_available(self) -> bool {
+        match self {
+            KernelLevel::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            KernelLevel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            KernelLevel::Avx2 => false,
+        }
+    }
+
+    /// The levels this CPU can run, narrowest first (tests and benches
+    /// that compare them; serving always takes [`KernelLevel::detect`]).
+    pub fn available() -> impl Iterator<Item = KernelLevel> {
+        Self::ALL.into_iter().filter(|level| level.is_available())
+    }
+
+    /// The widest available level, resolved once per process.
+    pub fn detect() -> KernelLevel {
+        static LEVEL: OnceLock<KernelLevel> = OnceLock::new();
+        *LEVEL.get_or_init(|| Self::available().last().unwrap_or(KernelLevel::Baseline))
+    }
+}
+
+impl std::fmt::Display for KernelLevel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 enum Repr {
     F32 {
         data: F32Buf,
@@ -110,6 +179,10 @@ pub struct QuantizedFactors {
     rows: usize,
     cols: usize,
     repr: Repr,
+    /// Which stamp of the kernels [`QuantizedFactors::score_block`] runs;
+    /// [`KernelLevel::detect`] unless a test pinned it. Not part of the
+    /// value: equal matrices score equal bits at any level.
+    level: KernelLevel,
 }
 
 /// A user row narrowed to a quantized dtype, ready to score against a
@@ -196,7 +269,12 @@ impl QuantizedFactors {
                 }
             }
         };
-        QuantizedFactors { rows, cols, repr }
+        QuantizedFactors {
+            rows,
+            cols,
+            repr,
+            level: KernelLevel::detect(),
+        }
     }
 
     /// Wraps an owned-or-borrowed `f32` buffer as a quantized matrix (the
@@ -215,6 +293,7 @@ impl QuantizedFactors {
             rows,
             cols,
             repr: Repr::F32 { data },
+            level: KernelLevel::detect(),
         })
     }
 
@@ -255,6 +334,7 @@ impl QuantizedFactors {
                 zero,
                 qsum,
             },
+            level: KernelLevel::detect(),
         })
     }
 
@@ -276,6 +356,27 @@ impl QuantizedFactors {
             Repr::F32 { .. } => QuantDtype::F32,
             Repr::I8 { .. } => QuantDtype::I8,
         }
+    }
+
+    /// The ISA level [`QuantizedFactors::score_block`] runs at.
+    pub fn kernel_level(&self) -> KernelLevel {
+        self.level
+    }
+
+    /// Pins the kernel level instead of the detected one, so tests and
+    /// benches can run every available level in one process. Not a tuning
+    /// knob: the levels differ in speed only.
+    ///
+    /// # Panics
+    /// Panics if this CPU cannot run `level`.
+    #[doc(hidden)]
+    pub fn with_kernel_level(mut self, level: KernelLevel) -> Self {
+        assert!(
+            level.is_available(),
+            "kernel level {level} is not available on this CPU"
+        );
+        self.level = level;
+        self
     }
 
     /// The flat `f32` payload (empty for int8) — snapshot persistence.
@@ -358,7 +459,8 @@ impl QuantizedFactors {
     /// Scores item rows `first .. first + out.len()` against a prepared
     /// query, writing the raw affinities `⟨f_u, f_i⟩` (as `f64`) into
     /// `out`. Items are processed in cache-sized tiles; the per-row inner
-    /// loops run unrolled accumulator lanes that LLVM auto-vectorizes.
+    /// loops run unrolled accumulator lanes that LLVM auto-vectorizes, at
+    /// this matrix's [`KernelLevel`] — chosen here, once per call.
     ///
     /// # Panics
     /// Panics if the range exceeds the matrix or the query dtype differs.
@@ -369,22 +471,11 @@ impl QuantizedFactors {
             first + out.len(),
             self.rows
         );
-        let k = self.cols;
         // Hoist the owned-or-borrowed buffers to plain slices once per
         // call: `PodBuf` resolves its representation on every deref, which
-        // the per-row parameter loads below must not pay.
-        match (&self.repr, &query.repr) {
-            (Repr::F32 { data }, QueryRepr::F32(u)) => {
-                let data: &[f32] = data;
-                let u: &[f32] = u;
-                for (tile_idx, tile) in out.chunks_mut(TILE).enumerate() {
-                    let base = (first + tile_idx * TILE) * k;
-                    let rows = &data[base..base + tile.len() * k];
-                    for (o, row) in tile.iter_mut().zip(rows.chunks_exact(k)) {
-                        *o = f64::from(dot_f32(u, row));
-                    }
-                }
-            }
+        // the per-row parameter loads in the kernels must not pay.
+        let scan = match (&self.repr, &query.repr) {
+            (Repr::F32 { data }, QueryRepr::F32(u)) => Scan::F32 { data, u },
             (
                 Repr::I8 {
                     data,
@@ -398,33 +489,21 @@ impl QuantizedFactors {
                     zero: zu,
                     qsum: squ,
                 },
-            ) => {
-                let data: &[i8] = data;
-                let (scale, zero, qsum): (&[f32], &[f32], &[f32]) = (scale, zero, qsum);
-                let q: &[i8] = q;
-                // ⟨u, v⟩ with u ≈ su·qu + zu and v ≈ si·qi + zi expands to
-                //   su·si·Σqu·qi + su·zi·Σqu + zu·si·Σqi + k·zu·zi
-                // = si·(su·qdot + zu·qsum_i) + zi·(su·Σqu + k·zu)
-                let c1 = su * squ + k as f64 * zu;
-                for (tile_idx, tile) in out.chunks_mut(TILE).enumerate() {
-                    let row0 = first + tile_idx * TILE;
-                    let rows = &data[row0 * k..(row0 + tile.len()) * k];
-                    let s_tile = &scale[row0..row0 + tile.len()];
-                    let z_tile = &zero[row0..row0 + tile.len()];
-                    let q_tile = &qsum[row0..row0 + tile.len()];
-                    for ((((o, row), &si), &zi), &qs) in tile
-                        .iter_mut()
-                        .zip(rows.chunks_exact(k))
-                        .zip(s_tile)
-                        .zip(z_tile)
-                        .zip(q_tile)
-                    {
-                        let qdot = f64::from(dot_i8(q, row));
-                        *o = f64::from(si) * (su * qdot + zu * f64::from(qs)) + f64::from(zi) * c1;
-                    }
-                }
-            }
+            ) => Scan::I8 {
+                data,
+                scale,
+                zero,
+                qsum,
+                q,
+                su: *su,
+                zu: *zu,
+                squ: *squ,
+            },
             _ => panic!("query dtype does not match the factor dtype"),
+        };
+        match self.level {
+            KernelLevel::Baseline => baseline::score_block(&scan, self.cols, first, out),
+            KernelLevel::Avx2 => avx2::score_block(&scan, self.cols, first, out),
         }
     }
 
@@ -457,6 +536,7 @@ impl Clone for QuantizedFactors {
             rows: self.rows,
             cols: self.cols,
             repr,
+            level: self.level,
         }
     }
 }
@@ -493,42 +573,9 @@ impl std::fmt::Debug for QuantizedFactors {
             .field("rows", &self.rows)
             .field("cols", &self.cols)
             .field("dtype", &self.dtype())
+            .field("level", &self.level)
             .finish()
     }
-}
-
-/// `f32` dot with [`LANES`] unrolled accumulators. Independent partial
-/// sums break the strict sequential-reduction order, which is what lets
-/// LLVM keep the loop in vector registers.
-#[inline]
-fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; LANES];
-    let chunks_a = a.chunks_exact(LANES);
-    let chunks_b = b.chunks_exact(LANES);
-    let rem_a = chunks_a.remainder();
-    let rem_b = chunks_b.remainder();
-    for (ca, cb) in chunks_a.zip(chunks_b) {
-        for l in 0..LANES {
-            acc[l] += ca[l] * cb[l];
-        }
-    }
-    // The tail accumulates into its own scalar: indexing `acc` with a
-    // runtime lane here would force the whole accumulator array onto the
-    // stack and de-vectorize the main loop above.
-    let mut tail = 0.0f32;
-    for (&x, &y) in rem_a.iter().zip(rem_b) {
-        tail += x * y;
-    }
-    // pairwise tree fold of the lanes
-    let mut width = LANES / 2;
-    while width > 0 {
-        for l in 0..width {
-            acc[l] += acc[l + width];
-        }
-        width /= 2;
-    }
-    acc[0] + tail
 }
 
 /// Accumulator lanes of the int8 inner loop. Wider than the f32 unroll:
@@ -536,38 +583,207 @@ fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
 /// to feed full vector registers through the widening multiply.
 const LANES_I8: usize = 32;
 
-/// int8 dot accumulated in `i32` with [`LANES_I8`] unrolled accumulators.
-/// The products are formed in `i16` (`127·127` fits) and widened on
-/// accumulation — the pattern LLVM turns into packed multiply-add —
-/// and `Σ |q·q| ≤ 127² · k` keeps `i32` safe for any realistic `k`.
-#[inline]
-fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0i32; LANES_I8];
-    let chunks_a = a.chunks_exact(LANES_I8);
-    let chunks_b = b.chunks_exact(LANES_I8);
-    let rem_a = chunks_a.remainder();
-    let rem_b = chunks_b.remainder();
-    for (ca, cb) in chunks_a.zip(chunks_b) {
-        for l in 0..LANES_I8 {
-            acc[l] += i32::from(i16::from(ca[l]) * i16::from(cb[l]));
+/// One `score_block` call with the owned-or-borrowed buffers resolved to
+/// plain slices: what a stamped kernel takes.
+enum Scan<'a> {
+    F32 {
+        data: &'a [f32],
+        u: &'a [f32],
+    },
+    I8 {
+        data: &'a [i8],
+        scale: &'a [f32],
+        zero: &'a [f32],
+        qsum: &'a [f32],
+        q: &'a [i8],
+        su: f64,
+        zu: f64,
+        squ: f64,
+    },
+}
+
+/// The tile kernels — row dots, int8 epilogue, tile loop — as one source
+/// body, stamped into the enclosing module with the given attributes and
+/// `fn` qualifiers on **every** function. The attribute has to sit on the
+/// loops themselves: a plain `#[inline]` body pulled into a
+/// `#[target_feature]` wrapper keeps the code LLVM already vectorized (or
+/// failed to) for the narrower target, which measured 2.5× *slower* than
+/// the baseline. `bench_gate`'s `simd_vs_baseline` row watches for that.
+macro_rules! stamp_kernels {
+    ($(#[$attr:meta])* $($qual:ident)+) => {
+        use crate::quant::{Scan, LANES, LANES_I8, TILE};
+
+        /// `f32` dot with [`LANES`] unrolled accumulators. Independent
+        /// partial sums break the strict sequential-reduction order, which
+        /// is what lets LLVM keep the loop in vector registers — and they
+        /// fix the add order per lane, so the sum has the same bits whether
+        /// a register holds four lanes or eight.
+        $(#[$attr])*
+        #[inline]
+        $($qual)+ dot_f32(a: &[f32], b: &[f32]) -> f32 {
+            debug_assert_eq!(a.len(), b.len());
+            let mut acc = [0.0f32; LANES];
+            let chunks_a = a.chunks_exact(LANES);
+            let chunks_b = b.chunks_exact(LANES);
+            let rem_a = chunks_a.remainder();
+            let rem_b = chunks_b.remainder();
+            for (ca, cb) in chunks_a.zip(chunks_b) {
+                for l in 0..LANES {
+                    acc[l] += ca[l] * cb[l];
+                }
+            }
+            // The tail accumulates into its own scalar: indexing `acc` with
+            // a runtime lane here would force the whole accumulator array
+            // onto the stack and de-vectorize the main loop above.
+            let mut tail = 0.0f32;
+            for (&x, &y) in rem_a.iter().zip(rem_b) {
+                tail += x * y;
+            }
+            // pairwise tree fold of the lanes
+            let mut width = LANES / 2;
+            while width > 0 {
+                for l in 0..width {
+                    acc[l] += acc[l + width];
+                }
+                width /= 2;
+            }
+            acc[0] + tail
         }
-    }
-    // Same tail discipline as [`dot_f32`]: a runtime-indexed `acc[l]`
-    // write in the tail spills the accumulators and de-vectorizes the
-    // main loop (measured 3–30× on the 100k-item bench).
-    let mut tail = 0i32;
-    for (&x, &y) in rem_a.iter().zip(rem_b) {
-        tail += i32::from(i16::from(x) * i16::from(y));
-    }
-    let mut width = LANES_I8 / 2;
-    while width > 0 {
-        for l in 0..width {
-            acc[l] += acc[l + width];
+
+        /// int8 dot accumulated in `i32` with [`LANES_I8`] unrolled
+        /// accumulators. The products are formed in `i16` (`127·127` fits)
+        /// and widened on accumulation — the pattern LLVM turns into packed
+        /// multiply-add (`pmaddwd`, 128 or 256 bits wide) — and
+        /// `Σ |q·q| ≤ 127² · k` keeps `i32` safe for any realistic `k`.
+        /// Integer sums are exact, so lane order cannot change the result.
+        $(#[$attr])*
+        #[inline]
+        $($qual)+ dot_i8(a: &[i8], b: &[i8]) -> i32 {
+            debug_assert_eq!(a.len(), b.len());
+            let mut acc = [0i32; LANES_I8];
+            let chunks_a = a.chunks_exact(LANES_I8);
+            let chunks_b = b.chunks_exact(LANES_I8);
+            let rem_a = chunks_a.remainder();
+            let rem_b = chunks_b.remainder();
+            for (ca, cb) in chunks_a.zip(chunks_b) {
+                for l in 0..LANES_I8 {
+                    acc[l] += i32::from(i16::from(ca[l]) * i16::from(cb[l]));
+                }
+            }
+            // Same tail discipline as `dot_f32`: a runtime-indexed `acc[l]`
+            // write in the tail spills the accumulators and de-vectorizes
+            // the main loop (measured 3–30× on the 100k-item bench).
+            let mut tail = 0i32;
+            for (&x, &y) in rem_a.iter().zip(rem_b) {
+                tail += i32::from(i16::from(x) * i16::from(y));
+            }
+            let mut width = LANES_I8 / 2;
+            while width > 0 {
+                for l in 0..width {
+                    acc[l] += acc[l + width];
+                }
+                width /= 2;
+            }
+            acc[0] + tail
         }
-        width /= 2;
+
+        /// Scores rows `first .. first + out.len()` of a `k`-column matrix,
+        /// [`TILE`] rows at a time. The caller checked the range.
+        $(#[$attr])*
+        pub(super) $($qual)+ score_block(scan: &Scan<'_>, k: usize, first: usize, out: &mut [f64]) {
+            match *scan {
+                Scan::F32 { data, u } => {
+                    for (tile_idx, tile) in out.chunks_mut(TILE).enumerate() {
+                        let base = (first + tile_idx * TILE) * k;
+                        let rows = &data[base..base + tile.len() * k];
+                        for (o, row) in tile.iter_mut().zip(rows.chunks_exact(k)) {
+                            *o = f64::from(dot_f32(u, row));
+                        }
+                    }
+                }
+                Scan::I8 {
+                    data,
+                    scale,
+                    zero,
+                    qsum,
+                    q,
+                    su,
+                    zu,
+                    squ,
+                } => {
+                    // ⟨u, v⟩ with u ≈ su·qu + zu and v ≈ si·qi + zi expands to
+                    //   su·si·Σqu·qi + su·zi·Σqu + zu·si·Σqi + k·zu·zi
+                    // = si·(su·qdot + zu·qsum_i) + zi·(su·Σqu + k·zu)
+                    let c1 = su * squ + k as f64 * zu;
+                    let mut qdots = [0i32; TILE];
+                    for (tile_idx, tile) in out.chunks_mut(TILE).enumerate() {
+                        let row0 = first + tile_idx * TILE;
+                        let rows = &data[row0 * k..(row0 + tile.len()) * k];
+                        let s_tile = &scale[row0..row0 + tile.len()];
+                        let z_tile = &zero[row0..row0 + tile.len()];
+                        let q_tile = &qsum[row0..row0 + tile.len()];
+                        // the integer dots of the whole tile first, so the
+                        // float epilogue is its own loop over plain arrays
+                        // and runs in vector registers too
+                        let qdots = &mut qdots[..tile.len()];
+                        for (d, row) in qdots.iter_mut().zip(rows.chunks_exact(k)) {
+                            *d = dot_i8(q, row);
+                        }
+                        for ((((o, &qdot), &si), &zi), &qs) in tile
+                            .iter_mut()
+                            .zip(qdots.iter())
+                            .zip(s_tile)
+                            .zip(z_tile)
+                            .zip(q_tile)
+                        {
+                            *o = f64::from(si) * (su * f64::from(qdot) + zu * f64::from(qs))
+                                + f64::from(zi) * c1;
+                        }
+                    }
+                }
+            }
+        }
+    };
+}
+
+/// The kernels for the target's baseline instruction set.
+mod baseline {
+    stamp_kernels!(fn);
+}
+
+/// The kernels again under AVX2, behind a safe entry that checks for it.
+/// `#[target_feature]` functions have to be `unsafe fn` on the MSRV
+/// (1.80), hence the `allow`; the only `unsafe` *block* is the call below.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx2 {
+    use super::Scan;
+
+    mod stamp {
+        stamp_kernels!(#[target_feature(enable = "avx2")] unsafe fn);
     }
-    acc[0] + tail
+
+    /// # Panics
+    /// Panics if the CPU lacks AVX2 ([`super::KernelLevel::is_available`]
+    /// is the check callers make first).
+    pub(super) fn score_block(scan: &Scan<'_>, k: usize, first: usize, out: &mut [f64]) {
+        assert!(
+            std::arch::is_x86_feature_detected!("avx2"),
+            "AVX2 kernel level picked on a CPU without AVX2"
+        );
+        // SAFETY: the stamp is `unsafe` only for its `avx2` target
+        // feature, which the assert above just found on this CPU.
+        unsafe { stamp::score_block(scan, k, first, out) }
+    }
+}
+
+/// Off x86-64 no CPU reports [`KernelLevel::Avx2`] available, and
+/// [`QuantizedFactors::with_kernel_level`] refuses an unavailable level.
+#[cfg(not(target_arch = "x86_64"))]
+mod avx2 {
+    pub(super) fn score_block(_: &super::Scan<'_>, _: usize, _: usize, _: &mut [f64]) {
+        unreachable!("KernelLevel::Avx2 is never available off x86-64")
+    }
 }
 
 #[cfg(test)]
@@ -682,6 +898,30 @@ mod tests {
             let mut part = vec![0.0; TILE + 7];
             q.score_block(&prepared, 39, &mut part);
             assert_eq!(&all[39..39 + part.len()], &part[..], "{dtype}");
+        }
+    }
+
+    #[test]
+    fn every_level_scores_the_same_bits_at_every_tail_length() {
+        // k = 1..=130 walks each remainder of the 8- and 32-lane dots
+        // after zero to four full chunks; rows end in a partial tile
+        for k in 1..=130 {
+            let m = master(TILE + 3, k, k as u64);
+            for dtype in [QuantDtype::F32, QuantDtype::I8] {
+                let q = QuantizedFactors::quantize(&m, dtype);
+                assert_eq!(q.kernel_level(), KernelLevel::detect());
+                let prepared = q.prepare(m.row(2));
+                let bits = |level| {
+                    let mut out = vec![f64::NAN; m.rows()];
+                    let q = q.clone().with_kernel_level(level);
+                    q.score_block(&prepared, 0, &mut out);
+                    out.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+                };
+                let baseline = bits(KernelLevel::Baseline);
+                for level in KernelLevel::available().skip(1) {
+                    assert_eq!(bits(level), baseline, "{dtype} k={k} {level}");
+                }
+            }
         }
     }
 

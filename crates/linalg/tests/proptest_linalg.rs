@@ -1,6 +1,6 @@
 //! Property tests for the dense linear-algebra substrate.
 
-use ocular_linalg::{ops, Cholesky, Matrix, QuantDtype, QuantizedFactors};
+use ocular_linalg::{ops, Cholesky, KernelLevel, Matrix, QuantDtype, QuantizedFactors};
 use proptest::prelude::*;
 
 fn arb_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -191,6 +191,46 @@ proptest! {
                 prop_assert!(
                     (out[i] - exact).abs() <= bound,
                     "{} item {}: |{} - {}| > {}", dtype, i, out[i], exact, bound
+                );
+            }
+        }
+    }
+
+    /// Every kernel level writes the bits the baseline writes, for both
+    /// dtypes, at every tail length of the unrolled dots (K up to 130
+    /// covers each remainder of the 8- and 32-lane loops after 0–4 full
+    /// chunks), from any `first` offset, through partial first and last
+    /// tiles. A box without a second level has nothing to compare.
+    #[test]
+    fn kernel_levels_write_bit_equal_scores(
+        (k, rows) in (1usize..=130, 1usize..=150),
+        values in proptest::collection::vec(0.0f64..4.0, 151 * 130),
+        first_frac in 0.0f64..1.0,
+        len_frac in 0.0f64..=1.0,
+    ) {
+        let levels: Vec<KernelLevel> = KernelLevel::available().collect();
+        if levels.len() < 2 {
+            eprintln!("kernel_levels_write_bit_equal_scores: skipped, only {} here", levels[0]);
+            return Ok(());
+        }
+        let items = Matrix::from_vec(rows, k, values[..rows * k].to_vec());
+        let user = &values[rows * k..(rows + 1) * k];
+        let first = (first_frac * rows as f64) as usize;
+        let len = (len_frac * (rows - first) as f64).round() as usize;
+        for dtype in [QuantDtype::F32, QuantDtype::I8] {
+            let q = QuantizedFactors::quantize(&items, dtype);
+            let prepared = q.prepare(user);
+            let score = |level: KernelLevel| {
+                let mut out = vec![f64::NAN; len];
+                let q = q.clone().with_kernel_level(level);
+                q.score_block(&prepared, first, &mut out);
+                out.iter().map(|s| s.to_bits()).collect::<Vec<u64>>()
+            };
+            let baseline = score(KernelLevel::Baseline);
+            for &level in &levels[1..] {
+                prop_assert_eq!(
+                    &score(level), &baseline,
+                    "{} {} k={} rows {}..{}", dtype, level, k, first, first + len
                 );
             }
         }

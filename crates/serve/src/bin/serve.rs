@@ -52,8 +52,10 @@
 //! master, and serving scores the catalog through the matching blocked
 //! kernel; at serve time the same flag re-quantizes any OCuLaR snapshot
 //! on load, so old snapshots opt in without retraining. Responses and
-//! `GET /stats` report the active `dtype`. Cold-start fold-in always
-//! solves in f64 and narrows the folded row per request.
+//! `GET /stats` report the active `dtype`; the start-up line and
+//! `GET /stats` also name the `kernel` level (`baseline` / `avx2`) the
+//! process detected — replies are identical at either. Cold-start fold-in
+//! always solves in f64 and narrows the folded row per request.
 //!
 //! **Listen** (Linux) — same engine behind the non-blocking TCP/HTTP
 //! front-end instead of stdin ([`ocular_serve::net::server`]): request
@@ -502,10 +504,11 @@ fn build_engine(flags: &Flags, floor_generation: u64) -> Result<ServeEngine, Str
     }
     let engine = builder.build().map_err(|e| e.to_string())?;
     eprintln!(
-        "serving `{}` snapshot from {snap_path} (generation {}, dtype {}, {} shard(s))",
+        "serving `{}` snapshot from {snap_path} (generation {}, dtype {}, kernel {}, {} shard(s))",
         engine.kind(),
         engine.generation(),
         engine.dtype().unwrap_or("f64"),
+        engine.kernel(),
         engine.n_shards()
     );
     Ok(engine)

@@ -46,7 +46,7 @@ use ocular_core::{
     fold_in_user_with, top_m_for_factors, FactorModel, FoldInScratch, OcularConfig, Recommendation,
 };
 use ocular_linalg::topk::{top_k_excluding, MonotoneTopK};
-use ocular_linalg::{ops, QuantDtype, QuantizedFactors};
+use ocular_linalg::{ops, KernelLevel, QuantDtype, QuantizedFactors};
 use ocular_sparse::{Dataset, ShardedDataset};
 use rayon::prelude::*;
 use std::cell::RefCell;
@@ -197,7 +197,12 @@ impl EngineModel {
     /// factors to `quantize` when asked. A snapshot-carried quantized copy
     /// is kept only when it matches the requested dtype (or none was
     /// requested); otherwise the copy is re-quantized from the f64 master.
-    fn new(snapshot: AnySnapshot, quantize: Option<QuantDtype>) -> Result<Self, OcularError> {
+    /// `kernel` pins the copy's kernel level (tests only).
+    fn new(
+        snapshot: AnySnapshot,
+        quantize: Option<QuantDtype>,
+        kernel: Option<KernelLevel>,
+    ) -> Result<Self, OcularError> {
         match snapshot {
             AnySnapshot::Ocular(s) => {
                 let quant = match quantize {
@@ -205,6 +210,10 @@ impl EngineModel {
                         Some(QuantizedFactors::quantize(&s.model.item_factors, dtype))
                     }
                     _ => s.quant,
+                };
+                let quant = match kernel {
+                    Some(level) => quant.map(|q| q.with_kernel_level(level)),
+                    None => quant,
                 };
                 let item_sum = s.model.item_factors.column_sums();
                 Ok(EngineModel::Ocular {
@@ -308,6 +317,7 @@ pub struct EngineBuilder {
     index_cfg: IndexConfig,
     generation: u64,
     quantize: Option<QuantDtype>,
+    kernel: Option<KernelLevel>,
     shards: usize,
 }
 
@@ -320,6 +330,7 @@ impl EngineBuilder {
             index_cfg: IndexConfig::default(),
             generation: 0,
             quantize: None,
+            kernel: None,
             shards: 1,
         }
     }
@@ -420,6 +431,18 @@ impl EngineBuilder {
         self
     }
 
+    /// Pins the quantized copy's kernel level instead of the detected one,
+    /// so tests can hold every available level to the same replies. Not a
+    /// serving knob — levels differ in speed only.
+    ///
+    /// # Panics
+    /// [`EngineBuilder::build`] panics if this CPU cannot run `level`.
+    #[doc(hidden)]
+    pub fn kernel_level(mut self, level: KernelLevel) -> Self {
+        self.kernel = Some(level);
+        self
+    }
+
     /// Splits the user axis into `n` partitions in memory (default 1, the
     /// unsharded engine): user-factor rows and dataset rows along the one
     /// external-id hash, item-side state replicated. Responses are
@@ -484,7 +507,7 @@ impl EngineBuilder {
                     )));
                 }
             }
-            let model = EngineModel::new(snapshot, self.quantize)?;
+            let model = EngineModel::new(snapshot, self.quantize, self.kernel)?;
             // dataset ⊇ model: equal shapes are the steady state, a strictly
             // larger dataset means deltas arrived since the snapshot was
             // trained and the overhang is served by fold-in.
@@ -630,6 +653,19 @@ impl ServeEngine {
     /// reported in wire responses and `/stats`.
     pub fn dtype(&self) -> Option<&'static str> {
         self.parts[0].model.quant().map(|q| q.dtype().name())
+    }
+
+    /// Name of the ISA level the scoring kernels run at (`"baseline"` /
+    /// `"avx2"`, see [`KernelLevel`]) — reported by `/stats` and the
+    /// start-up line, never in responses: replies are identical across
+    /// levels. Only the quantized kernels come in more than one level, so
+    /// an engine scoring through the f64 master says `"baseline"`.
+    pub fn kernel(&self) -> &'static str {
+        let level = self.parts[0]
+            .model
+            .quant()
+            .map(QuantizedFactors::kernel_level);
+        level.unwrap_or(KernelLevel::Baseline).name()
     }
 
     /// The model generation this engine serves (0 when never set) —
@@ -1648,7 +1684,13 @@ mod tests {
                     CandidatePolicy::FullCatalog,
                     CandidatePolicy::Clusters { min_candidates: 20 },
                 ] {
-                    for shards in [1usize, 4] {
+                    // (partitions, pinned kernel level): the quantized scans
+                    // once per level this CPU has, against the one reference
+                    let mut runs = vec![(1usize, None), (4, None)];
+                    if quantize.is_some() {
+                        runs.extend(KernelLevel::available().map(|level| (1, Some(level))));
+                    }
+                    for (shards, level) in runs {
                         let mut builder = EngineBuilder::from_model(model.clone())
                             .dataset(data.clone())
                             .index_config(index_cfg)
@@ -1658,7 +1700,13 @@ mod tests {
                         if let Some(dtype) = quantize {
                             builder = builder.quantization(dtype);
                         }
+                        if let Some(level) = level {
+                            builder = builder.kernel_level(level);
+                        }
                         let e = builder.build().unwrap();
+                        if let Some(level) = level {
+                            assert_eq!(e.kernel(), level.name());
+                        }
                         let fold = |basket: &[usize]| {
                             ocular_core::fold_in_user(
                                 model,
@@ -1676,7 +1724,8 @@ mod tests {
                                     model, &index, quantize, policy, factors, exclude, m,
                                 )
                             };
-                            let ctx = format!("{quantize:?} {policy:?} shards={shards} m={m}");
+                            let ctx =
+                                format!("{quantize:?} {level:?} {policy:?} shards={shards} m={m}");
                             for user in 0..n_users {
                                 let got = e.serve_one(&Request::Warm { user, m }).unwrap();
                                 let want = expected(model.user_factors.row(user), data.row(user));

@@ -35,7 +35,10 @@
 //!   [`CandidatePolicy::FullCatalog`] mode the served lists are
 //!   **bitwise identical** to [`ocular_core::recommend_top_m`].
 //! * **Quantized scoring** — f32 / per-row affine int8 item factors
-//!   ([`QuantizedFactors`]) scored through a blocked kernel.
+//!   ([`QuantizedFactors`]) scored through a blocked kernel, compiled at
+//!   two ISA levels ([`KernelLevel`]: baseline and AVX2) and picked per
+//!   process from what the CPU reports — automatically, with identical
+//!   replies at either; `/stats` names the level in use.
 //! * **Cold start** — unseen users are folded in at request time
 //!   (OCuLaR via [`ocular_core::fold_in_user`]; other kinds through their
 //!   [`ocular_api::FoldIn`] capability, with a typed
@@ -97,5 +100,5 @@ pub use snapshot::{
 };
 // re-exported so CLI/transport layers name the quantized dtypes without a
 // direct linalg dependency
-pub use ocular_linalg::{QuantDtype, QuantizedFactors};
+pub use ocular_linalg::{KernelLevel, QuantDtype, QuantizedFactors};
 pub use swap::SwapEngine;

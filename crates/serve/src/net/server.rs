@@ -699,14 +699,7 @@ fn route(
         ("GET", "/stats") => {
             let current = swap.engine();
             let mut body = stats
-                .to_json_with_model(
-                    current.generation(),
-                    current.kind(),
-                    current.dtype(),
-                    swap.swap_count(),
-                    swap.reloading(),
-                    &current.shard_stats(),
-                )
+                .to_json_with_model(&current, swap.swap_count(), swap.reloading())
                 .to_string();
             body.push('\n');
             conn.push_ready(200, body.as_bytes(), req.keep_alive);

@@ -11,6 +11,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::engine::ServeEngine;
 use crate::json::Json;
 
 /// Sub-buckets per power of two above the linear range.
@@ -213,39 +214,30 @@ impl ServerStats {
 
     /// The `/stats` body with the serving model's identity appended:
     /// which `model_generation` and `kind` answer requests right now,
-    /// the quantized scoring `dtype` when one is active, how many hot
-    /// `swaps` have landed, whether a reload is in flight, and how many
-    /// `reloads` were attempted. An engine with more than one partition
-    /// additionally reports the per-partition `shard` array
-    /// (`[{shard, users, requests}, …]`) — additive: unsharded servers
-    /// omit the field entirely, so existing consumers parse unchanged.
-    pub fn to_json_with_model(
-        &self,
-        generation: u64,
-        kind: &str,
-        dtype: Option<&str>,
-        swaps: u64,
-        reloading: bool,
-        shards: &[crate::engine::ShardStat],
-    ) -> Json {
+    /// the quantized scoring `dtype` when one is active and the ISA level
+    /// of the scoring `kernel` (why two hosts can differ 1.8× on one
+    /// snapshot), how many hot `swaps` have landed, whether a reload is in
+    /// flight, and how many `reloads` were attempted. An engine with more
+    /// than one partition additionally reports the per-partition `shard`
+    /// array (`[{shard, users, requests}, …]`) — additive: unsharded
+    /// servers omit the field entirely, so existing consumers parse
+    /// unchanged.
+    pub fn to_json_with_model(&self, engine: &ServeEngine, swaps: u64, reloading: bool) -> Json {
         let Json::Obj(mut fields) = self.to_json() else {
             unreachable!("stats body is an object");
         };
-        fields.push(("model_generation".into(), Json::Int(generation)));
-        fields.push(("kind".into(), Json::Str(kind.to_string())));
-        fields.push((
-            "dtype".into(),
-            match dtype {
-                Some(d) => Json::Str(d.to_string()),
-                None => Json::Str("f64".to_string()),
-            },
-        ));
+        let text = |s: &str| Json::Str(s.to_string());
+        fields.push(("model_generation".into(), Json::Int(engine.generation())));
+        fields.push(("kind".into(), text(engine.kind())));
+        fields.push(("dtype".into(), text(engine.dtype().unwrap_or("f64"))));
+        fields.push(("kernel".into(), text(engine.kernel())));
         fields.push(("swaps".into(), Json::Int(swaps)));
         fields.push(("reloading".into(), Json::Bool(reloading)));
         fields.push((
             "reloads".into(),
             Json::Int(self.reloads.load(Ordering::Relaxed)),
         ));
+        let shards = engine.shard_stats();
         if !shards.is_empty() {
             let rows = shards
                 .iter()
@@ -339,46 +331,48 @@ mod tests {
 
     #[test]
     fn stats_json_carries_the_model_identity() {
+        use crate::{EngineBuilder, KernelLevel, QuantDtype};
+        use ocular_core::FactorModel;
+        use ocular_linalg::Matrix;
+        use ocular_sparse::{CsrMatrix, Dataset};
+
+        let factors = |rows: usize| Matrix::from_vec(rows, 2, vec![0.5; rows * 2]);
+        let builder = || {
+            EngineBuilder::from_model(FactorModel::new(factors(5), factors(4), false))
+                .dataset(Dataset::from_matrix(CsrMatrix::empty(5, 4)))
+                .generation(9)
+        };
         let stats = ServerStats::new(1);
         stats.reloads.store(4, Ordering::Relaxed);
-        let text = stats
-            .to_json_with_model(9, "ocular", None, 3, true, &[])
-            .to_string();
-        let back = Json::parse(&text).unwrap();
+        let body = |engine: &ServeEngine, reloading: bool| {
+            let text = stats.to_json_with_model(engine, 3, reloading).to_string();
+            Json::parse(&text).unwrap()
+        };
+        let back = body(&builder().build().unwrap(), true);
         assert_eq!(back.get("model_generation").unwrap().as_u64(), Some(9));
         assert_eq!(back.get("kind").unwrap().as_str(), Some("ocular"));
         assert_eq!(back.get("dtype").unwrap().as_str(), Some("f64"));
+        assert_eq!(back.get("kernel").unwrap().as_str(), Some("baseline"));
         assert_eq!(back.get("swaps").unwrap().as_u64(), Some(3));
         assert_eq!(back.get("reloading"), Some(&Json::Bool(true)));
         assert_eq!(back.get("reloads").unwrap().as_u64(), Some(4));
-        // a quantized engine names its representation
-        let text = stats
-            .to_json_with_model(9, "ocular", Some("int8"), 3, false, &[])
-            .to_string();
-        let back = Json::parse(&text).unwrap();
+        // a quantized engine names its representation and kernel level
+        let int8 = builder().quantization(QuantDtype::I8).build().unwrap();
+        let back = body(&int8, false);
         assert_eq!(back.get("dtype").unwrap().as_str(), Some("int8"));
+        assert_eq!(
+            back.get("kernel").unwrap().as_str(),
+            Some(KernelLevel::detect().name())
+        );
         // unsharded bodies omit the shard field entirely
         assert_eq!(back.get("shard"), None);
         // a sharded engine appends the per-shard array
-        let shards = vec![
-            crate::engine::ShardStat {
-                shard: 0,
-                users: 3,
-                requests: 7,
-            },
-            crate::engine::ShardStat {
-                shard: 1,
-                users: 2,
-                requests: 5,
-            },
-        ];
-        let text = stats
-            .to_json_with_model(9, "ocular", None, 3, false, &shards)
-            .to_string();
-        let back = Json::parse(&text).unwrap();
+        let back = body(&builder().shards(2).build().unwrap(), false);
         let rows = back.get("shard").unwrap().as_array().unwrap();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[1].get("users").unwrap().as_u64(), Some(2));
-        assert_eq!(rows[1].get("requests").unwrap().as_u64(), Some(5));
+        let users = |row: &Json| row.get("users").unwrap().as_u64().unwrap();
+        assert_eq!(users(&rows[0]) + users(&rows[1]), 5);
+        assert_eq!(rows[1].get("shard").unwrap().as_u64(), Some(1));
+        assert_eq!(rows[1].get("requests").unwrap().as_u64(), Some(0));
     }
 }

@@ -18,7 +18,8 @@ use ocular_serve::net::http;
 use ocular_serve::net::{RunningServer, Server, ServerConfig};
 use ocular_serve::protocol::ErrorCode;
 use ocular_serve::{
-    AnySnapshot, CandidatePolicy, EngineBuilder, ServeConfig, ServeEngine, SwapEngine, WireReply,
+    AnySnapshot, CandidatePolicy, EngineBuilder, KernelLevel, QuantDtype, ServeConfig, ServeEngine,
+    SwapEngine, WireReply,
 };
 use ocular_sparse::io::read_edge_list;
 
@@ -367,12 +368,37 @@ fn stats_endpoint_reports_counters_and_latency() {
             "{q} must be positive"
         );
     }
+    // the scoring representation and the ISA level of its kernel, side by
+    // side: the f64 master has one compilation, the baseline
+    assert_eq!(v.get("dtype").and_then(Json::as_str), Some("f64"));
+    assert_eq!(v.get("kernel").and_then(Json::as_str), Some("baseline"));
     // Unknown endpoints answer 404 without killing the connection.
     let resp = client.round_trip("GET", "/nope", "");
     assert_eq!(resp.status, 404);
     let resp = client.round_trip("GET", "/healthz", "");
     assert_eq!(resp.status, 200);
     // Clean shutdown: the I/O thread joins and reports no error.
+    server.shutdown().unwrap();
+
+    // a quantized engine names the level this process detected
+    let loaded = AnySnapshot::load_path_full(&snap).unwrap();
+    let dataset = read_edge_list(edges.to_str().unwrap(), "\t", None)
+        .unwrap()
+        .into_dataset();
+    let int8 = EngineBuilder::from_loaded(loaded)
+        .dataset(dataset)
+        .config(serve_cfg())
+        .quantization(QuantDtype::I8)
+        .build()
+        .unwrap();
+    let server = spawn_server(int8, ServerConfig::default());
+    let resp = Client::connect(server.addr()).round_trip("GET", "/stats", "");
+    let v = Json::parse(String::from_utf8(resp.body).unwrap().trim_end()).unwrap();
+    assert_eq!(v.get("dtype").and_then(Json::as_str), Some("int8"));
+    assert_eq!(
+        v.get("kernel").and_then(Json::as_str),
+        Some(KernelLevel::detect().name())
+    );
     server.shutdown().unwrap();
     let _ = std::fs::remove_file(&edges);
     let _ = std::fs::remove_file(&snap);

@@ -12,7 +12,7 @@
 use ocular::datasets::planted::{generate, PlantedConfig};
 use ocular::parallel::with_threads;
 use ocular::prelude::*;
-use ocular::serve::IndexConfig;
+use ocular::serve::{IndexConfig, KernelLevel};
 
 fn trained() -> (FactorModel, ocular::sparse::Dataset, OcularConfig) {
     let data = generate(&PlantedConfig {
@@ -155,56 +155,72 @@ fn cluster_fallback_is_exact_and_scores_are_model_probabilities() {
 /// The quantized engines honour the same batching contract as the f64
 /// path: thread count never changes output, and `serve_batch` answers
 /// exactly what `serve_one` answers — for both dtypes, over warm and
-/// cold requests, through both candidate paths.
+/// cold requests, through both candidate paths. Each runs once per
+/// kernel level this CPU has (`None` = the level it would pick itself),
+/// and every level must answer what the first did: a baseline box and an
+/// AVX2 box serve the same bytes.
 #[test]
 fn quantized_engines_deterministic_across_threads() {
     let (model, r, train_cfg) = trained();
+    let requests: Vec<Request> = (0..r.n_users())
+        .map(|user| Request::Warm { user, m: 10 })
+        .chain([
+            Request::Cold {
+                basket: vec![0, 1, 2],
+                m: 10,
+            },
+            Request::Cold {
+                basket: vec![40, 41],
+                m: 10,
+            },
+        ])
+        .collect();
     for (dtype, shards) in [
         (QuantDtype::F32, 1),
         (QuantDtype::I8, 1),
         (QuantDtype::I8, 4),
     ] {
-        let e = EngineBuilder::from_model(model.clone())
-            .dataset(r.clone())
-            .index_config(IndexConfig {
-                rel: 0.5,
-                floor: 10,
-            })
-            .config(ServeConfig {
-                default_m: 20,
-                candidates: CandidatePolicy::Clusters { min_candidates: 5 },
-                foldin: train_cfg.clone(),
-                ..Default::default()
-            })
-            .quantization(dtype)
-            .shards(shards)
-            .build()
-            .unwrap();
-        assert_eq!(e.dtype(), Some(dtype.name()));
-        let requests: Vec<Request> = (0..r.n_users())
-            .map(|user| Request::Warm { user, m: 10 })
-            .chain([
-                Request::Cold {
-                    basket: vec![0, 1, 2],
-                    m: 10,
-                },
-                Request::Cold {
-                    basket: vec![40, 41],
-                    m: 10,
-                },
-            ])
-            .collect();
-        let reference = with_threads(Some(1), || e.serve_batch(&requests));
-        for threads in [2usize, 4, 8] {
+        let mut first_level = None;
+        for level in std::iter::once(None).chain(KernelLevel::available().map(Some)) {
+            let mut builder = EngineBuilder::from_model(model.clone())
+                .dataset(r.clone())
+                .index_config(IndexConfig {
+                    rel: 0.5,
+                    floor: 10,
+                })
+                .config(ServeConfig {
+                    default_m: 20,
+                    candidates: CandidatePolicy::Clusters { min_candidates: 5 },
+                    foldin: train_cfg.clone(),
+                    ..Default::default()
+                })
+                .quantization(dtype)
+                .shards(shards);
+            if let Some(level) = level {
+                builder = builder.kernel_level(level);
+            }
+            let e = builder.build().unwrap();
+            assert_eq!(e.dtype(), Some(dtype.name()));
+            assert_eq!(e.kernel(), level.unwrap_or(KernelLevel::detect()).name());
+            let reference = with_threads(Some(1), || e.serve_batch(&requests));
+            for threads in [2usize, 4, 8] {
+                assert_eq!(
+                    with_threads(Some(threads), || e.serve_batch(&requests)),
+                    reference,
+                    "{} engine ×{shards} must be identical at {threads} threads",
+                    dtype.name()
+                );
+            }
+            for (req, want) in requests.iter().zip(&reference) {
+                assert_eq!(&e.serve_one(req), want);
+            }
+            let first = first_level.get_or_insert_with(|| reference.clone());
             assert_eq!(
-                with_threads(Some(threads), || e.serve_batch(&requests)),
-                reference,
-                "{} engine ×{shards} must be identical at {threads} threads",
+                &reference,
+                first,
+                "{} engine ×{shards} at {level:?} must answer what the detected level does",
                 dtype.name()
             );
-        }
-        for (req, want) in requests.iter().zip(&reference) {
-            assert_eq!(&e.serve_one(req), want);
         }
     }
 }

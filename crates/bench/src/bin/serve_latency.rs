@@ -174,20 +174,28 @@ fn main() {
         scored_total += served.scored;
         std::hint::black_box(served.items.len());
     });
-    let lat_cold = measure(n_requests.min(200), |i| {
-        let basket: Vec<usize> = r
-            .row(user_at(i))
-            .iter()
-            .take(8)
-            .map(|&x| x as usize)
-            .collect();
+    // cold baskets as the repo benchmark's `http_mixed_cold` draws them:
+    // the first 1..=16 items of a user's row
+    let cold: Vec<Request> = (0..n_requests)
+        .map(|i| {
+            let row = r.row(user_at(i));
+            let basket = row.iter().take(1 + i % 16).map(|&x| x as usize).collect();
+            Request::Cold { basket, m }
+        })
+        .collect();
+    let folds_before = engine_clusters.fold_in_stats();
+    let lat_cold = measure(n_requests, |i| {
         std::hint::black_box(
             engine_clusters
-                .serve_one(&Request::Cold { basket, m })
+                .serve_one(&cold[i])
                 .map(|s| s.items.len())
                 .unwrap_or(0),
         );
     });
+    let folds = engine_clusters.fold_in_stats();
+    let cold_solves = (folds.fold_ins - folds_before.fold_ins) as f64;
+    let cold_iterations = (folds.iterations - folds_before.iterations) as f64 / cold_solves;
+    let cold_unconverged = folds.unconverged - folds_before.unconverged;
 
     // snapshot cold-start cost on the same model: text parse vs v3 mmap.
     // This is the number the O(1)-start-up claim is gated on — bench_gate
@@ -256,6 +264,10 @@ fn main() {
     report("engine full-catalog (heap)", &lat_full);
     report("engine clusters (cand+heap)", &lat_clusters);
     report("engine cold-start (fold-in)", &lat_cold);
+    println!(
+        "fold-in: {cold_iterations:.2} iterations per solve, {cold_unconverged} of {cold_solves} unconverged, p99/p50 = {:.1}",
+        lat_cold.p99 / lat_cold.p50
+    );
     eprintln!(
         "cluster mode: mean scored {:.0}/{} items, {fallbacks}/{n_requests} fallbacks; batch throughput {throughput:.0} req/s",
         scored_total as f64 / n_requests as f64,
@@ -410,6 +422,11 @@ fn main() {
         ("engine_full", lat_json(&lat_full)),
         ("engine_clusters", lat_json(&lat_clusters)),
         ("engine_cold", lat_json(&lat_cold)),
+        ("engine_cold_iterations", Json::Num(cold_iterations)),
+        (
+            "engine_cold_unconverged",
+            Json::Num(cold_unconverged as f64),
+        ),
         (
             "mean_scored_items",
             Json::Num(scored_total as f64 / n_requests as f64),

@@ -32,6 +32,17 @@ pub fn positive_coefficient(p: f64, w: f64) -> f64 {
     w / p.max(P_MIN).exp_m1()
 }
 
+/// [`positive_coefficient`] and the matching curvature
+/// `d²/dp² [−w·log(1 − e^{−p})] = w·eᵖ/expm1(p)²` from one `exp_m1` — what
+/// a second-order solve of a row subproblem (fold-in) reads per positive.
+#[inline]
+pub fn positive_coefficient_and_curvature(p: f64, w: f64) -> (f64, f64) {
+    let e = p.max(P_MIN).exp_m1();
+    let coefficient = w / e;
+    // eᵖ/e² written as (1 + 1/e)/e: stays 0, not NaN, once `e` is ∞
+    (coefficient, coefficient * (1.0 + 1.0 / e))
+}
+
 /// Per-user weights for the chosen [`crate::Weighting`].
 pub fn user_weights(r: &CsrMatrix, weighting: crate::Weighting) -> Vec<f64> {
     match weighting {
@@ -150,6 +161,25 @@ mod tests {
                 "p={p}: numeric {numeric} vs analytic {analytic}"
             );
         }
+    }
+
+    #[test]
+    fn curvature_is_the_derivative_of_the_coefficient() {
+        for &(p, w) in &[(0.05f64, 1.0), (0.3, 2.5), (1.0, 1.0), (3.0, 40.0)] {
+            let (coefficient, curvature) = positive_coefficient_and_curvature(p, w);
+            assert_eq!(coefficient.to_bits(), positive_coefficient(p, w).to_bits());
+            let h = 1e-6;
+            let numeric =
+                (positive_coefficient(p - h, w) - positive_coefficient(p + h, w)) / (2.0 * h);
+            assert!(
+                (numeric - curvature).abs() < 1e-6 * curvature.max(1.0),
+                "p={p}: numeric {numeric} vs analytic {curvature}"
+            );
+        }
+        // both ends of the range stay finite: the clamp, and expm1 = ∞
+        let (c, h) = positive_coefficient_and_curvature(0.0, 1.0);
+        assert!(c.is_finite() && h.is_finite() && h > c);
+        assert_eq!(positive_coefficient_and_curvature(800.0, 1.0), (0.0, 0.0));
     }
 
     #[test]

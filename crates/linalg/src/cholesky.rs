@@ -66,25 +66,69 @@ impl Cholesky {
         }
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
+        }
+        Self::factor_in_place(l.as_mut_slice(), n)?;
+        Ok(Cholesky { l })
+    }
+
+    /// [`Cholesky::factor`] on caller-owned storage: `a` is an `n × n`
+    /// row-major slice whose lower triangle holds the matrix and is
+    /// overwritten by the factor `L`; entries above the diagonal are
+    /// neither read nor written. For a solver that factors per request
+    /// and cannot afford a `Matrix` per call. On an error the lower
+    /// triangle is left partly overwritten.
+    ///
+    /// # Panics
+    /// Panics if `a.len() != n * n`.
+    pub fn factor_in_place(a: &mut [f64], n: usize) -> Result<(), CholeskyError> {
+        assert_eq!(a.len(), n * n, "storage must be n × n");
         for j in 0..n {
-            let mut d = a[(j, j)];
+            let mut d = a[j * n + j];
             for k in 0..j {
-                d -= l[(j, k)] * l[(j, k)];
+                d -= a[j * n + k] * a[j * n + k];
             }
             if d <= 0.0 || !d.is_finite() {
                 return Err(CholeskyError::NotPositiveDefinite { pivot: j, value: d });
             }
             let dj = d.sqrt();
-            l[(j, j)] = dj;
+            a[j * n + j] = dj;
             for i in j + 1..n {
-                let mut s = a[(i, j)];
+                let mut s = a[i * n + j];
                 for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
+                    s -= a[i * n + k] * a[j * n + k];
                 }
-                l[(i, j)] = s / dj;
+                a[i * n + j] = s / dj;
             }
         }
-        Ok(Cholesky { l })
+        Ok(())
+    }
+
+    /// Solves `L·Lᵀ x = b` in place (`b` becomes `x`) against the factor
+    /// [`Cholesky::factor_in_place`] left in the lower triangle of `l`.
+    ///
+    /// # Panics
+    /// Panics if `l.len() != n * n` or `b.len() != n`.
+    pub fn solve_lower_in_place(l: &[f64], n: usize, b: &mut [f64]) {
+        assert_eq!(l.len(), n * n, "storage must be n × n");
+        assert_eq!(b.len(), n, "rhs length must equal dimension");
+        // forward: L y = b
+        for i in 0..n {
+            let mut s = b[i];
+            for k in 0..i {
+                s -= l[i * n + k] * b[k];
+            }
+            b[i] = s / l[i * n + i];
+        }
+        // backward: Lᵀ x = y
+        for i in (0..n).rev() {
+            let mut s = b[i];
+            for k in i + 1..n {
+                s -= l[k * n + i] * b[k];
+            }
+            b[i] = s / l[i * n + i];
+        }
     }
 
     /// Dimension of the factored matrix.
@@ -103,24 +147,7 @@ impl Cholesky {
     /// # Panics
     /// Panics if `b.len() != dim()`.
     pub fn solve_in_place(&self, b: &mut [f64]) {
-        let n = self.dim();
-        assert_eq!(b.len(), n, "rhs length must equal dimension");
-        // forward: L y = b
-        for i in 0..n {
-            let mut s = b[i];
-            for k in 0..i {
-                s -= self.l[(i, k)] * b[k];
-            }
-            b[i] = s / self.l[(i, i)];
-        }
-        // backward: Lᵀ x = y
-        for i in (0..n).rev() {
-            let mut s = b[i];
-            for k in i + 1..n {
-                s -= self.l[(k, i)] * b[k];
-            }
-            b[i] = s / self.l[(i, i)];
-        }
+        Self::solve_lower_in_place(self.l.as_slice(), self.dim(), b);
     }
 
     /// Solves `A x = b`, returning a fresh vector.
@@ -199,6 +226,32 @@ mod tests {
     #[test]
     fn rejects_zero_matrix() {
         assert!(Cholesky::factor(&Matrix::zeros(2, 2)).is_err());
+    }
+
+    #[test]
+    fn in_place_factor_matches_and_leaves_the_upper_triangle_alone() {
+        let a = spd3();
+        let ch = Cholesky::factor(&a).unwrap();
+        let mut store = a.as_slice().to_vec();
+        for (i, j) in [(0, 1), (0, 2), (1, 2)] {
+            store[i * 3 + j] = f64::NAN;
+        }
+        Cholesky::factor_in_place(&mut store, 3).unwrap();
+        for i in 0..3 {
+            for j in 0..3 {
+                if j <= i {
+                    assert_eq!(store[i * 3 + j].to_bits(), ch.l()[(i, j)].to_bits());
+                } else {
+                    assert!(store[i * 3 + j].is_nan(), "({i},{j}) was written");
+                }
+            }
+        }
+        let mut x = [1.0, 2.0, 3.0];
+        Cholesky::solve_lower_in_place(&store, 3, &mut x);
+        assert_eq!(x.to_vec(), ch.solve(&[1.0, 2.0, 3.0]));
+        // the empty system is trivially factored and solved
+        Cholesky::factor_in_place(&mut [], 0).unwrap();
+        Cholesky::solve_lower_in_place(&[], 0, &mut []);
     }
 
     #[test]

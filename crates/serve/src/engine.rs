@@ -90,7 +90,9 @@ pub struct ServeConfig {
     pub default_m: usize,
     /// Candidate-generation policy.
     pub candidates: CandidatePolicy,
-    /// Solver budget for cold-start fold-in (projected-gradient steps).
+    /// Iteration cap of the cold-start fold-in solve. A basket needs 3–10
+    /// iterations; one that reaches the cap is counted in
+    /// [`FoldInStats::unconverged`].
     pub foldin_steps: usize,
     /// Training hyper-parameters reused by the OCuLaR cold-start fold-in
     /// solve (only `lambda`, `sigma`, `beta`, `max_backtracks` matter
@@ -278,6 +280,50 @@ pub struct ShardStat {
     /// warm requests on the partition owning the user (an unknown external
     /// id on the partition its hash names), cold requests on partition 0.
     pub requests: u64,
+}
+
+/// OCuLaR fold-in solver telemetry since the engine was built, reported by
+/// `/stats` as `fold_ins`, `fold_in_iterations` and `fold_in_unconverged`.
+/// Cold requests and warm requests for users newer than the model both
+/// count. Iterations per solve far from the usual 3–10, or any unconverged
+/// solve, mean cold users are getting a vector that is not the minimiser.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FoldInStats {
+    /// Fold-in solves run.
+    pub fold_ins: u64,
+    /// Solver iterations over all of them.
+    pub iterations: u64,
+    /// Solves that stopped at the `foldin_steps` cap or on a failed line
+    /// search instead of at a stationary point.
+    pub unconverged: u64,
+}
+
+/// [`FoldInStats`] as the serving threads write it: statistics only, so
+/// every access is relaxed.
+#[derive(Debug, Default)]
+struct FoldInCounters {
+    fold_ins: AtomicU64,
+    iterations: AtomicU64,
+    unconverged: AtomicU64,
+}
+
+impl FoldInCounters {
+    fn record(&self, fold: &ocular_core::FoldIn) {
+        self.fold_ins.fetch_add(1, Ordering::Relaxed);
+        self.iterations
+            .fetch_add(fold.steps as u64, Ordering::Relaxed);
+        if !fold.converged {
+            self.unconverged.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn snapshot(&self) -> FoldInStats {
+        FoldInStats {
+            fold_ins: self.fold_ins.load(Ordering::Relaxed),
+            iterations: self.iterations.load(Ordering::Relaxed),
+            unconverged: self.unconverged.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// What an [`EngineBuilder`] builds an engine around.
@@ -525,6 +571,7 @@ impl EngineBuilder {
             } else {
                 Vec::new()
             },
+            fold_ins: FoldInCounters::default(),
             parts,
             assign,
             cfg: self.cfg,
@@ -585,6 +632,7 @@ pub struct ServeEngine {
     /// empty with one partition, so the unsharded request path has no
     /// counter that every serving thread writes.
     requests: Vec<AtomicU64>,
+    fold_ins: FoldInCounters,
     cfg: ServeConfig,
     generation: u64,
 }
@@ -715,6 +763,11 @@ impl ServeEngine {
                 requests: requests.load(Ordering::Relaxed),
             })
             .collect()
+    }
+
+    /// Fold-in solver telemetry since the engine was built.
+    pub fn fold_in_stats(&self) -> FoldInStats {
+        self.fold_ins.snapshot()
     }
 
     /// `(partition, partition-local row)` of global user row `user`, when
@@ -896,6 +949,7 @@ impl ServeEngine {
                         &mut s.borrow_mut(),
                     )
                 });
+                self.fold_ins.record(&fold);
                 Ok(self.select(model, index, quant.as_ref(), &fold.factors, &exclude, m))
             }
             EngineModel::Generic(model) => {
@@ -1262,6 +1316,14 @@ mod tests {
             !e.serve_one(&Request::Warm { user: 0, m: 5 })
                 .unwrap()
                 .folded_in
+        );
+        // both solves were counted (the warm row lookup was not), they
+        // iterated, and they stopped at a stationary point
+        let stats = e.fold_in_stats();
+        assert_eq!((stats.fold_ins, stats.unconverged), (2, 0), "{stats:?}");
+        assert!(
+            stats.iterations >= 2 && stats.iterations % 2 == 0,
+            "{stats:?}"
         );
         // users beyond even the dataset are still unknown, reported
         // against the dataset's user count

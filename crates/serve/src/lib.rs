@@ -40,7 +40,9 @@
 //!   process from what the CPU reports — automatically, with identical
 //!   replies at either; `/stats` names the level in use.
 //! * **Cold start** — unseen users are folded in at request time
-//!   (OCuLaR via [`ocular_core::fold_in_user`]; other kinds through their
+//!   (OCuLaR via [`ocular_core::fold_in_user`], a projected-Newton solve
+//!   of the user's own subproblem whose iteration and non-convergence
+//!   counts `/stats` reports — [`FoldInStats`]; other kinds through their
 //!   [`ocular_api::FoldIn`] capability, with a typed
 //!   [`ocular_api::OcularError::Unsupported`] answer where the algorithm
 //!   admits none), then served through the same selection path.
@@ -89,8 +91,8 @@ pub mod snapshot;
 pub mod swap;
 
 pub use engine::{
-    CandidatePolicy, EngineBuilder, Request, ServeConfig, ServeEngine, ServeError, ServedList,
-    ShardStat,
+    CandidatePolicy, EngineBuilder, FoldInStats, Request, ServeConfig, ServeEngine, ServeError,
+    ServedList, ShardStat,
 };
 pub use index::{ClusterIndex, IndexConfig};
 pub use protocol::{WireError, WireReply, WireRequest, WireResponse, PROTOCOL_VERSION};

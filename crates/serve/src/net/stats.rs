@@ -217,7 +217,9 @@ impl ServerStats {
     /// the quantized scoring `dtype` when one is active and the ISA level
     /// of the scoring `kernel` (why two hosts can differ 1.8× on one
     /// snapshot), how many hot `swaps` have landed, whether a reload is in
-    /// flight, and how many `reloads` were attempted. An engine with more
+    /// flight, how many `reloads` were attempted, and the fold-in solver
+    /// counters `fold_ins` / `fold_in_iterations` / `fold_in_unconverged`
+    /// ([`crate::engine::FoldInStats`]). An engine with more
     /// than one partition additionally reports the per-partition `shard`
     /// array (`[{shard, users, requests}, …]`) — additive: unsharded
     /// servers omit the field entirely, so existing consumers parse
@@ -237,6 +239,10 @@ impl ServerStats {
             "reloads".into(),
             Json::Int(self.reloads.load(Ordering::Relaxed)),
         ));
+        let fold = engine.fold_in_stats();
+        fields.push(("fold_ins".into(), Json::Int(fold.fold_ins)));
+        fields.push(("fold_in_iterations".into(), Json::Int(fold.iterations)));
+        fields.push(("fold_in_unconverged".into(), Json::Int(fold.unconverged)));
         let shards = engine.shard_stats();
         if !shards.is_empty() {
             let rows = shards

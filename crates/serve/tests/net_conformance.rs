@@ -132,6 +132,48 @@ const REQUESTS: &[&str] = &[
     r#"{"user": 0, "basket": [1]}"#,
 ];
 
+/// `/stats` carries the fold-in solver's counters: solves, iterations and
+/// solves that did not reach a stationary point. Cold baskets count, and so
+/// does a warm request for a user newer than the snapshot; a warm row
+/// lookup and a rejected basket do not.
+#[test]
+fn stats_count_fold_in_solves() {
+    let (edges, snap) = train_fixture("foldstats");
+    // a user who arrived after the snapshot was trained
+    let grown = format!("{EDGES}500\t7\n500\t55\n");
+    std::fs::write(&edges, grown).unwrap();
+    let server = spawn_server(build_engine(&edges, &snap), ServerConfig::default());
+    let mut client = Client::connect(server.addr());
+    let fold_counters = |client: &mut Client| {
+        let resp = client.round_trip("GET", "/stats", "");
+        let v = Json::parse(String::from_utf8(resp.body).unwrap().trim_end()).unwrap();
+        ["fold_ins", "fold_in_iterations", "fold_in_unconverged"]
+            .map(|field| v.get(field).and_then(Json::as_u64).expect(field))
+    };
+    assert_eq!(fold_counters(&mut client), [0, 0, 0]);
+    for (body, folds) in [
+        (r#"{"user": 0}"#, false),
+        (r#"{"basket": [0, 1], "m": 3}"#, true),
+        (r#"{"basket_ids": [55, 56]}"#, true),
+        (r#"{"basket_ids": [7, 999]}"#, false),
+        (r#"{"user_id": 500, "m": 2}"#, true),
+    ] {
+        let [before, ..] = fold_counters(&mut client);
+        let resp = client.round_trip("POST", "/recommend", body);
+        let [after, ..] = fold_counters(&mut client);
+        assert_eq!(after - before, folds as u64, "{body} -> {}", resp.status);
+    }
+    let [fold_ins, iterations, unconverged] = fold_counters(&mut client);
+    assert_eq!((fold_ins, unconverged), (3, 0));
+    assert!(
+        (3..=30).contains(&iterations),
+        "{iterations} iterations over 3 two-item baskets"
+    );
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_file(&edges);
+    let _ = std::fs::remove_file(&snap);
+}
+
 /// A malformed numeric flag is a usage error, never a silent default:
 /// `--shards four` must not serve unsharded.
 #[test]

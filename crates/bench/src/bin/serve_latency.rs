@@ -12,9 +12,14 @@
 //! memory-bandwidth difference between the dtypes is actually visible:
 //! per dtype, a full-catalog engine request and, in the same run, the bare
 //! scoring kernel over the same catalog (what the request cannot go
-//! below; bench_gate holds the int8 request within 1.3× of it), and the
-//! bare int8 kernel pinned to each ISA level the CPU has (bench_gate
-//! holds AVX2 at least 1.4× ahead of the baseline stamp).
+//! below), and the bare int8 kernel pinned to each ISA level the CPU has
+//! (bench_gate holds AVX2 at least 1.4× ahead of the baseline stamp).
+//! int8 has two scan arms, so it gets two pairs of rows, each naming the
+//! path it times: users with 4 active factors (request and bare kernel
+//! through the factor-major sidecar) and users with all K active (request
+//! and bare kernel row-major); bench_gate holds each request within a
+//! bound of its own kernel and the sparse request at least 2× under the
+//! dense one.
 //! A third section measures partition routing: batched warm throughput
 //! through the engine split into 1/2/4 user partitions, all on the same
 //! pool — the rows differ only by the routing table, which must cost
@@ -325,17 +330,24 @@ fn main() {
     let quant_users = 2048usize;
     let quant_requests = args.get("quant-requests", n_requests.min(300)).max(1);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
-    let qmodel = FactorModel::new(
-        synth_factors(quant_users, quant_k, 4, &mut rng),
-        synth_factors(quant_items, quant_k, 4, &mut rng),
-        false,
-    );
+    // users 0..quant_users keep 4 active factors, like trained OCuLaR rows;
+    // the next quant_users have all K active — the int8 scan's other arm
+    let mut quser_factors = synth_factors(2 * quant_users, quant_k, 4, &mut rng);
+    let item_factors = synth_factors(quant_items, quant_k, 4, &mut rng);
+    for u in quant_users..2 * quant_users {
+        for f in quser_factors.row_mut(u) {
+            *f = 0.05 + rng.gen::<f64>();
+        }
+    }
+    let qmodel = FactorModel::new(quser_factors, item_factors, false);
     let qdata = ocular_sparse::Dataset::from_matrix(ocular_sparse::CsrMatrix::empty(
-        quant_users,
+        2 * quant_users,
         quant_items,
     ));
     // (dtype, full-catalog engine request, bare scoring kernel)
     let mut quant_rows: Vec<(&'static str, Latency, Latency)> = Vec::new();
+    // int8 again with the all-K users: (request, bare row-major kernel)
+    let mut dense_rows: Option<(Latency, Latency)> = None;
     // (kernel level, bare int8 kernel pinned to it)
     let mut level_rows: Vec<(&'static str, Latency)> = Vec::new();
     let mut affinities = vec![0.0f64; quant_items];
@@ -355,27 +367,25 @@ fn main() {
             builder = builder.quantization(dtype);
         }
         let engine = builder.build().expect("quantized engine");
-        let quant_user = |i: usize| (i * 131) % quant_users;
-        let lat = measure(quant_requests, |i| {
-            std::hint::black_box(
-                engine
-                    .serve_one(&Request::Warm {
-                        user: quant_user(i),
-                        m,
-                    })
-                    .unwrap()
-                    .items
-                    .len(),
-            );
-        });
+        let sparse_user = |i: usize| (i * 131) % quant_users;
+        let dense_user = |i: usize| quant_users + (i * 131) % quant_users;
+        let request = |user_of: &dyn Fn(usize) -> usize| {
+            measure(quant_requests, |i| {
+                let user = user_of(i);
+                let served = engine.serve_one(&Request::Warm { user, m }).unwrap();
+                std::hint::black_box(served.items.len());
+            })
+        };
+        let lat = request(&sparse_user);
         report(&format!("quant {quant_items}×{quant_k} {name}"), &lat);
         // the same catalog through the scoring kernel alone: every item's
         // raw affinity into a dense vector, no transform, no selection
         let narrowed =
             quantize.map(|dtype| QuantizedFactors::quantize(&qmodel.item_factors, dtype));
-        let mut bare_kernel = |narrowed: Option<&QuantizedFactors>| {
+        let mut bare_kernel = |narrowed: Option<&QuantizedFactors>,
+                               user_of: &dyn Fn(usize) -> usize| {
             measure(quant_requests, |i| {
-                let row = qmodel.user_factors.row(quant_user(i));
+                let row = qmodel.user_factors.row(user_of(i));
                 match narrowed {
                     Some(quant) => quant.score_block(&quant.prepare(row), 0, &mut affinities),
                     None => {
@@ -387,21 +397,40 @@ fn main() {
                 std::hint::black_box(&affinities);
             })
         };
-        let kernel = bare_kernel(narrowed.as_ref());
-        report(&format!("  bare {name} kernel"), &kernel);
-        // and the int8 kernel once per ISA level this CPU has, back to
-        // back, so the gate can hold the wide stamp to a same-run ratio
-        if quantize == Some(QuantDtype::I8) {
-            for level in KernelLevel::available() {
-                let pinned = narrowed.clone().map(|q| q.with_kernel_level(level));
-                let lat = bare_kernel(pinned.as_ref());
-                report(&format!("  bare {name} kernel @ {level}"), &lat);
-                level_rows.push((level.name(), lat));
-            }
+        if quantize != Some(QuantDtype::I8) {
+            let kernel = bare_kernel(narrowed.as_ref(), &sparse_user);
+            report(&format!("  bare {name} kernel"), &kernel);
+            quant_rows.push((name, lat, kernel));
+            continue;
         }
+        // int8, sparse arm: the 4-active users above went through the
+        // factor-major sidecar, and so does their bare kernel
+        let scans = engine.scan_stats();
+        assert_eq!((scans.sparse, scans.dense), (quant_requests as u64, 0));
+        let sidecar = narrowed
+            .clone()
+            .map(|q| q.with_factor_major().expect("sidecar"));
+        let kernel = bare_kernel(sidecar.as_ref(), &sparse_user);
+        report("  bare int8 kernel, factor-major (4-active users)", &kernel);
         quant_rows.push((name, lat, kernel));
+        // int8, row-major arm: all-K users, request and bare kernel
+        let lat = request(&dense_user);
+        assert_eq!(engine.scan_stats().dense, quant_requests as u64);
+        report("quant int8 request, all-K users (row-major arm)", &lat);
+        let kernel = bare_kernel(narrowed.as_ref(), &dense_user);
+        report("  bare int8 kernel, row-major (all-K users)", &kernel);
+        dense_rows = Some((lat, kernel));
+        // and the row-major kernel once per ISA level this CPU has, back
+        // to back, so the gate can hold the wide stamp to a same-run ratio
+        for level in KernelLevel::available() {
+            let pinned = narrowed.clone().map(|q| q.with_kernel_level(level));
+            let lat = bare_kernel(pinned.as_ref(), &dense_user);
+            report(&format!("  bare int8 kernel, row-major @ {level}"), &lat);
+            level_rows.push((level.name(), lat));
+        }
     }
 
+    let (dense_request, dense_kernel) = dense_rows.expect("the int8 row ran");
     let lat_json = |l: &Latency| {
         obj(vec![
             ("p50_us", Json::Num(l.p50)),
@@ -469,6 +498,8 @@ fn main() {
                 ("f64_kernel", lat_json(&quant_rows[0].2)),
                 ("f32_kernel", lat_json(&quant_rows[1].2)),
                 ("int8_kernel", lat_json(&quant_rows[2].2)),
+                ("int8_dense", lat_json(&dense_request)),
+                ("int8_dense_kernel", lat_json(&dense_kernel)),
                 (
                     "int8_kernel_levels",
                     obj(level_rows

@@ -35,6 +35,23 @@
 //! not change; neither level fuses a multiply into an add. The property
 //! tests in `tests/proptest_linalg.rs` pin that.
 //!
+//! # Sparse queries
+//!
+//! An OCuLaR user belongs to a few co-clusters, so most codes of an int8
+//! query row are one value `b`, the code zero maps to. With
+//! `A = {c : q_u[c] ≠ b}`,
+//! `Σ_c q_u[c]·q_i[c] = b·qsum_i + Σ_{c∈A} (q_u[c] − b)·q_i[c]` is an
+//! integer identity and `qsum_i` is already stored, so a block carrying a
+//! factor-major copy of its codes
+//! ([`QuantizedFactors::with_factor_major`]) forms the same `i32` dot from
+//! `|A|` contiguous column runs instead of `k` products per row, then runs
+//! the same float epilogue: the same bits, by construction and by test.
+//! [`QuantizedFactors::score_block`] takes that arm when `3·|A| ≤ k` and
+//! the run is at least one tile; single rows, candidate lists, denser
+//! queries and f32 (float sums do not reassociate) stay row-major — both
+//! constants measured at both levels (README, *Sparse queries*).
+//! `|b·qsum_i| + Σ|δ·q| < 3·127²·k` fits `i32` for `k < 44,000`.
+//!
 //! The query side stays `f64` until [`QuantizedFactors::prepare`]
 //! narrows one user row per request (warm rows come from the master
 //! matrix; cold rows from fold-in — "quantize the folded row on the
@@ -42,7 +59,7 @@
 
 use crate::Matrix;
 use ocular_bytes::{F32Buf, I8Buf};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Accumulator lanes of the unrolled inner loops. Eight `f32` lanes fill
 /// a 256-bit vector register; eight `i32` lanes likewise.
@@ -183,14 +200,27 @@ pub struct QuantizedFactors {
     /// [`KernelLevel::detect`] unless a test pinned it. Not part of the
     /// value: equal matrices score equal bits at any level.
     level: KernelLevel,
+    /// The int8 codes again, factor-major (`cols` runs of `rows` bytes),
+    /// for the sparse-query arm. Derived, so not part of the value either.
+    by_factor: Option<Arc<[i8]>>,
 }
 
 /// A user row narrowed to a quantized dtype, ready to score against a
 /// [`QuantizedFactors`] of the same dtype. One is prepared per request
-/// (tiny: `k` narrow elements plus three scalars).
+/// (tiny: `k` narrow elements plus a few scalars).
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     repr: QueryRepr,
+}
+
+impl PreparedQuery {
+    /// Codes a scan multiplies per item row: int8, those off the row's most frequent; f32, all.
+    pub fn active_codes(&self) -> usize {
+        match &self.repr {
+            QueryRepr::F32(u) => u.len(),
+            QueryRepr::I8 { active, .. } => active.len(),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -201,6 +231,10 @@ enum QueryRepr {
         scale: f64,
         zero: f64,
         qsum: f64,
+        /// The row's most frequent code `b` …
+        base: i32,
+        /// … and `(column, code − b)` of every column that differs from it.
+        active: Vec<(usize, i32)>,
     },
 }
 
@@ -274,6 +308,7 @@ impl QuantizedFactors {
             cols,
             repr,
             level: KernelLevel::detect(),
+            by_factor: None,
         }
     }
 
@@ -294,6 +329,7 @@ impl QuantizedFactors {
             cols,
             repr: Repr::F32 { data },
             level: KernelLevel::detect(),
+            by_factor: None,
         })
     }
 
@@ -335,6 +371,7 @@ impl QuantizedFactors {
                 qsum,
             },
             level: KernelLevel::detect(),
+            by_factor: None,
         })
     }
 
@@ -377,6 +414,57 @@ impl QuantizedFactors {
         );
         self.level = level;
         self
+    }
+
+    /// Attaches the factor-major copy of the int8 codes that the
+    /// sparse-query arm reads (see the [module docs](self)): `cols × rows`
+    /// bytes in RAM, shared by clones, never persisted; other dtypes come
+    /// back unchanged. For a block about to be scanned — training and
+    /// conversion never scan. This is the one pass over every code, so it
+    /// also checks the stored code sums the identity trusts: an `Err` names
+    /// the first row whose codes do not add up to its sum (the arms would differ).
+    pub fn with_factor_major(mut self) -> Result<Self, String> {
+        let Repr::I8 { data, qsum, .. } = &self.repr else {
+            return Ok(self);
+        };
+        let (data, qsum): (&[i8], &[f32]) = (data, qsum);
+        let (rows, k) = (self.rows, self.cols);
+        let mut by_factor = vec![0i8; rows * k];
+        // a tile of rows at a time, so the strided reads stay in L1
+        for r0 in (0..rows).step_by(TILE) {
+            let r1 = (r0 + TILE).min(rows);
+            for r in r0..r1 {
+                let sum: i32 = data[r * k..(r + 1) * k].iter().map(|&q| i32::from(q)).sum();
+                if sum as f32 != qsum[r] {
+                    return Err(format!(
+                        "int8 row {r}: codes sum to {sum}, stored {}",
+                        qsum[r]
+                    ));
+                }
+            }
+            for c in 0..k {
+                let column = &mut by_factor[c * rows + r0..c * rows + r1];
+                for (j, o) in column.iter_mut().enumerate() {
+                    *o = data[(r0 + j) * k + c];
+                }
+            }
+        }
+        self.by_factor = Some(by_factor.into());
+        Ok(self)
+    }
+
+    /// The factor-major copy, if attached (its size; who shares it).
+    pub fn factor_major(&self) -> Option<&Arc<[i8]>> {
+        self.by_factor.as_ref()
+    }
+
+    /// Whether [`QuantizedFactors::score_block`] forms this query's dots from the
+    /// factor-major copy on a run of `len` rows: there is one, `3·|A| ≤ cols`, and the run is a
+    /// tile or more (a row is one cache line row-major, `|A|` scattered bytes factor-major).
+    pub fn scans_sparse(&self, query: &PreparedQuery, len: usize) -> bool {
+        self.by_factor.is_some()
+            && len >= TILE
+            && matches!(&query.repr, QueryRepr::I8 { active, .. } if 3 * active.len() <= self.cols)
     }
 
     /// The flat `f32` payload (empty for int8) — snapshot persistence.
@@ -445,11 +533,26 @@ impl QuantizedFactors {
                 let (scale, zero) = row_params(user_row);
                 let mut q = Vec::with_capacity(self.cols);
                 let qsum = quantize_row(user_row, scale, zero, &mut q);
+                // the first code to reach the highest count; on a tie any of
+                // the most frequent codes gives the same dot
+                let (mut counts, mut most, mut base) = ([0u32; 256], 0, 0);
+                for &code in &q {
+                    let seen = &mut counts[code as u8 as usize];
+                    *seen += 1;
+                    if *seen > most {
+                        (most, base) = (*seen, i32::from(code));
+                    }
+                }
+                let active = (q.iter().map(|&code| i32::from(code) - base).enumerate())
+                    .filter(|&(_, delta)| delta != 0)
+                    .collect();
                 QueryRepr::I8 {
+                    active,
                     q,
                     scale,
                     zero,
                     qsum,
+                    base,
                 }
             }
         };
@@ -474,6 +577,7 @@ impl QuantizedFactors {
         // Hoist the owned-or-borrowed buffers to plain slices once per
         // call: `PodBuf` resolves its representation on every deref, which
         // the per-row parameter loads in the kernels must not pay.
+        let sparse = (self.by_factor.as_deref()).filter(|_| self.scans_sparse(query, out.len()));
         let scan = match (&self.repr, &query.repr) {
             (Repr::F32 { data }, QueryRepr::F32(u)) => Scan::F32 { data, u },
             (
@@ -488,13 +592,22 @@ impl QuantizedFactors {
                     scale: su,
                     zero: zu,
                     qsum: squ,
+                    base,
+                    active,
                 },
             ) => Scan::I8 {
-                data,
+                codes: match sparse {
+                    Some(by_factor) => Codes::ByFactor {
+                        by_factor,
+                        rows: self.rows,
+                        base: *base,
+                        active,
+                    },
+                    None => Codes::ByRow { data, q },
+                },
                 scale,
                 zero,
                 qsum,
-                q,
                 su: *su,
                 zu: *zu,
                 squ: *squ,
@@ -537,6 +650,7 @@ impl Clone for QuantizedFactors {
             cols: self.cols,
             repr,
             level: self.level,
+            by_factor: self.by_factor.clone(),
         }
     }
 }
@@ -591,14 +705,27 @@ enum Scan<'a> {
         u: &'a [f32],
     },
     I8 {
-        data: &'a [i8],
+        codes: Codes<'a>,
         scale: &'a [f32],
         zero: &'a [f32],
         qsum: &'a [f32],
-        q: &'a [i8],
         su: f64,
         zu: f64,
         squ: f64,
+    },
+}
+
+/// Where an int8 scan takes its integer dots `Σ_c q_u[c]·q_i[c]` from.
+enum Codes<'a> {
+    /// All `k` products of every row of the row-major codes.
+    ByRow { data: &'a [i8], q: &'a [i8] },
+    /// `base·qsum_i` plus `delta·q_i[c]` over the `active` columns, each a
+    /// run of the `rows`-long column `c` of the factor-major copy.
+    ByFactor {
+        by_factor: &'a [i8],
+        rows: usize,
+        base: i32,
+        active: &'a [(usize, i32)],
     },
 }
 
@@ -611,7 +738,7 @@ enum Scan<'a> {
 /// the baseline. `bench_gate`'s `simd_vs_baseline` row watches for that.
 macro_rules! stamp_kernels {
     ($(#[$attr:meta])* $($qual:ident)+) => {
-        use crate::quant::{Scan, LANES, LANES_I8, TILE};
+        use crate::quant::{Codes, Scan, LANES, LANES_I8, TILE};
 
         /// `f32` dot with [`LANES`] unrolled accumulators. Independent
         /// partial sums break the strict sequential-reduction order, which
@@ -687,6 +814,16 @@ macro_rules! stamp_kernels {
             acc[0] + tail
         }
 
+        /// One tile's row-major integer dots. Never inlined: sharing registers with its
+        /// surroundings, `dot_i8`'s SSE2 widening picks up false dependencies (2× at baseline).
+        $(#[$attr])*
+        #[inline(never)]
+        $($qual)+ tile_dots_i8(q: &[i8], rows: &[i8], qdots: &mut [i32]) {
+            for (d, row) in qdots.iter_mut().zip(rows.chunks_exact(q.len())) {
+                *d = dot_i8(q, row);
+            }
+        }
+
         /// Scores rows `first .. first + out.len()` of a `k`-column matrix,
         /// [`TILE`] rows at a time. The caller checked the range.
         $(#[$attr])*
@@ -702,11 +839,10 @@ macro_rules! stamp_kernels {
                     }
                 }
                 Scan::I8 {
-                    data,
+                    ref codes,
                     scale,
                     zero,
                     qsum,
-                    q,
                     su,
                     zu,
                     squ,
@@ -718,7 +854,6 @@ macro_rules! stamp_kernels {
                     let mut qdots = [0i32; TILE];
                     for (tile_idx, tile) in out.chunks_mut(TILE).enumerate() {
                         let row0 = first + tile_idx * TILE;
-                        let rows = &data[row0 * k..(row0 + tile.len()) * k];
                         let s_tile = &scale[row0..row0 + tile.len()];
                         let z_tile = &zero[row0..row0 + tile.len()];
                         let q_tile = &qsum[row0..row0 + tile.len()];
@@ -726,9 +861,25 @@ macro_rules! stamp_kernels {
                         // float epilogue is its own loop over plain arrays
                         // and runs in vector registers too
                         let qdots = &mut qdots[..tile.len()];
-                        for (d, row) in qdots.iter_mut().zip(rows.chunks_exact(k)) {
-                            *d = dot_i8(q, row);
+                        match *codes {
+                            Codes::ByRow { data, q } => {
+                                tile_dots_i8(q, &data[row0 * k..(row0 + tile.len()) * k], qdots);
+                            }
+                            Codes::ByFactor { by_factor, rows, base, active } => {
+                                // the stored sums are whole numbers (checked
+                                // when the copy was built), so `as` is exact
+                                for (d, &qs) in qdots.iter_mut().zip(q_tile) {
+                                    *d = base * qs as i32;
+                                }
+                                for &(c, delta) in active {
+                                    let col = &by_factor[c * rows + row0..][..tile.len()];
+                                    for (d, &code) in qdots.iter_mut().zip(col) {
+                                        *d += delta * i32::from(code);
+                                    }
+                                }
+                            }
                         }
+                        // one epilogue for both: equal dots are equal bits
                         for ((((o, &qdot), &si), &zi), &qs) in tile
                             .iter_mut()
                             .zip(qdots.iter())
@@ -922,6 +1073,135 @@ mod tests {
                     assert_eq!(bits(level), baseline, "{dtype} k={k} {level}");
                 }
             }
+        }
+    }
+
+    /// A user row with `active` non-zero entries (so at most that many
+    /// codes differ from the code zero maps to), some of them negative.
+    fn sparse_user(k: usize, active: usize, salt: usize) -> Vec<f64> {
+        let mut user = vec![0.0; k];
+        for j in 0..active {
+            let sign = if (j + salt) % 3 == 0 { -1.0 } else { 1.0 };
+            user[(salt + j * 7) % k] = sign * (0.3 + 0.41 * j as f64);
+        }
+        user
+    }
+
+    #[test]
+    fn sparse_arm_scores_the_row_major_bits_at_every_k_and_level() {
+        // every k as above; |A| walks 0 ..= k/3 + 1, one past the dispatch
+        // rule, and the run starts mid-tile and ends in a partial tile
+        for k in 1..=130 {
+            let m = master(2 * TILE + 3, k, 77 + k as u64);
+            let q = QuantizedFactors::quantize(&m, QuantDtype::I8);
+            let sparse = q.clone().with_factor_major().unwrap();
+            assert_eq!(sparse.factor_major().unwrap().len(), m.rows() * k);
+            assert_eq!(sparse, q, "the copy is not part of the value");
+            for active in 0..=(k / 3 + 1).min(k) {
+                let prepared = q.prepare(&sparse_user(k, active, k));
+                assert!(prepared.active_codes() <= active);
+                let (first, len) = (5, m.rows() - 5);
+                assert_eq!(
+                    sparse.scans_sparse(&prepared, len),
+                    3 * prepared.active_codes() <= k,
+                    "k={k} |A|={active}"
+                );
+                assert!(!q.scans_sparse(&prepared, len), "no copy, no sparse arm");
+                let bits = |q: &QuantizedFactors, level| {
+                    let mut out = vec![f64::NAN; len];
+                    let q = q.clone().with_kernel_level(level);
+                    q.score_block(&prepared, first, &mut out);
+                    out.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+                };
+                let row_major = bits(&q, KernelLevel::Baseline);
+                for level in KernelLevel::available() {
+                    assert_eq!(
+                        bits(&sparse, level),
+                        row_major,
+                        "k={k} |A|={active} {level}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prepared_queries_split_into_a_base_code_and_the_columns_off_it() {
+        let q = QuantizedFactors::quantize(&master(4, 6, 1), QuantDtype::I8);
+        let parts = |row: &[f64]| match q.prepare(row).repr {
+            QueryRepr::I8 {
+                q, base, active, ..
+            } => (q, base, active),
+            QueryRepr::F32(_) => unreachable!("int8 block"),
+        };
+        // zeros quantize to −127, the most frequent code
+        let (codes, base, active) = parts(&[0.0, 2.0, 0.0, 0.0, 1.0, 0.0]);
+        assert_eq!(codes, [-127, 127, -127, -127, 0, -127]);
+        assert_eq!((base, active), (-127, vec![(1, 254), (4, 127)]));
+        // all-zero and constant rows: unit scale, every code 0, nothing active
+        for row in [[0.0; 6], [2.5; 6]] {
+            assert_eq!(parts(&row), (vec![0; 6], 0, vec![]));
+        }
+        // a tie for the most frequent code: either base rebuilds every code
+        let (codes, base, active) = parts(&[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
+        assert_eq!(active.len(), 3);
+        let mut rebuilt = vec![base; 6];
+        for (c, delta) in active {
+            rebuilt[c] += delta;
+        }
+        assert_eq!(
+            rebuilt,
+            codes.iter().map(|&c| i32::from(c)).collect::<Vec<_>>()
+        );
+        // f32 queries multiply every element
+        let f32s = QuantizedFactors::quantize(&master(4, 6, 1), QuantDtype::F32);
+        assert_eq!(f32s.prepare(&[0.0; 6]).active_codes(), 6);
+        assert!(f32s
+            .clone()
+            .with_factor_major()
+            .unwrap()
+            .factor_major()
+            .is_none());
+    }
+
+    #[test]
+    fn sparse_arm_needs_a_tile_and_clones_share_the_copy() {
+        let m = master(TILE + 1, 8, 4);
+        let q = QuantizedFactors::quantize(&m, QuantDtype::I8)
+            .with_factor_major()
+            .unwrap();
+        let prepared = q.prepare(&sparse_user(8, 2, 0));
+        assert!(q.scans_sparse(&prepared, TILE));
+        assert!(!q.scans_sparse(&prepared, TILE - 1));
+        assert!(!q.scans_sparse(&prepared, 1), "score_row stays row-major");
+        let clone = q.clone();
+        assert!(Arc::ptr_eq(
+            clone.factor_major().unwrap(),
+            q.factor_major().unwrap()
+        ));
+    }
+
+    #[test]
+    fn factor_major_copy_refuses_code_sums_that_do_not_add_up() {
+        let q = QuantizedFactors::quantize(&master(70, 5, 8), QuantDtype::I8);
+        let (codes, scale, zero, qsum) = q.i8_parts();
+        let rebuild = |qsum: Vec<f32>| {
+            QuantizedFactors::from_parts_i8(
+                70,
+                5,
+                codes.to_vec().into(),
+                scale.to_vec().into(),
+                zero.to_vec().into(),
+                qsum.into(),
+            )
+            .unwrap()
+        };
+        assert!(rebuild(qsum.to_vec()).with_factor_major().is_ok());
+        for (row, wrong) in [(0, 1.0), (69, -1.0), (33, 0.5), (12, f32::NAN)] {
+            let mut bad = qsum.to_vec();
+            bad[row] += wrong;
+            let err = rebuild(bad).with_factor_major().unwrap_err();
+            assert!(err.contains(&format!("row {row}")), "{err}");
         }
     }
 

@@ -18,9 +18,9 @@
 //! order. [`MonotoneTopK`] takes *raw keys* in ascending index order plus
 //! a non-decreasing transform (OCuLaR's `1 − e^(−a)` over affinities) and
 //! ranks by the transformed score, but calls the transform only on keys
-//! that can still enter the heap: the recommendation and serving paths
-//! scan a catalog through it in one pass, with no catalog-sized
-//! probability vector in between.
+//! that can still enter the heap — and, offered a contiguous run, rejects
+//! sixteen losing keys with one vector compare: the serving paths scan a
+//! catalog through it in one pass, with no probability vector in between.
 
 use std::cmp::Ordering;
 
@@ -192,6 +192,10 @@ impl<'a> Exclusions<'a> {
     }
 }
 
+/// Keys [`MonotoneTopK::offer_run`] tests against the cutoff in one
+/// fold: two cache lines, four 256-bit compares.
+const OFFER_CHUNK: usize = 16;
+
 /// Streaming top-`k` over *raw keys* ranked by a non-decreasing transform
 /// of them, skipping a sorted exclusion list — output identical, bit for
 /// bit, to transforming every key and calling [`top_k_excluding`].
@@ -254,11 +258,31 @@ impl<'a, F: Fn(f64) -> f64> MonotoneTopK<'a, F> {
     }
 
     /// Offers the contiguous run `first, first + 1, …` of already-scored
-    /// keys.
+    /// keys — 16 (`OFFER_CHUNK`) at a time, skipping a chunk in which every
+    /// key loses. The test is a branch-free fold over `raw <= cutoff`, so
+    /// it runs in vector registers; a NaN key or a NaN cutoff (heap not
+    /// full yet) fails it and the chunk takes the per-key path, NaN panic
+    /// included. Exclusions inside a skipped chunk need no look: the
+    /// cursor catches up on the next offer.
     pub fn offer_run(&mut self, first: usize, raws: &[f64]) {
-        for (offset, &raw) in raws.iter().enumerate() {
-            self.offer(first + offset, || raw);
+        debug_assert!(first >= self.next_index, "runs must ascend too");
+        let mut chunks = raws.chunks_exact(OFFER_CHUNK);
+        // a local, re-read only after a chunk that could move it: storing
+        // to `self` per skipped chunk stalls the next chunk's cutoff load
+        let mut cutoff = self.cutoff;
+        for (at, chunk) in (&mut chunks).enumerate() {
+            if !chunk.iter().fold(true, |lost, &raw| lost & (raw <= cutoff)) {
+                for (offset, &raw) in chunk.iter().enumerate() {
+                    self.offer(first + at * OFFER_CHUNK + offset, || raw);
+                }
+                cutoff = self.cutoff;
+            }
         }
+        let tail = chunks.remainder();
+        for (offset, &raw) in tail.iter().enumerate() {
+            self.offer(first + raws.len() - tail.len() + offset, || raw);
+        }
+        self.next_index = first + raws.len();
     }
 
     /// The retained `(transformed score, index)` pairs in ranking order.
@@ -395,6 +419,111 @@ mod tests {
     fn monotone_selector_rejects_nan_keys_loudly_when_full() {
         // `NaN <= root` is false, so the filter cannot swallow the key
         monotone(&[0.5, 0.7, f64::NAN], &[], 2);
+    }
+
+    /// `offer_run` against one `offer` per key, bit for bit.
+    fn assert_run_matches_per_key(raws: &[f64], first: usize, exclude: &[u32], k: usize) {
+        let mut run = MonotoneTopK::new(k, exclude, prob);
+        run.offer_run(first, raws);
+        let mut per_key = MonotoneTopK::new(k, exclude, prob);
+        for (offset, &raw) in raws.iter().enumerate() {
+            per_key.offer(first + offset, || raw);
+        }
+        let bits = |sorted: Vec<(f64, usize)>| -> Vec<(u64, usize)> {
+            sorted.into_iter().map(|(s, i)| (s.to_bits(), i)).collect()
+        };
+        let ctx = format!("{} keys from {first}, k = {k}, {exclude:?}", raws.len());
+        assert_eq!(
+            bits(run.into_sorted()),
+            bits(per_key.into_sorted()),
+            "{ctx}"
+        );
+    }
+
+    #[test]
+    fn chunked_offer_run_matches_per_key_offers() {
+        // a few distinct values, so whole chunks tie with the cutoff and
+        // lose, with rare larger keys that make a chunk take the slow path
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let raws: Vec<f64> = (0..40 * OFFER_CHUNK + 5)
+            .map(|_| match next() % 64 {
+                0 => 3.0 + (next() % 5) as f64,
+                r => (r % 4) as f64 * 0.5,
+            })
+            .collect();
+        // exclusions at chunk edges, inside chunks that get skipped, and
+        // past the end of every run
+        let edge = OFFER_CHUNK as u32;
+        let exclude = [
+            0,
+            1,
+            edge - 1,
+            edge,
+            5 * edge + 3,
+            17 * edge,
+            39 * edge + 7,
+            9999,
+        ];
+        for k in [0, 1, 3, 10, raws.len() + 1] {
+            for exclude in [&[][..], &exclude] {
+                // runs shorter than a chunk, exactly chunks, and ragged
+                for len in [
+                    0,
+                    1,
+                    OFFER_CHUNK - 1,
+                    OFFER_CHUNK,
+                    3 * OFFER_CHUNK + 1,
+                    raws.len(),
+                ] {
+                    assert_run_matches_per_key(&raws[..len], 0, exclude, k);
+                    assert_run_matches_per_key(&raws[raws.len() - len..], 7, exclude, k);
+                }
+            }
+        }
+        // consecutive runs, as the tiled catalog scan offers them
+        let mut tiled = MonotoneTopK::new(5, &exclude, prob);
+        for (t, tile) in raws.chunks(100).enumerate() {
+            tiled.offer_run(t * 100, tile);
+        }
+        assert_eq!(tiled.into_sorted(), monotone(&raws, &exclude, 5));
+    }
+
+    #[test]
+    fn chunked_offer_run_skips_transforms_and_exclusion_lookups_of_losing_chunks() {
+        let calls = std::cell::Cell::new(0usize);
+        let mut top = MonotoneTopK::new(2, &[20, 40], |a| {
+            calls.set(calls.get() + 1);
+            prob(a)
+        });
+        let mut raws = vec![1.0; 4 * OFFER_CHUNK];
+        raws[0] = 3.0;
+        raws[1] = 2.0;
+        raws[3 * OFFER_CHUNK + 2] = 2.5;
+        top.offer_run(0, &raws);
+        // the first chunk fills the heap (3.0, 2.0, and one 1.0 before it
+        // was full); two chunks of ties at or under the cutoff are skipped
+        // whole, excluded index 20 and 40 included; 2.5 enters from the last
+        assert_eq!(calls.get(), 3);
+        let items: Vec<usize> = top.into_sorted().into_iter().map(|p| p.1).collect();
+        assert_eq!(items, vec![0, 3 * OFFER_CHUNK + 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn chunked_offer_run_rejects_a_nan_inside_a_losing_chunk() {
+        // every other key of the chunk loses; the NaN must still fail the
+        // fold and reach the heap
+        let mut raws = vec![0.5; 3 * OFFER_CHUNK];
+        raws[0] = 2.0;
+        raws[1] = 2.0;
+        raws[2 * OFFER_CHUNK + 9] = f64::NAN;
+        monotone(&raws, &[], 2);
     }
 
     // the filter's proof needs every retained index to be smaller than the

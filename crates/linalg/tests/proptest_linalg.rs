@@ -235,4 +235,72 @@ proptest! {
             }
         }
     }
+    /// The sparse-query arm (factor-major copy attached) writes the bits
+    /// the row-major kernel writes, at every level: any K and tail length,
+    /// one to several tiles, ragged first and last tiles, user rows from
+    /// all-zero through `K/2 + 1` off-base codes (both sides of the
+    /// dispatch rule), constant rows (unit scale, every code 0), negative
+    /// entries, and ties for the most frequent code.
+    #[test]
+    fn sparse_arm_writes_the_row_major_bits(
+        (k, rows) in (1usize..=130, 1usize..=150),
+        tiles in 0usize..3,
+        values in proptest::collection::vec(-1.0f64..4.0, 130),
+        seed in any::<u64>(),
+        shape in 0usize..5,
+        active_frac in 0.0f64..=1.0,
+        first_frac in 0.0f64..1.0,
+        len_frac in 0.0f64..=1.0,
+    ) {
+        // one case in three runs several tiles long
+        let rows = if tiles == 0 { rows + 400 } else { rows };
+        // sparse non-negative item rows, as trained factors are; the codes
+        // are what matters, and the sum check sees every one of them
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut items = Matrix::zeros(rows, k);
+        for r in 0..rows {
+            for _ in 0..1 + next() % 4 {
+                items.row_mut(r)[(next() % k as u64) as usize] += (next() % 1000) as f64 / 250.0;
+            }
+        }
+        let active = (active_frac * (k / 2 + 1) as f64) as usize;
+        let mut user = vec![0.0; k];
+        match shape {
+            // all-zero, and constant: both quantize to all-zero codes
+            0 => {}
+            1 => user.fill(values[0]),
+            // two codes, each on half the columns: a tie for the base
+            2 => user.iter_mut().step_by(2).for_each(|u| *u = 1.0),
+            // `active` entries (negative ones included) off a zero row
+            _ => user.iter_mut().zip(&values).take(active).for_each(|(u, &v)| *u = v),
+        }
+        let first = (first_frac * rows as f64) as usize;
+        let len = (len_frac * (rows - first) as f64).round() as usize;
+        let row_major = QuantizedFactors::quantize(&items, QuantDtype::I8);
+        let sparse = row_major.clone().with_factor_major().unwrap();
+        let prepared = row_major.prepare(&user);
+        prop_assert_eq!(
+            sparse.scans_sparse(&prepared, len),
+            3 * prepared.active_codes() <= k && len >= 64
+        );
+        let score = |q: &QuantizedFactors, level: KernelLevel| {
+            let mut out = vec![f64::NAN; len];
+            let q = q.clone().with_kernel_level(level);
+            q.score_block(&prepared, first, &mut out);
+            out.iter().map(|s| s.to_bits()).collect::<Vec<u64>>()
+        };
+        let want = score(&row_major, KernelLevel::Baseline);
+        for level in KernelLevel::available() {
+            prop_assert_eq!(
+                &score(&sparse, level), &want,
+                "{} k={} |A|={} rows {}..{}", level, k, prepared.active_codes(), first, first + len
+            );
+        }
+    }
 }

@@ -504,11 +504,13 @@ fn build_engine(flags: &Flags, floor_generation: u64) -> Result<ServeEngine, Str
     }
     let engine = builder.build().map_err(|e| e.to_string())?;
     eprintln!(
-        "serving `{}` snapshot from {snap_path} (generation {}, dtype {}, kernel {}, {} shard(s))",
+        "serving `{}` snapshot from {snap_path} (generation {}, dtype {}, kernel {}, \
+         scan sidecar {} bytes, {} shard(s))",
         engine.kind(),
         engine.generation(),
         engine.dtype().unwrap_or("f64"),
         engine.kernel(),
+        engine.sidecar_bytes(),
         engine.n_shards()
     );
     Ok(engine)

@@ -194,45 +194,57 @@ enum EngineModel {
     Generic(Box<dyn Model>),
 }
 
+/// Settles the quantized copy a snapshot is scanned through: the one it
+/// carries when that matches the requested dtype (or none was requested),
+/// else a fresh narrowing of the f64 master to `quantize`; `kernel` pins
+/// its kernel level (tests only). An int8 copy gets its factor-major
+/// sidecar here — once, before the user split, so every partition's clone
+/// shares it — and stored code sums that do not match the codes are
+/// [`OcularError::Corrupt`].
+fn scan_ready(
+    snapshot: AnySnapshot,
+    quantize: Option<QuantDtype>,
+    kernel: Option<KernelLevel>,
+) -> Result<AnySnapshot, OcularError> {
+    match snapshot {
+        AnySnapshot::Ocular(mut s) => {
+            let carried = s.quant.take();
+            let quant = match quantize {
+                Some(dtype) if carried.as_ref().map(QuantizedFactors::dtype) != Some(dtype) => {
+                    Some(QuantizedFactors::quantize(&s.model.item_factors, dtype))
+                }
+                _ => carried,
+            };
+            let quant = match kernel {
+                Some(level) => quant.map(|q| q.with_kernel_level(level)),
+                None => quant,
+            };
+            let quant = quant.map(QuantizedFactors::with_factor_major).transpose();
+            s.quant = quant.map_err(OcularError::Corrupt)?;
+            Ok(AnySnapshot::Ocular(s))
+        }
+        AnySnapshot::Other(m) => match quantize {
+            Some(dtype) => Err(OcularError::InvalidConfig(format!(
+                "quantized serving ({dtype}) needs an OCuLaR snapshot; kind `{}` \
+                 has no factor representation to narrow",
+                m.kind()
+            ))),
+            None => Ok(AnySnapshot::Other(m)),
+        },
+    }
+}
+
 impl EngineModel {
-    /// Puts a loaded snapshot behind the engine, narrowing the item
-    /// factors to `quantize` when asked. A snapshot-carried quantized copy
-    /// is kept only when it matches the requested dtype (or none was
-    /// requested); otherwise the copy is re-quantized from the f64 master.
-    /// `kernel` pins the copy's kernel level (tests only).
-    fn new(
-        snapshot: AnySnapshot,
-        quantize: Option<QuantDtype>,
-        kernel: Option<KernelLevel>,
-    ) -> Result<Self, OcularError> {
+    /// Puts a [`scan_ready`] snapshot behind the engine.
+    fn new(snapshot: AnySnapshot) -> Self {
         match snapshot {
-            AnySnapshot::Ocular(s) => {
-                let quant = match quantize {
-                    Some(dtype) if s.quant.as_ref().map(QuantizedFactors::dtype) != Some(dtype) => {
-                        Some(QuantizedFactors::quantize(&s.model.item_factors, dtype))
-                    }
-                    _ => s.quant,
-                };
-                let quant = match kernel {
-                    Some(level) => quant.map(|q| q.with_kernel_level(level)),
-                    None => quant,
-                };
-                let item_sum = s.model.item_factors.column_sums();
-                Ok(EngineModel::Ocular {
-                    model: s.model,
-                    index: s.index,
-                    quant,
-                    item_sum,
-                })
-            }
-            AnySnapshot::Other(m) => match quantize {
-                Some(dtype) => Err(OcularError::InvalidConfig(format!(
-                    "quantized serving ({dtype}) needs an OCuLaR snapshot; kind `{}` \
-                     has no factor representation to narrow",
-                    m.kind()
-                ))),
-                None => Ok(EngineModel::Generic(m)),
+            AnySnapshot::Ocular(s) => EngineModel::Ocular {
+                item_sum: s.model.item_factors.column_sums(),
+                model: s.model,
+                index: s.index,
+                quant: s.quant,
             },
+            AnySnapshot::Other(m) => EngineModel::Generic(m),
         }
     }
 
@@ -324,6 +336,19 @@ impl FoldInCounters {
             unconverged: self.unconverged.load(Ordering::Relaxed),
         }
     }
+}
+
+/// OCuLaR full-catalog scans since the engine was built, by the arm that formed their
+/// dots — `scans` on `/stats`. An int8 engine whose users are as sparse as trained rows reads
+/// almost all `sparse`; `dense` there means more than `k / 3` codes off the most frequent.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanStats {
+    /// Scans through the int8 factor-major sidecar.
+    pub sparse: u64,
+    /// Every other scan: row-major int8, f32, the f64 master.
+    pub dense: u64,
+    /// [`ocular_linalg::PreparedQuery::active_codes`] over all scans (`k` for f64).
+    pub active_codes: u64,
 }
 
 /// What an [`EngineBuilder`] builds an engine around.
@@ -509,14 +534,17 @@ impl EngineBuilder {
         })?;
         // the model as one snapshot per partition, with the ascending
         // global training row of every partition-local row when N > 1
+        let ready = |s| scan_ready(s, self.quantize, self.kernel);
         let (snapshots, global_rows) = match self.source {
+            // a shard file maps its own copy of the item side, so each
+            // partition gets its own sidecar too
             EngineSource::ShardFiles(load) => (
-                load.shards.into_iter().map(|l| l.snapshot).collect(),
+                (load.shards.into_iter().map(|l| ready(l.snapshot))).collect::<Result<_, _>>()?,
                 load.global_rows,
             ),
-            EngineSource::Any(s) => split_snapshot(s, &dataset, self.shards)?,
+            EngineSource::Any(s) => split_snapshot(ready(s)?, &dataset, self.shards)?,
             EngineSource::Model(m) => split_snapshot(
-                AnySnapshot::Ocular(Snapshot::build(m, &self.index_cfg)),
+                ready(AnySnapshot::Ocular(Snapshot::build(m, &self.index_cfg)))?,
                 &dataset,
                 self.shards,
             )?,
@@ -553,7 +581,7 @@ impl EngineBuilder {
                     )));
                 }
             }
-            let model = EngineModel::new(snapshot, self.quantize, self.kernel)?;
+            let model = EngineModel::new(snapshot);
             // dataset ⊇ model: equal shapes are the steady state, a strictly
             // larger dataset means deltas arrived since the snapshot was
             // trained and the overhang is served by fold-in.
@@ -572,6 +600,7 @@ impl EngineBuilder {
                 Vec::new()
             },
             fold_ins: FoldInCounters::default(),
+            scans: Default::default(),
             parts,
             assign,
             cfg: self.cfg,
@@ -633,6 +662,8 @@ pub struct ServeEngine {
     /// counter that every serving thread writes.
     requests: Vec<AtomicU64>,
     fold_ins: FoldInCounters,
+    /// [`ScanStats`] in field order; statistics, so every access is relaxed.
+    scans: [AtomicU64; 3],
     cfg: ServeConfig,
     generation: u64,
 }
@@ -768,6 +799,33 @@ impl ServeEngine {
     /// Fold-in solver telemetry since the engine was built.
     pub fn fold_in_stats(&self) -> FoldInStats {
         self.fold_ins.snapshot()
+    }
+
+    /// Full-catalog scan telemetry since the engine was built.
+    pub fn scan_stats(&self) -> ScanStats {
+        let [sparse, dense, active_codes] =
+            [0, 1, 2].map(|i| self.scans[i].load(Ordering::Relaxed));
+        ScanStats {
+            sparse,
+            dense,
+            active_codes,
+        }
+    }
+
+    fn count_scan(&self, sparse: bool, active_codes: usize) {
+        self.scans[usize::from(!sparse)].fetch_add(1, Ordering::Relaxed);
+        self.scans[2].fetch_add(active_codes as u64, Ordering::Relaxed);
+    }
+
+    /// Resident bytes of the int8 factor-major scan sidecars, each counted
+    /// once: `k × items` however an engine is split in memory, 0 without int8.
+    pub fn sidecar_bytes(&self) -> usize {
+        let quants = self.parts.iter().filter_map(|p| p.model.quant());
+        let mut copies: Vec<&[i8]> =
+            (quants.filter_map(|q| q.factor_major()).map(|c| &**c)).collect();
+        copies.sort_by_key(|c| c.as_ptr());
+        copies.dedup_by_key(|c| c.as_ptr());
+        copies.iter().map(|c| c.len()).sum()
     }
 
     /// `(partition, partition-local row)` of global user row `user`, when
@@ -1016,11 +1074,16 @@ impl ServeEngine {
         let items = match quant {
             // [`ocular_core::recommend_top_m`]'s own kernel, hence
             // bitwise-identical lists for a warm user
-            None => top_m_for_factors(model, factors, exclude, m),
+            None => {
+                self.count_scan(false, factors.len());
+                top_m_for_factors(model, factors, exclude, m)
+            }
             // the user row (warm or folded-in) narrows once; the selector
             // takes each tile of the blocked kernel while it is in L1
             Some(quant) => {
                 let query = quant.prepare(factors);
+                let sparse = quant.scans_sparse(&query, n.min(SCAN_TILE));
+                self.count_scan(sparse, query.active_codes());
                 let mut top = MonotoneTopK::new(m, exclude, prob_from_affinity);
                 let mut tile = [0.0f64; SCAN_TILE];
                 for first in (0..n).step_by(SCAN_TILE) {
@@ -1512,6 +1575,62 @@ mod tests {
     }
 
     #[test]
+    fn a_quantized_copy_with_a_wrong_code_sum_fails_the_build_and_the_reload() {
+        // a file can carry a valid checksum over sums that do not match its
+        // codes; the row-major and factor-major arms would then disagree
+        let (model, r, _) = trained();
+        let good =
+            Snapshot::build(model, &IndexConfig::default()).with_quantization(QuantDtype::I8);
+        let mut bad = good.clone();
+        let quant = bad.quant.take().unwrap();
+        let (codes, scale, zero, qsum) = quant.i8_parts();
+        let mut qsum = qsum.to_vec();
+        qsum[17] += 1.0;
+        bad.quant = Some(
+            QuantizedFactors::from_parts_i8(
+                quant.rows(),
+                quant.cols(),
+                codes.to_vec().into(),
+                scale.to_vec().into(),
+                zero.to_vec().into(),
+                qsum.into(),
+            )
+            .unwrap(),
+        );
+        let build = move |snap: &Snapshot, generation| {
+            EngineBuilder::from_snapshot(AnySnapshot::Ocular(snap.clone()))
+                .dataset(r.clone())
+                .candidates(CandidatePolicy::FullCatalog)
+                .generation(generation)
+                .build()
+        };
+        for shards in [1, 4] {
+            let built = EngineBuilder::from_snapshot(AnySnapshot::Ocular(bad.clone()))
+                .dataset(build(&good, 1).unwrap().dataset().clone())
+                .shards(shards)
+                .build();
+            assert!(
+                matches!(&built, Err(OcularError::Corrupt(why)) if why.contains("row 17")),
+                "{:?}",
+                built.err()
+            );
+        }
+        // reloading such a generation leaves the old one serving
+        let request = Request::Warm { user: 3, m: 5 };
+        let before = build(&good, 1).unwrap().serve_one(&request).unwrap();
+        let swap = crate::swap::SwapEngine::with_reload(
+            build(&good, 1).unwrap(),
+            Box::new(move |current| build(&bad, current + 1)),
+        );
+        assert!(matches!(
+            swap.reload(),
+            Err(crate::swap::ReloadError::Failed(OcularError::Corrupt(_)))
+        ));
+        assert_eq!((swap.generation(), swap.swap_count()), (1, 0));
+        assert_eq!(swap.engine().serve_one(&request).unwrap(), before);
+    }
+
+    #[test]
     fn quantization_rejected_for_generic_kinds() {
         let (_, r, _) = trained();
         let built = EngineBuilder::from_recommender(Box::new(Popularity::fit(&r)))
@@ -1711,7 +1830,18 @@ mod tests {
                 (0..rows * k).map(|_| (next() % 4) as f64 * 0.5).collect(),
             )
         };
-        let tied = FactorModel::new(ties(n_users), ties(n_items), false);
+        // user 0 keeps one code off its most frequent (the sparse int8
+        // arm), user 1 three distinct codes (the row-major arm)
+        let with_users = |mut users: Matrix, sparse: [f64; 3], dense: [f64; 3]| {
+            users.row_mut(0).copy_from_slice(&sparse);
+            users.row_mut(1).copy_from_slice(&dense);
+            users
+        };
+        let tied = FactorModel::new(
+            with_users(ties(n_users), [1.5, 0.0, 0.0], [0.5, 1.0, 1.5]),
+            ties(n_items),
+            false,
+        );
         // every affinity ≥ 3·4·4 = 48: each probability is exactly 1.0 and
         // the whole list is ordered by index alone
         let mut high = |rows: usize| {
@@ -1721,7 +1851,11 @@ mod tests {
                 (0..rows * k).map(|_| 4.0 + (next() % 3) as f64).collect(),
             )
         };
-        let saturated = FactorModel::new(high(n_users), high(n_items), false);
+        let saturated = FactorModel::new(
+            with_users(high(n_users), [4.0, 4.0, 6.0], [4.0, 5.0, 6.0]),
+            high(n_items),
+            false,
+        );
 
         // owned items straddle a tile boundary and include the last index;
         // row `n_users` belongs to a user newer than the model
@@ -1747,10 +1881,12 @@ mod tests {
                     CandidatePolicy::Clusters { min_candidates: 20 },
                 ] {
                     // (partitions, pinned kernel level): the quantized scans
-                    // once per level this CPU has, against the one reference
+                    // once per level this CPU has, whole and split four
+                    // ways, against the one row-major reference
                     let mut runs = vec![(1usize, None), (4, None)];
                     if quantize.is_some() {
-                        runs.extend(KernelLevel::available().map(|level| (1, Some(level))));
+                        let levels = KernelLevel::available();
+                        runs.extend(levels.flat_map(|l| [(1, Some(l)), (4, Some(l))]));
                     }
                     for (shards, level) in runs {
                         let mut builder = EngineBuilder::from_model(model.clone())
@@ -1769,6 +1905,9 @@ mod tests {
                         if let Some(level) = level {
                             assert_eq!(e.kernel(), level.name());
                         }
+                        // one factor-major copy however many partitions
+                        let int8 = quantize == Some(QuantDtype::I8);
+                        assert_eq!(e.sidecar_bytes(), if int8 { n_items * k } else { 0 });
                         let fold = |basket: &[usize]| {
                             ocular_core::fold_in_user(
                                 model,
@@ -1816,6 +1955,17 @@ mod tests {
                                 let want = expected(&fold(&basket), &exclude);
                                 assert_eq!(got, want, "cold {basket:?} {ctx}");
                             }
+                        }
+                        // every full-catalog scan was counted, and the int8
+                        // ones went through both arms
+                        let scans = e.scan_stats();
+                        if policy == CandidatePolicy::FullCatalog {
+                            assert_eq!(scans.sparse + scans.dense, 4 * (n_users as u64 + 3));
+                        }
+                        if int8 {
+                            assert!(scans.sparse > 0 && scans.dense > 0, "{scans:?}");
+                        } else {
+                            assert_eq!(scans.sparse, 0);
                         }
                     }
                 }

@@ -84,32 +84,32 @@ impl ClusterIndex {
             cfg.rel > 0.0 && cfg.rel <= 1.0,
             "relative membership cutoff must lie in (0, 1]"
         );
-        let items = (0..model.n_clusters())
-            .map(|c| {
-                let max_u = (0..model.n_users())
-                    .map(|u| model.user_factors.row(u)[c])
-                    .fold(0.0f64, f64::max);
-                let max_i = (0..model.n_items())
-                    .map(|i| model.item_factors.row(i)[c])
-                    .fold(0.0f64, f64::max);
-                if max_u * max_i < MIN_TOP_PAIR_AFFINITY {
-                    return Vec::new(); // dead dimension
+        let k = model.n_clusters();
+        let column_max = |m: &ocular_linalg::Matrix| {
+            (0..m.rows()).fold(vec![0.0f64; k], |mut max, r| {
+                (max.iter_mut().zip(m.row(r))).for_each(|(max, &v)| *max = max.max(v));
+                max
+            })
+        };
+        let max_u = column_max(&model.user_factors);
+        let max_i = column_max(&model.item_factors);
+        let dead = |c: usize| max_u[c] * max_i[c] < MIN_TOP_PAIR_AFFINITY;
+        // one pass over the item factors, keeping only what a list can
+        // take: a trained column is mostly zeros the sort need never see
+        let mut by_strength: Vec<Vec<(f64, usize)>> = vec![Vec::new(); k];
+        for i in 0..model.n_items() {
+            for (c, &s) in model.item_factors.row(i)[..k].iter().enumerate() {
+                if s > 0.0 && !dead(c) {
+                    by_strength[c].push((s, i));
                 }
+            }
+        }
+        let items = (by_strength.into_iter().zip(max_i))
+            .map(|(mut by_strength, max_i)| {
                 // strength descending, ties by ascending item
-                let mut by_strength: Vec<(f64, usize)> = (0..model.n_items())
-                    .map(|i| (model.item_factors.row(i)[c], i))
-                    .collect();
-                by_strength.sort_by(|a, b| {
-                    b.0.partial_cmp(&a.0)
-                        .expect("finite factors")
-                        .then_with(|| a.1.cmp(&b.1))
-                });
-                let mut list: Vec<u32> = by_strength
-                    .into_iter()
-                    .enumerate()
-                    .take_while(|&(rank, (s, _))| {
-                        s > 0.0 && (rank < cfg.floor || s >= cfg.rel * max_i)
-                    })
+                by_strength.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+                let mut list: Vec<u32> = (by_strength.into_iter().enumerate())
+                    .take_while(|&(rank, (s, _))| rank < cfg.floor || s >= cfg.rel * max_i)
                     .map(|(_, (_, i))| col_index(i))
                     .collect();
                 list.sort_unstable();
@@ -338,6 +338,98 @@ mod tests {
         let idx = ClusterIndex::build(&m, &rel_only(0.5));
         assert_eq!(idx.cluster_items(0), &[0]);
         assert!(idx.cluster_items(1).is_empty());
+    }
+
+    /// The construction `build` replaced, kept as its reference: per
+    /// cluster, sort every `(strength, item)` pair of the catalog — zeros
+    /// included — then keep the positive head.
+    fn lists_by_full_sort(model: &FactorModel, cfg: &IndexConfig) -> Vec<Vec<u32>> {
+        (0..model.n_clusters())
+            .map(|c| {
+                let max_u = (0..model.n_users())
+                    .map(|u| model.user_factors.row(u)[c])
+                    .fold(0.0f64, f64::max);
+                let max_i = (0..model.n_items())
+                    .map(|i| model.item_factors.row(i)[c])
+                    .fold(0.0f64, f64::max);
+                if max_u * max_i < MIN_TOP_PAIR_AFFINITY {
+                    return Vec::new();
+                }
+                let mut by_strength: Vec<(f64, usize)> = (0..model.n_items())
+                    .map(|i| (model.item_factors.row(i)[c], i))
+                    .collect();
+                by_strength.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+                let mut list: Vec<u32> = by_strength
+                    .into_iter()
+                    .enumerate()
+                    .take_while(|&(rank, (s, _))| {
+                        s > 0.0 && (rank < cfg.floor || s >= cfg.rel * max_i)
+                    })
+                    .map(|(_, (_, i))| i as u32)
+                    .collect();
+                list.sort_unstable();
+                list
+            })
+            .collect()
+    }
+
+    #[test]
+    fn build_matches_the_full_sort_construction() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut live, mut topped_up) = (0, 0);
+        for case in 0..40 {
+            let (n_users, n_items, k) = (1 + case % 7, 1 + (case * 13) % 90, 1 + case % 6);
+            let bias = case % 5 == 0;
+            let cols = k + 2 * usize::from(bias);
+            // sparse rows with few distinct strengths (ties), column 0
+            // all-zero on the item side in every third case, and the last
+            // cluster column positive on at most three items
+            let mut factors = |rows: usize, item_side: bool| {
+                let mut m = Matrix::zeros(rows, cols);
+                for r in 0..rows {
+                    for c in 0..cols {
+                        let zero = item_side && c == 0 && case % 3 == 0;
+                        let few = item_side && c + 1 == k && r >= 3;
+                        if !zero && !few && next() % 3 == 0 {
+                            m.row_mut(r)[c] = (1 + next() % 4) as f64 * 0.45;
+                        }
+                    }
+                }
+                m
+            };
+            let model = FactorModel::new(factors(n_users, false), factors(n_items, true), bias);
+            for cfg in [
+                rel_only(0.5),
+                IndexConfig { rel: 1.0, floor: 5 },
+                IndexConfig {
+                    rel: 0.3,
+                    floor: 1000,
+                },
+            ] {
+                let idx = ClusterIndex::build(&model, &cfg);
+                let want = lists_by_full_sort(&model, &cfg);
+                assert_eq!(idx.n_clusters(), want.len());
+                for (c, list) in want.iter().enumerate() {
+                    assert_eq!(
+                        idx.cluster_items(c),
+                        &list[..],
+                        "case {case} cluster {c} {cfg:?}"
+                    );
+                    live += usize::from(!list.is_empty());
+                    topped_up += usize::from(!list.is_empty() && list.len() < cfg.floor);
+                }
+            }
+        }
+        assert!(
+            live > 100 && topped_up > 50,
+            "{live} live lists, {topped_up} under the floor"
+        );
     }
 
     #[test]

@@ -91,8 +91,8 @@ pub mod snapshot;
 pub mod swap;
 
 pub use engine::{
-    CandidatePolicy, EngineBuilder, FoldInStats, Request, ServeConfig, ServeEngine, ServeError,
-    ServedList, ShardStat,
+    CandidatePolicy, EngineBuilder, FoldInStats, Request, ScanStats, ServeConfig, ServeEngine,
+    ServeError, ServedList, ShardStat,
 };
 pub use index::{ClusterIndex, IndexConfig};
 pub use protocol::{WireError, WireReply, WireRequest, WireResponse, PROTOCOL_VERSION};

@@ -216,7 +216,9 @@ impl ServerStats {
     /// which `model_generation` and `kind` answer requests right now,
     /// the quantized scoring `dtype` when one is active and the ISA level
     /// of the scoring `kernel` (why two hosts can differ 1.8× on one
-    /// snapshot), how many hot `swaps` have landed, whether a reload is in
+    /// snapshot), the OCuLaR full-catalog `scans` by arm —
+    /// `{sparse, dense, active_codes_mean}`, [`crate::engine::ScanStats`]
+    /// — how many hot `swaps` have landed, whether a reload is in
     /// flight, how many `reloads` were attempted, and the fold-in solver
     /// counters `fold_ins` / `fold_in_iterations` / `fold_in_unconverged`
     /// ([`crate::engine::FoldInStats`]). An engine with more
@@ -233,6 +235,14 @@ impl ServerStats {
         fields.push(("kind".into(), text(engine.kind())));
         fields.push(("dtype".into(), text(engine.dtype().unwrap_or("f64"))));
         fields.push(("kernel".into(), text(engine.kernel())));
+        let scans = engine.scan_stats();
+        let mean = scans.active_codes as f64 / (scans.sparse + scans.dense).max(1) as f64;
+        let scans = crate::json::obj(vec![
+            ("sparse", Json::Int(scans.sparse)),
+            ("dense", Json::Int(scans.dense)),
+            ("active_codes_mean", Json::Num(mean)),
+        ]);
+        fields.push(("scans".into(), scans));
         fields.push(("swaps".into(), Json::Int(swaps)));
         fields.push(("reloading".into(), Json::Bool(reloading)));
         fields.push((
@@ -354,7 +364,8 @@ mod tests {
             let text = stats.to_json_with_model(engine, 3, reloading).to_string();
             Json::parse(&text).unwrap()
         };
-        let back = body(&builder().build().unwrap(), true);
+        let f64_engine = builder().build().unwrap();
+        let back = body(&f64_engine, true);
         assert_eq!(back.get("model_generation").unwrap().as_u64(), Some(9));
         assert_eq!(back.get("kind").unwrap().as_str(), Some("ocular"));
         assert_eq!(back.get("dtype").unwrap().as_str(), Some("f64"));
@@ -362,6 +373,27 @@ mod tests {
         assert_eq!(back.get("swaps").unwrap().as_u64(), Some(3));
         assert_eq!(back.get("reloading"), Some(&Json::Bool(true)));
         assert_eq!(back.get("reloads").unwrap().as_u64(), Some(4));
+        // full-catalog scans by arm: none yet, then three through the f64
+        // master, which multiplies all k = 2 factors per item
+        let scans = |back: &Json, field: &str| back.get("scans").unwrap().get(field).cloned();
+        for field in ["sparse", "dense"] {
+            assert_eq!(scans(&back, field).unwrap().as_u64(), Some(0));
+        }
+        assert_eq!(
+            scans(&back, "active_codes_mean").unwrap().as_f64(),
+            Some(0.0)
+        );
+        for user in 0..3 {
+            let request = crate::Request::Warm { user, m: 2 };
+            f64_engine.serve_one(&request).unwrap();
+        }
+        let back = body(&f64_engine, true);
+        assert_eq!(scans(&back, "sparse").unwrap().as_u64(), Some(0));
+        assert_eq!(scans(&back, "dense").unwrap().as_u64(), Some(3));
+        assert_eq!(
+            scans(&back, "active_codes_mean").unwrap().as_f64(),
+            Some(2.0)
+        );
         // a quantized engine names its representation and kernel level
         let int8 = builder().quantization(QuantDtype::I8).build().unwrap();
         let back = body(&int8, false);

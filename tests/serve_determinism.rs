@@ -158,7 +158,11 @@ fn cluster_fallback_is_exact_and_scores_are_model_probabilities() {
 /// cold requests, through both candidate paths. Each runs once per
 /// kernel level this CPU has (`None` = the level it would pick itself),
 /// and every level must answer what the first did: a baseline box and an
-/// AVX2 box serve the same bytes.
+/// AVX2 box serve the same bytes. So must every partition count: the int8
+/// engines run whole and split four ways, under the cluster policy and
+/// scanning the full catalog, where users with one co-cluster take the
+/// sparse-query arm through the one factor-major copy the partitions
+/// share and users with several take the row-major arm.
 #[test]
 fn quantized_engines_deterministic_across_threads() {
     let (model, r, train_cfg) = trained();
@@ -175,12 +179,18 @@ fn quantized_engines_deterministic_across_threads() {
             },
         ])
         .collect();
-    for (dtype, shards) in [
-        (QuantDtype::F32, 1),
-        (QuantDtype::I8, 1),
-        (QuantDtype::I8, 4),
+    let clusters = CandidatePolicy::Clusters { min_candidates: 5 };
+    let mut first_answer = None;
+    for (dtype, policy, shards) in [
+        (QuantDtype::F32, clusters, 1),
+        (QuantDtype::I8, clusters, 1),
+        (QuantDtype::I8, clusters, 4),
+        (QuantDtype::I8, CandidatePolicy::FullCatalog, 1),
+        (QuantDtype::I8, CandidatePolicy::FullCatalog, 4),
     ] {
-        let mut first_level = None;
+        if shards == 1 {
+            first_answer = None;
+        }
         for level in std::iter::once(None).chain(KernelLevel::available().map(Some)) {
             let mut builder = EngineBuilder::from_model(model.clone())
                 .dataset(r.clone())
@@ -190,7 +200,7 @@ fn quantized_engines_deterministic_across_threads() {
                 })
                 .config(ServeConfig {
                     default_m: 20,
-                    candidates: CandidatePolicy::Clusters { min_candidates: 5 },
+                    candidates: policy,
                     foldin: train_cfg.clone(),
                     ..Default::default()
                 })
@@ -214,13 +224,26 @@ fn quantized_engines_deterministic_across_threads() {
             for (req, want) in requests.iter().zip(&reference) {
                 assert_eq!(&e.serve_one(req), want);
             }
-            let first = first_level.get_or_insert_with(|| reference.clone());
+            let first = first_answer.get_or_insert_with(|| reference.clone());
             assert_eq!(
                 &reference,
                 first,
-                "{} engine ×{shards} at {level:?} must answer what the detected level does",
+                "{} engine ×{shards} at {level:?} must answer what the unsharded engine at the \
+                 detected level does",
                 dtype.name()
             );
+            // one factor-major copy, whatever the partition count
+            let int8 = dtype == QuantDtype::I8;
+            let sidecar = if int8 {
+                r.n_items() * model.k_total()
+            } else {
+                0
+            };
+            assert_eq!(e.sidecar_bytes(), sidecar);
+            let scans = e.scan_stats();
+            if int8 && policy == CandidatePolicy::FullCatalog {
+                assert!(scans.sparse > 0 && scans.dense > 0, "{scans:?}");
+            }
         }
     }
 }

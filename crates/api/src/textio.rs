@@ -1,18 +1,16 @@
-//! Shared line-oriented **text** persistence helpers — the one
-//! implementation of the workspace's `{:e}` float round-trip convention.
+//! Shared line-oriented **text** readers for the frozen v1/v2 snapshot
+//! payloads (`ocular-model v1`, `wals-model v1`, …). The format is
+//! read-only: the files that exist carry their floats as `{:e}` (Rust's
+//! shortest round-trippable representation), so parsing one reproduces
+//! every `f64` **bitwise**.
 //!
-//! Every text model payload (`ocular-model v1`, `wals-model v1`, …) and
-//! the text snapshot envelope are line-oriented: floats are written with
-//! `{:e}` (Rust's shortest round-trippable representation), so a
-//! save/load cycle reproduces every `f64` **bitwise**. These helpers used
-//! to be duplicated between `ocular-serve`'s snapshot module and
-//! `ocular-baselines`' persistence module; they live here so the text
-//! and binary codecs sit side by side under one roof and cannot drift.
+//! A header is untrusted input: readers grow their buffers as lines
+//! actually arrive and never pre-size from a declared shape.
 
 use crate::error::OcularError;
 use ocular_linalg::Matrix;
 use ocular_sparse::CsrMatrix;
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 /// Shorthand for a corrupt-payload error.
 pub fn bad(msg: impl Into<String>) -> OcularError {
@@ -26,12 +24,6 @@ pub fn read_line(r: &mut dyn BufRead) -> Result<String, OcularError> {
         return Err(bad("truncated model payload"));
     }
     Ok(line.trim_end_matches(['\n', '\r']).to_string())
-}
-
-/// Writes a float slice as one space-separated `{:e}` line.
-pub fn write_floats(w: &mut dyn Write, vals: &[f64]) -> std::io::Result<()> {
-    let row: Vec<String> = vals.iter().map(|v| format!("{v:e}")).collect();
-    writeln!(w, "{}", row.join(" "))
 }
 
 /// Parses one space-separated float line of exactly `n` values.
@@ -48,39 +40,19 @@ pub fn read_floats(r: &mut dyn BufRead, n: usize) -> Result<Vec<f64>, OcularErro
     Ok(vals)
 }
 
-/// Writes a dense matrix, one row per line.
-pub fn write_matrix(w: &mut dyn Write, m: &Matrix) -> std::io::Result<()> {
-    for r in 0..m.rows() {
-        write_floats(w, m.row(r))?;
-    }
-    Ok(())
-}
-
-/// Reads a `rows × cols` matrix written by [`write_matrix`].
+/// Reads a `rows × cols` matrix, one row of `{:e}` floats per line.
 pub fn read_matrix(r: &mut dyn BufRead, rows: usize, cols: usize) -> Result<Matrix, OcularError> {
-    let mut data = Vec::with_capacity(rows * cols);
+    rows.checked_mul(cols)
+        .ok_or_else(|| bad(format!("matrix shape {rows}×{cols} overflows")))?;
+    let mut data = Vec::new();
     for _ in 0..rows {
         data.extend(read_floats(r, cols)?);
     }
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
-/// Writes a binary CSR matrix: a shape line, then one `len id id …` line
-/// per row.
-pub fn write_csr(w: &mut dyn Write, m: &CsrMatrix) -> std::io::Result<()> {
-    writeln!(w, "interactions {} {}", m.n_rows(), m.n_cols())?;
-    for u in 0..m.n_rows() {
-        let row = m.row(u);
-        write!(w, "{}", row.len())?;
-        for &i in row {
-            write!(w, " {i}")?;
-        }
-        writeln!(w)?;
-    }
-    Ok(())
-}
-
-/// Reads a matrix written by [`write_csr`].
+/// Reads a binary CSR matrix: an `interactions <rows> <cols>` line, then
+/// one `len id id …` line per row.
 pub fn read_csr(r: &mut dyn BufRead) -> Result<CsrMatrix, OcularError> {
     let header = read_line(r)?;
     let fields: Vec<&str> = header.split_whitespace().collect();
@@ -118,23 +90,30 @@ mod tests {
 
     #[test]
     fn matrix_roundtrip_is_bitwise() {
-        let m = Matrix::from_vec(
-            2,
-            3,
-            vec![0.1, -2.5e-17, 3.0, f64::MIN_POSITIVE, 1e300, 0.0],
-        );
-        let mut buf: Vec<u8> = Vec::new();
-        write_matrix(&mut buf, &m).unwrap();
-        let loaded = read_matrix(&mut buf.as_slice(), 2, 3).unwrap();
-        assert_eq!(loaded, m);
+        // `{:e}` is what every text snapshot on disk was written with
+        let vals = [0.1, -2.5e-17, 3.0, f64::MIN_POSITIVE, 1e300, 0.0];
+        let line = |row: &[f64]| row.iter().map(|v| format!("{v:e} ")).collect::<String>();
+        let text = format!("{}\n{}\n", line(&vals[..3]), line(&vals[3..]));
+        let loaded = read_matrix(&mut text.as_bytes(), 2, 3).unwrap();
+        assert_eq!(loaded, Matrix::from_vec(2, 3, vals.to_vec()));
+    }
+
+    #[test]
+    fn a_declared_shape_is_never_allocated_up_front() {
+        // 32 TB by the header, one short line in the file: typed errors
+        let huge = 1_000_000_000_000;
+        assert!(matches!(
+            read_matrix(&mut "1 2 3 4\n".as_bytes(), huge, 4),
+            Err(OcularError::Corrupt(_))
+        ));
+        assert!(read_matrix(&mut "".as_bytes(), usize::MAX, 2).is_err());
     }
 
     #[test]
     fn csr_roundtrip_and_validation() {
         let m = CsrMatrix::from_pairs(3, 4, &[(0, 1), (0, 3), (2, 0)]).unwrap();
-        let mut buf: Vec<u8> = Vec::new();
-        write_csr(&mut buf, &m).unwrap();
-        assert_eq!(read_csr(&mut buf.as_slice()).unwrap(), m);
+        let text = "interactions 3 4\n2 1 3\n0\n1 0\n";
+        assert_eq!(read_csr(&mut text.as_bytes()).unwrap(), m);
         assert!(read_csr(&mut "nope 1 1\n".as_bytes()).is_err());
         assert!(read_csr(&mut "interactions 1 1\n2 0\n".as_bytes()).is_err());
     }

@@ -19,7 +19,7 @@ use crate::binary::{SectionReader, SectionWriter};
 use crate::error::OcularError;
 use ocular_linalg::topk::top_k_excluding;
 use ocular_sparse::CsrMatrix;
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 /// One ranked item with the score its model assigned. For OCuLaR the score
 /// is a probability; for the baselines it is a model score whose scale is
@@ -171,36 +171,28 @@ pub trait Explain: ScoreItems {
 /// carry *any* model kind and the loader dispatches on the tag instead of
 /// guessing at bytes.
 ///
-/// Two codecs per kind, same kind tag, same bitwise content:
-///
-/// * **text** ([`SnapshotModel::save_model`] / [`SnapshotModel::load_model`])
-///   — the line-oriented v1/v2 envelope payloads, human-inspectable and
-///   the compatibility format old snapshots keep loading through;
-/// * **binary v3** ([`SnapshotModel::write_sections`] /
-///   [`SnapshotModel::read_sections`]) — typed sections in the mmap-able
-///   [`crate::binary`] container. `read_sections` should **borrow** its
-///   large payloads from the reader's byte region
-///   ([`SectionReader::f64s`] and friends return region-backed buffers),
-///   so loading a binary snapshot is allocation-free for the bulk data.
+/// One writable codec per kind — **binary v3**
+/// ([`SnapshotModel::write_sections`] / [`SnapshotModel::read_sections`]):
+/// typed sections in the mmap-able [`crate::binary`] container.
+/// `read_sections` should **borrow** its large payloads from the reader's
+/// byte region ([`SectionReader::f64s`] and friends return region-backed
+/// buffers), so loading a snapshot is allocation-free for the bulk data.
+/// [`SnapshotModel::load_model`] is the read-only text codec the frozen
+/// v1/v2 files keep loading through.
 pub trait SnapshotModel: ScoreItems {
     /// The stable kind tag written into snapshot envelopes (e.g. `"wals"`).
     /// Lowercase, no spaces; distinct per implementing type.
     fn kind(&self) -> &'static str;
 
-    /// Writes the model payload. The format must be self-delimiting (the
-    /// snapshot envelope appends a footer right after it).
-    fn save_model(&self, w: &mut dyn Write) -> std::io::Result<()>;
-
-    /// Reads a payload written by [`SnapshotModel::save_model`], validating
-    /// shape and values.
+    /// Reads the kind's self-delimiting text payload out of a v1/v2
+    /// envelope, validating shape and values.
     fn load_model(r: &mut dyn BufRead) -> Result<Self, OcularError>
     where
         Self: Sized;
 
     /// Writes the model's payload as typed sections of a v3 binary
     /// snapshot. Must round-trip bitwise against
-    /// [`SnapshotModel::read_sections`] *and* agree with the text codec
-    /// (the conformance suite asserts both).
+    /// [`SnapshotModel::read_sections`].
     fn write_sections(&self, w: &mut SectionWriter) -> Result<(), OcularError>;
 
     /// Reads a payload written by [`SnapshotModel::write_sections`],

@@ -15,7 +15,7 @@
 //! non-interpretable baseline of Table I; the OCuLaR paper used the
 //! `theano-bpr` implementation, which this module replaces from scratch.
 
-use ocular_api::textio::{bad, read_line, read_matrix, write_matrix};
+use ocular_api::textio::{bad, read_line, read_matrix};
 use ocular_api::{OcularError, Recommender, ScoreItems, SnapshotModel};
 use ocular_linalg::{ops, Matrix};
 use ocular_sparse::{CsrMatrix, Dataset};
@@ -220,24 +220,6 @@ impl Recommender for Bpr {}
 impl SnapshotModel for Bpr {
     fn kind(&self) -> &'static str {
         Self::KIND
-    }
-
-    fn save_model(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        let c = &self.config;
-        writeln!(
-            w,
-            "bpr-model v1 {} {} {} {:e} {:e} {} {:e} {}",
-            self.user_factors.rows(),
-            self.item_factors.rows(),
-            c.k,
-            c.lambda,
-            c.learning_rate,
-            c.epochs,
-            c.init_scale,
-            c.seed
-        )?;
-        write_matrix(w, &self.user_factors)?;
-        write_matrix(w, &self.item_factors)
     }
 
     fn load_model(r: &mut dyn std::io::BufRead) -> Result<Self, OcularError> {
@@ -469,11 +451,14 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut buf: Vec<u8> = Vec::new();
-        m.save_model(&mut buf).unwrap();
-        let loaded = <Bpr as SnapshotModel>::load_model(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded, m);
-        assert!(<Bpr as SnapshotModel>::load_model(&mut "junk".as_bytes()).is_err());
+        assert_eq!(crate::section_cycle(&m).unwrap(), m);
+        assert!(Bpr::load_model(&mut "junk".as_bytes()).is_err());
+        // a header promising terabytes of factors is typed, not allocated
+        let bomb = "bpr-model v1 1000000000000 1 4 1e-2 5e-2 1 1e-1 0\n";
+        assert!(matches!(
+            Bpr::load_model(&mut bomb.as_bytes()),
+            Err(OcularError::Corrupt(_))
+        ));
     }
 
     #[test]

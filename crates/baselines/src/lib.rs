@@ -111,6 +111,15 @@ pub fn all_baselines(
         .collect()
 }
 
+/// Test helper: a model through its v3 sections and back.
+#[cfg(test)]
+fn section_cycle<M: SnapshotModel>(m: &M) -> Result<M, OcularError> {
+    let mut w = ocular_api::SectionWriter::new(m.kind());
+    m.write_sections(&mut w)?;
+    let region = ocular_bytes::ModelBytes::from_vec(w.finish());
+    M::read_sections(&ocular_api::SectionReader::open(region)?)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

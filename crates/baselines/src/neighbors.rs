@@ -16,10 +16,10 @@
 //! implementation does not precompute — its `as_fold_in` stays `None`.
 
 use crate::similarity::{top_k_neighbors, Neighbor};
-use ocular_api::textio::{bad, read_csr, read_line, write_csr};
+use ocular_api::textio::{bad, read_csr, read_line};
 use ocular_api::{validate_basket, FoldIn, OcularError, Recommender, ScoreItems, SnapshotModel};
 use ocular_sparse::{CsrMatrix, Dataset};
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 /// Configuration for both kNN models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,21 +34,10 @@ impl Default for KnnConfig {
     }
 }
 
-/// Writes neighbour lists, one `len idx:sim …` line per entity.
-fn write_neighbors(w: &mut dyn Write, lists: &[Vec<Neighbor>]) -> std::io::Result<()> {
-    for list in lists {
-        write!(w, "{}", list.len())?;
-        for n in list {
-            write!(w, " {}:{:e}", n.index, n.similarity)?;
-        }
-        writeln!(w)?;
-    }
-    Ok(())
-}
-
-/// Reads `n` neighbour-list lines written by [`write_neighbors`].
+/// Reads `n` neighbour-list lines, one `len idx:sim …` line per entity.
 fn read_neighbors(r: &mut dyn BufRead, n: usize) -> Result<Vec<Vec<Neighbor>>, OcularError> {
-    let mut lists = Vec::with_capacity(n);
+    // `n` is the header's word: grow as lines arrive, never pre-size
+    let mut lists = Vec::new();
     for e in 0..n {
         let line = read_line(r)?;
         let mut fields = line.split_whitespace();
@@ -249,12 +238,6 @@ impl SnapshotModel for UserKnn {
         Self::KIND
     }
 
-    fn save_model(&self, w: &mut dyn Write) -> std::io::Result<()> {
-        writeln!(w, "user-knn-model v1 {}", self.neighbors.len())?;
-        write_neighbors(w, &self.neighbors)?;
-        write_csr(w, &self.r)
-    }
-
     fn load_model(r: &mut dyn BufRead) -> Result<Self, OcularError> {
         let header = read_line(r)?;
         let f: Vec<&str> = header.split_whitespace().collect();
@@ -370,12 +353,6 @@ impl FoldIn for ItemKnn {
 impl SnapshotModel for ItemKnn {
     fn kind(&self) -> &'static str {
         Self::KIND
-    }
-
-    fn save_model(&self, w: &mut dyn Write) -> std::io::Result<()> {
-        writeln!(w, "item-knn-model v1 {}", self.neighbors.len())?;
-        write_neighbors(w, &self.neighbors)?;
-        write_csr(w, &self.r)
     }
 
     fn load_model(r: &mut dyn BufRead) -> Result<Self, OcularError> {
@@ -524,56 +501,54 @@ mod tests {
         assert!((scores[0] - sim31).abs() < 1e-12);
     }
 
+    /// The `item-knn-model v1` payload of the committed v2 golden (the
+    /// envelope header line stripped; the reader stops where it ends).
+    fn golden_item_knn_text() -> &'static str {
+        let snap = include_str!("../../../tests/data/golden/v2-item-knn.snap");
+        snap.split_once('\n').unwrap().1
+    }
+
     #[test]
     fn snapshot_roundtrips_bitwise_for_both_variants() {
         let r = blocks();
         let user_model = UserKnn::fit(&r, &KnnConfig { k: 2 });
-        let mut buf: Vec<u8> = Vec::new();
-        user_model.save_model(&mut buf).unwrap();
-        assert_eq!(
-            <UserKnn as SnapshotModel>::load_model(&mut buf.as_slice()).unwrap(),
-            user_model
-        );
+        assert_eq!(crate::section_cycle(&user_model).unwrap(), user_model);
         let item_model = ItemKnn::fit(&r, &KnnConfig { k: 2 });
-        buf.clear();
-        item_model.save_model(&mut buf).unwrap();
-        assert_eq!(
-            <ItemKnn as SnapshotModel>::load_model(&mut buf.as_slice()).unwrap(),
-            item_model
-        );
-        // payloads are kind-tagged: loading one as the other is rejected
-        assert!(<UserKnn as SnapshotModel>::load_model(&mut buf.as_slice()).is_err());
+        assert_eq!(crate::section_cycle(&item_model).unwrap(), item_model);
+        // text payloads are kind-tagged: loading one as the other is rejected
+        let text = golden_item_knn_text();
+        assert!(ItemKnn::load_model(&mut text.as_bytes()).is_ok());
+        assert!(UserKnn::load_model(&mut text.as_bytes()).is_err());
+        // an entity count nobody checked is not a capacity
+        for bomb in [
+            "user-knn-model v1 1000000000000\n",
+            "item-knn-model v1 1000000000000\n",
+        ] {
+            assert!(UserKnn::load_model(&mut bomb.as_bytes()).is_err());
+            assert!(ItemKnn::load_model(&mut bomb.as_bytes()).is_err());
+        }
     }
 
     #[test]
     fn corrupt_neighbour_payloads_rejected_at_load() {
-        let r = blocks();
-        let model = ItemKnn::fit(&r, &KnnConfig { k: 2 });
-        let mut buf: Vec<u8> = Vec::new();
-        model.save_model(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = golden_item_knn_text();
         // out-of-bounds neighbour index: must fail at load, not panic when
         // a request later indexes the score buffer
-        let first_entry_pos = text.find(" 1:").or_else(|| text.find(" 0:")).unwrap();
-        let tampered = format!(
-            "{}{}{}",
-            &text[..first_entry_pos],
-            " 999:",
-            &text[first_entry_pos + 3..]
-        );
+        let sim_pos = text.find(':').unwrap();
+        let idx_pos = text[..sim_pos].rfind(' ').unwrap() + 1;
+        let tampered = format!("{}999{}", &text[..idx_pos], &text[sim_pos..]);
         assert!(matches!(
-            <ItemKnn as SnapshotModel>::load_model(&mut tampered.as_bytes()),
+            ItemKnn::load_model(&mut tampered.as_bytes()),
             Err(OcularError::Corrupt(msg)) if msg.contains("out of bounds")
         ));
         // non-finite similarity: rejected instead of panicking in topk
-        let sim_pos = text.find(':').unwrap();
         let end = text[sim_pos..]
             .find([' ', '\n'])
             .map(|o| sim_pos + o)
             .unwrap();
         let tampered = format!("{}:NaN{}", &text[..sim_pos], &text[end..]);
         assert!(matches!(
-            <ItemKnn as SnapshotModel>::load_model(&mut tampered.as_bytes()),
+            ItemKnn::load_model(&mut tampered.as_bytes()),
             Err(OcularError::Corrupt(msg)) if msg.contains("similarity")
         ));
     }

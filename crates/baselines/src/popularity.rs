@@ -7,7 +7,7 @@
 //! supported: a basket request gets the same global ranking with the
 //! basket excluded.
 
-use ocular_api::textio::{bad, read_floats, read_line, write_floats};
+use ocular_api::textio::{bad, read_floats, read_line};
 use ocular_api::{validate_basket, FoldIn, OcularError, Recommender, ScoreItems, SnapshotModel};
 use ocular_sparse::Dataset;
 
@@ -70,16 +70,6 @@ impl FoldIn for Popularity {
 impl SnapshotModel for Popularity {
     fn kind(&self) -> &'static str {
         Self::KIND
-    }
-
-    fn save_model(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        writeln!(
-            w,
-            "popularity-model v1 {} {}",
-            self.n_users,
-            self.scores.len()
-        )?;
-        write_floats(w, &self.scores)
     }
 
     fn load_model(r: &mut dyn std::io::BufRead) -> Result<Self, OcularError> {
@@ -159,11 +149,11 @@ mod tests {
         let r =
             Dataset::from_matrix(CsrMatrix::from_pairs(5, 7, &[(0, 0), (1, 6), (2, 3)]).unwrap());
         let m = Popularity::fit(&r);
-        let mut buf: Vec<u8> = Vec::new();
-        m.save_model(&mut buf).unwrap();
-        let loaded = <Popularity as SnapshotModel>::load_model(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded, m);
-        assert!(<Popularity as SnapshotModel>::load_model(&mut "junk".as_bytes()).is_err());
+        assert_eq!(crate::section_cycle(&m).unwrap(), m);
+        // the frozen text payload of the same model
+        let text = "popularity-model v1 5 7\n1e0 0e0 0e0 1e0 0e0 0e0 1e0\n";
+        assert_eq!(Popularity::load_model(&mut text.as_bytes()).unwrap(), m);
+        assert!(Popularity::load_model(&mut "junk".as_bytes()).is_err());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! ([`ocular_api::FoldIn`]): a new user's factor vector is one ridge solve
 //! against the frozen item factors — `O(K³ + basket·K²)` per request.
 
-use ocular_api::textio::{bad, read_line, read_matrix, write_matrix};
+use ocular_api::textio::{bad, read_line, read_matrix};
 use ocular_api::{validate_basket, FoldIn, OcularError, Recommender, ScoreItems, SnapshotModel};
 use ocular_linalg::{ops, Cholesky, Matrix};
 use ocular_sparse::{CsrMatrix, Dataset};
@@ -310,29 +310,6 @@ impl SnapshotModel for Wals {
         Self::KIND
     }
 
-    fn save_model(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        let c = &self.config;
-        writeln!(
-            w,
-            "wals-model v1 {} {} {} {:e} {:e} {} {:e} {}",
-            self.user_factors.rows(),
-            self.item_factors.rows(),
-            c.k,
-            c.b,
-            c.lambda,
-            c.iters,
-            c.init_scale,
-            c.seed
-        )?;
-        write_matrix(w, &self.user_factors)?;
-        write_matrix(w, &self.item_factors)?;
-        write!(w, "trace {}", self.objective_trace.len())?;
-        for v in &self.objective_trace {
-            write!(w, " {v:e}")?;
-        }
-        writeln!(w)
-    }
-
     fn load_model(r: &mut dyn std::io::BufRead) -> Result<Self, OcularError> {
         let header = read_line(r)?;
         let f: Vec<&str> = header.split_whitespace().collect();
@@ -578,14 +555,17 @@ mod tests {
     fn snapshot_roundtrip_bitwise() {
         let r = two_blocks();
         let m = Wals::fit(&r, &cfg());
-        let mut buf: Vec<u8> = Vec::new();
-        m.save_model(&mut buf).unwrap();
-        let loaded = <Wals as SnapshotModel>::load_model(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded, m);
-        assert!(matches!(
-            <Wals as SnapshotModel>::load_model(&mut "junk".as_bytes()),
-            Err(OcularError::Corrupt(_))
-        ));
+        assert_eq!(crate::section_cycle(&m).unwrap(), m);
+        // "junk", and a header promising terabytes of factors: both typed
+        for text in [
+            "junk",
+            "wals-model v1 1000000000000 1 4 1e-2 1e-2 1 1e-1 0\n",
+        ] {
+            assert!(matches!(
+                Wals::load_model(&mut text.as_bytes()),
+                Err(OcularError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

@@ -117,8 +117,7 @@ fn run() -> Result<Vec<String>, String> {
     // on a runner that has AVX2
     let kernel_i8_baseline = field(&serve, "quant.int8_kernel_levels.baseline.p50_us")?;
     let kernel_i8_avx2 = field(&serve, "quant.int8_kernel_levels.avx2.p50_us").ok();
-    // snapshot cold-start cost, both formats (the v3 zero-copy claim)
-    let load_text = field(&serve, "snapshot_load.text_seconds")?;
+    // snapshot cold-start cost (mmap load of the v3 file)
     let load_binary = field(&serve, "snapshot_load.binary_seconds")?;
     // end-to-end TCP serving tier: sustained closed-loop throughput and
     // round-trip latency quantiles from the loadgen run
@@ -155,10 +154,6 @@ fn run() -> Result<Vec<String>, String> {
         fields.push(("quant_f64_p50_us".to_string(), Json::Num(quant_f64)));
         fields.push(("quant_f32_p50_us".to_string(), Json::Num(quant_f32)));
         fields.push(("quant_int8_p50_us".to_string(), Json::Num(quant_i8)));
-        fields.push((
-            "snapshot_load_text_seconds".to_string(),
-            Json::Num(load_text),
-        ));
         fields.push((
             "snapshot_load_binary_seconds".to_string(),
             Json::Num(load_binary),
@@ -249,12 +244,7 @@ fn run() -> Result<Vec<String>, String> {
         quant_i8,
         field(&baseline, "quant_int8_p50_us")?,
     );
-    // snapshot cold-start gates: neither format may regress…
-    check(
-        "snap_text_s",
-        load_text,
-        field(&baseline, "snapshot_load_text_seconds")?,
-    );
+    // snapshot cold-start gate
     check(
         "snap_binary_s",
         load_binary,
@@ -408,21 +398,6 @@ fn run() -> Result<Vec<String>, String> {
             }
         }
         None => println!("bench_gate: simd_vs_baseline skipped — this runner has no AVX2 level"),
-    }
-    // …and, machine-independently within the same run, the v3 mmap load
-    // must be *strictly* faster than parsing the text snapshot of the
-    // same model — the zero-copy start-up claim, gated not asserted
-    println!(
-        "bench_gate: bin_vs_text    binary={:10.5}s text={:10.5}s  ({:.0}× faster)",
-        load_binary,
-        load_text,
-        load_text / load_binary
-    );
-    if load_binary >= load_text {
-        failures.push(format!(
-            "binary snapshot load ({load_binary:.5}s) is not strictly below the text path \
-             ({load_text:.5}s)"
-        ));
     }
     // partitioned-engine throughput gates in the same direction as
     // net_rps: no shard count may fall more than the tolerance below its

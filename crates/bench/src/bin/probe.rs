@@ -260,19 +260,6 @@ fn main() {
          than the {ingest_seconds:.4}s full re-ingest it is supposed to avoid"
     );
 
-    // snapshot persistence: text parse vs v3 binary mmap load on the
-    // model the line-search run just fitted
-    let snap = ocular_serve::AnySnapshot::Ocular(ocular_serve::Snapshot::build(
-        search_fit.model,
-        &ocular_serve::IndexConfig::default(),
-    ));
-    let (load_text_s, load_binary_s) =
-        ocular_bench::persistence::snapshot_load_seconds(&snap, data.matrix.ids(), 7);
-    println!(
-        "snapshot load: text {:.4}s vs binary(mmap) {:.5}s",
-        load_text_s, load_binary_s
-    );
-
     let bench_out = args.get("bench-out", String::new());
     if !bench_out.is_empty() {
         // the fastest fit is the least noisy proxy for "did training get
@@ -307,13 +294,6 @@ fn main() {
             ),
             ("ingest_seconds", Json::Num(ingest_seconds)),
             ("delta_append_seconds", Json::Num(delta_append_seconds)),
-            (
-                "snapshot_load",
-                obj(vec![
-                    ("text_seconds", Json::Num(load_text_s)),
-                    ("binary_seconds", Json::Num(load_binary_s)),
-                ]),
-            ),
         ]);
         std::fs::write(&bench_out, format!("{doc}\n")).expect("write bench artifact");
         eprintln!("artifact → {bench_out}");

@@ -202,19 +202,23 @@ fn main() {
     let cold_iterations = (folds.iterations - folds_before.iterations) as f64 / cold_solves;
     let cold_unconverged = folds.unconverged - folds_before.unconverged;
 
-    // snapshot cold-start cost on the same model: text parse vs v3 mmap.
-    // This is the number the O(1)-start-up claim is gated on — bench_gate
-    // fails if the binary path is not strictly below the text path.
+    // snapshot cold-start cost on the same model: save once, then the
+    // median of seven loads through the production (mmap) loader —
+    // bench_gate holds it against the committed baseline
     let snapshot = ocular_serve::Snapshot::build(model.clone(), &index_cfg);
     let snap = ocular_serve::AnySnapshot::Ocular(snapshot.clone());
-    let (load_text_s, load_binary_s) =
-        ocular_bench::persistence::snapshot_load_seconds(&snap, r.ids(), 7);
-    eprintln!(
-        "snapshot load: text {:.2}ms vs binary(mmap) {:.3}ms ({:.0}× faster)",
-        load_text_s * 1e3,
-        load_binary_s * 1e3,
-        load_text_s / load_binary_s
-    );
+    let snap_path = std::env::temp_dir().join(format!("ocular-bench-{}.snap", std::process::id()));
+    snap.save_path(&snap_path, r.ids(), ocular_serve::SnapshotFormat::Binary)
+        .expect("write snapshot");
+    // the loaded snapshots outlive the timing, so unmapping is not in it
+    let mut loaded = Vec::new();
+    let load_binary_s = measure(7, |_| {
+        loaded.push(ocular_serve::AnySnapshot::load_path_full(&snap_path).expect("load snapshot"))
+    })
+    .p50 / 1e6;
+    drop(loaded);
+    let _ = std::fs::remove_file(&snap_path);
+    eprintln!("snapshot load (mmap): {:.3}ms", load_binary_s * 1e3);
 
     let batch: Vec<Request> = (0..n_requests)
         .map(|i| Request::Warm {
@@ -475,10 +479,7 @@ fn main() {
         ),
         (
             "snapshot_load",
-            obj(vec![
-                ("text_seconds", Json::Num(load_text_s)),
-                ("binary_seconds", Json::Num(load_binary_s)),
-            ]),
+            obj(vec![("binary_seconds", Json::Num(load_binary_s))]),
         ),
         (
             "kinds",

@@ -26,7 +26,6 @@
 
 pub mod args;
 pub mod harness;
-pub mod persistence;
 pub mod table;
 
 pub use args::Args;

@@ -1,7 +1,8 @@
 //! The factor model: non-negative co-cluster affiliation vectors.
 
+use ocular_api::{textio, OcularError};
 use ocular_linalg::{ops, Matrix};
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 /// Smallest affinity used inside logs/denominators. With non-negative
 /// factors the loss `−log(1 − e^{−p})` is singular at `p = 0`; clamping to
@@ -58,9 +59,9 @@ impl FactorModel {
         user_factors: Matrix,
         item_factors: Matrix,
         has_bias: bool,
-    ) -> Result<Self, ocular_api::OcularError> {
+    ) -> Result<Self, OcularError> {
         if user_factors.cols() != item_factors.cols() {
-            return Err(ocular_api::OcularError::InvalidConfig(format!(
+            return Err(OcularError::InvalidConfig(format!(
                 "user and item factors must share k ({} vs {})",
                 user_factors.cols(),
                 item_factors.cols()
@@ -69,7 +70,7 @@ impl FactorModel {
         let k_total = user_factors.cols();
         let n_clusters = if has_bias {
             if k_total < 3 {
-                return Err(ocular_api::OcularError::InvalidConfig(
+                return Err(OcularError::InvalidConfig(
                     "bias model needs k ≥ 1 plus two bias columns".into(),
                 ));
             }
@@ -158,57 +159,25 @@ impl FactorModel {
         }
     }
 
-    /// Serialises the model to a writer in a line-oriented text format
-    /// (`ocular-model v1`). Factors are written in full `f64` precision.
-    pub fn save<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let mut w = std::io::BufWriter::new(w);
-        writeln!(
-            w,
-            "ocular-model v1 {} {} {} {}",
-            self.n_users(),
-            self.n_items(),
-            self.k_total(),
-            u8::from(self.has_bias)
-        )?;
-        for side in [&self.user_factors, &self.item_factors] {
-            ocular_api::textio::write_matrix(&mut w, side)?;
-        }
-        w.flush()
-    }
-
-    /// Loads a model produced by [`FactorModel::save`].
-    pub fn load<R: BufRead>(r: &mut R) -> std::io::Result<FactorModel> {
-        let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-        let mut header = String::new();
-        r.read_line(&mut header)?;
+    /// Loads the frozen `ocular-model v1` text payload: a
+    /// `ocular-model v1 <n_users> <n_items> <k_total> <has_bias>` line, then
+    /// one `{:e}` row per user and per item. Read-only — models are
+    /// persisted as v3 sections; corruption and truncation are
+    /// [`OcularError::Corrupt`].
+    pub fn load<R: BufRead>(mut r: &mut R) -> Result<FactorModel, OcularError> {
+        let header = textio::read_line(&mut r)?;
         let parts: Vec<&str> = header.split_whitespace().collect();
         if parts.len() != 6 || parts[0] != "ocular-model" || parts[1] != "v1" {
-            return Err(bad("bad header"));
+            return Err(textio::bad("bad ocular-model header"));
         }
-        let n_users: usize = parts[2].parse().map_err(|_| bad("bad n_users"))?;
-        let n_items: usize = parts[3].parse().map_err(|_| bad("bad n_items"))?;
-        let k: usize = parts[4].parse().map_err(|_| bad("bad k"))?;
-        let has_bias = parts[5] == "1";
-        let mut read_matrix = |rows: usize| -> std::io::Result<Matrix> {
-            let mut data = Vec::with_capacity(rows * k);
-            let mut line = String::new();
-            for _ in 0..rows {
-                line.clear();
-                if r.read_line(&mut line)? == 0 {
-                    return Err(bad("truncated model file"));
-                }
-                for field in line.split_whitespace() {
-                    data.push(field.parse::<f64>().map_err(|_| bad("bad factor value"))?);
-                }
-            }
-            if data.len() != rows * k {
-                return Err(bad("wrong number of factor values"));
-            }
-            Ok(Matrix::from_vec(rows, k, data))
-        };
-        let user_factors = read_matrix(n_users)?;
-        let item_factors = read_matrix(n_items)?;
-        Ok(FactorModel::new(user_factors, item_factors, has_bias))
+        let n_users: usize = parts[2].parse().map_err(|_| textio::bad("bad n_users"))?;
+        let n_items: usize = parts[3].parse().map_err(|_| textio::bad("bad n_items"))?;
+        let k: usize = parts[4].parse().map_err(|_| textio::bad("bad k"))?;
+        let user_factors = textio::read_matrix(&mut r, n_users, k)?;
+        let item_factors = textio::read_matrix(&mut r, n_items, k)?;
+        // a bias flag with no room for its two columns is a bad file
+        FactorModel::try_new(user_factors, item_factors, parts[5] == "1")
+            .map_err(|e| textio::bad(e.to_string()))
     }
 }
 
@@ -325,17 +294,29 @@ mod tests {
 
     #[test]
     fn save_load_roundtrip() {
+        use ocular_api::{SectionReader, SectionWriter, SnapshotModel};
         let m = toy();
-        let mut buf: Vec<u8> = Vec::new();
-        m.save(&mut buf).unwrap();
-        let loaded = FactorModel::load(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded, m);
+        let mut w = SectionWriter::new(FactorModel::KIND);
+        m.write_sections(&mut w).unwrap();
+        let r = SectionReader::open(ocular_bytes::ModelBytes::from_vec(w.finish())).unwrap();
+        assert_eq!(FactorModel::read_sections(&r).unwrap(), m);
+        // and the frozen text payload of the same model
+        let text = "ocular-model v1 2 3 2 0\n1e0 0e0\n5e-1 5e-1\n2e0 0e0\n0e0 2e0\n1e0 1e0\n";
+        assert_eq!(FactorModel::load(&mut text.as_bytes()).unwrap(), m);
     }
 
     #[test]
     fn load_rejects_garbage() {
         assert!(FactorModel::load(&mut "not a model".as_bytes()).is_err());
         assert!(FactorModel::load(&mut "ocular-model v1 2 2 2 0\n1 2\n".as_bytes()).is_err());
+        // a header promising 32 TB of factors is a typed error, not an
+        // allocation the process dies in
+        assert!(matches!(
+            FactorModel::load(&mut "ocular-model v1 1000000000000 1 4 0\n".as_bytes()),
+            Err(OcularError::Corrupt(_))
+        ));
+        // a bias flag without room for the two bias columns
+        assert!(FactorModel::load(&mut "ocular-model v1 0 0 2 1\n".as_bytes()).is_err());
     }
 
     #[test]

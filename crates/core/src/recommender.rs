@@ -120,12 +120,8 @@ impl SnapshotModel for FactorModel {
         Self::KIND
     }
 
-    fn save_model(&self, mut w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        self.save(&mut w)
-    }
-
     fn load_model(mut r: &mut dyn std::io::BufRead) -> Result<Self, OcularError> {
-        FactorModel::load(&mut r).map_err(OcularError::from)
+        FactorModel::load(&mut r)
     }
 
     fn write_sections(&self, w: &mut ocular_api::SectionWriter) -> Result<(), OcularError> {
@@ -259,10 +255,11 @@ mod tests {
     fn snapshot_model_roundtrips() {
         let (model, _) = trained();
         assert_eq!(SnapshotModel::kind(&model), "ocular");
-        let mut buf: Vec<u8> = Vec::new();
-        model.save_model(&mut buf).unwrap();
-        let loaded = <FactorModel as SnapshotModel>::load_model(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded, model);
+        let mut w = ocular_api::SectionWriter::new(FactorModel::KIND);
+        model.write_sections(&mut w).unwrap();
+        let region = ocular_bytes::ModelBytes::from_vec(w.finish());
+        let r = ocular_api::SectionReader::open(region).unwrap();
+        assert_eq!(FactorModel::read_sections(&r).unwrap(), model);
         assert!(matches!(
             <FactorModel as SnapshotModel>::load_model(&mut "junk".as_bytes()),
             Err(OcularError::Corrupt(_))

@@ -1,5 +1,6 @@
 //! Property-based invariants of the training loop.
 
+use ocular_api::{SectionReader, SectionWriter, SnapshotModel};
 use ocular_core::gradient::{negative_sum, LocalProblem, PosWeights};
 use ocular_core::linesearch::{armijo_step, LineSearch, StepOutcome};
 use ocular_core::loss::{objective, objective_naive, pair_loss, user_weights};
@@ -100,10 +101,10 @@ proptest! {
     fn save_load_roundtrip_preserves_model(r in arb_matrix(), seed in 0u64..100) {
         let cfg = OcularConfig { k: 2, lambda: 0.2, max_iters: 3, seed, ..Default::default() };
         let model = fit(&r.clone().into(), &cfg).model;
-        let mut buf: Vec<u8> = Vec::new();
-        model.save(&mut buf).unwrap();
-        let loaded = FactorModel::load(&mut buf.as_slice()).unwrap();
-        prop_assert_eq!(loaded, model);
+        let mut w = SectionWriter::new(FactorModel::KIND);
+        model.write_sections(&mut w).unwrap();
+        let r = SectionReader::open(ocular_bytes::ModelBytes::from_vec(w.finish())).unwrap();
+        prop_assert_eq!(FactorModel::read_sections(&r).unwrap(), model);
     }
 }
 

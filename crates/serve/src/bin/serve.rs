@@ -8,9 +8,7 @@
 //! ```text
 //! serve --train data.tsv --snapshot model.snap \
 //!       [--delta more.tsv]... [--generation 1] \
-//!       [--format text|binary] \
-//!       [--shards 4]                     (also write per-shard v3 files) \
-//!       [--quantize f32|int8]            (ocular + --format binary) \
+//!       [--quantize f32|int8]            (ocular only) \
 //!       [--algo ocular|wals|bpr|user-knn|item-knn|popularity] \
 //!       [--k 8] [--lambda 0.5] [--iters 60] [--seed 0] [--sep '\t'] \
 //!       [--rel 0.5] [--floor 100]        (ocular index build) \
@@ -23,13 +21,13 @@
 //! into its metadata section alongside the source-data watermark
 //! (trained shape + nnz).
 //!
-//! `--format binary` writes the mmap-able `ocular-snapshot v3` container
-//! (`--format text` the v2 text envelope, the default for
-//! compatibility). Serving sniffs the snapshot's magic bytes, so either
-//! format loads transparently — v3 via a zero-copy memory mapping
+//! The snapshot is one mmap-able `ocular-snapshot v3` file, published by
+//! unlink-and-rename: saving to the path a server has mapped never
+//! disturbs it. Serving loads it through a zero-copy memory mapping
 //! (start-up cost independent of model size, page cache shared across
-//! serve processes), v1/v2 via the line-oriented parser. The measured
-//! load time is reported on stderr as `snapshot_load_seconds=…`.
+//! serve processes); text snapshots from before v3 still load through the
+//! line-oriented reader. The measured load time is reported on stderr as
+//! `snapshot_load_seconds=…`.
 //!
 //! `--k` is the latent dimensionality for the factor models and the
 //! neighbourhood size for the kNN variants; `--iters` maps to each
@@ -71,14 +69,16 @@
 //!       [--max-connections 1024]    (+ the serve-mode engine flags)
 //! ```
 //!
-//! `--shards N` (any serve mode) hash-partitions the user rows across
-//! `N` partitions of the one engine (a warm request is answered by the
-//! partition owning the user, a cold one by partition 0's copy of the
-//! replicated item-side state), each partition mmap'ing only its own
-//! per-shard snapshot file when `--train --shards N` wrote them, and
-//! `GET /stats` grows an additive per-shard `shard` array. Responses are
-//! byte-identical to unsharded serving at every shard count; the thread
-//! count stays `--threads`, whatever `N` is.
+//! `--shards N` (any serve mode; not a training flag) splits the one
+//! snapshot in memory: user rows hash-partitioned across `N` partitions
+//! of the one engine (a warm request is answered by the partition owning
+//! the user, a cold one by partition 0's copy of the replicated item-side
+//! state), and `GET /stats` grows an additive per-shard `shard` array.
+//! Responses are byte-identical to unsharded serving at every shard
+//! count; the thread count stays `--threads`, whatever `N` is.
+//!
+//! A flag no mode reads (a typo, a removed flag such as `--format`) is
+//! an error — exit status 2, naming the flag — never silently ignored.
 //!
 //! `SIGINT`/`SIGTERM` drain in-flight requests and exit cleanly. When
 //! the admission queue (`--queue-cap`) is full, requests are answered
@@ -119,25 +119,32 @@
 use ocular_api::SnapshotMeta;
 use ocular_baselines::{Bpr, BprConfig, ItemKnn, KnnConfig, Popularity, UserKnn, Wals, WalsConfig};
 use ocular_core::{fit, OcularConfig};
-use ocular_serve::snapshot::ShardedLoad;
 use ocular_serve::{
-    shard_path, AnySnapshot, CandidatePolicy, EngineBuilder, QuantDtype, Request, ServeConfig,
-    ServeEngine, Snapshot, SnapshotFormat, WireReply, WireRequest,
+    AnySnapshot, CandidatePolicy, EngineBuilder, QuantDtype, Request, ServeConfig, ServeEngine,
+    Snapshot, WireReply, WireRequest,
 };
 use ocular_sparse::io::{append_edge_list, read_edge_list};
 use ocular_sparse::{CsrMatrix, Dataset, IdMaps};
 use std::io::{BufRead, BufWriter, Write};
 use std::process::ExitCode;
 
-/// `--key value` / bare `--flag` parsing (same dialect as ocular-bench).
+/// Every `--key` some mode reads.
+#[rustfmt::skip]
+const KNOWN_FLAGS: [&str; 26] = [
+    "train", "snapshot", "delta", "generation", "quantize", "algo", "k", "lambda", "iters",
+    "seed", "sep", "rel", "floor", "b", "lr", "model", "interactions", "mode", "min-candidates",
+    "m", "threads", "batch", "shards", "listen", "queue-cap", "max-connections",
+];
+
+/// `--key value` / bare `--flag` parsing (same dialect as ocular-bench),
+/// except that a key nothing reads is an error.
 #[derive(Clone)]
 struct Flags {
     values: Vec<(String, String)>,
 }
 
 impl Flags {
-    fn parse() -> Flags {
-        let tokens: Vec<String> = std::env::args().skip(1).collect();
+    fn parse(tokens: &[String]) -> Result<Flags, String> {
         let mut values = Vec::new();
         let mut i = 0;
         while i < tokens.len() {
@@ -153,7 +160,27 @@ impl Flags {
                 i += 1;
             }
         }
-        Flags { values }
+        let flags = Flags { values };
+        if let Some((key, _)) = flags
+            .values
+            .iter()
+            .find(|(k, _)| !KNOWN_FLAGS.contains(&&**k))
+        {
+            return Err(match key.as_str() {
+                "format" => "--format is gone: a snapshot is always one `ocular-snapshot v3` \
+                             file (text snapshots still load)"
+                    .into(),
+                _ => format!("unknown flag --{key} (see the crate docs for each mode's flags)"),
+            });
+        }
+        if flags.get("train").is_some() && flags.get("shards").is_some() {
+            return Err(
+                "--shards is a serve-time flag: training writes one snapshot file, \
+                 and `serve --model … --shards N` splits it in memory"
+                    .into(),
+            );
+        }
+        Ok(flags)
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -273,12 +300,6 @@ fn train_mode(flags: &Flags) -> Result<(), String> {
             "--quantize only applies to --algo ocular (got `{algo}`)"
         ));
     }
-    if quantize.is_some() && flags.get("format").unwrap_or("text") != "binary" {
-        return Err(
-            "--quantize requires --format binary (the text envelope has no quantized sections)"
-                .into(),
-        );
-    }
     let t0 = std::time::Instant::now();
     let snapshot: AnySnapshot = match algo {
         "ocular" => {
@@ -343,15 +364,6 @@ fn train_mode(flags: &Flags) -> Result<(), String> {
             ))
         }
     };
-    let format = match flags.get("format").unwrap_or("text") {
-        "text" => SnapshotFormat::Text,
-        "binary" => SnapshotFormat::Binary,
-        other => {
-            return Err(format!(
-                "--format must be `text` or `binary`, got `{other}`"
-            ))
-        }
-    };
     // Every trained snapshot carries its deployment generation plus the
     // source-data watermark (shape + nnz it was trained on) — what the
     // hot-swap tier and `/stats` report, and what lets an operator check
@@ -363,25 +375,10 @@ fn train_mode(flags: &Flags) -> Result<(), String> {
         nnz: r.nnz() as u64,
     };
     snapshot
-        .save_path_full(std::path::Path::new(out), r.ids(), Some(&meta), format)
+        .save_path_full(std::path::Path::new(out), r.ids(), Some(&meta))
         .map_err(|e| format!("write {out}: {e}"))?;
-    // `--shards N` additionally writes N standalone per-shard v3 section
-    // sets next to the base snapshot (user rows hash-partitioned,
-    // item-side state replicated), so each serve worker mmaps only its
-    // own shard
-    let n_shards = flags.shards()?;
-    if n_shards > 1 {
-        let paths = snapshot
-            .save_path_sharded(std::path::Path::new(out), r.ids(), Some(&meta), n_shards)
-            .map_err(|e| format!("write shards of {out}: {e}"))?;
-        eprintln!(
-            "wrote {n_shards} shard snapshots: {} … {}",
-            paths[0].display(),
-            paths[n_shards - 1].display()
-        );
-    }
     eprintln!(
-        "trained {} gen={} on {}×{} (nnz={}) in {:.2}s → {out} ({format:?} format, id maps embedded)",
+        "trained {} gen={} on {}×{} (nnz={}) in {:.2}s → {out} (id maps embedded)",
         snapshot.kind(),
         meta.generation,
         r.n_users(),
@@ -419,36 +416,12 @@ fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
     })
 }
 
-/// Reassembles the full training id maps from a shard family's
-/// shard-scoped maps (shard users scattered back to their global rows,
-/// items replicated), so the interaction log can be aligned exactly as
-/// in the unsharded path. `None` when the family was trained without id
-/// maps (identity mapping).
-fn merged_shard_ids(load: &ShardedLoad) -> Option<ocular_sparse::IdMaps> {
-    let total: usize = load.global_rows.iter().map(Vec::len).sum();
-    let mut users = vec![0u64; total];
-    let mut items: Option<Vec<u64>> = None;
-    for (loaded, gid) in load.shards.iter().zip(&load.global_rows) {
-        let ids = loaded.ids.as_ref()?;
-        for (&g, &ext) in gid.iter().zip(ids.users()) {
-            users[g as usize] = ext;
-        }
-        items = Some(ids.items().to_vec());
-    }
-    IdMaps::new(users, items?).ok()
-}
-
 /// Loads the snapshot + interactions named by the flags and builds the
 /// engine — the common front half of the stdin and TCP serve modes, and
 /// the body of the hot-reload closure in listen mode. `floor_generation`
 /// keeps reloads monotone: the engine's generation is the larger of the
-/// snapshot's own and this floor (0 for a fresh start).
-///
-/// With `--shards N` (N > 1), when the per-shard snapshot files written
-/// by `--train --shards N` exist next to `--model`, each partition mmaps
-/// only its own shard file and the base file is never touched; otherwise
-/// the base snapshot is loaded once and split in memory along the same
-/// hash partition.
+/// snapshot's own and this floor (0 for a fresh start). `--shards N`
+/// splits the one loaded snapshot in memory.
 fn build_engine(flags: &Flags, floor_generation: u64) -> Result<ServeEngine, String> {
     let snap_path = flags.get("model").expect("checked by caller");
     let data = flags
@@ -456,26 +429,14 @@ fn build_engine(flags: &Flags, floor_generation: u64) -> Result<ServeEngine, Str
         .ok_or("serving requires --interactions <edge list> (owned-item exclusion)")?;
     let sep = flags.get("sep").unwrap_or("\t");
     let n_shards = flags.shards()?;
-    let path = std::path::Path::new(snap_path);
 
-    // magic-sniffing load: v3 binary containers are mmap'd and borrowed
-    // zero-copy, v1/v2 text snapshots parse through the legacy path
+    // magic-sniffing load: a v3 container is mmap'd and borrowed
+    // zero-copy, a text snapshot from before v3 parses line by line
     let t_load = std::time::Instant::now();
-    let (builder, ids, meta) = if n_shards > 1 && shard_path(path, 0, n_shards).exists() {
-        let load = AnySnapshot::load_path_sharded(path, n_shards)
-            .map_err(|e| format!("load shards of {snap_path}: {e}"))?;
-        let (ids, meta) = (merged_shard_ids(&load), load.shards[0].meta);
-        (EngineBuilder::from_shard_files(load), ids, meta)
-    } else {
-        let mut loaded =
-            AnySnapshot::load_path_full(path).map_err(|e| format!("load {snap_path}: {e}"))?;
-        let (ids, meta) = (loaded.ids.take(), loaded.meta);
-        (
-            EngineBuilder::from_loaded(loaded).shards(n_shards),
-            ids,
-            meta,
-        )
-    };
+    let mut loaded = AnySnapshot::load_path_full(std::path::Path::new(snap_path))
+        .map_err(|e| format!("load {snap_path}: {e}"))?;
+    let (ids, meta) = (loaded.ids.take(), loaded.meta);
+    let builder = EngineBuilder::from_loaded(loaded).shards(n_shards);
     eprintln!(
         "snapshot_load_seconds={:.6}",
         t_load.elapsed().as_secs_f64()
@@ -607,7 +568,14 @@ fn listen_mode(_flags: &Flags, _addr: &str) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let flags = Flags::parse();
+    let tokens: Vec<String> = std::env::args().skip(1).collect();
+    let flags = match Flags::parse(&tokens) {
+        Ok(flags) => flags,
+        Err(msg) => {
+            eprintln!("serve: {msg}");
+            return ExitCode::from(2);
+        }
+    };
     let result = if flags.get("train").is_some() {
         train_mode(&flags)
     } else if let Some(addr) = flags.get("listen") {
@@ -627,5 +595,38 @@ fn main() -> ExitCode {
             eprintln!("serve: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Flags, String> {
+        let tokens: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Flags::parse(&tokens)
+    }
+
+    #[test]
+    fn flags_nothing_reads_are_errors_that_name_the_flag() {
+        let flags = parse("--model m.snap --interactions e.tsv --shards 4 --delta a --delta b");
+        let flags = flags.unwrap();
+        assert_eq!(flags.get("model"), Some("m.snap"));
+        assert_eq!(flags.shards(), Ok(4));
+        assert_eq!(flags.all("delta").collect::<Vec<_>>(), ["a", "b"]);
+        // a typo is not a silently unquantized model
+        let err = parse("--train e.tsv --snapshot m.snap --quantise int8")
+            .err()
+            .unwrap();
+        assert!(err.contains("--quantise"), "{err}");
+        // removed flags explain themselves
+        let err = parse("--train e.tsv --snapshot m.snap --format text")
+            .err()
+            .unwrap();
+        assert!(err.contains("--format is gone"), "{err}");
+        let err = parse("--train e.tsv --snapshot m.snap --shards 4")
+            .err()
+            .unwrap();
+        assert!(err.contains("serve-time flag"), "{err}");
     }
 }

@@ -25,7 +25,7 @@
 //! ([`EngineBuilder::shards`]). A partition owns a hash-disjoint slice of
 //! the user-factor rows and the matching dataset rows
 //! ([`ocular_bytes::shard_of_key`] over the external user id — the rule
-//! [`ocular_sparse::ShardedDataset`] and the sharded snapshot writer
+//! [`ocular_sparse::ShardedDataset`] and [`Snapshot::split_users`]
 //! share); the item-side state (item factors, cluster index, quantized
 //! copy, item id map) is replicated into every partition as loaded. A warm
 //! request is answered by the partition that owns the user's row; a cold
@@ -38,7 +38,7 @@
 //! count, which belongs to the pool [`ServeEngine::serve_batch`] runs on.
 
 use crate::index::{ClusterIndex, IndexConfig};
-use crate::snapshot::{AnySnapshot, LoadedSnapshot, ShardedLoad, Snapshot, OCULAR_KIND};
+use crate::snapshot::{AnySnapshot, LoadedSnapshot, Snapshot, OCULAR_KIND};
 use ocular_api::{validate_basket, Model, OcularError};
 use ocular_bytes::shard_of_key;
 use ocular_core::model::prob_from_affinity;
@@ -65,6 +65,14 @@ thread_local! {
 /// Affinities the quantized full-catalog scan scores per `score_block`
 /// call: 8 KB on the stack, a whole number of the kernel's own tiles.
 const SCAN_TILE: usize = 1024;
+
+/// The scan's tile, on a cache-line boundary. A bare `[f64; SCAN_TILE]`
+/// lands on whichever 16-byte slot the caller's frames leave, and where
+/// the kernel's vector stores then straddle lines every full-catalog
+/// request on that thread runs ≈ 25% slower — same instructions, decided
+/// by the frame sizes of unrelated functions up the call chain.
+#[repr(align(64))]
+struct ScanTile([f64; SCAN_TILE]);
 
 /// How the engine picks the items a request scores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -361,13 +369,11 @@ enum EngineSource {
     /// An OCuLaR factor model — the builder derives the candidate index
     /// with its configured [`IndexConfig`].
     Model(FactorModel),
-    /// A loaded per-shard snapshot file family: one partition per file.
-    ShardFiles(ShardedLoad),
 }
 
-/// The one way to construct a [`ServeEngine`] — from a snapshot, a shard
-/// file family, an OCuLaR model, or any boxed [`Model`], plus the serving
-/// dataset and knobs.
+/// The one way to construct a [`ServeEngine`] — from a snapshot, an
+/// OCuLaR model, or any boxed [`Model`], plus the serving dataset and
+/// knobs.
 ///
 /// ```ignore
 /// let engine = EngineBuilder::from_loaded(loaded)   // LoadedSnapshot
@@ -417,24 +423,6 @@ impl EngineBuilder {
     pub fn from_loaded(loaded: LoadedSnapshot) -> Self {
         let generation = loaded.meta.map_or(0, |m| m.generation);
         Self::from_snapshot(loaded.snapshot).generation(generation)
-    }
-
-    /// Starts from a loaded per-shard snapshot file family (see
-    /// [`AnySnapshot::load_path_sharded`]): one partition per shard file,
-    /// each keeping the sections its own mapping holds, under the
-    /// family's metadata generation. The partition count is the family's;
-    /// [`EngineBuilder::shards`] does not apply. At build, each file's
-    /// `shgid` table must agree with the same hash partition of the
-    /// serving dataset — a family written against different ingestion
-    /// data is an [`OcularError::Corrupt`], not a silently misrouted
-    /// server.
-    pub fn from_shard_files(load: ShardedLoad) -> Self {
-        let generation = load
-            .shards
-            .first()
-            .and_then(|l| l.meta)
-            .map_or(0, |m| m.generation);
-        Self::new(EngineSource::ShardFiles(load)).generation(generation)
     }
 
     /// Starts from an OCuLaR factor model; the builder derives the
@@ -532,55 +520,31 @@ impl EngineBuilder {
                 "EngineBuilder needs a serving dataset (call .dataset(...))".into(),
             )
         })?;
-        // the model as one snapshot per partition, with the ascending
-        // global training row of every partition-local row when N > 1
-        let ready = |s| scan_ready(s, self.quantize, self.kernel);
-        let (snapshots, global_rows) = match self.source {
-            // a shard file maps its own copy of the item side, so each
-            // partition gets its own sidecar too
-            EngineSource::ShardFiles(load) => (
-                (load.shards.into_iter().map(|l| ready(l.snapshot))).collect::<Result<_, _>>()?,
-                load.global_rows,
-            ),
-            EngineSource::Any(s) => split_snapshot(ready(s)?, &dataset, self.shards)?,
-            EngineSource::Model(m) => split_snapshot(
-                ready(AnySnapshot::Ocular(Snapshot::build(m, &self.index_cfg)))?,
-                &dataset,
-                self.shards,
-            )?,
+        let snapshot = scan_ready(
+            match self.source {
+                EngineSource::Any(s) => s,
+                EngineSource::Model(m) => AnySnapshot::Ocular(Snapshot::build(m, &self.index_cfg)),
+            },
+            self.quantize,
+            self.kernel,
+        )?;
+        // one partition holds everything and needs no routing table; N of
+        // them split the model and the dataset along the one external-id
+        // hash over the one serving dataset, so partition `s` of each holds
+        // the same users in the same order (`proptest_shard.rs` pins that)
+        let (snapshots, datasets, assign) = match self.shards {
+            1 => (vec![snapshot], vec![dataset], Vec::new()),
+            n => {
+                let snapshots = split_snapshot(snapshot, &dataset, n)?;
+                let (datasets, _, assign) = ShardedDataset::split(&dataset, n)
+                    .map_err(|e| OcularError::InvalidConfig(e.to_string()))?
+                    .into_parts();
+                (snapshots, datasets, assign)
+            }
         };
         let n = snapshots.len();
-        let (datasets, global_of, assign) = if n == 1 {
-            (vec![dataset], Vec::new(), Vec::new())
-        } else {
-            ShardedDataset::split(&dataset, n)
-                .map_err(|e| OcularError::InvalidConfig(e.to_string()))?
-                .into_parts()
-        };
-        let model_users: usize = global_rows.iter().map(Vec::len).sum();
         let mut parts = Vec::with_capacity(n);
-        for (s, (snapshot, owned)) in snapshots.into_iter().zip(datasets).enumerate() {
-            // the dataset's hash partition must put exactly the rows this
-            // partition's model holds first, in the same order, and only
-            // users newer than the whole model after them
-            if n > 1 {
-                let (model_rows, data_rows) = (&global_rows[s], &global_of[s]);
-                let aligned = model_rows.len() <= data_rows.len()
-                    && model_rows
-                        .iter()
-                        .zip(data_rows)
-                        .all(|(&a, &b)| a == u64::from(b))
-                    && data_rows[model_rows.len()..]
-                        .iter()
-                        .all(|&g| g as usize >= model_users);
-                if !aligned {
-                    return Err(OcularError::Corrupt(format!(
-                        "shard {s} snapshot file and dataset disagree on the user \
-                         partition — the snapshot family was written against \
-                         different ingestion data"
-                    )));
-                }
-            }
+        for (snapshot, owned) in snapshots.into_iter().zip(datasets) {
             let model = EngineModel::new(snapshot);
             // dataset ⊇ model: equal shapes are the steady state, a strictly
             // larger dataset means deltas arrived since the snapshot was
@@ -609,17 +573,13 @@ impl EngineBuilder {
     }
 }
 
-/// One snapshot per partition plus each partition's ascending global
-/// training rows: `snapshot` itself (and no row tables) at `n == 1`, its
-/// [`Snapshot::split_users`] parts along `dataset`'s user ids otherwise.
+/// One snapshot per partition, `n ≠ 1`: the [`Snapshot::split_users`]
+/// parts of `snapshot` along `dataset`'s user ids.
 fn split_snapshot(
     snapshot: AnySnapshot,
     dataset: &Dataset,
     n: usize,
-) -> Result<(Vec<AnySnapshot>, Vec<Vec<u64>>), OcularError> {
-    if n == 1 {
-        return Ok((vec![snapshot], Vec::new()));
-    }
+) -> Result<Vec<AnySnapshot>, OcularError> {
     let AnySnapshot::Ocular(snap) = snapshot else {
         return Err(OcularError::InvalidConfig(format!(
             "a shard count other than 1 (got {n}) needs an OCuLaR snapshot; kind `{}` has \
@@ -638,8 +598,8 @@ fn split_snapshot(
     Ok(snap
         .split_users(ids, n)?
         .into_iter()
-        .map(|part| (AnySnapshot::Ocular(part.snapshot), part.global_rows))
-        .unzip())
+        .map(|part| AnySnapshot::Ocular(part.snapshot))
+        .collect())
 }
 
 /// The in-process serving engine.
@@ -1085,9 +1045,9 @@ impl ServeEngine {
                 let sparse = quant.scans_sparse(&query, n.min(SCAN_TILE));
                 self.count_scan(sparse, query.active_codes());
                 let mut top = MonotoneTopK::new(m, exclude, prob_from_affinity);
-                let mut tile = [0.0f64; SCAN_TILE];
+                let mut tile = ScanTile([0.0; SCAN_TILE]);
                 for first in (0..n).step_by(SCAN_TILE) {
-                    let tile = &mut tile[..SCAN_TILE.min(n - first)];
+                    let tile = &mut tile.0[..SCAN_TILE.min(n - first)];
                     quant.score_block(&query, first, tile);
                     top.offer_run(first, tile);
                 }

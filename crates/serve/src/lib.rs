@@ -8,24 +8,21 @@
 //!
 //! ## What serving adds over batch evaluation
 //!
-//! * **Snapshots** ([`snapshot`]) — versioned, **kind-tagged** on-disk
-//!   artifacts with truncation/corruption detection, in three layouts:
-//!   the line-oriented text envelope (`ocular-snapshot v2 <kind>`, legacy
-//!   v1 OCuLaR files still load), the **mmap-able binary container**
-//!   (`ocular-snapshot v3`, [`SnapshotFormat::Binary`]) whose factor
+//! * **Snapshots** ([`snapshot`]) — one **kind-tagged, checksummed,
+//!   mmap-able file** per model (`ocular-snapshot v3`), published by
+//!   rename so a serving process never sees a half-written one; factor
 //!   matrices, cluster-index CSR, quantized factors and id-map tables are
-//!   **borrowed zero-copy** from the mapped file at engine start, and the
-//!   per-shard v3 family ([`AnySnapshot::save_path_sharded`]) that gives
-//!   each user partition its own file. Every model kind in the workspace
-//!   zoo (`ocular`, `wals`, `bpr`, `user-knn`, `item-knn`, `popularity`)
-//!   snapshots through [`ocular_api::SnapshotModel`] and loads back
-//!   through [`AnySnapshot`] (magic-byte sniffing picks the codec).
+//!   **borrowed zero-copy** from the mapping at engine start. Every model
+//!   kind in the workspace zoo (`ocular`, `wals`, `bpr`, `user-knn`,
+//!   `item-knn`, `popularity`) snapshots through
+//!   [`ocular_api::SnapshotModel`] and loads back through [`AnySnapshot`];
+//!   text files from before v3 still load (read-only).
 //! * **One engine** ([`engine`]) — [`ServeEngine`], built by
 //!   [`EngineBuilder`], over `N ≥ 1` user-axis partitions
-//!   ([`EngineBuilder::shards`] / [`EngineBuilder::from_shard_files`]):
-//!   user rows are hash-partitioned, item-side state is replicated, and
-//!   replies are byte-identical at every `N`; `N = 1` is the unsharded
-//!   engine.
+//!   ([`EngineBuilder::shards`], always an in-memory split of the one
+//!   snapshot file): user rows are hash-partitioned, item-side state is
+//!   replicated, and replies are byte-identical at every `N`; `N = 1` is
+//!   the unsharded engine.
 //! * **Candidate generation** ([`index`]) — per-cluster inverted item
 //!   lists built once at load; a request scores only items reachable from
 //!   the requester's co-clusters, with a full-catalog fallback knob
@@ -97,8 +94,7 @@ pub use engine::{
 pub use index::{ClusterIndex, IndexConfig};
 pub use protocol::{WireError, WireReply, WireRequest, WireResponse, PROTOCOL_VERSION};
 pub use snapshot::{
-    shard_path, AnySnapshot, LoadedSnapshot, ShardedLoad, Snapshot, SnapshotFormat, SnapshotShard,
-    OCULAR_KIND,
+    AnySnapshot, LoadedSnapshot, Snapshot, SnapshotFormat, SnapshotShard, OCULAR_KIND,
 };
 // re-exported so CLI/transport layers name the quantized dtypes without a
 // direct linalg dependency

@@ -222,6 +222,40 @@ mod tests {
     }
 
     #[test]
+    fn a_reload_pointed_at_a_lying_header_keeps_the_old_generation() {
+        // 63-byte text files whose headers promise terabytes: the reload
+        // must come back as a typed failure (a header count that became a
+        // capacity would abort the live process) and generation 1 keeps
+        // answering
+        for (i, bomb) in [
+            "ocular-snapshot v2 ocular\nocular-model v1 1000000000000 1 4 0\n",
+            "ocular-snapshot v2 wals\nwals-model v1 1000000000000 1 4 1e-2 1e-2 1 1e-1 0\n",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let path = std::env::temp_dir().join(format!("ocular-bomb-{}-{i}", std::process::id()));
+            std::fs::write(&path, bomb).unwrap();
+            let source = path.clone();
+            let swap = SwapEngine::with_reload(
+                engine(1, 4),
+                Box::new(move |_| {
+                    let loaded = crate::AnySnapshot::load_path_full(&source)?;
+                    EngineBuilder::from_loaded(loaded).build()
+                }),
+            );
+            assert!(matches!(
+                swap.reload(),
+                Err(ReloadError::Failed(OcularError::Corrupt(_)))
+            ));
+            assert_eq!(swap.generation(), 1);
+            let served = swap.engine().serve_one(&Request::Warm { user: 0, m: 2 });
+            assert!(served.is_ok());
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
     fn concurrent_reloads_answer_busy() {
         use std::sync::mpsc;
         let (entered_tx, entered_rx) = mpsc::channel();

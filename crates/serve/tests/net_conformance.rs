@@ -192,6 +192,49 @@ fn cli_rejects_malformed_numeric_flags() {
     );
 }
 
+/// A flag no mode reads exits 2 naming it, before any file is touched —
+/// `--format text` or `--quantise int8` must not be silently ignored.
+#[test]
+fn cli_rejects_flags_it_does_not_read() {
+    for (args, needle) in [
+        (
+            &["--model", "unread.snap", "--quantise", "int8"][..],
+            "--quantise",
+        ),
+        (
+            &[
+                "--train",
+                "unread.tsv",
+                "--snapshot",
+                "unwritten.snap",
+                "--format",
+                "text",
+            ],
+            "--format is gone",
+        ),
+        (
+            &[
+                "--train",
+                "unread.tsv",
+                "--snapshot",
+                "unwritten.snap",
+                "--shards",
+                "4",
+            ],
+            "serve-time flag",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(needle), "{stderr}");
+    }
+}
+
 #[test]
 fn cli_and_tcp_serve_byte_identical_bodies() {
     let (edges, snap) = train_fixture("conform");

@@ -5,14 +5,17 @@
 //!    comparator or heap invariant would diverge.
 //!    The streaming raw-key selector the serving scans run on equals
 //!    "transform every key, then that kernel", bit for bit.
-//! 2. Snapshots round-trip exactly, and corrupted/truncated snapshot bytes
-//!    are rejected rather than mis-loaded.
+//! 2. Snapshots round-trip exactly through the v3 container, and
+//!    corrupted/truncated snapshot bytes are rejected rather than
+//!    mis-loaded (the text reader's damage tests run on the golden corpus,
+//!    `tests/golden_snapshots.rs`).
 
+use ocular_bytes::ModelBytes;
 use ocular_core::model::prob_from_affinity;
 use ocular_core::{FactorModel, Recommendation};
 use ocular_linalg::topk::{top_k_excluding, MonotoneTopK};
 use ocular_linalg::Matrix;
-use ocular_serve::{IndexConfig, Snapshot};
+use ocular_serve::{AnySnapshot, IndexConfig, Snapshot};
 use proptest::prelude::*;
 
 /// Reference: score everything, full sort (probability descending, ties by
@@ -70,6 +73,19 @@ fn arb_raws() -> impl Strategy<Value = (Vec<f64>, Vec<u32>)> {
     })
 }
 
+fn v3_bytes(snap: &Snapshot) -> Vec<u8> {
+    AnySnapshot::Ocular(snap.clone())
+        .to_v3_bytes(None, None)
+        .unwrap()
+}
+
+fn load(bytes: Vec<u8>) -> Result<Snapshot, ocular_api::OcularError> {
+    match AnySnapshot::load_v3(ModelBytes::from_vec(bytes))?.snapshot {
+        AnySnapshot::Ocular(s) => Ok(s),
+        AnySnapshot::Other(_) => panic!("written as ocular"),
+    }
+}
+
 fn arb_model() -> impl Strategy<Value = FactorModel> {
     (1usize..6, 1usize..8, 1usize..4).prop_flat_map(|(n_users, n_items, k)| {
         (
@@ -118,43 +134,32 @@ proptest! {
     #[test]
     fn snapshot_roundtrips_exactly(model in arb_model(), rel in 0.1f64..=1.0, floor in 0usize..8) {
         let snap = Snapshot::build(model, &IndexConfig { rel, floor });
-        let mut buf = Vec::new();
-        snap.save(&mut buf).unwrap();
-        let loaded = Snapshot::load(&mut buf.as_slice()).unwrap();
-        prop_assert_eq!(loaded, snap);
+        let loaded = load(v3_bytes(&snap));
+        prop_assert_eq!(loaded.ok(), Some(snap));
     }
 
     #[test]
-    fn truncated_snapshots_rejected(model in arb_model(), cut in 0usize..400) {
-        let snap = Snapshot::build(model, &IndexConfig::default());
-        let mut buf = Vec::new();
-        snap.save(&mut buf).unwrap();
-        // dropping only the final newline still leaves a complete document,
-        // so cut at least one byte of the footer sentinel itself
-        let cut = cut.min(buf.len().saturating_sub(2));
+    fn truncated_snapshots_rejected(model in arb_model(), cut in 0usize..2000) {
+        let bytes = v3_bytes(&Snapshot::build(model, &IndexConfig::default()));
+        let cut = cut % bytes.len();
         prop_assert!(
-            Snapshot::load(&mut &buf[..cut]).is_err(),
+            load(bytes[..cut].to_vec()).is_err(),
             "loading only {cut}/{} bytes must fail",
-            buf.len()
+            bytes.len()
         );
     }
 
     #[test]
-    fn corrupted_snapshots_never_misload(model in arb_model(), pos in 0usize..400, byte in 0u8..=255) {
-        let snap = Snapshot::build(model, &IndexConfig::default());
-        let mut buf = Vec::new();
-        snap.save(&mut buf).unwrap();
-        let pos = pos % buf.len();
-        if buf[pos] == byte {
+    fn corrupted_snapshots_never_misload(model in arb_model(), pos in 0usize..2000, byte in 0u8..=255) {
+        let mut bytes = v3_bytes(&Snapshot::build(model, &IndexConfig::default()));
+        let pos = pos % bytes.len();
+        if bytes[pos] == byte {
             return Ok(()); // not a corruption
         }
-        buf[pos] = byte;
-        // either rejected, or the parse is still self-consistent — but it
-        // must never panic, and a "successful" load must differ from the
-        // original only if the flipped byte was inside a value it parsed
-        if let Ok(loaded) = Snapshot::load(&mut buf.as_slice()) {
-            prop_assert_eq!(loaded.index.n_items(), snap.index.n_items());
-            prop_assert_eq!(loaded.model.n_users(), snap.model.n_users());
-        }
+        bytes[pos] = byte;
+        // the container is checksummed: one wrong byte anywhere — header,
+        // payload, padding, section table — is a typed error, never a
+        // panic and never a model
+        prop_assert!(load(bytes).is_err(), "byte {pos} ← {byte:#04x} must be rejected");
     }
 }

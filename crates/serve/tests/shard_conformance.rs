@@ -3,18 +3,15 @@
 //! errors — for every warm user (internal and external addressing), cold
 //! baskets (internal and external), unknown ids, and users appended
 //! after the snapshot (fold-in overhang); across shard counts 1 and 4,
-//! both id regimes, and every quantized dtype. Plus: the sharded v3
-//! snapshot family round-trips through disk into an equally identical
-//! engine (and a family mixing two trainings is refused, at load and at
-//! hot reload), and per-shard `/stats` telemetry reconciles.
+//! both id regimes, and every quantized dtype. Plus: per-shard `/stats`
+//! telemetry reconciles. Partitions are always the in-memory split of one
+//! snapshot; there is no per-shard file to conform.
 
-use ocular_api::{OcularError, SnapshotMeta};
 use ocular_core::{fit, OcularConfig};
 use ocular_datasets::planted::{generate, PlantedConfig};
-use ocular_serve::swap::ReloadError;
 use ocular_serve::{
     AnySnapshot, CandidatePolicy, EngineBuilder, IndexConfig, QuantDtype, Request, ServeConfig,
-    ServeEngine, Snapshot, SwapEngine,
+    ServeEngine, Snapshot,
 };
 use ocular_sparse::{Dataset, IdMaps};
 
@@ -241,101 +238,5 @@ fn post_snapshot_users_fold_in_identically_on_their_shard() {
             &reqs,
             &format!("overhang ids={with_ids}"),
         );
-    }
-}
-
-/// The sharded v3 family round-trips through disk: `save_path_sharded` →
-/// `load_path_sharded` → `from_shard_files` serves byte-identically to the
-/// unsharded engine, adopts the family's metadata generation, and a
-/// wrong `--shards` count — or a family whose files come from two
-/// trainings — fails loudly instead of mapping a mismatch.
-#[test]
-fn sharded_snapshot_files_round_trip_into_an_identical_coordinator() {
-    const N: usize = 4;
-    for with_ids in [false, true] {
-        let d = dataset(with_ids);
-        let snap = snapshot(&d);
-        let reqs = request_zoo(&d);
-        let single = EngineBuilder::from_snapshot(AnySnapshot::Ocular(snap.clone()))
-            .dataset(d.clone())
-            .config(config())
-            .generation(7)
-            .build()
-            .unwrap();
-
-        let base = std::env::temp_dir().join(format!(
-            "ocular-shard-conf-{}-{with_ids}.snap",
-            std::process::id()
-        ));
-        let meta = SnapshotMeta {
-            generation: 7,
-            n_users: d.n_users() as u64,
-            n_items: d.n_items() as u64,
-            nnz: d.nnz() as u64,
-        };
-        let paths = AnySnapshot::Ocular(snap.clone())
-            .save_path_sharded(&base, d.ids(), Some(&meta), N)
-            .unwrap();
-        assert_eq!(paths.len(), N);
-
-        let load = AnySnapshot::load_path_sharded(&base, N).unwrap();
-        let total_rows: usize = load.global_rows.iter().map(Vec::len).sum();
-        assert_eq!(total_rows, d.n_users());
-        let sharded = EngineBuilder::from_shard_files(load)
-            .dataset(d.clone())
-            .config(config())
-            .build()
-            .unwrap();
-        assert_eq!(
-            sharded.generation(),
-            7,
-            "family metadata generation adopted"
-        );
-        assert_identical(&single, &sharded, &reqs, &format!("files ids={with_ids}"));
-
-        // a family is only loadable under its own shard count
-        assert!(AnySnapshot::load_path_sharded(&base, 3).is_err());
-
-        // a half-rewritten family — shard 2 replaced by the next
-        // training's — is refused whole, naming both files, instead of
-        // answering for two trainings under one `model_generation`
-        let next = base.with_extension("next");
-        let next_meta = SnapshotMeta {
-            generation: 8,
-            ..meta
-        };
-        let next_paths = AnySnapshot::Ocular(snap.clone())
-            .save_path_sharded(&next, d.ids(), Some(&next_meta), N)
-            .unwrap();
-        std::fs::rename(&next_paths[2], &paths[2]).unwrap();
-        match AnySnapshot::load_path_sharded(&base, N) {
-            Err(OcularError::Corrupt(msg)) => {
-                for p in [&paths[0], &paths[2]] {
-                    assert!(msg.contains(&*p.to_string_lossy()), "{msg}");
-                }
-            }
-            other => panic!("mixed family must be corrupt, got {:?}", other.err()),
-        }
-        // and through a hot reload the old generation keeps serving
-        let (reload_base, reload_d) = (base.clone(), d.clone());
-        let swap = SwapEngine::with_reload(
-            sharded,
-            Box::new(move |_| {
-                EngineBuilder::from_shard_files(AnySnapshot::load_path_sharded(&reload_base, N)?)
-                    .dataset(reload_d.clone())
-                    .config(config())
-                    .build()
-            }),
-        );
-        assert!(matches!(
-            swap.reload(),
-            Err(ReloadError::Failed(OcularError::Corrupt(_)))
-        ));
-        assert_eq!(swap.generation(), 7);
-        assert!(swap.engine().serve_one(&reqs[0]).is_ok());
-
-        for p in paths.iter().chain(&next_paths) {
-            std::fs::remove_file(p).ok();
-        }
     }
 }

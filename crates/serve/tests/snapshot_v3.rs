@@ -1,4 +1,4 @@
-//! v3 binary snapshot suite: text↔binary bit-exactness for every model
+//! v3 binary snapshot suite: bit-exact round trips for every model
 //! kind, zero-copy serving from a read-only memory-mapped file, and
 //! rejection (typed `OcularError`, never a panic or silent garbage) of
 //! truncated and bit-flipped containers.
@@ -12,6 +12,7 @@ use ocular_core::{fit, OcularConfig};
 use ocular_datasets::planted::{generate, PlantedConfig};
 use ocular_serve::{
     AnySnapshot, CandidatePolicy, EngineBuilder, IndexConfig, Request, ServeConfig, Snapshot,
+    SnapshotFormat,
 };
 use ocular_sparse::{Dataset, IdMaps};
 use proptest::prelude::*;
@@ -87,42 +88,43 @@ fn scores_of(snap: &AnySnapshot, u: usize) -> Vec<f64> {
     out
 }
 
-/// The text serialisation is the workspace's canonical bitwise-faithful
-/// form, so "binary round-trips bit-exactly" is asserted by comparing
-/// text serialisations before and after a binary cycle.
-fn text_bytes(snap: &AnySnapshot, ids: Option<&IdMaps>) -> Vec<u8> {
-    let mut buf = Vec::new();
-    snap.save_with_ids(ids, &mut buf).unwrap();
-    buf
+/// Every `f64` the snapshot's model holds, as raw bits — `PartialEq` on
+/// floats would let `0.0 == -0.0` through.
+fn score_bits(snap: &AnySnapshot, n_users: usize) -> Vec<u64> {
+    (0..n_users)
+        .flat_map(|u| scores_of(snap, u))
+        .map(f64::to_bits)
+        .collect()
 }
 
 #[test]
-fn binary_and_text_round_trips_are_bit_exact_for_every_kind() {
+fn binary_round_trips_are_bit_exact_for_every_kind() {
     let r = dataset_with_ids();
     for snap in snapshot_zoo(&r) {
         let kind = snap.kind();
-        let before = text_bytes(&snap, r.ids());
-        let v3 = snap.to_v3_bytes(r.ids()).unwrap();
-        let (loaded, ids) = AnySnapshot::load_v3(ModelBytes::from_vec(v3.clone())).unwrap();
-        assert_eq!(loaded.kind(), kind);
+        let v3 = snap.to_v3_bytes(r.ids(), None).unwrap();
+        let loaded = AnySnapshot::load_v3(ModelBytes::from_vec(v3.clone())).unwrap();
+        assert_eq!(loaded.snapshot.kind(), kind);
         assert_eq!(
-            ids.as_ref(),
+            loaded.ids.as_ref(),
             r.ids(),
             "kind {kind}: id maps must survive the binary cycle"
         );
-        // bitwise: the text rendering of the reloaded model is identical
+        // bitwise: the reloaded model serves the very same scores
         assert_eq!(
-            text_bytes(&loaded, ids.as_ref()),
-            before,
+            score_bits(&loaded.snapshot, r.n_users()),
+            score_bits(&snap, r.n_users()),
             "kind {kind}: binary cycle must be bit-exact"
         );
-        // and so are the served scores
-        for u in 0..r.n_users() {
-            assert_eq!(scores_of(&loaded, u), scores_of(&snap, u), "kind {kind}");
+        if let (AnySnapshot::Ocular(a), AnySnapshot::Ocular(b)) = (&loaded.snapshot, &snap) {
+            assert_eq!(a, b);
         }
         // the binary serialisation is itself a fixed point
         assert_eq!(
-            loaded.to_v3_bytes(ids.as_ref()).unwrap(),
+            loaded
+                .snapshot
+                .to_v3_bytes(loaded.ids.as_ref(), None)
+                .unwrap(),
             v3,
             "kind {kind}: binary serialisation must be stable"
         );
@@ -133,9 +135,10 @@ fn binary_and_text_round_trips_are_bit_exact_for_every_kind() {
 fn zero_copy_load_borrows_from_the_region() {
     let r = dataset_with_ids();
     let snap = snapshot_zoo(&r).remove(0);
-    let v3 = snap.to_v3_bytes(r.ids()).unwrap();
-    let (loaded, ids) = AnySnapshot::load_v3(ModelBytes::from_vec(v3)).unwrap();
-    let AnySnapshot::Ocular(s) = loaded else {
+    let v3 = snap.to_v3_bytes(r.ids(), None).unwrap();
+    let loaded = AnySnapshot::load_v3(ModelBytes::from_vec(v3)).unwrap();
+    let ids = loaded.ids;
+    let AnySnapshot::Ocular(s) = loaded.snapshot else {
         panic!("ocular kind expected")
     };
     if cfg!(target_endian = "little") {
@@ -159,10 +162,8 @@ fn serves_correctly_from_a_read_only_mapped_file() {
     let r = dataset_with_ids();
     let snap = snapshot_zoo(&r).remove(0);
     let path = std::env::temp_dir().join(format!("ocular-v3-serve-{}.snap", std::process::id()));
-    {
-        let mut file = std::fs::File::create(&path).unwrap();
-        snap.save_binary(r.ids(), &mut file).unwrap();
-    }
+    snap.save_path(&path, r.ids(), SnapshotFormat::Binary)
+        .unwrap();
     // read-only on disk: serving must not need write access
     let mut perms = std::fs::metadata(&path).unwrap().permissions();
     perms.set_readonly(true);
@@ -172,8 +173,9 @@ fn serves_correctly_from_a_read_only_mapped_file() {
     if cfg!(all(unix, target_pointer_width = "64")) {
         assert!(region.is_mapped(), "v3 load must map, not read");
     }
-    let (loaded, ids) = AnySnapshot::load_v3(region).unwrap();
-    let mapped_engine = EngineBuilder::from_snapshot(loaded)
+    let loaded = AnySnapshot::load_v3(region).unwrap();
+    let ids = loaded.ids;
+    let mapped_engine = EngineBuilder::from_snapshot(loaded.snapshot)
         .dataset(r.clone())
         .config(ServeConfig {
             default_m: 5,
@@ -223,7 +225,7 @@ fn truncation_rejected_at_every_length_for_every_kind() {
     let r = dataset();
     for snap in snapshot_zoo(&r) {
         let kind = snap.kind();
-        let v3 = snap.to_v3_bytes(None).unwrap();
+        let v3 = snap.to_v3_bytes(None, None).unwrap();
         for keep in 0..v3.len() {
             let result = AnySnapshot::load_v3(ModelBytes::from_vec(v3[..keep].to_vec()));
             assert!(
@@ -253,7 +255,7 @@ proptest! {
     #[test]
     fn bit_flips_rejected(seed in 0u64..1_000_000, kind_ix in 0usize..6) {
         let r = dataset();
-        let v3 = snapshot_zoo(&r)[kind_ix].to_v3_bytes(None).unwrap();
+        let v3 = snapshot_zoo(&r)[kind_ix].to_v3_bytes(None, None).unwrap();
         let bit = (seed as usize) % (v3.len() * 8);
         let mut flipped = v3;
         flipped[bit / 8] ^= 1 << (bit % 8);
@@ -286,8 +288,8 @@ proptest! {
         let item_factors = ocular_linalg::Matrix::from_vec(rows, cols, vals.to_vec());
         let model = ocular_core::FactorModel::new(user_factors, item_factors, false);
         let snap = AnySnapshot::Ocular(Snapshot::build(model, &IndexConfig { rel: 0.5, floor: 2 }));
-        let v3 = snap.to_v3_bytes(None).unwrap();
-        let (loaded, _) = AnySnapshot::load_v3(ModelBytes::from_vec(v3)).unwrap();
+        let v3 = snap.to_v3_bytes(None, None).unwrap();
+        let loaded = AnySnapshot::load_v3(ModelBytes::from_vec(v3)).unwrap().snapshot;
         let (AnySnapshot::Ocular(a), AnySnapshot::Ocular(b)) = (&snap, &loaded) else {
             panic!("ocular kind expected")
         };

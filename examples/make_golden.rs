@@ -1,109 +1,42 @@
-//! Regenerates the golden-snapshot compatibility corpus under
-//! `tests/data/golden/` — one legacy **v1** OCuLaR snapshot plus **v2**
-//! text snapshots for every model kind in the zoo, all fitted
-//! deterministically on the same tiny planted dataset with non-trivial
-//! external ids embedded.
+//! Carries the golden-snapshot corpus under `tests/data/golden/` into the
+//! one writable format: each committed `v2-<kind>.snap` text snapshot is
+//! loaded and re-published as `v3-<kind>.snap`, and the OCuLaR one again
+//! with an `f32` and an `int8` quantized copy (`v3-ocular-{f32,int8}.snap`).
 //!
-//! The committed corpus is a compatibility contract: `tests/golden_snapshots.rs`
-//! asserts that these exact bytes load — and re-serialise bit-identically —
-//! forever. Run this only when *adding* a kind or a new format era, never
-//! to "refresh" existing files (that would defeat the test's purpose).
+//! The v1/v2 text files are **frozen** — the format has no writer, and
+//! this example never touches them. The v3 files are a compatibility
+//! contract: `tests/golden_snapshots.rs` asserts that the text goldens
+//! convert to exactly these bytes and that these bytes load and
+//! re-serialise to themselves, forever. Run this only when *adding* a kind
+//! (commit its v3 file), never to "refresh" existing ones.
 //!
 //! Run with: `cargo run --release --example make_golden`
 
-use ocular::baselines::{
-    BaselineConfigs, Bpr, BprConfig, ItemKnn, Popularity, UserKnn, Wals, WalsConfig,
-};
-use ocular::core::{fit, OcularConfig};
-use ocular::serve::{AnySnapshot, IndexConfig, QuantDtype, Snapshot};
-use ocular::sparse::{Dataset, IdMaps};
-
-fn dataset() -> Dataset {
-    let data = ocular::datasets::planted::generate(&ocular::datasets::planted::PlantedConfig {
-        n_users: 30,
-        n_items: 24,
-        k: 3,
-        users_per_cluster: 11,
-        items_per_cluster: 9,
-        user_overlap: 0.25,
-        item_overlap: 0.25,
-        within_density: 0.6,
-        noise_density: 0.02,
-        seed: 17,
-    })
-    .matrix;
-    let users: Vec<u64> = (0..data.n_users() as u64).map(|u| 1_000 + 7 * u).collect();
-    let items: Vec<u64> = (0..data.n_items() as u64).map(|i| 500 + 3 * i).collect();
-    Dataset::new(data.matrix().clone(), IdMaps::new(users, items).unwrap()).unwrap()
-}
+use ocular::serve::{AnySnapshot, QuantDtype, SnapshotFormat};
 
 fn main() {
-    let out_dir = std::path::Path::new("tests/data/golden");
-    std::fs::create_dir_all(out_dir).expect("create tests/data/golden");
-    let r = dataset();
-    let cfgs = BaselineConfigs::seeded(5);
-    let ocular_model = fit(
-        &r,
-        &OcularConfig {
-            k: 3,
-            lambda: 0.3,
-            max_iters: 30,
-            seed: 6,
-            ..Default::default()
-        },
-    )
-    .model;
-    let zoo: Vec<AnySnapshot> = vec![
-        AnySnapshot::Ocular(Snapshot::build(
-            ocular_model,
-            &IndexConfig { rel: 0.5, floor: 5 },
-        )),
-        AnySnapshot::Other(Box::new(Wals::fit(
-            &r,
-            &WalsConfig {
-                k: 3,
-                iters: 6,
-                ..cfgs.wals
-            },
-        ))),
-        AnySnapshot::Other(Box::new(Bpr::fit(
-            &r,
-            &BprConfig {
-                k: 3,
-                epochs: 8,
-                ..cfgs.bpr
-            },
-        ))),
-        AnySnapshot::Other(Box::new(UserKnn::fit(&r, &cfgs.user_knn))),
-        AnySnapshot::Other(Box::new(ItemKnn::fit(&r, &cfgs.item_knn))),
-        AnySnapshot::Other(Box::new(Popularity::fit(&r))),
-    ];
-    for snap in &zoo {
-        let mut buf = Vec::new();
-        snap.save_with_ids(r.ids(), &mut buf).expect("serialise");
-        let path = out_dir.join(format!("v2-{}.snap", snap.kind()));
-        std::fs::write(&path, &buf).expect("write golden");
-        println!("wrote {} ({} bytes)", path.display(), buf.len());
-        if snap.kind() == "ocular" {
-            // the v1 era: same body, v1 envelope header, no id-maps
-            // section (v1 predates it)
-            let mut bare = Vec::new();
-            snap.save_with_ids(None, &mut bare).expect("serialise");
-            let text = String::from_utf8(bare).expect("text format");
-            let v1 = text.replacen("ocular-snapshot v2 ocular", "ocular-snapshot v1", 1);
-            let path = out_dir.join("v1-ocular.snap");
-            std::fs::write(&path, v1.as_bytes()).expect("write golden");
-            println!("wrote {} ({} bytes)", path.display(), v1.len());
-        }
-        // the quantized v3 era: the same ocular model with its f32 and
-        // int8 item-factor sections, in the binary container
-        if let AnySnapshot::Ocular(s) = snap {
+    let dir = std::path::Path::new("tests/data/golden");
+    for kind in [
+        "ocular",
+        "wals",
+        "bpr",
+        "user-knn",
+        "item-knn",
+        "popularity",
+    ] {
+        let loaded = AnySnapshot::load_path_full(&dir.join(format!("v2-{kind}.snap")))
+            .unwrap_or_else(|e| panic!("load v2-{kind}.snap: {e}"));
+        let publish = |name: String, snap: &AnySnapshot| {
+            let path = dir.join(name);
+            snap.save_path(&path, loaded.ids.as_ref(), SnapshotFormat::Binary)
+                .expect("write golden");
+            println!("wrote {}", path.display());
+        };
+        publish(format!("v3-{kind}.snap"), &loaded.snapshot);
+        if let AnySnapshot::Ocular(s) = &loaded.snapshot {
             for dtype in [QuantDtype::F32, QuantDtype::I8] {
                 let q = AnySnapshot::Ocular(s.clone().with_quantization(dtype));
-                let v3 = q.to_v3_bytes(r.ids()).expect("serialise v3");
-                let path = out_dir.join(format!("v3-ocular-{}.snap", dtype.name()));
-                std::fs::write(&path, &v3).expect("write golden");
-                println!("wrote {} ({} bytes)", path.display(), v3.len());
+                publish(format!("v3-ocular-{}.snap", dtype.name()), &q);
             }
         }
     }

@@ -181,9 +181,16 @@ fn model_persistence_roundtrip_through_facade() {
         },
     )
     .model;
-    let mut buf: Vec<u8> = Vec::new();
-    model.save(&mut buf).unwrap();
-    let loaded = FactorModel::load(&mut buf.as_slice()).unwrap();
+    let path = std::env::temp_dir().join(format!("ocular-e2e-{}.snap", std::process::id()));
+    let snapshot = Snapshot::build(model.clone(), &ocular::serve::IndexConfig::default());
+    AnySnapshot::Ocular(snapshot)
+        .save_path(&path, None, ocular::serve::SnapshotFormat::Binary)
+        .unwrap();
+    let loaded = match AnySnapshot::load_path_full(&path).unwrap().snapshot {
+        AnySnapshot::Ocular(s) => s.model,
+        AnySnapshot::Other(_) => panic!("saved as ocular"),
+    };
+    std::fs::remove_file(&path).unwrap();
     assert_eq!(loaded, model);
     // loaded model scores identically
     let mut a = Vec::new();

@@ -5,7 +5,7 @@
 //!    sort-and-truncate under heavy ties (the shared `ocular_linalg::topk`
 //!    kernel's convention: score descending, ties by ascending item);
 //! 2. kind-tagged snapshots round-trip **bitwise** through
-//!    [`AnySnapshot`];
+//!    [`AnySnapshot`]'s v3 container;
 //! 3. legacy v1 OCuLaR snapshots still load;
 //! 4. the serving engine's batched output equals offline `recommend` for
 //!    every kind, at 1/2/4/8 threads.
@@ -149,14 +149,20 @@ fn unknown_users_rejected_for_every_kind() {
     }
 }
 
+/// A snapshot through the one writable format and back.
+fn v3_cycle(snap: &AnySnapshot) -> (AnySnapshot, Vec<u8>) {
+    let v3 = snap.to_v3_bytes(None, None).unwrap();
+    let loaded = AnySnapshot::load_v3(ocular::bytes::ModelBytes::from_vec(v3.clone())).unwrap();
+    assert_eq!(loaded.ids, None);
+    (loaded.snapshot, v3)
+}
+
 #[test]
 fn snapshots_roundtrip_bitwise_for_every_kind() {
     let r = dataset();
     for snap in snapshot_zoo(&r) {
         let kind = snap.kind();
-        let mut buf = Vec::new();
-        snap.save(&mut buf).unwrap();
-        let loaded = AnySnapshot::load(&mut buf.as_slice()).unwrap();
+        let (loaded, v3) = v3_cycle(&snap);
         assert_eq!(loaded.kind(), kind);
         for u in 0..r.n_rows() {
             assert_eq!(
@@ -171,37 +177,40 @@ fn snapshots_roundtrip_bitwise_for_every_kind() {
             );
         }
         // and the serialised bytes are a fixed point
-        let mut again = Vec::new();
-        loaded.save(&mut again).unwrap();
-        assert_eq!(again, buf, "kind {kind}: serialisation must be stable");
+        assert_eq!(
+            loaded.to_v3_bytes(None, None).unwrap(),
+            v3,
+            "kind {kind}: serialisation must be stable"
+        );
     }
 }
 
 #[test]
 fn v3_binary_snapshots_agree_with_text_bitwise_for_every_kind() {
-    let r = dataset();
-    for snap in snapshot_zoo(&r) {
-        let kind = snap.kind();
-        let mut text = Vec::new();
-        snap.save(&mut text).unwrap();
-        let v3 = snap.to_v3_bytes(None).unwrap();
-        let (loaded, ids) =
-            AnySnapshot::load_v3(ocular::bytes::ModelBytes::from_vec(v3.clone())).unwrap();
-        assert_eq!(loaded.kind(), kind);
-        assert_eq!(ids, None);
-        // the text rendering of the binary-cycled model is bit-identical
-        let mut text_again = Vec::new();
-        loaded.save(&mut text_again).unwrap();
-        assert_eq!(
-            text_again, text,
-            "kind {kind}: binary↔text must agree bitwise"
-        );
-        // binary serialisation is a fixed point too
-        assert_eq!(
-            loaded.to_v3_bytes(None).unwrap(),
-            v3,
-            "kind {kind}: v3 serialisation must be stable"
-        );
+    // the committed corpus holds every kind in both eras: the text file
+    // parses into the model whose v3 bytes are the committed v3 file, and
+    // both serve the same scores bit for bit
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/golden");
+    for kind in [
+        "ocular",
+        "wals",
+        "bpr",
+        "user-knn",
+        "item-knn",
+        "popularity",
+    ] {
+        let text = AnySnapshot::load_path_full(&dir.join(format!("v2-{kind}.snap"))).unwrap();
+        let v3 = AnySnapshot::load_path_full(&dir.join(format!("v3-{kind}.snap"))).unwrap();
+        assert_eq!(text.snapshot.kind(), kind);
+        assert_eq!(v3.snapshot.kind(), kind);
+        assert_eq!(text.ids, v3.ids, "kind {kind}");
+        for u in 0..text.ids.as_ref().unwrap().n_users() {
+            assert_eq!(
+                scores_of(&text.snapshot, u),
+                scores_of(&v3.snapshot, u),
+                "kind {kind}: binary↔text must agree bitwise"
+            );
+        }
     }
 }
 
@@ -211,11 +220,7 @@ fn quantized_v3_snapshots_roundtrip_bitwise_through_the_zoo_harness() {
     for dtype in [QuantDtype::F32, QuantDtype::I8] {
         let snap = ocular::serve::Snapshot::build(ocular_model(&r), &IndexConfig::default())
             .with_quantization(dtype);
-        let any = AnySnapshot::Ocular(snap.clone());
-        let v3 = any.to_v3_bytes(None).unwrap();
-        let (loaded, ids) =
-            AnySnapshot::load_v3(ocular::bytes::ModelBytes::from_vec(v3.clone())).unwrap();
-        assert_eq!(ids, None);
+        let (loaded, v3) = v3_cycle(&AnySnapshot::Ocular(snap.clone()));
         let AnySnapshot::Ocular(cycled) = loaded else {
             panic!("quantized snapshot must stay the ocular kind")
         };
@@ -225,40 +230,28 @@ fn quantized_v3_snapshots_roundtrip_bitwise_through_the_zoo_harness() {
         );
         // binary serialisation is a fixed point — bit-for-bit
         assert_eq!(
-            AnySnapshot::Ocular(cycled).to_v3_bytes(None).unwrap(),
+            AnySnapshot::Ocular(cycled).to_v3_bytes(None, None).unwrap(),
             v3,
             "{dtype}: v3 serialisation must be stable"
         );
-        // the text envelope has no quantized sections: saving drops them,
-        // the model itself survives
-        let mut text = Vec::new();
-        AnySnapshot::Ocular(snap.clone()).save(&mut text).unwrap();
-        match AnySnapshot::load(&mut text.as_slice()).unwrap() {
-            AnySnapshot::Ocular(s) => {
-                assert_eq!(s.model, snap.model);
-                assert_eq!(s.quant, None);
-            }
-            AnySnapshot::Other(_) => panic!("text cycle must stay ocular"),
-        }
     }
 }
 
 #[test]
 fn v1_ocular_snapshots_still_load() {
-    let r = dataset();
-    let snap = ocular::serve::Snapshot::build(ocular_model(&r), &IndexConfig::default());
-    let mut buf = Vec::new();
-    snap.save(&mut buf).unwrap();
-    let text = String::from_utf8(buf).unwrap();
-    assert!(text.starts_with("ocular-snapshot v2 ocular\n"));
-    // a v1 snapshot is the identical body under the v1 envelope header
-    let v1 = text.replacen("ocular-snapshot v2 ocular", "ocular-snapshot v1", 1);
-    let direct = ocular::serve::Snapshot::load(&mut v1.as_bytes()).unwrap();
-    assert_eq!(direct, snap);
-    match AnySnapshot::load(&mut v1.as_bytes()).unwrap() {
-        AnySnapshot::Ocular(s) => assert_eq!(s, snap),
+    // a v1 snapshot is the v2 body under the v1 envelope header
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/golden");
+    let v2 = std::fs::read_to_string(dir.join("v2-ocular.snap")).unwrap();
+    assert!(v2.starts_with("ocular-snapshot v2 ocular\n"));
+    let v1 = v2.replacen("ocular-snapshot v2 ocular", "ocular-snapshot v1", 1);
+    let load = |text: &str| match AnySnapshot::load_text(&mut text.as_bytes())
+        .unwrap()
+        .snapshot
+    {
+        AnySnapshot::Ocular(s) => s,
         AnySnapshot::Other(_) => panic!("v1 must load as the ocular kind"),
-    }
+    };
+    assert_eq!(load(&v1), load(&v2));
 }
 
 #[test]

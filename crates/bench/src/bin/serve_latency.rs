@@ -12,8 +12,9 @@
 //! memory-bandwidth difference between the dtypes is actually visible:
 //! per dtype, a full-catalog engine request and, in the same run, the bare
 //! scoring kernel over the same catalog (what the request cannot go
-//! below), and the bare int8 kernel pinned to each ISA level the CPU has
-//! (bench_gate holds AVX2 at least 1.4× ahead of the baseline stamp).
+//! below), and each int8 arm's bare kernel pinned to each ISA level the
+//! CPU has (bench_gate holds the row-major AVX2 stamp at least 1.4× ahead
+//! of its baseline stamp).
 //! int8 has two scan arms, so it gets two pairs of rows, each naming the
 //! path it times: users with 4 active factors (request and bare kernel
 //! through the factor-major sidecar) and users with all K active (request
@@ -352,8 +353,10 @@ fn main() {
     let mut quant_rows: Vec<(&'static str, Latency, Latency)> = Vec::new();
     // int8 again with the all-K users: (request, bare row-major kernel)
     let mut dense_rows: Option<(Latency, Latency)> = None;
-    // (kernel level, bare int8 kernel pinned to it)
+    // (kernel level, bare int8 kernel pinned to it): row-major, all-K
+    // users; factor-major, 4-active users
     let mut level_rows: Vec<(&'static str, Latency)> = Vec::new();
+    let mut sparse_level_rows: Vec<(&'static str, Latency)> = Vec::new();
     let mut affinities = vec![0.0f64; quant_items];
     for (name, quantize) in [
         ("f64", None),
@@ -417,6 +420,13 @@ fn main() {
         let kernel = bare_kernel(sidecar.as_ref(), &sparse_user);
         report("  bare int8 kernel, factor-major (4-active users)", &kernel);
         quant_rows.push((name, lat, kernel));
+        // and that arm's kernel once per ISA level, as the row-major one below
+        for level in KernelLevel::available() {
+            let pinned = sidecar.clone().map(|q| q.with_kernel_level(level));
+            let lat = bare_kernel(pinned.as_ref(), &sparse_user);
+            report(&format!("  bare int8 kernel, factor-major @ {level}"), &lat);
+            sparse_level_rows.push((level.name(), lat));
+        }
         // int8, row-major arm: all-K users, request and bare kernel
         let lat = request(&dense_user);
         assert_eq!(engine.scan_stats().dense, quant_requests as u64);
@@ -504,6 +514,13 @@ fn main() {
                 (
                     "int8_kernel_levels",
                     obj(level_rows
+                        .iter()
+                        .map(|(level, lat)| (*level, lat_json(lat)))
+                        .collect()),
+                ),
+                (
+                    "int8_sparse_kernel_levels",
+                    obj(sparse_level_rows
                         .iter()
                         .map(|(level, lat)| (*level, lat_json(lat)))
                         .collect()),

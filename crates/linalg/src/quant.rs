@@ -41,11 +41,19 @@
 //! query row are one value `b`, the code zero maps to. With
 //! `A = {c : q_u[c] ≠ b}`,
 //! `Σ_c q_u[c]·q_i[c] = b·qsum_i + Σ_{c∈A} (q_u[c] − b)·q_i[c]` is an
-//! integer identity and `qsum_i` is already stored, so a block carrying a
-//! factor-major copy of its codes
+//! integer identity, so a block carrying a factor-major copy of its codes
 //! ([`QuantizedFactors::with_factor_major`]) forms the same `i32` dot from
 //! `|A|` contiguous column runs instead of `k` products per row, then runs
 //! the same float epilogue: the same bits, by construction and by test.
+//! The copy keeps every row's `qsum_i` as an `i32` too ([`FactorMajor`]),
+//! so each tile starts from `b·sum` in one vector multiply: starting from
+//! the stored `f32` sum cost a float→int `as` cast per row, which
+//! saturates and which LLVM leaves scalar — ≈ 100 of the ≈ 180 µs the AVX2
+//! bare kernel took at 100k rows × `k = 64`, `|A| = 4`. Each column's
+//! `δ·q_i[c]` (at most 254·128) is formed in `i16`, which the baseline
+//! level multiplies 8 wide; it has no `i32` lane multiply. Per 100k rows
+//! the arm costs ≈ 63 + 9·|A| µs under AVX2 and ≈ 85 + 18·|A| at the
+//! baseline level (it was ≈ 144 + 10·|A| and ≈ 187 + 34·|A|).
 //! [`QuantizedFactors::score_block`] takes that arm when `3·|A| ≤ k` and
 //! the run is at least one tile; single rows, candidate lists, denser
 //! queries and f32 (float sums do not reassociate) stay row-major — both
@@ -200,9 +208,36 @@ pub struct QuantizedFactors {
     /// [`KernelLevel::detect`] unless a test pinned it. Not part of the
     /// value: equal matrices score equal bits at any level.
     level: KernelLevel,
-    /// The int8 codes again, factor-major (`cols` runs of `rows` bytes),
-    /// for the sparse-query arm. Derived, so not part of the value either.
-    by_factor: Option<Arc<[i8]>>,
+    /// The int8 codes again, factor-major, for the sparse-query arm.
+    /// Derived, so not part of the value either.
+    by_factor: Option<Arc<FactorMajor>>,
+}
+
+/// The factor-major copy of an int8 block's codes that the sparse-query
+/// arm scans ([`QuantizedFactors::with_factor_major`]): `cols` runs of
+/// `rows` codes, plus every row's code sum as the `i32` each tile starts
+/// from. RAM only, never persisted.
+#[derive(Debug)]
+pub struct FactorMajor {
+    codes: Box<[i8]>,
+    sums: Box<[i32]>,
+}
+
+impl FactorMajor {
+    /// The codes, column `c` at `c·rows .. (c + 1)·rows`.
+    pub(crate) fn codes(&self) -> &[i8] {
+        &self.codes
+    }
+
+    /// `Σ_c q_rc` per row — the stored `f32` code sums, exactly.
+    pub(crate) fn sums(&self) -> &[i32] {
+        &self.sums
+    }
+
+    /// Resident bytes: `(cols + 4) × rows`.
+    pub fn bytes(&self) -> usize {
+        self.codes.len() + std::mem::size_of_val(&*self.sums)
+    }
 }
 
 /// A user row narrowed to a quantized dtype, ready to score against a
@@ -416,10 +451,10 @@ impl QuantizedFactors {
         self
     }
 
-    /// Attaches the factor-major copy of the int8 codes that the
-    /// sparse-query arm reads (see the [module docs](self)): `cols × rows`
-    /// bytes in RAM, shared by clones, never persisted; other dtypes come
-    /// back unchanged. For a block about to be scanned — training and
+    /// Attaches the [`FactorMajor`] copy of the int8 codes that the
+    /// sparse-query arm reads (see the [module docs](self)): `(cols + 4) ×
+    /// rows` bytes in RAM, shared by clones, never persisted; other dtypes
+    /// come back unchanged. For a block about to be scanned — training and
     /// conversion never scan. This is the one pass over every code, so it
     /// also checks the stored code sums the identity trusts: an `Err` names
     /// the first row whose codes do not add up to its sum (the arms would differ).
@@ -429,7 +464,8 @@ impl QuantizedFactors {
         };
         let (data, qsum): (&[i8], &[f32]) = (data, qsum);
         let (rows, k) = (self.rows, self.cols);
-        let mut by_factor = vec![0i8; rows * k];
+        let mut codes = vec![0i8; rows * k];
+        let mut sums = Vec::with_capacity(rows);
         // a tile of rows at a time, so the strided reads stay in L1
         for r0 in (0..rows).step_by(TILE) {
             let r1 = (r0 + TILE).min(rows);
@@ -441,20 +477,24 @@ impl QuantizedFactors {
                         qsum[r]
                     ));
                 }
+                sums.push(sum);
             }
             for c in 0..k {
-                let column = &mut by_factor[c * rows + r0..c * rows + r1];
+                let column = &mut codes[c * rows + r0..c * rows + r1];
                 for (j, o) in column.iter_mut().enumerate() {
                     *o = data[(r0 + j) * k + c];
                 }
             }
         }
-        self.by_factor = Some(by_factor.into());
+        self.by_factor = Some(Arc::new(FactorMajor {
+            codes: codes.into(),
+            sums: sums.into(),
+        }));
         Ok(self)
     }
 
     /// The factor-major copy, if attached (its size; who shares it).
-    pub fn factor_major(&self) -> Option<&Arc<[i8]>> {
+    pub fn factor_major(&self) -> Option<&Arc<FactorMajor>> {
         self.by_factor.as_ref()
     }
 
@@ -597,8 +637,9 @@ impl QuantizedFactors {
                 },
             ) => Scan::I8 {
                 codes: match sparse {
-                    Some(by_factor) => Codes::ByFactor {
-                        by_factor,
+                    Some(copy) => Codes::ByFactor {
+                        by_factor: copy.codes(),
+                        sums: copy.sums(),
                         rows: self.rows,
                         base: *base,
                         active,
@@ -715,14 +756,23 @@ enum Scan<'a> {
     },
 }
 
+/// A tile of kernel scratch on a cache-line boundary. A plain stack array
+/// lands wherever the frame puts it, which ASLR moves per process: on the
+/// wrong slot the vector stores straddle lines and the sparse arm ran
+/// bimodally, 88 or 118 µs per 100k rows under AVX2 (the engine's
+/// `ScanTile` is the same fix).
+#[repr(align(64))]
+struct TileBuf<T>([T; TILE]);
+
 /// Where an int8 scan takes its integer dots `Σ_c q_u[c]·q_i[c]` from.
 enum Codes<'a> {
     /// All `k` products of every row of the row-major codes.
     ByRow { data: &'a [i8], q: &'a [i8] },
-    /// `base·qsum_i` plus `delta·q_i[c]` over the `active` columns, each a
+    /// `base·sums[i]` plus `delta·q_i[c]` over the `active` columns, each a
     /// run of the `rows`-long column `c` of the factor-major copy.
     ByFactor {
         by_factor: &'a [i8],
+        sums: &'a [i32],
         rows: usize,
         base: i32,
         active: &'a [(usize, i32)],
@@ -738,7 +788,7 @@ enum Codes<'a> {
 /// the baseline. `bench_gate`'s `simd_vs_baseline` row watches for that.
 macro_rules! stamp_kernels {
     ($(#[$attr:meta])* $($qual:ident)+) => {
-        use crate::quant::{Codes, Scan, LANES, LANES_I8, TILE};
+        use crate::quant::{Codes, Scan, TileBuf, LANES, LANES_I8, TILE};
 
         /// `f32` dot with [`LANES`] unrolled accumulators. Independent
         /// partial sums break the strict sequential-reduction order, which
@@ -851,7 +901,8 @@ macro_rules! stamp_kernels {
                     //   su·si·Σqu·qi + su·zi·Σqu + zu·si·Σqi + k·zu·zi
                     // = si·(su·qdot + zu·qsum_i) + zi·(su·Σqu + k·zu)
                     let c1 = su * squ + k as f64 * zu;
-                    let mut qdots = [0i32; TILE];
+                    let mut qdots = TileBuf([0i32; TILE]);
+                    let mut prods = TileBuf([0i16; TILE]);
                     for (tile_idx, tile) in out.chunks_mut(TILE).enumerate() {
                         let row0 = first + tile_idx * TILE;
                         let s_tile = &scale[row0..row0 + tile.len()];
@@ -860,21 +911,31 @@ macro_rules! stamp_kernels {
                         // the integer dots of the whole tile first, so the
                         // float epilogue is its own loop over plain arrays
                         // and runs in vector registers too
-                        let qdots = &mut qdots[..tile.len()];
+                        let qdots = &mut qdots.0[..tile.len()];
                         match *codes {
                             Codes::ByRow { data, q } => {
                                 tile_dots_i8(q, &data[row0 * k..(row0 + tile.len()) * k], qdots);
                             }
-                            Codes::ByFactor { by_factor, rows, base, active } => {
-                                // the stored sums are whole numbers (checked
-                                // when the copy was built), so `as` is exact
-                                for (d, &qs) in qdots.iter_mut().zip(q_tile) {
-                                    *d = base * qs as i32;
+                            Codes::ByFactor { by_factor, sums, rows, base, active } => {
+                                // the copy's `i32` sums, not `qs as i32`: that
+                                // cast saturates, and LLVM keeps it scalar
+                                let sums = &sums[row0..row0 + tile.len()];
+                                for (d, &sum) in qdots.iter_mut().zip(sums) {
+                                    *d = base * sum;
                                 }
+                                // |δ·q| ≤ 254·128 fits i16, so each column's
+                                // products are formed 8 or 16 wide in i16 (SSE2
+                                // has no i32 lane multiply: 33 → 18 µs a column
+                                // per 100k rows at baseline), then widened
+                                let prods = &mut prods.0[..tile.len()];
                                 for &(c, delta) in active {
                                     let col = &by_factor[c * rows + row0..][..tile.len()];
-                                    for (d, &code) in qdots.iter_mut().zip(col) {
-                                        *d += delta * i32::from(code);
+                                    let delta = delta as i16;
+                                    for (p, &code) in prods.iter_mut().zip(col) {
+                                        *p = delta * i16::from(code);
+                                    }
+                                    for (d, &p) in qdots.iter_mut().zip(prods.iter()) {
+                                        *d += i32::from(p);
                                     }
                                 }
                             }
@@ -1095,7 +1156,9 @@ mod tests {
             let m = master(2 * TILE + 3, k, 77 + k as u64);
             let q = QuantizedFactors::quantize(&m, QuantDtype::I8);
             let sparse = q.clone().with_factor_major().unwrap();
-            assert_eq!(sparse.factor_major().unwrap().len(), m.rows() * k);
+            let copy = sparse.factor_major().unwrap();
+            assert_eq!(copy.codes().len(), m.rows() * k);
+            assert_eq!(copy.bytes(), m.rows() * (k + 4));
             assert_eq!(sparse, q, "the copy is not part of the value");
             for active in 0..=(k / 3 + 1).min(k) {
                 let prepared = q.prepare(&sparse_user(k, active, k));
@@ -1197,11 +1260,85 @@ mod tests {
             .unwrap()
         };
         assert!(rebuild(qsum.to_vec()).with_factor_major().is_ok());
-        for (row, wrong) in [(0, 1.0), (69, -1.0), (33, 0.5), (12, f32::NAN)] {
+        // NaN and sums past i32 (which `as i32` would saturate, not refuse)
+        let cases = [
+            (0, 1.0),
+            (69, -1.0),
+            (33, 0.5),
+            (12, f32::NAN),
+            (40, f32::INFINITY),
+            (50, 3e9),
+        ];
+        for (row, wrong) in cases {
             let mut bad = qsum.to_vec();
             bad[row] += wrong;
             let err = rebuild(bad).with_factor_major().unwrap_err();
             assert!(err.contains(&format!("row {row}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn sparse_arm_is_exact_at_the_edge_of_the_code_range() {
+        // every item code ±127 (rows all +127, all −127, and mixed), and a
+        // user zero but for one large entry: b = −127, δ = 254, so the
+        // sparse arm's `b·sum` and `δ·q` are as large as codes allow
+        for k in [1, 63, 64, 130, 1024] {
+            let rows = 2 * TILE + 3;
+            let code = |r: usize, c: usize| match r % 3 {
+                0 => 127,
+                1 => -127,
+                _ if (r * 31 + c * 7) % 5 < 2 => -127,
+                _ => 127,
+            };
+            let codes: Vec<i8> = (0..rows * k).map(|i| code(i / k, i % k)).collect();
+            let qsum: Vec<f32> = (codes.chunks_exact(k))
+                .map(|row| row.iter().map(|&q| f32::from(q)).sum())
+                .collect();
+            let scale: Vec<f32> = (0..rows).map(|r| 0.01 * (1 + r % 7) as f32).collect();
+            let zero: Vec<f32> = (0..rows).map(|r| 0.5 - 0.1 * (r % 4) as f32).collect();
+            let build = |qsum: Vec<f32>| {
+                QuantizedFactors::from_parts_i8(
+                    rows,
+                    k,
+                    codes.clone().into(),
+                    scale.clone().into(),
+                    zero.clone().into(),
+                    qsum.into(),
+                )
+                .unwrap()
+            };
+            let q = build(qsum.clone());
+            let sparse = q.clone().with_factor_major().unwrap();
+            let sums = sparse.factor_major().unwrap().sums();
+            assert_eq!(sums.len(), rows);
+            for (&sum, &stored) in sums.iter().zip(&qsum) {
+                assert_eq!(sum as f32, stored, "k={k}");
+            }
+            let mut user = vec![0.0; k];
+            user[k / 2] = 5.0;
+            let prepared = q.prepare(&user);
+            if k >= 3 {
+                let QueryRepr::I8 { base, active, .. } = &prepared.repr else {
+                    unreachable!("int8 block")
+                };
+                assert_eq!((*base, active.clone()), (-127, vec![(k / 2, 254)]), "k={k}");
+            }
+            // starts mid-tile, ends in a partial tile
+            let (first, len) = (5, rows - 5);
+            assert!(sparse.scans_sparse(&prepared, len), "k={k}");
+            let bits = |q: &QuantizedFactors, level| {
+                let mut out = vec![f64::NAN; len];
+                let q = q.clone().with_kernel_level(level);
+                q.score_block(&prepared, first, &mut out);
+                out.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+            };
+            for level in KernelLevel::available() {
+                assert_eq!(bits(&sparse, level), bits(&q, level), "k={k} {level}");
+            }
+            // a stored sum one off at this magnitude is still refused
+            let mut off = qsum;
+            off[0] += 1.0;
+            assert!(build(off).with_factor_major().is_err(), "k={k}");
         }
     }
 

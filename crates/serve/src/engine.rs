@@ -51,6 +51,7 @@ use ocular_sparse::{Dataset, ShardedDataset};
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 thread_local! {
     // Request working memory, one set per serving thread (rayon workers
@@ -778,14 +779,14 @@ impl ServeEngine {
     }
 
     /// Resident bytes of the int8 factor-major scan sidecars, each counted
-    /// once: `k × items` however an engine is split in memory, 0 without int8.
+    /// once: `(k + 4) × items` (codes and `i32` row sums) however an engine
+    /// is split in memory, 0 without int8.
     pub fn sidecar_bytes(&self) -> usize {
         let quants = self.parts.iter().filter_map(|p| p.model.quant());
-        let mut copies: Vec<&[i8]> =
-            (quants.filter_map(|q| q.factor_major()).map(|c| &**c)).collect();
-        copies.sort_by_key(|c| c.as_ptr());
-        copies.dedup_by_key(|c| c.as_ptr());
-        copies.iter().map(|c| c.len()).sum()
+        let mut copies: Vec<_> = quants.filter_map(|q| q.factor_major()).collect();
+        copies.sort_by_key(|c| Arc::as_ptr(c));
+        copies.dedup_by_key(|c| Arc::as_ptr(c));
+        copies.iter().map(|c| c.bytes()).sum()
     }
 
     /// `(partition, partition-local row)` of global user row `user`, when
@@ -1865,9 +1866,11 @@ mod tests {
                         if let Some(level) = level {
                             assert_eq!(e.kernel(), level.name());
                         }
-                        // one factor-major copy however many partitions
+                        // one factor-major copy (codes + i32 row sums)
+                        // however many partitions
                         let int8 = quantize == Some(QuantDtype::I8);
-                        assert_eq!(e.sidecar_bytes(), if int8 { n_items * k } else { 0 });
+                        let sidecar = if int8 { n_items * (k + 4) } else { 0 };
+                        assert_eq!(e.sidecar_bytes(), sidecar);
                         let fold = |basket: &[usize]| {
                             ocular_core::fold_in_user(
                                 model,

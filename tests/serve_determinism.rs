@@ -232,10 +232,11 @@ fn quantized_engines_deterministic_across_threads() {
                  detected level does",
                 dtype.name()
             );
-            // one factor-major copy, whatever the partition count
+            // one factor-major copy (codes + i32 row sums), whatever the
+            // partition count
             let int8 = dtype == QuantDtype::I8;
             let sidecar = if int8 {
-                r.n_items() * model.k_total()
+                r.n_items() * (model.k_total() + 4)
             } else {
                 0
             };

@@ -8,8 +8,8 @@ use ocular_core::loss::{objective, objective_naive, user_weights};
 use ocular_core::model::FactorModel;
 use ocular_core::Weighting;
 use ocular_datasets::planted::{generate, PlantedConfig};
-use ocular_linalg::{ops, Matrix};
-use ocular_parallel::kernel::block_dot;
+use ocular_linalg::ops::{self, block_dot};
+use ocular_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;

@@ -19,8 +19,14 @@
 //! path it times: users with 4 active factors (request and bare kernel
 //! through the factor-major sidecar) and users with all K active (request
 //! and bare kernel row-major); bench_gate holds each request within a
-//! bound of its own kernel and the sparse request at least 2× under the
-//! dense one.
+//! bound of its own kernel. A catalog this large scans in parts, one per
+//! idle core; both requests run again on one thread, in one part
+//! (`int8_single`, `int8_dense_single`), so bench_gate can hold the split
+//! against the one-part scan (`int8_parts` parts) and the sparse request at
+//! least 2× under the dense one with no split in either; and a requester
+//! per core times requests per second with the parts left to the engine
+//! and with each requester on one thread (`int8_busy_rps`,
+//! `int8_busy_single_rps`), where no core is idle to split onto.
 //! A third section measures partition routing: batched warm throughput
 //! through the engine split into 1/2/4 user partitions, all on the same
 //! pool — the rows differ only by the routing table, which must cost
@@ -36,6 +42,8 @@ use ocular_bench::Args;
 use ocular_core::{fit, FactorModel, OcularConfig, Recommendation};
 use ocular_datasets::profiles;
 use ocular_linalg::{ops, KernelLevel, QuantizedFactors};
+use ocular_parallel::with_threads;
+use ocular_serve::engine::scan_parts;
 use ocular_serve::json::{obj, Json};
 use ocular_serve::{CandidatePolicy, EngineBuilder, IndexConfig, QuantDtype, Request, ServeConfig};
 use rand::rngs::StdRng;
@@ -351,12 +359,16 @@ fn main() {
     ));
     // (dtype, full-catalog engine request, bare scoring kernel)
     let mut quant_rows: Vec<(&'static str, Latency, Latency)> = Vec::new();
-    // int8 again with the all-K users: (request, bare row-major kernel)
-    let mut dense_rows: Option<(Latency, Latency)> = None;
+    // int8 again with the all-K users: (request, the same on one thread,
+    // bare row-major kernel)
+    let mut dense_rows: Option<(Latency, Latency, Latency)> = None;
     // (kernel level, bare int8 kernel pinned to it): row-major, all-K
     // users; factor-major, 4-active users
     let mut level_rows: Vec<(&'static str, Latency)> = Vec::new();
     let mut sparse_level_rows: Vec<(&'static str, Latency)> = Vec::new();
+    // (parts per int8 scan here, the 4-active request on one thread, req/s
+    // with a requester per core: parts left to the engine, one part each)
+    let mut quant_single: Option<(usize, Latency, [f64; 2])> = None;
     let mut affinities = vec![0.0f64; quant_items];
     for (name, quantize) in [
         ("f64", None),
@@ -411,9 +423,52 @@ fn main() {
             continue;
         }
         // int8, sparse arm: the 4-active users above went through the
-        // factor-major sidecar, and so does their bare kernel
+        // factor-major sidecar, and so does their bare kernel; each scan
+        // ran in `parts` parts, and a split one still counts once per arm
         let scans = engine.scan_stats();
         assert_eq!((scans.sparse, scans.dense), (quant_requests as u64, 0));
+        let parts = scan_parts(quant_items, 0);
+        let split = if parts > 1 { quant_requests as u64 } else { 0 };
+        assert_eq!(scans.split, split, "{parts} parts per scan");
+        // the same request again on one thread, where it is one part: the
+        // same-run base bench_gate holds the split scan against
+        let single = with_threads(Some(1), || request(&sparse_user));
+        assert_eq!(engine.scan_stats().split, split);
+        report("quant int8 request, one thread (one part)", &single);
+        // a requester per core, as a loaded server's workers are: requests
+        // per second with the parts left to the engine, and with every
+        // requester on one thread — where no core is idle, the engine must
+        // not split; best of two each, interleaved
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let busy_rps = |threads: Option<usize>| {
+            let t0 = Instant::now();
+            std::thread::scope(|s| {
+                for c in 0..cores {
+                    let engine = &engine;
+                    s.spawn(move || {
+                        with_threads(threads, || {
+                            for i in 0..4 * quant_requests {
+                                let user = sparse_user(i + c * 7);
+                                let served = engine.serve_one(&Request::Warm { user, m }).unwrap();
+                                std::hint::black_box(served.items.len());
+                            }
+                        })
+                    });
+                }
+            });
+            (cores * 4 * quant_requests) as f64 / t0.elapsed().as_secs_f64()
+        };
+        let mut busy = [0.0f64; 2];
+        for _ in 0..2 {
+            for (best, threads) in busy.iter_mut().zip([None, Some(1)]) {
+                *best = best.max(busy_rps(threads));
+            }
+        }
+        println!(
+            "quant int8 requests, a requester per core ({cores}): {:.0} req/s; one part each {:.0} req/s",
+            busy[0], busy[1]
+        );
+        quant_single = Some((parts, single, busy));
         let sidecar = narrowed
             .clone()
             .map(|q| q.with_factor_major().expect("sidecar"));
@@ -431,9 +486,14 @@ fn main() {
         let lat = request(&dense_user);
         assert_eq!(engine.scan_stats().dense, quant_requests as u64);
         report("quant int8 request, all-K users (row-major arm)", &lat);
+        let single = with_threads(Some(1), || request(&dense_user));
+        report(
+            "quant int8 request, all-K users, one thread (one part)",
+            &single,
+        );
         let kernel = bare_kernel(narrowed.as_ref(), &dense_user);
         report("  bare int8 kernel, row-major (all-K users)", &kernel);
-        dense_rows = Some((lat, kernel));
+        dense_rows = Some((lat, single, kernel));
         // and the row-major kernel once per ISA level this CPU has, back
         // to back, so the gate can hold the wide stamp to a same-run ratio
         for level in KernelLevel::available() {
@@ -444,7 +504,8 @@ fn main() {
         }
     }
 
-    let (dense_request, dense_kernel) = dense_rows.expect("the int8 row ran");
+    let (dense_request, dense_single, dense_kernel) = dense_rows.expect("the int8 row ran");
+    let (int8_parts, int8_single, int8_busy) = quant_single.expect("the int8 row ran");
     let lat_json = |l: &Latency| {
         obj(vec![
             ("p50_us", Json::Num(l.p50)),
@@ -509,7 +570,12 @@ fn main() {
                 ("f64_kernel", lat_json(&quant_rows[0].2)),
                 ("f32_kernel", lat_json(&quant_rows[1].2)),
                 ("int8_kernel", lat_json(&quant_rows[2].2)),
+                ("int8_parts", Json::Num(int8_parts as f64)),
+                ("int8_single", lat_json(&int8_single)),
+                ("int8_busy_rps", Json::Num(int8_busy[0])),
+                ("int8_busy_single_rps", Json::Num(int8_busy[1])),
                 ("int8_dense", lat_json(&dense_request)),
+                ("int8_dense_single", lat_json(&dense_single)),
                 ("int8_dense_kernel", lat_json(&dense_kernel)),
                 (
                     "int8_kernel_levels",

@@ -91,10 +91,8 @@ pub fn max_abs(x: &[f64]) -> f64 {
 }
 
 /// Blocked inner product: partial sums over `warp`-sized chunks, then a
-/// final tree fold — numerically equivalent to the GPU shared-memory
-/// reduction the parallel trainer simulates (`ocular_parallel::kernel`
-/// re-exports this as its `block_dot`), and the one blocked `f64` dot
-/// shared by training and serving.
+/// final tree fold — the shape of the paper's GPU shared-memory reduction
+/// (§VI-A), kept for the kernel benches to time against [`dot`].
 pub fn block_dot(a: &[f64], b: &[f64], warp: usize) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let warp = warp.max(1);

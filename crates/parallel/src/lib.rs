@@ -1,7 +1,7 @@
 //! # ocular-parallel
 //!
-//! A simulated GPU execution engine for OCuLaR, reproducing Section VI of
-//! the paper ("Using massively parallel processors") without the hardware.
+//! Section VI of the paper ("Using massively parallel processors") on CPU
+//! cores instead of a GPU.
 //!
 //! ## What the paper did, and what this crate does
 //!
@@ -12,11 +12,9 @@
 //! GeForce TITAN X reaches the same training likelihood 57× faster than the
 //! CPU implementation (Figure 8).
 //!
-//! Without a GPU we reproduce the *decomposition*, not the silicon:
+//! Without a GPU we reproduce the *decomposition*, not the silicon — and
+//! keep it bit-stable, where `atomicAdd` reorders sums:
 //!
-//! * [`kernel`] — the per-positive-rating gradient kernel with block-style
-//!   reduction and atomic accumulation ([`kernel::AtomicF64`] stands in for
-//!   CUDA `atomicAdd(double)`), executed by a rayon thread pool;
 //! * [`trainer`] — a data-parallel block-coordinate trainer whose
 //!   half-sweeps update all items (then all users) concurrently. Because
 //!   each factor row's subproblem reads only the *fixed* side, per-entity
@@ -26,7 +24,9 @@
 //!   `O(max(nnz, n_u·K, n_i·K))`, including the Netflix/K=200 ≈ 2.7 GB
 //!   worked example;
 //! * [`speedup`] — Figure 8 instrumentation: likelihood-vs-wall-clock
-//!   traces and the speedup factor at a target accuracy.
+//!   traces and the speedup factor at a target accuracy;
+//! * [`pool`] — the persistent [`WorkerPool`] the serving tier runs its
+//!   network workers and the parts of a split catalog scan on.
 //!
 //! The measured speedup is bounded by host cores rather than 57×, but the
 //! *shape* of Figure 8 — same final likelihood, parallel trace strictly
@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod kernel;
 pub mod memory;
 pub mod pool;
 pub mod speedup;
@@ -51,7 +50,8 @@ pub use trainer::fit_parallel;
 /// when `threads` is `None`.
 ///
 /// This is the one thread knob shared by every data-parallel entry point in
-/// the workspace ([`fit_parallel`], `ocular-serve`'s batch path, the Figure 8
+/// the workspace ([`fit_parallel`], `ocular-serve`'s batch path and the
+/// number of parts its full-catalog scans split into, the Figure 8
 /// harness), so "1 thread vs N threads" comparisons always mean the same
 /// thing.
 ///

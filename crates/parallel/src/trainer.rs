@@ -6,11 +6,11 @@
 //! approximation. With both trainers starting from
 //! [`ocular_core::trainer::initial_factors`], `fit_parallel` produces
 //! **bitwise-identical** models to [`ocular_core::fit`]; the speedup is
-//! pure wall-clock. (The per-rating atomic kernel of [`crate::kernel`],
-//! which matches the paper's CUDA decomposition literally, is exposed and
-//! validated separately; per-row parallelism is how the same decomposition
-//! is expressed efficiently on a host with tens of threads rather than
-//! thousands of CUDA cores.)
+//! pure wall-clock. (The paper's CUDA kernel runs one thread block per
+//! positive rating and accumulates with `atomicAdd`, whose order varies;
+//! per-row parallelism is how the same decomposition is expressed
+//! deterministically on a host with tens of threads rather than thousands
+//! of CUDA cores.)
 
 use ocular_core::config::OcularConfig;
 use ocular_core::linesearch::{RowScratch, RowUpdate, SearchStats};

@@ -18,6 +18,14 @@
 //! selecting with [`top_k_excluding`], the path the trait-served kinds
 //! (whose contract is a dense score vector) take.
 //!
+//! Items decompose as independently as users (Heckel et al. §VI): a
+//! quantized full-catalog scan of two `SPLIT_ROWS` or more runs that pass
+//! once per contiguous part, one per core no other scan of the engine holds
+//! ([`scan_parts`]) — part 0 on the requesting thread, the rest on
+//! process-wide helpers — and merges the parts' top-Ms under the same
+//! order. That is exact: an item in the catalog's top-M is in its part's,
+//! since all that outranks it there outranks it in the catalog.
+//!
 //! ## Partitions
 //!
 //! Given the item factors, users decompose independently (Heckel et al.
@@ -45,13 +53,16 @@ use ocular_core::model::prob_from_affinity;
 use ocular_core::{
     fold_in_user_with, top_m_for_factors, FactorModel, FoldInScratch, OcularConfig, Recommendation,
 };
-use ocular_linalg::topk::{top_k_excluding, MonotoneTopK};
-use ocular_linalg::{ops, KernelLevel, QuantDtype, QuantizedFactors};
+use ocular_linalg::topk::{top_k_excluding, MonotoneTopK, TopK};
+use ocular_linalg::{ops, KernelLevel, PreparedQuery, QuantDtype, QuantizedFactors};
+use ocular_parallel::WorkerPool;
 use ocular_sparse::{Dataset, ShardedDataset};
 use rayon::prelude::*;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
 
 thread_local! {
     // Request working memory, one set per serving thread (rayon workers
@@ -74,6 +85,14 @@ const SCAN_TILE: usize = 1024;
 /// by the frame sizes of unrelated functions up the call chain.
 #[repr(align(64))]
 struct ScanTile([f64; SCAN_TILE]);
+
+/// The fewest items a part of a split full-catalog scan covers. A part on a
+/// helper pays a wake-up (≈ 10 µs), a top-M of its own and a merge:
+/// `serve_latency`'s int8 4-active request, two parts against one (p50,
+/// 2-core VM), reads 34 vs 29 µs at 16,384 items (AVX2, M = 10); at 32,768,
+/// 50–60 vs 49 (M = 10) and 91 vs 96 (M = 50) under AVX2, 97 vs 114 at the
+/// baseline level; 58 vs 69 at 49,152 (M = 10). So splits start at 32,768.
+const SPLIT_ROWS: usize = 16 * SCAN_TILE;
 
 /// How the engine picks the items a request scores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,7 +213,8 @@ enum EngineModel {
     Ocular {
         model: FactorModel,
         index: ClusterIndex,
-        quant: Option<QuantizedFactors>,
+        /// Shared with split-scan parts, which may outlive this generation.
+        quant: Option<Arc<QuantizedFactors>>,
         /// `item_factors.column_sums()`, cached at build: the fold-in
         /// solve needs it on every cold request and it is model-constant.
         item_sum: Vec<f64>,
@@ -251,7 +271,7 @@ impl EngineModel {
                 item_sum: s.model.item_factors.column_sums(),
                 model: s.model,
                 index: s.index,
-                quant: s.quant,
+                quant: s.quant.map(Arc::new),
             },
             AnySnapshot::Other(m) => EngineModel::Generic(m),
         }
@@ -274,7 +294,7 @@ impl EngineModel {
     /// The quantized item factors scoring dispatches to, if any.
     fn quant(&self) -> Option<&QuantizedFactors> {
         match self {
-            EngineModel::Ocular { quant, .. } => quant.as_ref(),
+            EngineModel::Ocular { quant, .. } => quant.as_deref(),
             EngineModel::Generic(_) => None,
         }
     }
@@ -358,6 +378,9 @@ pub struct ScanStats {
     pub dense: u64,
     /// [`ocular_linalg::PreparedQuery::active_codes`] over all scans (`k` for f64).
     pub active_codes: u64,
+    /// Scans of either arm that ran in more than one part (see the [module
+    /// docs](self)), each also counted once in `sparse` or `dense`.
+    pub split: u64,
 }
 
 /// What an [`EngineBuilder`] builds an engine around.
@@ -566,6 +589,7 @@ impl EngineBuilder {
             },
             fold_ins: FoldInCounters::default(),
             scans: Default::default(),
+            busy: AtomicUsize::new(0),
             parts,
             assign,
             cfg: self.cfg,
@@ -624,7 +648,10 @@ pub struct ServeEngine {
     requests: Vec<AtomicU64>,
     fold_ins: FoldInCounters,
     /// [`ScanStats`] in field order; statistics, so every access is relaxed.
-    scans: [AtomicU64; 3],
+    scans: [AtomicU64; 4],
+    /// Cores this engine's quantized full-catalog scans of a splittable
+    /// catalog hold right now, one per part ([`scan_parts`]).
+    busy: AtomicUsize,
     cfg: ServeConfig,
     generation: u64,
 }
@@ -764,18 +791,20 @@ impl ServeEngine {
 
     /// Full-catalog scan telemetry since the engine was built.
     pub fn scan_stats(&self) -> ScanStats {
-        let [sparse, dense, active_codes] =
-            [0, 1, 2].map(|i| self.scans[i].load(Ordering::Relaxed));
+        let [sparse, dense, active_codes, split] =
+            self.scans.each_ref().map(|c| c.load(Ordering::Relaxed));
         ScanStats {
             sparse,
             dense,
             active_codes,
+            split,
         }
     }
 
-    fn count_scan(&self, sparse: bool, active_codes: usize) {
+    fn count_scan(&self, sparse: bool, parts: usize, active_codes: usize) {
         self.scans[usize::from(!sparse)].fetch_add(1, Ordering::Relaxed);
         self.scans[2].fetch_add(active_codes as u64, Ordering::Relaxed);
+        self.scans[3].fetch_add(u64::from(parts > 1), Ordering::Relaxed);
     }
 
     /// Resident bytes of the int8 factor-major scan sidecars, each counted
@@ -1018,7 +1047,7 @@ impl ServeEngine {
         &self,
         model: &FactorModel,
         index: &ClusterIndex,
-        quant: Option<&QuantizedFactors>,
+        quant: Option<&Arc<QuantizedFactors>>,
         factors: &[f64],
         exclude: &[u32],
         m: usize,
@@ -1028,6 +1057,7 @@ impl ServeEngine {
             // usable = candidates not excluded (both lists ascending)
             let usable = candidates.len() - intersection_size(&candidates, exclude);
             if usable >= m.max(min_candidates) {
+                let quant = quant.map(Arc::as_ref);
                 return select_candidates(model, quant, factors, &candidates, exclude, m);
             }
         }
@@ -1036,7 +1066,7 @@ impl ServeEngine {
             // [`ocular_core::recommend_top_m`]'s own kernel, hence
             // bitwise-identical lists for a warm user
             None => {
-                self.count_scan(false, factors.len());
+                self.count_scan(false, 1, factors.len());
                 top_m_for_factors(model, factors, exclude, m)
             }
             // the user row (warm or folded-in) narrows once; the selector
@@ -1044,19 +1074,195 @@ impl ServeEngine {
             Some(quant) => {
                 let query = quant.prepare(factors);
                 let sparse = quant.scans_sparse(&query, n.min(SCAN_TILE));
-                self.count_scan(sparse, query.active_codes());
-                let mut top = MonotoneTopK::new(m, exclude, prob_from_affinity);
-                let mut tile = ScanTile([0.0; SCAN_TILE]);
-                for first in (0..n).step_by(SCAN_TILE) {
-                    let tile = &mut tile.0[..SCAN_TILE.min(n - first)];
-                    quant.score_block(&query, first, tile);
-                    top.offer_run(first, tile);
-                }
-                to_recommendations(top.into_sorted())
+                let cores = self.hold_cores(n);
+                let parts = cores.parts();
+                self.count_scan(sparse, parts, query.active_codes());
+                let top = if parts == 1 {
+                    scan_part(quant, &query, 0..n, exclude, m)
+                } else {
+                    split_scan(quant, query, exclude, m, parts)
+                };
+                to_recommendations(top)
             }
         };
         self.full_catalog_list(items, n)
     }
+
+    /// The cores a full-catalog scan of `n` items takes from
+    /// [`ServeEngine::busy`] until it returns: one per part, as many parts
+    /// as [`scan_parts`] leaves it beside the scans already running.
+    fn hold_cores(&self, n: usize) -> HeldCores<'_> {
+        let mut held = 0;
+        if n / SPLIT_ROWS > 1 {
+            let take = |busy| {
+                held = scan_parts(n, busy);
+                Some(busy + held)
+            };
+            let _ = self
+                .busy
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, take);
+        }
+        HeldCores {
+            busy: &self.busy,
+            held,
+        }
+    }
+}
+
+/// Cores held on [`ServeEngine::busy`], given back on drop — a panicking
+/// scan included. A catalog too small to split holds none.
+struct HeldCores<'a> {
+    busy: &'a AtomicUsize,
+    held: usize,
+}
+
+impl HeldCores<'_> {
+    fn parts(&self) -> usize {
+        self.held.max(1)
+    }
+}
+
+impl Drop for HeldCores<'_> {
+    fn drop(&mut self) {
+        if self.held > 0 {
+            self.busy.fetch_sub(self.held, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The host's cores, read once: a scan runs in at most this many parts, on
+/// the requester and one fewer helper.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// Parts a quantized full-catalog scan of `n` items runs in from this thread
+/// while its engine's other scans hold `busy` cores (0 on an idle engine):
+/// one per thread ([`ocular_parallel::with_threads`], else
+/// `RAYON_NUM_THREADS`, else the host) and per core the host has, less the
+/// busy ones, at most one per `SPLIT_ROWS` items — never fewer than one.
+///
+/// A part only pays where a core would otherwise wait. With every core
+/// serving a request, splitting costs each request more CPU for no wall
+/// time: two requesters on the 2-core VM, each looping on the
+/// `http_warm_catalog` model, read 14,035–14,701 req/s unsplit and
+/// 11,261–11,650 with every scan in two parts.
+pub fn scan_parts(n: usize, busy: usize) -> usize {
+    let free = rayon::current_num_threads()
+        .min(host_cores())
+        .saturating_sub(busy);
+    free.clamp(1, (n / SPLIT_ROWS).max(1))
+}
+
+/// Items of part `part` of `parts` over `n`: whole [`SCAN_TILE`]s, so the
+/// parts score the one-part scan's tiles, and so its bits.
+fn part_items(n: usize, parts: usize, part: usize) -> Range<usize> {
+    let tiles = n.div_ceil(SCAN_TILE);
+    let at = |part: usize| (part * tiles / parts * SCAN_TILE).min(n);
+    at(part)..at(part + 1)
+}
+
+/// Scores `items` a [`ScanTile`] at a time into a top-`m` of their own,
+/// skipping `exclude`: a whole full-catalog scan, or one part of a split one.
+fn scan_part(
+    quant: &QuantizedFactors,
+    query: &PreparedQuery,
+    items: Range<usize>,
+    exclude: &[u32],
+    m: usize,
+) -> Vec<(f64, usize)> {
+    let mut top = MonotoneTopK::new(m, exclude, prob_from_affinity);
+    let mut tile = ScanTile([0.0; SCAN_TILE]);
+    for first in items.clone().step_by(SCAN_TILE) {
+        let tile = &mut tile.0[..SCAN_TILE.min(items.end - first)];
+        quant.score_block(query, first, tile);
+        top.offer_run(first, tile);
+    }
+    top.into_sorted()
+}
+
+/// A scan in parts, owning what a part reads, so a part can run on a helper
+/// after the request's borrows — or its generation — are gone.
+struct SplitScan {
+    quant: Arc<QuantizedFactors>,
+    query: PreparedQuery,
+    exclude: Vec<u32>,
+    m: usize,
+    /// Per part, whether a thread took it: it decides only who runs the
+    /// part — the list travels through a channel — so it is relaxed.
+    claimed: Box<[AtomicBool]>,
+}
+
+impl SplitScan {
+    fn claim(&self, part: usize) -> bool {
+        let flag = &self.claimed[part];
+        (flag.compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)).is_ok()
+    }
+
+    fn run(&self, part: usize) -> Vec<(f64, usize)> {
+        let items = part_items(self.quant.rows(), self.claimed.len(), part);
+        scan_part(&self.quant, &self.query, items, &self.exclude, self.m)
+    }
+}
+
+/// Scans in `parts` parts and merges their lists. Parts 1… are offered to
+/// the helpers; the caller runs part 0 and every part no helper has started,
+/// so a busy pool costs no more than one part and nothing waits on a queue.
+///
+/// The helpers are a [`WorkerPool`] because they must already be running
+/// when a request arrives: the workspace's `rayon` starts a scoped thread per
+/// call. A `par_iter` over the parts, merged the same way, read 6,210–7,624
+/// req/s with one requester looping on the `http_warm_catalog` model (2-core
+/// VM, three runs) — no better than the one-part scan's 7,145–7,576 —
+/// against 9,622–10,883 here.
+fn split_scan(
+    quant: &Arc<QuantizedFactors>,
+    query: PreparedQuery,
+    exclude: &[u32],
+    m: usize,
+    parts: usize,
+) -> Vec<(f64, usize)> {
+    // one fewer than the host's cores, as the caller scans a part too;
+    // started by the first split
+    static HELPERS: OnceLock<WorkerPool> = OnceLock::new();
+    let helpers = HELPERS.get_or_init(|| WorkerPool::new(host_cores() - 1));
+    let scan = Arc::new(SplitScan {
+        quant: Arc::clone(quant),
+        query,
+        exclude: exclude.to_vec(),
+        m,
+        claimed: (0..parts).map(|_| AtomicBool::new(false)).collect(),
+    });
+    let (done, lists) = mpsc::channel();
+    for part in 1..parts {
+        let (scan, done) = (Arc::clone(&scan), done.clone());
+        helpers.execute(move || {
+            if scan.claim(part) {
+                // a panicking part panics the request instead of leaving it waiting
+                let _ = done.send(catch_unwind(AssertUnwindSafe(|| scan.run(part))));
+            }
+        });
+    }
+    drop(done);
+    let mut top = TopK::new(m);
+    let mut merge = |list: Vec<(f64, usize)>| {
+        for (probability, item) in list {
+            top.push(item, probability);
+        }
+    };
+    let mut running = 0;
+    for part in 0..parts {
+        match scan.claim(part) {
+            true => merge(scan.run(part)),
+            false => running += 1,
+        }
+    }
+    for _ in 0..running {
+        let list = lists.recv().expect("a claimed part always reports");
+        merge(list.unwrap_or_else(|panic| resume_unwind(panic)));
+    }
+    top.into_sorted()
 }
 
 fn to_recommendations(pairs: Vec<(f64, usize)>) -> Vec<Recommendation> {
@@ -1772,10 +1978,14 @@ mod tests {
         list
     }
 
-    #[test]
-    fn fused_scan_matches_transform_all_on_hostile_shapes() {
-        let n_items = 2 * SCAN_TILE + 37;
-        let (n_users, k, default_m) = (6usize, 3usize, 5usize);
+    /// The two models the hostile-shapes tests scan, `n_users × n_items`,
+    /// K = 3. In `tied` few distinct factor values make affinities tie in
+    /// long runs; in `saturated` every affinity is ≥ 3·4·4 = 48, so each
+    /// probability is exactly 1.0 and the whole list is ordered by index
+    /// alone. In both, user 0 keeps one code off its most frequent (the
+    /// sparse int8 arm) and user 1 three distinct codes (the row-major arm).
+    fn hostile_models(n_users: usize, n_items: usize) -> [FactorModel; 2] {
+        let k = 3;
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             state = state
@@ -1783,7 +1993,6 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as usize
         };
-        // few distinct factor values, so affinities tie in long runs
         let mut ties = |rows: usize| {
             Matrix::from_vec(
                 rows,
@@ -1791,8 +2000,6 @@ mod tests {
                 (0..rows * k).map(|_| (next() % 4) as f64 * 0.5).collect(),
             )
         };
-        // user 0 keeps one code off its most frequent (the sparse int8
-        // arm), user 1 three distinct codes (the row-major arm)
         let with_users = |mut users: Matrix, sparse: [f64; 3], dense: [f64; 3]| {
             users.row_mut(0).copy_from_slice(&sparse);
             users.row_mut(1).copy_from_slice(&dense);
@@ -1803,8 +2010,6 @@ mod tests {
             ties(n_items),
             false,
         );
-        // every affinity ≥ 3·4·4 = 48: each probability is exactly 1.0 and
-        // the whole list is ordered by index alone
         let mut high = |rows: usize| {
             Matrix::from_vec(
                 rows,
@@ -1817,17 +2022,29 @@ mod tests {
             high(n_items),
             false,
         );
+        [tied, saturated]
+    }
 
-        // owned items straddle a tile boundary and include the last index;
-        // row `n_users` belongs to a user newer than the model
-        let owned = [SCAN_TILE - 1, SCAN_TILE, SCAN_TILE + 1, n_items - 1];
+    /// Interactions where every row `0..=n_users` owns `owned` and item
+    /// `7·u`; row `n_users` belongs to a user newer than the model.
+    fn owning(n_users: usize, n_items: usize, owned: &[usize]) -> Dataset {
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         for u in 0..=n_users {
             pairs.extend(owned.iter().map(|&i| (u, i)));
             pairs.push((u, u * 7));
         }
-        let data =
-            Dataset::from_matrix(CsrMatrix::from_pairs(n_users + 1, n_items, &pairs).unwrap());
+        Dataset::from_matrix(CsrMatrix::from_pairs(n_users + 1, n_items, &pairs).unwrap())
+    }
+
+    #[test]
+    fn fused_scan_matches_transform_all_on_hostile_shapes() {
+        let n_items = 2 * SCAN_TILE + 37;
+        let (n_users, k, default_m) = (6usize, 3usize, 5usize);
+        let [tied, saturated] = hostile_models(n_users, n_items);
+
+        // owned items straddle a tile boundary and include the last index
+        let owned = [SCAN_TILE - 1, SCAN_TILE, SCAN_TILE + 1, n_items - 1];
+        let data = owning(n_users, n_items, &owned);
         let index_cfg = IndexConfig {
             rel: 0.5,
             floor: 10,
@@ -1919,8 +2136,8 @@ mod tests {
                                 assert_eq!(got, want, "cold {basket:?} {ctx}");
                             }
                         }
-                        // every full-catalog scan was counted, and the int8
-                        // ones went through both arms
+                        // every full-catalog scan was counted, in one part,
+                        // and the int8 ones went through both arms
                         let scans = e.scan_stats();
                         if policy == CandidatePolicy::FullCatalog {
                             assert_eq!(scans.sparse + scans.dense, 4 * (n_users as u64 + 3));
@@ -1930,10 +2147,183 @@ mod tests {
                         } else {
                             assert_eq!(scans.sparse, 0);
                         }
+                        assert_eq!(scans.split, 0, "{scans:?}");
                     }
                 }
             }
         }
         assert!(candidate_lists > 0, "the candidate path must be exercised");
+    }
+
+    #[test]
+    fn split_scans_match_transform_all_across_part_boundaries() {
+        // the hostile models on a catalog that splits in two at two threads,
+        // at `boundary`; a host with one core scans it in one part, so the
+        // parts are also run directly, two and four of them, below
+        let n_items = 2 * SPLIT_ROWS + 37;
+        let (n_users, threads, default_m) = (6usize, 2, 5usize);
+        let parts = ocular_parallel::with_threads(Some(threads), || scan_parts(n_items, 0));
+        assert_eq!(parts, host_cores().min(threads));
+        let boundary = part_items(n_items, 2, 1).start;
+        let [tied, saturated] = hostile_models(n_users, n_items);
+        // owned items on both sides of the part boundary, and the last one
+        let owned = [boundary - 1, boundary, boundary + 1, n_items - 1];
+        let data = owning(n_users, n_items, &owned);
+        let cfg = ServeConfig::default();
+        let fold = |model: &FactorModel, basket: &[usize]| {
+            ocular_core::fold_in_user(model, basket, &cfg.foldin, 1.0, cfg.foldin_steps).factors
+        };
+        let full = CandidatePolicy::FullCatalog;
+
+        for model in [&tied, &saturated] {
+            let index = ClusterIndex::build(model, &IndexConfig::default());
+            for dtype in [QuantDtype::F32, QuantDtype::I8] {
+                // (request, the query it scans, its exclusions and M, the
+                // one-part reference's answer); M past part 0's un-owned
+                // items, and past the catalog, too
+                let mut cases = Vec::new();
+                for m in [0, 7, boundary + 3, n_items + 5] {
+                    let m_or_default = if m == 0 { default_m } else { m };
+                    let mut case = |request, factors: Vec<f64>, exclude: &[u32], folded| {
+                        let mut want = transform_all_reference(
+                            model,
+                            &index,
+                            Some(dtype),
+                            full,
+                            &factors,
+                            exclude,
+                            m_or_default,
+                        );
+                        want.folded_in = folded;
+                        cases.push((request, factors, exclude.to_vec(), m_or_default, want));
+                    };
+                    for user in 0..n_users {
+                        let factors = model.user_factors.row(user).to_vec();
+                        case(Request::Warm { user, m }, factors, data.row(user), false);
+                    }
+                    // the user newer than the model folds in on their row
+                    let basket: Vec<usize> =
+                        data.row(n_users).iter().map(|&i| i as usize).collect();
+                    let factors = fold(model, &basket);
+                    case(
+                        Request::Warm { user: n_users, m },
+                        factors,
+                        data.row(n_users),
+                        true,
+                    );
+                    // cold baskets, one of them unsorted across tiles and parts
+                    for basket in [vec![0], vec![n_items - 1, boundary, SCAN_TILE, 3]] {
+                        let exclude = validate_basket(&basket, n_items).unwrap();
+                        let factors = fold(model, &basket);
+                        case(Request::Cold { basket, m }, factors, &exclude, false);
+                    }
+                }
+
+                // the engines, at each level this CPU has, whole and in four
+                // user partitions
+                let int8 = dtype == QuantDtype::I8;
+                let levels = KernelLevel::available();
+                for (level, shards) in levels.flat_map(|l| [(l, 1), (l, 4)]) {
+                    let e = EngineBuilder::from_model(model.clone())
+                        .dataset(data.clone())
+                        .candidates(full)
+                        .default_m(default_m)
+                        .quantization(dtype)
+                        .kernel_level(level)
+                        .shards(shards)
+                        .build()
+                        .unwrap();
+                    let ctx = format!("{dtype:?} {level:?} shards={shards}");
+                    for (request, .., want) in &cases {
+                        let got =
+                            ocular_parallel::with_threads(Some(threads), || e.serve_one(request));
+                        assert_eq!(got.as_ref(), Ok(want), "{request:?} {ctx}");
+                        let trained =
+                            matches!(request, Request::Warm { user, .. } if *user < n_users);
+                        if trained && std::ptr::eq(model, &saturated) {
+                            assert!(want.items.iter().all(|r| r.probability == 1.0));
+                        }
+                    }
+                    // each scan counted once, split wherever it could be
+                    let scans = e.scan_stats();
+                    let served = cases.len() as u64;
+                    assert_eq!(scans.sparse + scans.dense, served, "{scans:?}");
+                    assert_eq!(scans.split, if parts > 1 { served } else { 0 });
+                    assert_eq!(scans.sparse > 0 && scans.dense > 0, int8, "{scans:?}");
+                }
+
+                // the parts themselves, on any host: two, at `boundary`, and
+                // four — more than the helpers on a small host, so the
+                // requester runs the ones no helper took
+                let quant = QuantizedFactors::quantize(&model.item_factors, dtype);
+                let quant = Arc::new(match int8 {
+                    true => quant.with_factor_major().unwrap(),
+                    false => quant,
+                });
+                for (request, factors, exclude, m, want) in &cases {
+                    for parts in [2, 4] {
+                        let query = quant.prepare(factors);
+                        let got = to_recommendations(split_scan(&quant, query, exclude, *m, parts));
+                        assert_eq!(got, want.items, "{request:?} {dtype:?} in {parts} parts");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_scans_from_many_threads_match_the_one_part_scan_and_never_hang() {
+        // more requesters than the host has cores, each splitting its scans
+        // four ways into the one helper pool: parts queue behind other
+        // requests' parts, and each requester runs whichever of its own no
+        // helper has started. A tile per part keeps 4,000 scans cheap; the
+        // hand-off is the same at any part size.
+        let (parts, k, n_users, m) = (4, 4, 16, 10);
+        let (requesters, scans_each) = (4, 1000);
+        let n_items = parts * SCAN_TILE - 5;
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut factors = |rows: usize| {
+            let values = (0..rows * k).map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % 5) as f64 * 0.25
+            });
+            Matrix::from_vec(rows, k, values.collect())
+        };
+        let quant = QuantizedFactors::quantize(&factors(n_items), QuantDtype::I8);
+        let quant = Arc::new(quant.with_factor_major().unwrap());
+        let users = factors(n_users);
+        let exclude = [3, SCAN_TILE as u32, 2 * SCAN_TILE as u32 - 1];
+        let one_part: Vec<_> = (0..n_users)
+            .map(|u| {
+                let query = quant.prepare(users.row(u));
+                scan_part(&quant, &query, 0..n_items, &exclude, m)
+            })
+            .collect();
+        let (users, one_part) = (Arc::new(users), Arc::new(one_part));
+        let (done, finished) = mpsc::channel();
+        for t in 0..requesters {
+            let (quant, users, one_part) = (quant.clone(), users.clone(), one_part.clone());
+            let done = done.clone();
+            std::thread::spawn(move || {
+                let wrong = (0..scans_each)
+                    .filter(|i| {
+                        let u = (t * 7 + i) % n_users;
+                        let query = quant.prepare(users.row(u));
+                        split_scan(&quant, query, &exclude, m, parts) != one_part[u]
+                    })
+                    .count();
+                done.send(wrong).unwrap();
+            });
+        }
+        drop(done);
+        for _ in 0..requesters {
+            // a lost wake-up leaves a requester waiting forever: fail, not hang
+            let wrong = finished
+                .recv_timeout(std::time::Duration::from_secs(300))
+                .expect("every requester finishes its split scans");
+            assert_eq!(wrong, 0, "split scans that differ from the one-part scan");
+        }
     }
 }

@@ -35,7 +35,8 @@
 //!   ([`QuantizedFactors`]) scored through a blocked kernel, compiled at
 //!   two ISA levels ([`KernelLevel`]: baseline and AVX2) and picked per
 //!   process from what the CPU reports — automatically, with identical
-//!   replies at either; `/stats` names the level in use.
+//!   replies at either; `/stats` names the level in use. A large catalog is
+//!   scanned in parts, one per thread, merged exactly ([`engine`]).
 //! * **Cold start** — unseen users are folded in at request time
 //!   (OCuLaR via [`ocular_core::fold_in_user`], a projected-Newton solve
 //!   of the user's own subproblem whose iteration and non-convergence

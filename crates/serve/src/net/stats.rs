@@ -217,7 +217,7 @@ impl ServerStats {
     /// the quantized scoring `dtype` when one is active and the ISA level
     /// of the scoring `kernel` (why two hosts can differ 1.8× on one
     /// snapshot), the OCuLaR full-catalog `scans` by arm —
-    /// `{sparse, dense, active_codes_mean}`, [`crate::engine::ScanStats`]
+    /// `{sparse, dense, active_codes_mean, split}`, [`crate::engine::ScanStats`]
     /// — how many hot `swaps` have landed, whether a reload is in
     /// flight, how many `reloads` were attempted, and the fold-in solver
     /// counters `fold_ins` / `fold_in_iterations` / `fold_in_unconverged`
@@ -241,6 +241,7 @@ impl ServerStats {
             ("sparse", Json::Int(scans.sparse)),
             ("dense", Json::Int(scans.dense)),
             ("active_codes_mean", Json::Num(mean)),
+            ("split", Json::Int(scans.split)),
         ]);
         fields.push(("scans".into(), scans));
         fields.push(("swaps".into(), Json::Int(swaps)));

@@ -459,7 +459,7 @@ fn stats_endpoint_reports_counters_and_latency() {
     assert_eq!(v.get("kernel").and_then(Json::as_str), Some("baseline"));
     // and which arm the full-catalog scans took: four items are fewer than
     // the cluster policy's floor, so all four requests scanned the catalog,
-    // through the f64 master and its k = 2 factors
+    // through the f64 master and its k = 2 factors, each in one part
     let scans = v.get("scans").expect("scans object");
     assert_eq!(scans.get("sparse").and_then(Json::as_u64), Some(0));
     assert_eq!(scans.get("dense").and_then(Json::as_u64), Some(4));
@@ -467,6 +467,7 @@ fn stats_endpoint_reports_counters_and_latency() {
         scans.get("active_codes_mean").and_then(Json::as_f64),
         Some(2.0)
     );
+    assert_eq!(scans.get("split").and_then(Json::as_u64), Some(0));
     // Unknown endpoints answer 404 without killing the connection.
     let resp = client.round_trip("GET", "/nope", "");
     assert_eq!(resp.status, 404);

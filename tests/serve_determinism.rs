@@ -12,6 +12,7 @@
 use ocular::datasets::planted::{generate, PlantedConfig};
 use ocular::parallel::with_threads;
 use ocular::prelude::*;
+use ocular::serve::engine::scan_parts;
 use ocular::serve::{IndexConfig, KernelLevel};
 
 fn trained() -> (FactorModel, ocular::sparse::Dataset, OcularConfig) {
@@ -152,6 +153,32 @@ fn cluster_fallback_is_exact_and_scores_are_model_probabilities() {
     }
 }
 
+/// A model over a catalog whose full scans split in two at two or more
+/// threads: `users` seeded sparse non-negative rows with 1–3 active
+/// co-clusters of K = 4 (so both int8 arms run), 32,805 items with 2 each,
+/// and no interactions.
+fn catalog(users: usize) -> (FactorModel, ocular::sparse::Dataset) {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let (items, k) = (32_805, 4);
+    let mut rng = StdRng::seed_from_u64(27);
+    let mut factors = |rows: usize, active: &mut dyn FnMut(&mut StdRng) -> usize| {
+        let mut m = ocular::linalg::Matrix::zeros(rows, k);
+        for r in 0..rows {
+            for _ in 0..active(&mut rng) {
+                m.row_mut(r)[rng.gen_range(0..k)] += rng.gen::<f64>();
+            }
+        }
+        m
+    };
+    let user_factors = factors(users, &mut |rng| rng.gen_range(1..4));
+    let item_factors = factors(items, &mut |_| 2);
+    let empty = ocular::sparse::CsrMatrix::empty(users, items);
+    (
+        FactorModel::new(user_factors, item_factors, false),
+        ocular::sparse::Dataset::from_matrix(empty),
+    )
+}
+
 /// The quantized engines honour the same batching contract as the f64
 /// path: thread count never changes output, and `serve_batch` answers
 /// exactly what `serve_one` answers — for both dtypes, over warm and
@@ -162,35 +189,46 @@ fn cluster_fallback_is_exact_and_scores_are_model_probabilities() {
 /// engines run whole and split four ways, under the cluster policy and
 /// scanning the full catalog, where users with one co-cluster take the
 /// sparse-query arm through the one factor-major copy the partitions
-/// share and users with several take the row-major arm.
+/// share and users with several take the row-major arm. On the large
+/// catalog every full scan past one thread runs in parts, and must answer
+/// what the one-part scan at one thread does.
 #[test]
 fn quantized_engines_deterministic_across_threads() {
     let (model, r, train_cfg) = trained();
-    let requests: Vec<Request> = (0..r.n_users())
-        .map(|user| Request::Warm { user, m: 10 })
-        .chain([
-            Request::Cold {
-                basket: vec![0, 1, 2],
-                m: 10,
-            },
-            Request::Cold {
-                basket: vec![40, 41],
-                m: 10,
-            },
-        ])
-        .collect();
+    let cold = [
+        Request::Cold {
+            basket: vec![0, 1, 2],
+            m: 10,
+        },
+        Request::Cold {
+            basket: vec![40, 41],
+            m: 10,
+        },
+    ];
+    let warm = |users: usize| (0..users).map(|user| Request::Warm { user, m: 10 });
+    let requests: Vec<Request> = warm(r.n_users()).chain(cold.clone()).collect();
+    let (big_model, big_r) = catalog(8);
+    let big_requests: Vec<Request> = warm(big_r.n_users()).chain(cold).collect();
     let clusters = CandidatePolicy::Clusters { min_candidates: 5 };
+    let full = CandidatePolicy::FullCatalog;
     let mut first_answer = None;
-    for (dtype, policy, shards) in [
-        (QuantDtype::F32, clusters, 1),
-        (QuantDtype::I8, clusters, 1),
-        (QuantDtype::I8, clusters, 4),
-        (QuantDtype::I8, CandidatePolicy::FullCatalog, 1),
-        (QuantDtype::I8, CandidatePolicy::FullCatalog, 4),
+    for (big, dtype, policy, shards) in [
+        (false, QuantDtype::F32, clusters, 1),
+        (false, QuantDtype::I8, clusters, 1),
+        (false, QuantDtype::I8, clusters, 4),
+        (false, QuantDtype::I8, full, 1),
+        (false, QuantDtype::I8, full, 4),
+        (true, QuantDtype::F32, full, 1),
+        (true, QuantDtype::I8, full, 1),
+        (true, QuantDtype::I8, full, 4),
     ] {
         if shards == 1 {
             first_answer = None;
         }
+        let (model, r, requests) = match big {
+            false => (&model, &r, &requests),
+            true => (&big_model, &big_r, &big_requests),
+        };
         for level in std::iter::once(None).chain(KernelLevel::available().map(Some)) {
             let mut builder = EngineBuilder::from_model(model.clone())
                 .dataset(r.clone())
@@ -212,15 +250,21 @@ fn quantized_engines_deterministic_across_threads() {
             let e = builder.build().unwrap();
             assert_eq!(e.dtype(), Some(dtype.name()));
             assert_eq!(e.kernel(), level.unwrap_or(KernelLevel::detect()).name());
-            let reference = with_threads(Some(1), || e.serve_batch(&requests));
+            let reference = with_threads(Some(1), || e.serve_batch(requests));
+            assert_eq!(e.scan_stats().split, 0, "one thread scans in one part");
             for threads in [2usize, 4, 8] {
                 assert_eq!(
-                    with_threads(Some(threads), || e.serve_batch(&requests)),
+                    with_threads(Some(threads), || e.serve_batch(requests)),
                     reference,
                     "{} engine ×{shards} must be identical at {threads} threads",
                     dtype.name()
                 );
             }
+            // batches share their threads out over the requests, and scans
+            // that overlap share the cores, so not every scan past one
+            // thread splits: the first one does, on a host with two cores
+            let splits = big && with_threads(Some(2), || scan_parts(model.n_items(), 0)) > 1;
+            assert_eq!(e.scan_stats().split > 0, splits, "{:?}", e.scan_stats());
             for (req, want) in requests.iter().zip(&reference) {
                 assert_eq!(&e.serve_one(req), want);
             }

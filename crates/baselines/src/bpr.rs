@@ -85,7 +85,8 @@ impl Bpr {
     /// are never drawn.
     ///
     /// # Panics
-    /// Panics if `k == 0` or the learning rate is not positive. Use
+    /// Panics if `k == 0`, the learning rate is not finite and positive, or
+    /// `lambda` is not finite and non-negative. Use
     /// [`Bpr::try_fit`] for a fallible variant.
     pub fn fit(data: &Dataset, cfg: &BprConfig) -> Self {
         Self::try_fit(data, cfg).unwrap_or_else(|e| panic!("{e}"))
@@ -97,9 +98,14 @@ impl Bpr {
         if cfg.k == 0 {
             return Err(OcularError::InvalidConfig("k must be positive".into()));
         }
-        if cfg.learning_rate <= 0.0 {
+        if !(cfg.learning_rate > 0.0 && cfg.learning_rate.is_finite()) {
             return Err(OcularError::InvalidConfig(
-                "learning rate must be positive".into(),
+                "learning rate must be finite and positive".into(),
+            ));
+        }
+        if !(cfg.lambda >= 0.0 && cfg.lambda.is_finite()) {
+            return Err(OcularError::InvalidConfig(
+                "lambda must be finite and non-negative".into(),
             ));
         }
         let r: &CsrMatrix = data.matrix();
@@ -474,16 +480,26 @@ mod tests {
             ),
             Err(OcularError::InvalidConfig(_))
         ));
-        assert!(matches!(
-            Bpr::try_fit(
-                &r,
-                &BprConfig {
-                    learning_rate: 0.0,
-                    ..Default::default()
-                }
-            ),
-            Err(OcularError::InvalidConfig(_))
-        ));
+        for learning_rate in [0.0, f64::NAN, f64::INFINITY] {
+            let cfg = BprConfig {
+                learning_rate,
+                ..Default::default()
+            };
+            assert!(matches!(
+                Bpr::try_fit(&r, &cfg),
+                Err(OcularError::InvalidConfig(_))
+            ));
+        }
+        for lambda in [-1.0, f64::NAN, f64::INFINITY] {
+            let cfg = BprConfig {
+                lambda,
+                ..Default::default()
+            };
+            assert!(matches!(
+                Bpr::try_fit(&r, &cfg),
+                Err(OcularError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]

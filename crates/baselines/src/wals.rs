@@ -70,9 +70,9 @@ impl WalsConfig {
         if !(self.b > 0.0 && self.b < 1.0) {
             return Err(OcularError::InvalidConfig("b must lie in (0, 1)".into()));
         }
-        if self.lambda <= 0.0 {
+        if !(self.lambda > 0.0 && self.lambda.is_finite()) {
             return Err(OcularError::InvalidConfig(
-                "lambda must be positive for SPD solves".into(),
+                "lambda must be finite and positive for SPD solves".into(),
             ));
         }
         Ok(())
@@ -187,8 +187,8 @@ impl Wals {
     /// Fits by alternating least squares.
     ///
     /// # Panics
-    /// Panics if `k == 0`, `b` is outside `(0, 1)`, or `lambda <= 0`
-    /// (λ must be positive for the normal equations to stay SPD). Use
+    /// Panics if `k == 0`, `b` is outside `(0, 1)`, or `lambda` is not
+    /// finite and positive (the normal equations must stay SPD). Use
     /// [`Wals::try_fit`] for a fallible variant.
     pub fn fit(data: &Dataset, cfg: &WalsConfig) -> Self {
         Self::try_fit(data, cfg).unwrap_or_else(|e| panic!("{e}"))
@@ -587,15 +587,11 @@ mod tests {
             Wals::try_fit(&r, &WalsConfig { k: 0, ..cfg() }),
             Err(OcularError::InvalidConfig(_))
         ));
-        assert!(matches!(
-            Wals::try_fit(
-                &r,
-                &WalsConfig {
-                    lambda: 0.0,
-                    ..cfg()
-                }
-            ),
-            Err(OcularError::InvalidConfig(_))
-        ));
+        for lambda in [0.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                Wals::try_fit(&r, &WalsConfig { lambda, ..cfg() }),
+                Err(OcularError::InvalidConfig(_))
+            ));
+        }
     }
 }

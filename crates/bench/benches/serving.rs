@@ -1,19 +1,15 @@
 //! Criterion benches for the `ocular-serve` request path: the retired
 //! full-sort selection vs the bounded-heap kernel vs co-cluster candidate
-//! generation, batched throughput, the quantized scoring kernels on a
+//! generation, batched throughput, and the quantized scoring kernels on a
 //! 100k-item catalog (per-dtype rows: f64 vs f32 vs int8, plus the int8
 //! `serve_one` at the repo benchmark's M = 10 beside the bare int8 kernel
-//! it is built on), and batched serving through the engine split into
-//! 1/2/4 user partitions.
+//! it is built on).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ocular_core::{fit, recommend_top_m, FactorModel, OcularConfig, Recommendation};
 use ocular_datasets::powerlaw::{generate, PowerLawConfig};
 use ocular_linalg::QuantizedFactors;
-use ocular_serve::{
-    AnySnapshot, CandidatePolicy, EngineBuilder, IndexConfig, QuantDtype, Request, ServeConfig,
-    Snapshot,
-};
+use ocular_serve::{CandidatePolicy, EngineBuilder, IndexConfig, QuantDtype, Request, ServeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -145,34 +141,6 @@ fn bench_serve(c: &mut Criterion) {
     group.bench_function("all_users_top50", |b| {
         b.iter(|| black_box(clusters.serve_batch(&requests).len()))
     });
-    group.finish();
-
-    // the same batch through the engine split into 1/2/4 user partitions:
-    // warm requests hash-route to their owning partition on the one pool.
-    // The rows differ only by the routing table, which the serve_latency
-    // gate pins at no cost.
-    let snapshot = Snapshot::build(
-        model.clone(),
-        &IndexConfig {
-            rel: 0.3,
-            floor: 100,
-        },
-    );
-    let mut group = c.benchmark_group("scatter_gather_batch");
-    group.sample_size(10);
-    for n_shards in [1usize, 2, 4] {
-        let engine = EngineBuilder::from_snapshot(AnySnapshot::Ocular(snapshot.clone()))
-            .dataset(r.clone())
-            .default_m(50)
-            .candidates(CandidatePolicy::Clusters { min_candidates: 50 })
-            .generation(1)
-            .shards(n_shards)
-            .build()
-            .unwrap();
-        group.bench_function(format!("all_users_top50_{n_shards}_shards"), |b| {
-            b.iter(|| black_box(engine.serve_batch(&requests).len()))
-        });
-    }
     group.finish();
 }
 

@@ -5,13 +5,11 @@
 //! (`ci/bench-baseline.json`) and exits non-zero when p50 serve latency,
 //! train time, or network serving performance regresses more than the
 //! tolerance (default 25%). Latencies and durations gate higher-is-worse;
-//! network and partitioned-engine throughput gate lower-is-worse. A
+//! network throughput gates lower-is-worse. A
 //! machine-independent check compares cluster-mode p50 against the same
 //! run's full-sort p50, so "candidate generation stopped helping" is
 //! caught even when absolute wall-clock differs across runner hardware;
-//! one more same-run check holds 4-partition batched throughput within
-//! 5% of 1-partition — routing must cost nothing — and another holds the
-//! int8 full-catalog request within a bound of the bare int8 scoring
+//! another holds the int8 full-catalog request within a bound of the bare int8 scoring
 //! kernel on each of its two scan arms (all-K users against the row-major
 //! kernel, 4-active users against the factor-major one), so a probability
 //! transform or selection pass creeping back over the whole catalog fails
@@ -140,12 +138,6 @@ fn run() -> Result<Vec<String>, String> {
         .get("errors")
         .and_then(|v| v.as_f64())
         .ok_or("missing field `errors` in net artifact")?;
-    // batched throughput at each partition count
-    let shard_counts = [1usize, 2, 4];
-    let shard_rps = shard_counts
-        .iter()
-        .map(|n| field(&serve, &format!("shard_scaling.shards_{n}_rps")))
-        .collect::<Result<Vec<f64>, _>>()?;
 
     if std::env::var("BENCH_BASELINE_RESET").as_deref() == Ok("1") {
         let mut fields = vec![
@@ -173,9 +165,6 @@ fn run() -> Result<Vec<String>, String> {
         fields.push(("net_throughput_rps".to_string(), Json::Num(net_throughput)));
         fields.push(("net_p50_us".to_string(), Json::Num(net_p50)));
         fields.push(("net_p99_us".to_string(), Json::Num(net_p99)));
-        for (n, rps) in shard_counts.iter().zip(&shard_rps) {
-            fields.push((format!("shard_{n}_rps"), Json::Num(*rps)));
-        }
         let fresh = obj(fields
             .iter()
             .map(|(k, v)| (k.as_str(), v.clone()))
@@ -475,45 +464,6 @@ fn run() -> Result<Vec<String>, String> {
             }
         }
         None => println!("bench_gate: simd_vs_baseline skipped — this runner has no AVX2 level"),
-    }
-    // partitioned-engine throughput gates in the same direction as
-    // net_rps: no shard count may fall more than the tolerance below its
-    // committed baseline
-    for (n, rps) in shard_counts.iter().zip(&shard_rps) {
-        let key = format!("shard_{n}_rps");
-        let base = field(&baseline, &key)?;
-        let ratio = rps / base;
-        let verdict = if ratio < 1.0 - tolerance {
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "bench_gate: {key:<14} current={rps:10.1}  baseline={base:10.1}  ratio={ratio:5.2}  {verdict}"
-        );
-        if ratio < 1.0 - tolerance {
-            failures.push(format!(
-                "{key} dropped {:.0}% (> {:.0}% tolerance)",
-                (1.0 - ratio) * 100.0,
-                tolerance * 100.0
-            ));
-        }
-    }
-    // machine-independent same-run check: the 1- and 4-partition rows run
-    // the same batch on the same pool and differ only by the routing
-    // table, so four partitions may cost at most 5% of one
-    println!(
-        "bench_gate: shard_routing  1={:8.1}  2={:8.1}  4={:8.1} rps  4-vs-1={:+4.1}%",
-        shard_rps[0],
-        shard_rps[1],
-        shard_rps[2],
-        (shard_rps[2] / shard_rps[0] - 1.0) * 100.0
-    );
-    if shard_rps[2] < 0.95 * shard_rps[0] {
-        failures.push(format!(
-            "4-partition throughput ({:.1} rps) is more than 5% below 1-partition ({:.1} rps)",
-            shard_rps[2], shard_rps[0]
-        ));
     }
     Ok(failures)
 }

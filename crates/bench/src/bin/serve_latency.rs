@@ -27,10 +27,6 @@
 //! per core times requests per second with the parts left to the engine
 //! and with each requester on one thread (`int8_busy_rps`,
 //! `int8_busy_single_rps`), where no core is idle to split onto.
-//! A third section measures partition routing: batched warm throughput
-//! through the engine split into 1/2/4 user partitions, all on the same
-//! pool — the rows differ only by the routing table, which must cost
-//! nothing.
 //! Flags: `--scale`, `--seed`, `--requests N`, `--m N`,
 //! `--rel R` / `--floor N` (index build knobs),
 //! `--quant-items N` / `--quant-k N` / `--quant-requests N` (quantized
@@ -214,8 +210,8 @@ fn main() {
     // snapshot cold-start cost on the same model: save once, then the
     // median of seven loads through the production (mmap) loader —
     // bench_gate holds it against the committed baseline
-    let snapshot = ocular_serve::Snapshot::build(model.clone(), &index_cfg);
-    let snap = ocular_serve::AnySnapshot::Ocular(snapshot.clone());
+    let snap =
+        ocular_serve::AnySnapshot::Ocular(ocular_serve::Snapshot::build(model.clone(), &index_cfg));
     let snap_path = std::env::temp_dir().join(format!("ocular-bench-{}.snap", std::process::id()));
     snap.save_path(&snap_path, r.ids(), ocular_serve::SnapshotFormat::Binary)
         .expect("write snapshot");
@@ -240,37 +236,6 @@ fn main() {
     let batch_seconds = t0.elapsed().as_secs_f64();
     assert!(served.iter().all(|s| s.is_ok()));
     let throughput = n_requests as f64 / batch_seconds;
-
-    // partition routing on the same warm batch: the engine split 1/2/4
-    // ways serves it on the same pool each time, so the rows differ only
-    // by the routing table. bench_gate pins 4 partitions within 5% of 1
-    // on every runner. Best-of-3 per row so one scheduler hiccup does not
-    // trip the gate.
-    let mut shard_rps = Vec::new();
-    for n_shards in [1usize, 2, 4] {
-        let engine =
-            EngineBuilder::from_snapshot(ocular_serve::AnySnapshot::Ocular(snapshot.clone()))
-                .dataset(r.clone())
-                .config(ServeConfig {
-                    default_m: m,
-                    candidates: CandidatePolicy::Clusters { min_candidates: m },
-                    foldin: cfg.clone(),
-                    ..Default::default()
-                })
-                .generation(7)
-                .shards(n_shards)
-                .build()
-                .expect("partitioned engine");
-        let mut rps = 0.0f64;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let served = engine.serve_batch(&batch);
-            rps = rps.max(n_requests as f64 / t0.elapsed().as_secs_f64());
-            assert!(served.iter().all(|s| s.is_ok()));
-        }
-        eprintln!("{n_shards} partition(s): {rps:.0} req/s");
-        shard_rps.push(rps);
-    }
 
     let report = |name: &str, l: &Latency| {
         eprintln!(
@@ -540,14 +505,6 @@ fn main() {
             Json::Num(fallbacks as f64 / n_requests as f64),
         ),
         ("batch_throughput_rps", Json::Num(throughput)),
-        (
-            "shard_scaling",
-            obj(vec![
-                ("shards_1_rps", Json::Num(shard_rps[0])),
-                ("shards_2_rps", Json::Num(shard_rps[1])),
-                ("shards_4_rps", Json::Num(shard_rps[2])),
-            ]),
-        ),
         (
             "snapshot_load",
             obj(vec![("binary_seconds", Json::Num(load_binary_s))]),

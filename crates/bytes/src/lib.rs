@@ -65,21 +65,6 @@ pub fn fnv1a64_key(key: u64) -> u64 {
     fnv1a64(&key.to_le_bytes())
 }
 
-/// Stable shard assignment of one external id: `fnv1a64_key(id) mod
-/// n_shards`. This is the *one* partitioning rule the whole workspace
-/// agrees on — dataset sharding, sharded snapshot files, and the
-/// scatter-gather serving coordinator all call this function, so a user
-/// hashed at save time is found by the router at serve time without any
-/// lookup table travelling between them.
-///
-/// # Panics
-/// Panics if `n_shards == 0`.
-#[inline]
-pub fn shard_of_key(key: u64, n_shards: usize) -> usize {
-    assert!(n_shards > 0, "shard count must be positive");
-    (fnv1a64_key(key) % n_shards as u64) as usize
-}
-
 /// Owned byte storage whose base address is 64-byte aligned (backed by an
 /// over-allocated `Vec<u64>` with the base nudged up to a cache-line
 /// boundary), so typed views satisfy `f64`/`u64` alignment and blocked

@@ -121,13 +121,26 @@ impl OcularConfig {
     }
 
     /// Validates parameter ranges, returning a description of the first
-    /// violation.
+    /// violation. Every float must be finite: a NaN fails every comparison,
+    /// so a bare `lambda < 0.0` would let it through.
     pub fn validate(&self) -> Result<(), String> {
         if self.k == 0 {
             return Err("k must be positive".into());
         }
-        if self.lambda < 0.0 {
-            return Err("lambda must be non-negative".into());
+        if !(self.lambda >= 0.0 && self.lambda.is_finite()) {
+            return Err(format!(
+                "lambda must be finite and non-negative, got {}",
+                self.lambda
+            ));
+        }
+        for (name, value) in [
+            ("tol", self.tol),
+            ("fixed_step", self.fixed_step),
+            ("init_scale", self.init_scale),
+        ] {
+            if !value.is_finite() {
+                return Err(format!("{name} must be finite, got {value}"));
+            }
         }
         if !(0.0..1.0).contains(&self.sigma) || self.sigma == 0.0 {
             return Err("sigma must lie in (0, 1)".into());
@@ -235,6 +248,48 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_floats() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let lambda = OcularConfig {
+                lambda: bad,
+                ..Default::default()
+            };
+            let err = lambda.validate().unwrap_err();
+            assert!(err.contains("lambda"), "{err}");
+            for cfg in [
+                OcularConfig {
+                    tol: bad,
+                    ..Default::default()
+                },
+                OcularConfig {
+                    sigma: bad,
+                    ..Default::default()
+                },
+                OcularConfig {
+                    beta: bad,
+                    ..Default::default()
+                },
+                OcularConfig {
+                    fixed_step: bad,
+                    ..Default::default()
+                },
+                OcularConfig {
+                    init_scale: bad,
+                    ..Default::default()
+                },
+            ] {
+                assert!(cfg.validate().is_err(), "{cfg:?}");
+            }
+        }
+        // λ = 0 is legal (the paper's Figure 6 sweeps it)
+        let zero = OcularConfig {
+            lambda: 0.0,
+            ..Default::default()
+        };
+        assert!(zero.validate().is_ok());
     }
 
     #[test]

@@ -64,18 +64,9 @@
 //! ```text
 //! serve --model model.snap --interactions data.tsv \
 //!       --listen 127.0.0.1:7878 \
-//!       [--shards 4] \
 //!       [--queue-cap 1024] [--batch 256] [--threads 1] \
 //!       [--max-connections 1024]    (+ the serve-mode engine flags)
 //! ```
-//!
-//! `--shards N` (any serve mode; not a training flag) splits the one
-//! snapshot in memory: user rows hash-partitioned across `N` partitions
-//! of the one engine (a warm request is answered by the partition owning
-//! the user, a cold one by partition 0's copy of the replicated item-side
-//! state), and `GET /stats` grows an additive per-shard `shard` array.
-//! Responses are byte-identical to unsharded serving at every shard
-//! count; the thread count stays `--threads`, whatever `N` is.
 //!
 //! A flag no mode reads (a typo, a removed flag such as `--format`) is
 //! an error — exit status 2, naming the flag — never silently ignored.
@@ -118,7 +109,7 @@
 
 use ocular_api::SnapshotMeta;
 use ocular_baselines::{Bpr, BprConfig, ItemKnn, KnnConfig, Popularity, UserKnn, Wals, WalsConfig};
-use ocular_core::{fit, OcularConfig};
+use ocular_core::{try_fit, OcularConfig};
 use ocular_serve::{
     AnySnapshot, CandidatePolicy, EngineBuilder, QuantDtype, Request, ServeConfig, ServeEngine,
     Snapshot, WireReply, WireRequest,
@@ -130,10 +121,10 @@ use std::process::ExitCode;
 
 /// Every `--key` some mode reads.
 #[rustfmt::skip]
-const KNOWN_FLAGS: [&str; 26] = [
+const KNOWN_FLAGS: [&str; 25] = [
     "train", "snapshot", "delta", "generation", "quantize", "algo", "k", "lambda", "iters",
     "seed", "sep", "rel", "floor", "b", "lr", "model", "interactions", "mode", "min-candidates",
-    "m", "threads", "batch", "shards", "listen", "queue-cap", "max-connections",
+    "m", "threads", "batch", "listen", "queue-cap", "max-connections",
 ];
 
 /// `--key value` / bare `--flag` parsing (same dialect as ocular-bench),
@@ -173,13 +164,6 @@ impl Flags {
                 _ => format!("unknown flag --{key} (see the crate docs for each mode's flags)"),
             });
         }
-        if flags.get("train").is_some() && flags.get("shards").is_some() {
-            return Err(
-                "--shards is a serve-time flag: training writes one snapshot file, \
-                 and `serve --model … --shards N` splits it in memory"
-                    .into(),
-            );
-        }
         Ok(flags)
     }
 
@@ -212,14 +196,6 @@ impl Flags {
     /// [`Flags::opt_num`] with a default for an absent flag.
     fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         Ok(self.opt_num(key)?.unwrap_or(default))
-    }
-
-    /// The `--shards` flag: a positive partition count, default 1.
-    fn shards(&self) -> Result<usize, String> {
-        match self.num("shards", 1usize)? {
-            0 => Err("--shards must be a positive shard count".into()),
-            n => Ok(n),
-        }
     }
 
     /// The `--quantize {f32,int8}` flag, when present and well-formed.
@@ -310,7 +286,7 @@ fn train_mode(flags: &Flags) -> Result<(), String> {
                 seed,
                 ..Default::default()
             };
-            let model = fit(&r, &cfg).model;
+            let model = try_fit(&r, &cfg).map_err(|e| e.to_string())?.model;
             let index_cfg = ocular_serve::IndexConfig {
                 rel: flags.num("rel", 0.5)?,
                 floor: flags.num("floor", 100)?,
@@ -420,15 +396,13 @@ fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
 /// engine — the common front half of the stdin and TCP serve modes, and
 /// the body of the hot-reload closure in listen mode. `floor_generation`
 /// keeps reloads monotone: the engine's generation is the larger of the
-/// snapshot's own and this floor (0 for a fresh start). `--shards N`
-/// splits the one loaded snapshot in memory.
+/// snapshot's own and this floor (0 for a fresh start).
 fn build_engine(flags: &Flags, floor_generation: u64) -> Result<ServeEngine, String> {
     let snap_path = flags.get("model").expect("checked by caller");
     let data = flags
         .get("interactions")
         .ok_or("serving requires --interactions <edge list> (owned-item exclusion)")?;
     let sep = flags.get("sep").unwrap_or("\t");
-    let n_shards = flags.shards()?;
 
     // magic-sniffing load: a v3 container is mmap'd and borrowed
     // zero-copy, a text snapshot from before v3 parses line by line
@@ -436,7 +410,7 @@ fn build_engine(flags: &Flags, floor_generation: u64) -> Result<ServeEngine, Str
     let mut loaded = AnySnapshot::load_path_full(std::path::Path::new(snap_path))
         .map_err(|e| format!("load {snap_path}: {e}"))?;
     let (ids, meta) = (loaded.ids.take(), loaded.meta);
-    let builder = EngineBuilder::from_loaded(loaded).shards(n_shards);
+    let builder = EngineBuilder::from_loaded(loaded);
     eprintln!(
         "snapshot_load_seconds={:.6}",
         t_load.elapsed().as_secs_f64()
@@ -466,13 +440,12 @@ fn build_engine(flags: &Flags, floor_generation: u64) -> Result<ServeEngine, Str
     let engine = builder.build().map_err(|e| e.to_string())?;
     eprintln!(
         "serving `{}` snapshot from {snap_path} (generation {}, dtype {}, kernel {}, \
-         scan sidecar {} bytes, {} shard(s))",
+         scan sidecar {} bytes)",
         engine.kind(),
         engine.generation(),
         engine.dtype().unwrap_or("f64"),
         engine.kernel(),
-        engine.sidecar_bytes(),
-        engine.n_shards()
+        engine.sidecar_bytes()
     );
     Ok(engine)
 }
@@ -483,9 +456,9 @@ fn build_engine(flags: &Flags, floor_generation: u64) -> Result<ServeEngine, Str
 /// answer with a structured `{"error": ..., "code": "bad_request"}`
 /// object and the stream keeps going.
 fn serve_mode(flags: &Flags) -> Result<(), String> {
-    let engine = build_engine(flags, 0)?;
     let threads: Option<usize> = flags.opt_num("threads")?;
     let batch_size: usize = flags.num("batch", 256)?.max(1);
+    let engine = build_engine(flags, 0)?;
 
     let stdin = std::io::stdin();
     let mut out = BufWriter::new(std::io::stdout().lock());
@@ -609,10 +582,10 @@ mod tests {
 
     #[test]
     fn flags_nothing_reads_are_errors_that_name_the_flag() {
-        let flags = parse("--model m.snap --interactions e.tsv --shards 4 --delta a --delta b");
+        let flags = parse("--model m.snap --interactions e.tsv --threads 4 --delta a --delta b");
         let flags = flags.unwrap();
         assert_eq!(flags.get("model"), Some("m.snap"));
-        assert_eq!(flags.shards(), Ok(4));
+        assert_eq!(flags.num("threads", 1usize), Ok(4));
         assert_eq!(flags.all("delta").collect::<Vec<_>>(), ["a", "b"]);
         // a typo is not a silently unquantized model
         let err = parse("--train e.tsv --snapshot m.snap --quantise int8")
@@ -624,9 +597,9 @@ mod tests {
             .err()
             .unwrap();
         assert!(err.contains("--format is gone"), "{err}");
-        let err = parse("--train e.tsv --snapshot m.snap --shards 4")
+        let err = parse("--model m.snap --interactions e.tsv --shards 4")
             .err()
             .unwrap();
-        assert!(err.contains("serve-time flag"), "{err}");
+        assert!(err.contains("unknown flag --shards"), "{err}");
     }
 }

@@ -1,6 +1,6 @@
 //! The in-process serving engine: candidate generation, heap selection,
-//! cold-start fold-in, user-axis partitioning and rayon-parallel batching
-//! — polymorphic over model kinds.
+//! cold-start fold-in and rayon-parallel batching — polymorphic over model
+//! kinds.
 //!
 //! OCuLaR models keep their specialised request path (co-cluster candidate
 //! generation against the [`ClusterIndex`], factor-level scoring); every
@@ -25,30 +25,10 @@
 //! process-wide helpers — and merges the parts' top-Ms under the same
 //! order. That is exact: an item in the catalog's top-M is in its part's,
 //! since all that outranks it there outranks it in the catalog.
-//!
-//! ## Partitions
-//!
-//! Given the item factors, users decompose independently (Heckel et al.
-//! §VII), so one engine holds `N ≥ 1` **user-axis partitions**
-//! ([`EngineBuilder::shards`]). A partition owns a hash-disjoint slice of
-//! the user-factor rows and the matching dataset rows
-//! ([`ocular_bytes::shard_of_key`] over the external user id — the rule
-//! [`ocular_sparse::ShardedDataset`] and [`Snapshot::split_users`]
-//! share); the item-side state (item factors, cluster index, quantized
-//! copy, item id map) is replicated into every partition as loaded. A warm
-//! request is answered by the partition that owns the user's row; a cold
-//! request is answered whole by partition 0, whose replicated item state
-//! folds and scores any basket exactly like every other copy. Every
-//! request therefore runs the one request path over the same numbers, and
-//! replies are byte-identical at every `N`. `N = 1` — the default — is
-//! the unsharded engine: one partition holding everything, no routing
-//! table. The partition count places data; it never sets the thread
-//! count, which belongs to the pool [`ServeEngine::serve_batch`] runs on.
 
 use crate::index::{ClusterIndex, IndexConfig};
 use crate::snapshot::{AnySnapshot, LoadedSnapshot, Snapshot, OCULAR_KIND};
 use ocular_api::{validate_basket, Model, OcularError};
-use ocular_bytes::shard_of_key;
 use ocular_core::model::prob_from_affinity;
 use ocular_core::{
     fold_in_user_with, top_m_for_factors, FactorModel, FoldInScratch, OcularConfig, Recommendation,
@@ -56,7 +36,7 @@ use ocular_core::{
 use ocular_linalg::topk::{top_k_excluding, MonotoneTopK, TopK};
 use ocular_linalg::{ops, KernelLevel, PreparedQuery, QuantDtype, QuantizedFactors};
 use ocular_parallel::WorkerPool;
-use ocular_sparse::{Dataset, ShardedDataset};
+use ocular_sparse::Dataset;
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::ops::Range;
@@ -227,8 +207,7 @@ enum EngineModel {
 /// carries when that matches the requested dtype (or none was requested),
 /// else a fresh narrowing of the f64 master to `quantize`; `kernel` pins
 /// its kernel level (tests only). An int8 copy gets its factor-major
-/// sidecar here — once, before the user split, so every partition's clone
-/// shares it — and stored code sums that do not match the codes are
+/// sidecar here, and stored code sums that do not match the codes are
 /// [`OcularError::Corrupt`].
 fn scan_ready(
     snapshot: AnySnapshot,
@@ -298,29 +277,6 @@ impl EngineModel {
             EngineModel::Generic(_) => None,
         }
     }
-}
-
-/// One user-axis partition: the model over this partition's user-factor
-/// rows (item-side state replicated in full) and the interaction rows of
-/// the same users, in the same order. With one partition it is the whole
-/// model and the whole dataset.
-struct Partition {
-    model: EngineModel,
-    owned: Dataset,
-}
-
-/// Per-partition serving telemetry, reported by `/stats` as the additive
-/// `shard` field when the engine has more than one partition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardStat {
-    /// Partition index.
-    pub shard: usize,
-    /// Dataset users owned by this partition.
-    pub users: usize,
-    /// Requests dispatched to this partition since the engine was built:
-    /// warm requests on the partition owning the user (an unknown external
-    /// id on the partition its hash names), cold requests on partition 0.
-    pub requests: u64,
 }
 
 /// OCuLaR fold-in solver telemetry since the engine was built, reported by
@@ -419,7 +375,6 @@ pub struct EngineBuilder {
     generation: u64,
     quantize: Option<QuantDtype>,
     kernel: Option<KernelLevel>,
-    shards: usize,
 }
 
 impl EngineBuilder {
@@ -432,7 +387,6 @@ impl EngineBuilder {
             generation: 0,
             quantize: None,
             kernel: None,
-            shards: 1,
         }
     }
 
@@ -526,24 +480,18 @@ impl EngineBuilder {
         self
     }
 
-    /// Splits the user axis into `n` partitions in memory (default 1, the
-    /// unsharded engine): user-factor rows and dataset rows along the one
-    /// external-id hash, item-side state replicated. Responses are
-    /// byte-identical at every `n`. Only OCuLaR sources have user-factor
-    /// rows to split; `n > 1` for any other kind, or `n == 0`, is an
-    /// [`OcularError::InvalidConfig`] at build.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
-    /// Builds the engine, validating dataset ⊇ model on every partition.
+    /// Builds the engine, validating the fold-in hyper-parameters
+    /// ([`OcularConfig::validate`]) and dataset ⊇ model.
     pub fn build(self) -> Result<ServeEngine, OcularError> {
-        let dataset = self.dataset.ok_or_else(|| {
+        let owned = self.dataset.ok_or_else(|| {
             OcularError::InvalidConfig(
                 "EngineBuilder needs a serving dataset (call .dataset(...))".into(),
             )
         })?;
+        self.cfg
+            .foldin
+            .validate()
+            .map_err(OcularError::InvalidConfig)?;
         let snapshot = scan_ready(
             match self.source {
                 EngineSource::Any(s) => s,
@@ -552,100 +500,40 @@ impl EngineBuilder {
             self.quantize,
             self.kernel,
         )?;
-        // one partition holds everything and needs no routing table; N of
-        // them split the model and the dataset along the one external-id
-        // hash over the one serving dataset, so partition `s` of each holds
-        // the same users in the same order (`proptest_shard.rs` pins that)
-        let (snapshots, datasets, assign) = match self.shards {
-            1 => (vec![snapshot], vec![dataset], Vec::new()),
-            n => {
-                let snapshots = split_snapshot(snapshot, &dataset, n)?;
-                let (datasets, _, assign) = ShardedDataset::split(&dataset, n)
-                    .map_err(|e| OcularError::InvalidConfig(e.to_string()))?
-                    .into_parts();
-                (snapshots, datasets, assign)
-            }
-        };
-        let n = snapshots.len();
-        let mut parts = Vec::with_capacity(n);
-        for (snapshot, owned) in snapshots.into_iter().zip(datasets) {
-            let model = EngineModel::new(snapshot);
-            // dataset ⊇ model: equal shapes are the steady state, a strictly
-            // larger dataset means deltas arrived since the snapshot was
-            // trained and the overhang is served by fold-in.
-            if owned.n_users() < model.n_users() || owned.n_items() < model.n_items() {
-                return Err(OcularError::ShapeMismatch {
-                    expected: (model.n_users(), model.n_items()),
-                    found: (owned.n_users(), owned.n_items()),
-                });
-            }
-            parts.push(Partition { model, owned });
+        let model = EngineModel::new(snapshot);
+        // dataset ⊇ model: equal shapes are the steady state, a strictly
+        // larger dataset means deltas arrived since the snapshot was
+        // trained and the overhang is served by fold-in.
+        if owned.n_users() < model.n_users() || owned.n_items() < model.n_items() {
+            return Err(OcularError::ShapeMismatch {
+                expected: (model.n_users(), model.n_items()),
+                found: (owned.n_users(), owned.n_items()),
+            });
         }
         Ok(ServeEngine {
-            requests: if n > 1 {
-                parts.iter().map(|_| AtomicU64::new(0)).collect()
-            } else {
-                Vec::new()
-            },
+            model,
+            owned,
             fold_ins: FoldInCounters::default(),
             scans: Default::default(),
             busy: AtomicUsize::new(0),
-            parts,
-            assign,
             cfg: self.cfg,
             generation: self.generation,
         })
     }
 }
 
-/// One snapshot per partition, `n ≠ 1`: the [`Snapshot::split_users`]
-/// parts of `snapshot` along `dataset`'s user ids.
-fn split_snapshot(
-    snapshot: AnySnapshot,
-    dataset: &Dataset,
-    n: usize,
-) -> Result<Vec<AnySnapshot>, OcularError> {
-    let AnySnapshot::Ocular(snap) = snapshot else {
-        return Err(OcularError::InvalidConfig(format!(
-            "a shard count other than 1 (got {n}) needs an OCuLaR snapshot; kind `{}` has \
-             no user-factor rows to split",
-            snapshot.kind()
-        )));
-    };
-    let (model_users, model_items) = (snap.model.n_users(), snap.model.n_items());
-    if dataset.n_users() < model_users || dataset.n_items() < model_items {
-        return Err(OcularError::ShapeMismatch {
-            expected: (model_users, model_items),
-            found: (dataset.n_users(), dataset.n_items()),
-        });
-    }
-    let ids = dataset.ids().map(|m| &m.users()[..model_users]);
-    Ok(snap
-        .split_users(ids, n)?
-        .into_iter()
-        .map(|part| AnySnapshot::Ocular(part.snapshot))
-        .collect())
-}
-
 /// The in-process serving engine.
 ///
 /// Holds the loaded model (any snapshot kind) and the training
 /// interaction [`Dataset`] — used both for owned-item exclusion and for
-/// resolving external-id requests through the dataset's id maps — as
-/// `N ≥ 1` user-axis partitions (see the [module docs](self)). All
+/// resolving external-id requests through the dataset's id maps. All
 /// serving methods take `&self`, so one engine can be shared across
 /// threads; [`ServeEngine::serve_batch`] does exactly that via rayon.
 ///
 /// Construct through [`EngineBuilder`].
 pub struct ServeEngine {
-    parts: Vec<Partition>,
-    /// Per global user row `(partition, partition-local row)`; empty with
-    /// one partition, where global rows are the partition's rows.
-    assign: Vec<(u32, u32)>,
-    /// Requests dispatched per partition (see [`ShardStat::requests`]);
-    /// empty with one partition, so the unsharded request path has no
-    /// counter that every serving thread writes.
-    requests: Vec<AtomicU64>,
+    model: EngineModel,
+    owned: Dataset,
     fold_ins: FoldInCounters,
     /// [`ScanStats`] in field order; statistics, so every access is relaxed.
     scans: [AtomicU64; 4],
@@ -658,12 +546,9 @@ pub struct ServeEngine {
 
 impl ServeEngine {
     /// The training interaction store behind the engine — owned-item
-    /// exclusion lists plus the external↔internal id maps. With more than
-    /// one partition this is partition 0's: the item axis (and its id
-    /// map) is the full, replicated one; the user rows are that
-    /// partition's only.
+    /// exclusion lists plus the external↔internal id maps.
     pub fn dataset(&self) -> &Dataset {
-        &self.parts[0].owned
+        &self.owned
     }
 
     /// External id of internal item `i` (identity when the dataset has no
@@ -676,14 +561,13 @@ impl ServeEngine {
         self.dataset().external_item(i)
     }
 
-    /// The engine's factor model (partition 0's user rows when there is
-    /// more than one partition; the item factors are replicated).
+    /// The engine's factor model.
     ///
     /// # Panics
     /// Panics if the engine serves a non-OCuLaR kind; check
     /// [`ServeEngine::kind`] first, or use the trait-level accessors.
     pub fn model(&self) -> &FactorModel {
-        match &self.parts[0].model {
+        match &self.model {
             EngineModel::Ocular { model, .. } => model,
             EngineModel::Generic(m) => {
                 panic!("engine serves kind `{}`, not an OCuLaR model", m.kind())
@@ -691,12 +575,12 @@ impl ServeEngine {
         }
     }
 
-    /// The engine's candidate-generation index (replicated per partition).
+    /// The engine's candidate-generation index.
     ///
     /// # Panics
     /// Panics if the engine serves a non-OCuLaR kind (no index exists).
     pub fn index(&self) -> &ClusterIndex {
-        match &self.parts[0].model {
+        match &self.model {
             EngineModel::Ocular { index, .. } => index,
             EngineModel::Generic(m) => {
                 panic!(
@@ -709,7 +593,7 @@ impl ServeEngine {
 
     /// The kind tag of the model being served.
     pub fn kind(&self) -> &'static str {
-        match &self.parts[0].model {
+        match &self.model {
             EngineModel::Ocular { .. } => OCULAR_KIND,
             EngineModel::Generic(m) => m.kind(),
         }
@@ -719,7 +603,7 @@ impl ServeEngine {
     /// or `None` when the engine scores through the f64 master —
     /// reported in wire responses and `/stats`.
     pub fn dtype(&self) -> Option<&'static str> {
-        self.parts[0].model.quant().map(|q| q.dtype().name())
+        self.model.quant().map(|q| q.dtype().name())
     }
 
     /// Name of the ISA level the scoring kernels run at (`"baseline"` /
@@ -728,10 +612,7 @@ impl ServeEngine {
     /// levels. Only the quantized kernels come in more than one level, so
     /// an engine scoring through the f64 master says `"baseline"`.
     pub fn kernel(&self) -> &'static str {
-        let level = self.parts[0]
-            .model
-            .quant()
-            .map(QuantizedFactors::kernel_level);
+        let level = self.model.quant().map(QuantizedFactors::kernel_level);
         level.unwrap_or(KernelLevel::Baseline).name()
     }
 
@@ -742,46 +623,25 @@ impl ServeEngine {
         self.generation
     }
 
-    /// Number of user-axis partitions (1 = unsharded).
-    pub fn n_shards(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Users in the serving dataset, across all partitions.
+    /// Users in the serving dataset.
     pub fn n_users(&self) -> usize {
-        self.parts.iter().map(|p| p.owned.n_users()).sum()
+        self.owned.n_users()
     }
 
-    /// Users the model was trained on, across all partitions; dataset
-    /// users past a partition's model rows arrived after the snapshot and
-    /// are served by fold-in.
+    /// Users the model was trained on; dataset users past the model's rows
+    /// arrived after the snapshot and are served by fold-in.
     pub fn model_users(&self) -> usize {
-        self.parts.iter().map(|p| p.model.n_users()).sum()
+        self.model.n_users()
     }
 
     /// Items the model was trained on (recommendable catalog).
     pub fn model_items(&self) -> usize {
-        self.parts[0].model.n_items()
+        self.model.n_items()
     }
 
     /// The engine's configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
-    }
-
-    /// Per-partition telemetry, in partition order; empty with one
-    /// partition, where nothing is dispatched and so nothing is counted.
-    pub fn shard_stats(&self) -> Vec<ShardStat> {
-        self.parts
-            .iter()
-            .zip(&self.requests)
-            .enumerate()
-            .map(|(shard, (p, requests))| ShardStat {
-                shard,
-                users: p.owned.n_users(),
-                requests: requests.load(Ordering::Relaxed),
-            })
-            .collect()
     }
 
     /// Fold-in solver telemetry since the engine was built.
@@ -807,34 +667,11 @@ impl ServeEngine {
         self.scans[3].fetch_add(u64::from(parts > 1), Ordering::Relaxed);
     }
 
-    /// Resident bytes of the int8 factor-major scan sidecars, each counted
-    /// once: `(k + 4) × items` (codes and `i32` row sums) however an engine
-    /// is split in memory, 0 without int8.
+    /// Resident bytes of the int8 factor-major scan sidecar: `(k + 4) ×
+    /// items` (codes and `i32` row sums), 0 without int8.
     pub fn sidecar_bytes(&self) -> usize {
-        let quants = self.parts.iter().filter_map(|p| p.model.quant());
-        let mut copies: Vec<_> = quants.filter_map(|q| q.factor_major()).collect();
-        copies.sort_by_key(|c| Arc::as_ptr(c));
-        copies.dedup_by_key(|c| Arc::as_ptr(c));
-        copies.iter().map(|c| c.bytes()).sum()
-    }
-
-    /// `(partition, partition-local row)` of global user row `user`, when
-    /// the serving dataset has such a row.
-    fn locate(&self, user: usize) -> Option<(usize, usize)> {
-        if self.parts.len() == 1 {
-            return (user < self.parts[0].owned.n_users()).then_some((0, user));
-        }
-        let &(s, row) = self.assign.get(user)?;
-        Some((s as usize, row as usize))
-    }
-
-    /// Hands out partition `s`, counting the request against it when
-    /// there is more than one to choose from.
-    fn dispatch(&self, s: usize) -> &Partition {
-        if let Some(requests) = self.requests.get(s) {
-            requests.fetch_add(1, Ordering::Relaxed);
-        }
-        &self.parts[s]
+        let copy = self.model.quant().and_then(|q| q.factor_major());
+        copy.map_or(0, |c| c.bytes())
     }
 
     /// Serves one request on the calling thread. External-id requests
@@ -843,44 +680,30 @@ impl ServeEngine {
     pub fn serve_one(&self, req: &Request) -> Result<ServedList, ServeError> {
         match req {
             Request::Warm { user, m } => {
-                let (s, row) = self.locate(*user).ok_or(OcularError::UnknownUser {
-                    user: *user,
-                    n_users: self.n_users(),
-                })?;
-                self.serve_warm(self.dispatch(s), row, self.effective_m(*m))
+                if *user >= self.owned.n_users() {
+                    return Err(OcularError::UnknownUser {
+                        user: *user,
+                        n_users: self.n_users(),
+                    });
+                }
+                self.serve_warm(*user, self.effective_m(*m))
             }
             Request::WarmExternal { user, m } => {
-                let unknown = OcularError::UnknownExternalId {
-                    external: *user,
-                    entity: "user",
-                };
-                let n = self.parts.len();
-                let (p, row) = if n > 1 && self.dataset().ids().is_none() {
-                    // identity mapping: the external id is the global row
-                    let (s, row) = usize::try_from(*user)
-                        .ok()
-                        .and_then(|g| self.locate(g))
-                        .ok_or(unknown)?;
-                    (self.dispatch(s), row)
-                } else {
-                    // an id present anywhere lives on the partition its
-                    // hash names, whose id maps resolve it
-                    let p = self.dispatch(if n == 1 { 0 } else { shard_of_key(*user, n) });
-                    (p, p.owned.user_index(*user).ok_or(unknown)?)
-                };
-                self.serve_warm(p, row, self.effective_m(*m))
+                let row = self
+                    .owned
+                    .user_index(*user)
+                    .ok_or(OcularError::UnknownExternalId {
+                        external: *user,
+                        entity: "user",
+                    })?;
+                self.serve_warm(row, self.effective_m(*m))
             }
-            // cold requests need only the replicated item-side state, which
-            // every partition holds byte-identically
-            Request::Cold { basket, m } => {
-                self.serve_cold(self.dispatch(0), basket, self.effective_m(*m))
-            }
+            Request::Cold { basket, m } => self.serve_cold(basket, self.effective_m(*m)),
             Request::ColdExternal { basket, m } => {
-                let p = self.dispatch(0);
                 let internal = basket
                     .iter()
                     .map(|&ext| {
-                        p.owned
+                        self.owned
                             .item_index(ext)
                             .ok_or(OcularError::UnknownExternalId {
                                 external: ext,
@@ -888,7 +711,7 @@ impl ServeEngine {
                             })
                     })
                     .collect::<Result<Vec<usize>, _>>()?;
-                self.serve_cold(p, &internal, self.effective_m(*m))
+                self.serve_cold(&internal, self.effective_m(*m))
             }
         }
     }
@@ -937,25 +760,25 @@ impl ServeEngine {
         }
     }
 
-    /// Serves row `user` of partition `p` (`user < p.owned.n_users()`).
-    fn serve_warm(&self, p: &Partition, user: usize, m: usize) -> Result<ServedList, ServeError> {
-        if user >= p.model.n_users() {
+    /// Serves dataset row `user` (`user < self.owned.n_users()`).
+    fn serve_warm(&self, user: usize, m: usize) -> Result<ServedList, ServeError> {
+        if user >= self.model.n_users() {
             // dataset ⊇ model: a row past the model but inside the dataset
             // belongs to a user appended after the snapshot was trained —
             // serve them by request-time fold-in on their interactions
             // (truncated to the model's catalog) until the next hot swap.
-            let basket: Vec<usize> = p
+            let basket: Vec<usize> = self
                 .owned
                 .row(user)
                 .iter()
                 .map(|&i| i as usize)
-                .filter(|&i| i < p.model.n_items())
+                .filter(|&i| i < self.model.n_items())
                 .collect();
-            let mut list = self.serve_cold(p, &basket, m)?;
+            let mut list = self.serve_cold(&basket, m)?;
             list.folded_in = true;
             return Ok(list);
         }
-        match &p.model {
+        match &self.model {
             EngineModel::Ocular {
                 model,
                 index,
@@ -963,23 +786,25 @@ impl ServeEngine {
                 ..
             } => {
                 let factors = model.user_factors.row(user);
-                Ok(self.select(model, index, quant.as_ref(), factors, p.owned.row(user), m))
+                Ok(self.select(
+                    model,
+                    index,
+                    quant.as_ref(),
+                    factors,
+                    self.owned.row(user),
+                    m,
+                ))
             }
-            EngineModel::Generic(model) => self.select_dense(p.owned.row(user), m, |scores| {
+            EngineModel::Generic(model) => self.select_dense(self.owned.row(user), m, |scores| {
                 model.score_user(user, scores);
                 Ok(())
             }),
         }
     }
 
-    fn serve_cold(
-        &self,
-        p: &Partition,
-        basket: &[usize],
-        m: usize,
-    ) -> Result<ServedList, ServeError> {
-        let exclude = validate_basket(basket, p.model.n_items())?;
-        match &p.model {
+    fn serve_cold(&self, basket: &[usize], m: usize) -> Result<ServedList, ServeError> {
+        let exclude = validate_basket(basket, self.model.n_items())?;
+        match &self.model {
             EngineModel::Ocular {
                 model,
                 index,
@@ -1494,6 +1319,30 @@ mod tests {
     }
 
     #[test]
+    fn builder_rejects_a_fold_in_lambda_that_is_not_finite_and_non_negative() {
+        // NaN and ∞ pass a bare `lambda < 0` test and fold every cold
+        // basket into a vector that never left its start
+        let (model, r, train_cfg) = trained();
+        for lambda in [f64::NAN, f64::INFINITY, -1.0] {
+            let built = EngineBuilder::from_model(model.clone())
+                .dataset(r.clone())
+                .config(ServeConfig {
+                    foldin: OcularConfig {
+                        lambda,
+                        ..train_cfg.clone()
+                    },
+                    ..Default::default()
+                })
+                .build();
+            assert!(
+                matches!(&built, Err(OcularError::InvalidConfig(why)) if why.contains("lambda")),
+                "λ = {lambda}: {:?}",
+                built.err()
+            );
+        }
+    }
+
+    #[test]
     fn users_newer_than_the_model_are_served_by_fold_in() {
         let (model, r, train_cfg) = trained();
         let (model_users, model_items) = (model.n_users(), model.n_items());
@@ -1771,17 +1620,12 @@ mod tests {
                 .generation(generation)
                 .build()
         };
-        for shards in [1, 4] {
-            let built = EngineBuilder::from_snapshot(AnySnapshot::Ocular(bad.clone()))
-                .dataset(build(&good, 1).unwrap().dataset().clone())
-                .shards(shards)
-                .build();
-            assert!(
-                matches!(&built, Err(OcularError::Corrupt(why)) if why.contains("row 17")),
-                "{:?}",
-                built.err()
-            );
-        }
+        let built = build(&bad, 1);
+        assert!(
+            matches!(&built, Err(OcularError::Corrupt(why)) if why.contains("row 17")),
+            "{:?}",
+            built.err()
+        );
         // reloading such a generation leaves the old one serving
         let request = Request::Warm { user: 3, m: 5 };
         let before = build(&good, 1).unwrap().serve_one(&request).unwrap();
@@ -2058,21 +1902,18 @@ mod tests {
                     CandidatePolicy::FullCatalog,
                     CandidatePolicy::Clusters { min_candidates: 20 },
                 ] {
-                    // (partitions, pinned kernel level): the quantized scans
-                    // once per level this CPU has, whole and split four
-                    // ways, against the one row-major reference
-                    let mut runs = vec![(1usize, None), (4, None)];
+                    // the pinned kernel level: the quantized scans once per
+                    // level this CPU has, against the one row-major reference
+                    let mut levels = vec![None];
                     if quantize.is_some() {
-                        let levels = KernelLevel::available();
-                        runs.extend(levels.flat_map(|l| [(1, Some(l)), (4, Some(l))]));
+                        levels.extend(KernelLevel::available().map(Some));
                     }
-                    for (shards, level) in runs {
+                    for level in levels {
                         let mut builder = EngineBuilder::from_model(model.clone())
                             .dataset(data.clone())
                             .index_config(index_cfg)
                             .candidates(policy)
-                            .default_m(default_m)
-                            .shards(shards);
+                            .default_m(default_m);
                         if let Some(dtype) = quantize {
                             builder = builder.quantization(dtype);
                         }
@@ -2084,7 +1925,6 @@ mod tests {
                             assert_eq!(e.kernel(), level.name());
                         }
                         // one factor-major copy (codes + i32 row sums)
-                        // however many partitions
                         let int8 = quantize == Some(QuantDtype::I8);
                         let sidecar = if int8 { n_items * (k + 4) } else { 0 };
                         assert_eq!(e.sidecar_bytes(), sidecar);
@@ -2105,8 +1945,7 @@ mod tests {
                                     model, &index, quantize, policy, factors, exclude, m,
                                 )
                             };
-                            let ctx =
-                                format!("{quantize:?} {level:?} {policy:?} shards={shards} m={m}");
+                            let ctx = format!("{quantize:?} {level:?} {policy:?} m={m}");
                             for user in 0..n_users {
                                 let got = e.serve_one(&Request::Warm { user, m }).unwrap();
                                 let want = expected(model.user_factors.row(user), data.row(user));
@@ -2219,21 +2058,18 @@ mod tests {
                     }
                 }
 
-                // the engines, at each level this CPU has, whole and in four
-                // user partitions
+                // the engines, at each level this CPU has
                 let int8 = dtype == QuantDtype::I8;
-                let levels = KernelLevel::available();
-                for (level, shards) in levels.flat_map(|l| [(l, 1), (l, 4)]) {
+                for level in KernelLevel::available() {
                     let e = EngineBuilder::from_model(model.clone())
                         .dataset(data.clone())
                         .candidates(full)
                         .default_m(default_m)
                         .quantization(dtype)
                         .kernel_level(level)
-                        .shards(shards)
                         .build()
                         .unwrap();
-                    let ctx = format!("{dtype:?} {level:?} shards={shards}");
+                    let ctx = format!("{dtype:?} {level:?}");
                     for (request, .., want) in &cases {
                         let got =
                             ocular_parallel::with_threads(Some(threads), || e.serve_one(request));

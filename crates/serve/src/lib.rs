@@ -18,11 +18,8 @@
 //!   [`ocular_api::SnapshotModel`] and loads back through [`AnySnapshot`];
 //!   text files from before v3 still load (read-only).
 //! * **One engine** ([`engine`]) — [`ServeEngine`], built by
-//!   [`EngineBuilder`], over `N ≥ 1` user-axis partitions
-//!   ([`EngineBuilder::shards`], always an in-memory split of the one
-//!   snapshot file): user rows are hash-partitioned, item-side state is
-//!   replicated, and replies are byte-identical at every `N`; `N = 1` is
-//!   the unsharded engine.
+//!   [`EngineBuilder`] around one loaded model and one serving dataset,
+//!   each held once.
 //! * **Candidate generation** ([`index`]) — per-cluster inverted item
 //!   lists built once at load; a request scores only items reachable from
 //!   the requester's co-clusters, with a full-catalog fallback knob
@@ -46,7 +43,7 @@
 //!   admits none), then served through the same selection path.
 //! * **Batching** ([`ServeEngine::serve_batch`]) — rayon-parallel over
 //!   requests, deterministic in request order and output regardless of
-//!   thread count or partition count.
+//!   thread count.
 //! * **A wire protocol and a network tier** ([`protocol`], [`net`]) — one
 //!   versioned request/response/error encoding behind both the stdin CLI
 //!   and the epoll HTTP/1.1 front-end (keep-alive, pipelining, batch
@@ -90,13 +87,11 @@ pub mod swap;
 
 pub use engine::{
     CandidatePolicy, EngineBuilder, FoldInStats, Request, ScanStats, ServeConfig, ServeEngine,
-    ServeError, ServedList, ShardStat,
+    ServeError, ServedList,
 };
 pub use index::{ClusterIndex, IndexConfig};
 pub use protocol::{WireError, WireReply, WireRequest, WireResponse, PROTOCOL_VERSION};
-pub use snapshot::{
-    AnySnapshot, LoadedSnapshot, Snapshot, SnapshotFormat, SnapshotShard, OCULAR_KIND,
-};
+pub use snapshot::{AnySnapshot, LoadedSnapshot, Snapshot, SnapshotFormat, OCULAR_KIND};
 // re-exported so CLI/transport layers name the quantized dtypes without a
 // direct linalg dependency
 pub use ocular_linalg::{KernelLevel, QuantDtype, QuantizedFactors};

@@ -221,11 +221,7 @@ impl ServerStats {
     /// — how many hot `swaps` have landed, whether a reload is in
     /// flight, how many `reloads` were attempted, and the fold-in solver
     /// counters `fold_ins` / `fold_in_iterations` / `fold_in_unconverged`
-    /// ([`crate::engine::FoldInStats`]). An engine with more
-    /// than one partition additionally reports the per-partition `shard`
-    /// array (`[{shard, users, requests}, …]`) — additive: unsharded
-    /// servers omit the field entirely, so existing consumers parse
-    /// unchanged.
+    /// ([`crate::engine::FoldInStats`]).
     pub fn to_json_with_model(&self, engine: &ServeEngine, swaps: u64, reloading: bool) -> Json {
         let Json::Obj(mut fields) = self.to_json() else {
             unreachable!("stats body is an object");
@@ -254,20 +250,6 @@ impl ServerStats {
         fields.push(("fold_ins".into(), Json::Int(fold.fold_ins)));
         fields.push(("fold_in_iterations".into(), Json::Int(fold.iterations)));
         fields.push(("fold_in_unconverged".into(), Json::Int(fold.unconverged)));
-        let shards = engine.shard_stats();
-        if !shards.is_empty() {
-            let rows = shards
-                .iter()
-                .map(|s| {
-                    Json::Obj(vec![
-                        ("shard".into(), Json::Int(s.shard as u64)),
-                        ("users".into(), Json::Int(s.users as u64)),
-                        ("requests".into(), Json::Int(s.requests)),
-                    ])
-                })
-                .collect();
-            fields.push(("shard".into(), Json::Arr(rows)));
-        }
         Json::Obj(fields)
     }
 }
@@ -403,15 +385,5 @@ mod tests {
             back.get("kernel").unwrap().as_str(),
             Some(KernelLevel::detect().name())
         );
-        // unsharded bodies omit the shard field entirely
-        assert_eq!(back.get("shard"), None);
-        // a sharded engine appends the per-shard array
-        let back = body(&builder().shards(2).build().unwrap(), false);
-        let rows = back.get("shard").unwrap().as_array().unwrap();
-        assert_eq!(rows.len(), 2);
-        let users = |row: &Json| row.get("users").unwrap().as_u64().unwrap();
-        assert_eq!(users(&rows[0]) + users(&rows[1]), 5);
-        assert_eq!(rows[1].get("shard").unwrap().as_u64(), Some(1));
-        assert_eq!(rows[1].get("requests").unwrap().as_u64(), Some(0));
     }
 }

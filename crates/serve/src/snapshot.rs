@@ -20,9 +20,7 @@
 //! * **Read**: [`AnySnapshot::load_path_full`] memory-maps the file and the
 //!   loaded `FactorModel` / [`ClusterIndex`] / [`IdMaps`] **borrow** their
 //!   large buffers from the mapping ([`AnySnapshot::load_v3`]) — engine
-//!   start-up allocates nothing per payload, and N partitions of one
-//!   engine are always the in-memory [`Snapshot::split_users`] of the one
-//!   file.
+//!   start-up allocates nothing per payload.
 //!
 //! ## The read-only text reader
 //!
@@ -54,9 +52,9 @@ use ocular_api::binary::{is_v3, SectionReader, SectionWriter, SnapshotMeta};
 use ocular_api::textio::{bad, read_line};
 use ocular_api::{Model, OcularError, SnapshotModel};
 use ocular_baselines::{Bpr, ItemKnn, Popularity, UserKnn, Wals};
-use ocular_bytes::{shard_of_key, ModelBytes};
+use ocular_bytes::ModelBytes;
 use ocular_core::FactorModel;
-use ocular_linalg::{Matrix, QuantDtype, QuantizedFactors};
+use ocular_linalg::{QuantDtype, QuantizedFactors};
 use ocular_sparse::{IdMaps, RawIdTable};
 use std::io::{BufRead, Read};
 use std::path::{Path, PathBuf};
@@ -540,79 +538,6 @@ impl AnySnapshot {
     }
 }
 
-/// One shard of a user-split snapshot: a standalone [`Snapshot`] over the
-/// shard's user-factor rows (item factors, cluster index and quantized
-/// copy replicated in full), plus the global training rows those
-/// shard-local rows came from, in ascending order.
-pub struct SnapshotShard {
-    /// The shard's snapshot — loadable and servable on its own.
-    pub snapshot: Snapshot,
-    /// Ascending global training row of each shard-local user row.
-    pub global_rows: Vec<u64>,
-}
-
-impl Snapshot {
-    /// Splits the model's user rows into `n_shards` groups by the stable
-    /// hash of each row's external user id ([`ocular_bytes::shard_of_key`]
-    /// over `external_ids`, or over the row index itself under the
-    /// identity mapping), keeping ascending row order inside each group.
-    ///
-    /// The item-side state — item factors, co-cluster index, any
-    /// quantized copy — is **replicated** into every shard rather than
-    /// split: it is what cold fold-in and candidate generation read, and
-    /// replicating it byte-identically is what makes every shard decide
-    /// and score exactly like the unsharded engine. This is the same
-    /// partition rule as [`ocular_sparse::ShardedDataset::split`], so
-    /// shard-local model rows line up with the shard dataset's rows by
-    /// construction.
-    pub fn split_users(
-        &self,
-        external_ids: Option<&[u64]>,
-        n_shards: usize,
-    ) -> Result<Vec<SnapshotShard>, OcularError> {
-        if n_shards == 0 {
-            return Err(OcularError::InvalidConfig(
-                "shard count must be positive".into(),
-            ));
-        }
-        let n_users = self.model.n_users();
-        if let Some(ids) = external_ids {
-            if ids.len() != n_users {
-                return Err(OcularError::InvalidConfig(format!(
-                    "{} external user ids cannot address {n_users} model rows",
-                    ids.len()
-                )));
-            }
-        }
-        let mut groups: Vec<Vec<u64>> = vec![Vec::new(); n_shards];
-        for g in 0..n_users {
-            let ext = external_ids.map_or(g as u64, |ids| ids[g]);
-            groups[shard_of_key(ext, n_shards)].push(g as u64);
-        }
-        let k = self.model.user_factors.cols();
-        Ok(groups
-            .into_iter()
-            .map(|rows| {
-                let mut uf = Matrix::zeros(rows.len(), k);
-                for (l, &g) in rows.iter().enumerate() {
-                    uf.row_mut(l)
-                        .copy_from_slice(self.model.user_factors.row(g as usize));
-                }
-                let model =
-                    FactorModel::new(uf, self.model.item_factors.clone(), self.model.has_bias());
-                SnapshotShard {
-                    snapshot: Snapshot {
-                        model,
-                        index: self.index.clone(),
-                        quant: self.quant.clone(),
-                    },
-                    global_rows: rows,
-                }
-            })
-            .collect())
-    }
-}
-
 /// Everything a snapshot file can carry: the model payload, the optional
 /// external-id tables, and the optional live-refresh metadata.
 pub struct LoadedSnapshot {
@@ -629,6 +554,7 @@ mod tests {
     use super::*;
     use ocular_api::ScoreItems;
     use ocular_baselines::WalsConfig;
+    use ocular_linalg::Matrix;
     use ocular_sparse::CsrMatrix;
 
     fn snapshot() -> Snapshot {

@@ -1,6 +1,5 @@
 //! Zero-downtime snapshot hot-swap: a generation-counted handle that
-//! atomically replaces the [`ServeEngine`] behind a running server,
-//! whatever its partition count.
+//! atomically replaces the [`ServeEngine`] behind a running server.
 //!
 //! The live-refresh loop (append deltas → retrain → redeploy) ends here:
 //! a freshly trained snapshot is loaded **off the request path** (on the
@@ -26,10 +25,7 @@ use std::sync::{Arc, RwLock};
 /// How a reload produces the next engine: called with the currently
 /// served generation, must return an engine whose generation is strictly
 /// greater (the CLI closure re-loads the snapshot and dataset from disk
-/// and stamps `max(snapshot generation, current + 1)`). A reload yields a
-/// whole engine, so every partition of a sharded deployment swaps in the
-/// same pointer store — partitions never hot-swap independently, and a
-/// reload may change the partition count.
+/// and stamps `max(snapshot generation, current + 1)`).
 pub type ReloadFn = Box<dyn Fn(u64) -> Result<ServeEngine, OcularError> + Send + Sync>;
 
 /// Why a reload did not publish a new engine.

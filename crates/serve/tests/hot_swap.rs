@@ -12,10 +12,6 @@
 //! * **bounded engine lifetime** — the swapped-out engine (and with it
 //!   any mmap'd snapshot region it owns) is released exactly when the
 //!   last in-flight borrower drops, never while a batch is serving.
-//!
-//! Every reload also changes the engine's arity (1 → 4 → 1 → … user
-//! partitions), so the same guarantees hold across partition counts and
-//! the `/stats` `shard` array comes and goes with them.
 #![cfg(target_os = "linux")]
 
 use std::io::{BufReader, Write};
@@ -34,15 +30,6 @@ use ocular_sparse::{Dataset, Triplets};
 const N_USERS: usize = 48;
 const RELOADS: u64 = 5;
 
-/// Odd generations are unsharded, even ones split four ways.
-fn shards_of(generation: u64) -> usize {
-    if generation % 2 == 1 {
-        1
-    } else {
-        4
-    }
-}
-
 fn engine(generation: u64) -> ServeEngine {
     let mut t = Triplets::new(N_USERS, N_USERS);
     for i in 0..N_USERS {
@@ -57,7 +44,6 @@ fn engine(generation: u64) -> ServeEngine {
     EngineBuilder::from_model(FactorModel::new(factors(0), factors(3), false))
         .dataset(data)
         .generation(generation)
-        .shards(shards_of(generation))
         .build()
         .unwrap()
 }
@@ -175,13 +161,14 @@ fn hot_swap_under_load_drops_nothing_and_keeps_generations_monotone() {
             Some(expect),
             "each reload bumps the generation by exactly one"
         );
-        // the per-shard rows appear and disappear with the partition count
+        // and /stats reports the fresh engine at once
         let resp = admin.round_trip("GET", "/stats", "");
         let body = String::from_utf8(resp.body).unwrap();
         let v = Json::parse(body.trim_end()).unwrap();
-        let rows = v.get("shard").and_then(Json::as_array).map(<[Json]>::len);
-        let n = shards_of(expect);
-        assert_eq!(rows, (n > 1).then_some(n), "generation {expect}");
+        assert_eq!(
+            v.get("model_generation").and_then(Json::as_u64),
+            Some(expect)
+        );
         // let a few batches serve on the fresh engine before the next swap
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
@@ -213,7 +200,7 @@ fn hot_swap_under_load_drops_nothing_and_keeps_generations_monotone() {
 
     server.shutdown().unwrap();
 
-    // every earlier engine, of either arity, must be gone: it was swapped
+    // every earlier engine must be gone: it was swapped
     // out and every batch that pinned it has finished — nothing may still
     // hold the (in production, mmap-backed) model alive
     assert_eq!(retired.len() as u64, RELOADS);

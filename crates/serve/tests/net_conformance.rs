@@ -175,25 +175,26 @@ fn stats_count_fold_in_solves() {
 }
 
 /// A malformed numeric flag is a usage error, never a silent default:
-/// `--shards four` must not serve unsharded.
+/// `--threads four` must not serve on the default thread count.
 #[test]
 fn cli_rejects_malformed_numeric_flags() {
     let out = Command::new(env!("CARGO_BIN_EXE_serve"))
         .args(["--model", "unread.snap", "--interactions", "unread.tsv"])
-        .args(["--shards", "four"])
+        .args(["--threads", "four"])
         .stdin(Stdio::null())
         .output()
         .unwrap();
     assert!(!out.status.success());
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(
-        stderr.contains("--shards must be a number, got `four`"),
+        stderr.contains("--threads must be a number, got `four`"),
         "{stderr}"
     );
 }
 
 /// A flag no mode reads exits 2 naming it, before any file is touched —
-/// `--format text` or `--quantise int8` must not be silently ignored.
+/// `--format text`, `--quantise int8` or the removed `--shards 4` must not
+/// be silently ignored.
 #[test]
 fn cli_rejects_flags_it_does_not_read() {
     for (args, needle) in [
@@ -214,14 +215,14 @@ fn cli_rejects_flags_it_does_not_read() {
         ),
         (
             &[
-                "--train",
+                "--model",
+                "unread.snap",
+                "--interactions",
                 "unread.tsv",
-                "--snapshot",
-                "unwritten.snap",
                 "--shards",
                 "4",
             ],
-            "serve-time flag",
+            "unknown flag --shards",
         ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_serve"))
@@ -233,6 +234,55 @@ fn cli_rejects_flags_it_does_not_read() {
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert!(stderr.contains(needle), "{stderr}");
     }
+}
+
+/// A λ that is not finite and non-negative is a typed configuration error
+/// in both modes: training writes no snapshot of factors that never left
+/// their start, and serving answers no cold basket from an unsolved
+/// fold-in.
+#[test]
+fn cli_rejects_a_lambda_that_is_not_finite_and_non_negative() {
+    let (edges, snap) = train_fixture("lambda");
+    let unwritten = snap.with_extension("never.snap");
+    for lambda in ["nan", "inf", "-1"] {
+        let train = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(["--train", edges.to_str().unwrap()])
+            .args(["--snapshot", unwritten.to_str().unwrap()])
+            .args(["--k", "2", "--lambda", lambda])
+            .output()
+            .unwrap();
+        let mut serve = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(["--model", snap.to_str().unwrap()])
+            .args(["--interactions", edges.to_str().unwrap()])
+            .args(["--lambda", lambda])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        // a closed pipe is fine: the engine is refused before stdin is read
+        let _ = serve
+            .stdin
+            .take()
+            .unwrap()
+            .write_all(b"{\"basket\": [0, 1], \"m\": 2}\n");
+        let serve = serve.wait_with_output().unwrap();
+        for (mode, out) in [("train", &train), ("serve", &serve)] {
+            assert!(!out.status.success(), "{mode} --lambda {lambda}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("invalid configuration") && stderr.contains("lambda"),
+                "{mode} --lambda {lambda}: {stderr}"
+            );
+        }
+        assert!(
+            serve.stdout.is_empty(),
+            "--lambda {lambda} answered a request"
+        );
+        assert!(!unwritten.exists(), "--lambda {lambda} wrote a snapshot");
+    }
+    let _ = std::fs::remove_file(&edges);
+    let _ = std::fs::remove_file(&snap);
 }
 
 #[test]
@@ -293,69 +343,6 @@ fn cli_and_tcp_serve_byte_identical_bodies() {
         WireReply::decode(line).unwrap();
     }
     server.shutdown().unwrap();
-    let _ = std::fs::remove_file(&edges);
-    let _ = std::fs::remove_file(&snap);
-}
-
-/// A 4-partition engine behind the TCP front-end must answer the whole
-/// conformance stream byte-identically to the unsharded engine, and its
-/// `/stats` grows additive per-shard rows (absent unsharded).
-#[test]
-fn sharded_coordinator_serves_byte_identical_bodies_over_tcp() {
-    let (edges, snap) = train_fixture("sharded");
-    let single_server = spawn_server(build_engine(&edges, &snap), ServerConfig::default());
-
-    // the same artifacts, split into 4 partitions
-    let dataset = read_edge_list(edges.to_str().unwrap(), "\t", None)
-        .unwrap()
-        .into_dataset();
-    let n_users = dataset.n_users();
-    let sharded = EngineBuilder::from_loaded(AnySnapshot::load_path_full(&snap).unwrap())
-        .dataset(dataset)
-        .config(serve_cfg())
-        .shards(4)
-        .build()
-        .expect("split engine");
-    let sharded_server = spawn_server(sharded, ServerConfig::default());
-
-    let mut single = Client::connect(single_server.addr());
-    let mut scatter = Client::connect(sharded_server.addr());
-    for req in REQUESTS {
-        let a = single.round_trip("POST", "/recommend", req);
-        let b = scatter.round_trip("POST", "/recommend", req);
-        assert_eq!(a.status, b.status, "status diverged on `{req}`");
-        assert_eq!(
-            String::from_utf8(a.body).unwrap(),
-            String::from_utf8(b.body).unwrap(),
-            "bodies diverged on `{req}`"
-        );
-    }
-
-    // per-shard /stats rows reconcile: every user on exactly one shard,
-    // and the engine-reaching requests above were each dispatched once
-    let resp = scatter.round_trip("GET", "/stats", "");
-    assert_eq!(resp.status, 200);
-    let body = String::from_utf8(resp.body).unwrap();
-    let v = Json::parse(body.trim_end()).unwrap();
-    let rows = v.get("shard").and_then(Json::as_array).expect("shard rows");
-    assert_eq!(rows.len(), 4);
-    let users: u64 = rows
-        .iter()
-        .map(|r| r.get("users").and_then(Json::as_u64).unwrap())
-        .sum();
-    assert_eq!(users as usize, n_users);
-    let dispatched: u64 = rows
-        .iter()
-        .map(|r| r.get("requests").and_then(Json::as_u64).unwrap())
-        .sum();
-    assert!(dispatched > 0);
-    // the unsharded server's /stats must not grow the field
-    let resp = single.round_trip("GET", "/stats", "");
-    let body = String::from_utf8(resp.body).unwrap();
-    assert!(Json::parse(body.trim_end()).unwrap().get("shard").is_none());
-
-    single_server.shutdown().unwrap();
-    sharded_server.shutdown().unwrap();
     let _ = std::fs::remove_file(&edges);
     let _ = std::fs::remove_file(&snap);
 }

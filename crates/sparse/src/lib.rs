@@ -57,7 +57,6 @@ mod csr;
 pub mod dataset;
 pub mod io;
 pub mod sample;
-pub mod shard;
 pub mod split;
 pub mod stats;
 
@@ -65,7 +64,6 @@ pub use coo::Triplets;
 pub use csr::CsrMatrix;
 pub use dataset::{Dataset, DatasetBuilder, StreamingTriplets};
 pub use io::{IdMaps, RawIdTable};
-pub use shard::ShardedDataset;
 pub use split::{Split, SplitConfig};
 
 use std::fmt;

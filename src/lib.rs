@@ -18,7 +18,7 @@
 //! | [`baselines`] | wALS, BPR, user-/item-based kNN, popularity |
 //! | [`community`] | Modularity, Louvain, BIGCLAM comparators |
 //! | [`parallel`] | simulated GPU kernels, parallel trainer, memory model |
-//! | [`serve`] | online serving: snapshots, candidate generation, batching, sharding |
+//! | [`serve`] | online serving: snapshots, candidate generation, batching, hot swap |
 //!
 //! ## Five-minute tour
 //!
@@ -74,6 +74,6 @@ pub mod prelude {
         ServeConfig, ServeEngine, ServedList, Snapshot, SwapEngine,
     };
     pub use ocular_sparse::{
-        CsrMatrix, Dataset, IdMaps, ShardedDataset, Split, SplitConfig, StreamingTriplets, Triplets,
+        CsrMatrix, Dataset, IdMaps, Split, SplitConfig, StreamingTriplets, Triplets,
     };
 }

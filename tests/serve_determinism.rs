@@ -4,16 +4,16 @@
 //! count — batching and the bounded-heap kernel change wall-clock, never
 //! output. Cluster candidate generation is an explicit approximation, but
 //! it too must be deterministic across thread counts, and its fallback
-//! path must coincide with the exact lists. An engine split into four
-//! user partitions runs its batches on the same pool, so it goes through
-//! the same thread loop and must answer exactly what the unsharded one
-//! does.
+//! path must coincide with the exact lists. Every request shape the wire
+//! protocol can express — error paths included — answers the same at
+//! every thread count and through `serve_one` as through `serve_batch`.
 
 use ocular::datasets::planted::{generate, PlantedConfig};
 use ocular::parallel::with_threads;
 use ocular::prelude::*;
 use ocular::serve::engine::scan_parts;
 use ocular::serve::{IndexConfig, KernelLevel};
+use ocular::sparse::IdMaps;
 
 fn trained() -> (FactorModel, ocular::sparse::Dataset, OcularConfig) {
     let data = generate(&PlantedConfig {
@@ -40,13 +40,6 @@ fn trained() -> (FactorModel, ocular::sparse::Dataset, OcularConfig) {
 }
 
 fn engine(policy: CandidatePolicy) -> (ServeEngine, ocular::sparse::Dataset) {
-    sharded_engine(policy, 1)
-}
-
-fn sharded_engine(
-    policy: CandidatePolicy,
-    shards: usize,
-) -> (ServeEngine, ocular::sparse::Dataset) {
     let (model, r, train_cfg) = trained();
     let cfg = ServeConfig {
         default_m: 20,
@@ -61,7 +54,6 @@ fn sharded_engine(
             floor: 10,
         })
         .config(cfg)
-        .shards(shards)
         .build()
         .unwrap();
     (e, r)
@@ -113,16 +105,12 @@ fn cluster_mode_deterministic_across_threads() {
         ])
         .collect();
     let reference = with_threads(Some(1), || e.serve_batch(&requests));
-    let (split, _) = sharded_engine(policy, 4);
-    for threads in [1usize, 2, 4, 8] {
-        for (engine, shards) in [(&e, 1), (&split, 4)] {
-            assert_eq!(
-                with_threads(Some(threads), || engine.serve_batch(&requests)),
-                reference,
-                "{shards}-partition {threads}-thread batch must be identical to the \
-                 unsharded 1-thread batch"
-            );
-        }
+    for threads in [2usize, 4, 8] {
+        assert_eq!(
+            with_threads(Some(threads), || e.serve_batch(&requests)),
+            reference,
+            "{threads}-thread batch must be identical to the 1-thread batch"
+        );
     }
     // and batching is a no-op semantically
     for (req, want) in requests.iter().zip(&reference) {
@@ -185,13 +173,12 @@ fn catalog(users: usize) -> (FactorModel, ocular::sparse::Dataset) {
 /// cold requests, through both candidate paths. Each runs once per
 /// kernel level this CPU has (`None` = the level it would pick itself),
 /// and every level must answer what the first did: a baseline box and an
-/// AVX2 box serve the same bytes. So must every partition count: the int8
-/// engines run whole and split four ways, under the cluster policy and
-/// scanning the full catalog, where users with one co-cluster take the
-/// sparse-query arm through the one factor-major copy the partitions
-/// share and users with several take the row-major arm. On the large
-/// catalog every full scan past one thread runs in parts, and must answer
-/// what the one-part scan at one thread does.
+/// AVX2 box serve the same bytes. The int8 engines run under the cluster
+/// policy and scanning the full catalog, where users with one co-cluster
+/// take the sparse-query arm through the factor-major copy and users with
+/// several take the row-major arm. On the large catalog every full scan
+/// past one thread runs in parts, and must answer what the one-part scan
+/// at one thread does.
 #[test]
 fn quantized_engines_deterministic_across_threads() {
     let (model, r, train_cfg) = trained();
@@ -211,20 +198,14 @@ fn quantized_engines_deterministic_across_threads() {
     let big_requests: Vec<Request> = warm(big_r.n_users()).chain(cold).collect();
     let clusters = CandidatePolicy::Clusters { min_candidates: 5 };
     let full = CandidatePolicy::FullCatalog;
-    let mut first_answer = None;
-    for (big, dtype, policy, shards) in [
-        (false, QuantDtype::F32, clusters, 1),
-        (false, QuantDtype::I8, clusters, 1),
-        (false, QuantDtype::I8, clusters, 4),
-        (false, QuantDtype::I8, full, 1),
-        (false, QuantDtype::I8, full, 4),
-        (true, QuantDtype::F32, full, 1),
-        (true, QuantDtype::I8, full, 1),
-        (true, QuantDtype::I8, full, 4),
+    for (big, dtype, policy) in [
+        (false, QuantDtype::F32, clusters),
+        (false, QuantDtype::I8, clusters),
+        (false, QuantDtype::I8, full),
+        (true, QuantDtype::F32, full),
+        (true, QuantDtype::I8, full),
     ] {
-        if shards == 1 {
-            first_answer = None;
-        }
+        let mut first_answer = None;
         let (model, r, requests) = match big {
             false => (&model, &r, &requests),
             true => (&big_model, &big_r, &big_requests),
@@ -242,8 +223,7 @@ fn quantized_engines_deterministic_across_threads() {
                     foldin: train_cfg.clone(),
                     ..Default::default()
                 })
-                .quantization(dtype)
-                .shards(shards);
+                .quantization(dtype);
             if let Some(level) = level {
                 builder = builder.kernel_level(level);
             }
@@ -256,7 +236,7 @@ fn quantized_engines_deterministic_across_threads() {
                 assert_eq!(
                     with_threads(Some(threads), || e.serve_batch(requests)),
                     reference,
-                    "{} engine ×{shards} must be identical at {threads} threads",
+                    "{} engine must be identical at {threads} threads",
                     dtype.name()
                 );
             }
@@ -272,12 +252,10 @@ fn quantized_engines_deterministic_across_threads() {
             assert_eq!(
                 &reference,
                 first,
-                "{} engine ×{shards} at {level:?} must answer what the unsharded engine at the \
-                 detected level does",
+                "{} engine at {level:?} must answer what the engine at the detected level does",
                 dtype.name()
             );
-            // one factor-major copy (codes + i32 row sums), whatever the
-            // partition count
+            // one factor-major copy (codes + i32 row sums)
             let int8 = dtype == QuantDtype::I8;
             let sidecar = if int8 {
                 r.n_items() * (model.k_total() + 4)
@@ -305,4 +283,178 @@ fn cold_start_deterministic() {
     let b = e.serve_one(&req).unwrap();
     assert_eq!(a, b);
     assert_eq!(a.items.len(), 15);
+}
+
+/// The planted interactions, with or without non-trivial external ids
+/// (user `u` ↔ `1000 + 7u`, item `i` ↔ `500 + 3i`).
+fn with_id_maps(r: &ocular::sparse::Dataset, with_ids: bool) -> ocular::sparse::Dataset {
+    if !with_ids {
+        return r.clone();
+    }
+    let users = (0..r.n_users() as u64).map(|u| 1_000 + 7 * u).collect();
+    let items = (0..r.n_items() as u64).map(|i| 500 + 3 * i).collect();
+    let ids = IdMaps::new(users, items).unwrap();
+    ocular::sparse::Dataset::new(r.matrix().clone(), ids).unwrap()
+}
+
+/// `d` grown by three users who arrived after the snapshot was trained —
+/// each with two items the model knows, so their warm requests fold in.
+fn grown_dataset(d: &ocular::sparse::Dataset, with_ids: bool) -> ocular::sparse::Dataset {
+    let mut staged = d.delta_builder();
+    for j in 0..3 {
+        // an identity-mapped dataset extends by its next row indices
+        let user = match with_ids {
+            true => 770_001 + j as u64,
+            false => (d.n_users() + j) as u64,
+        };
+        staged.push(user, d.external_item(j)).unwrap();
+        staged.push(user, d.external_item(j + 4)).unwrap();
+    }
+    staged.finish().unwrap()
+}
+
+/// Every request shape the wire protocol can express, over the whole user
+/// population and every error path: an unknown row and external user, an
+/// empty and an out-of-range basket, and an unknown external item.
+fn request_zoo(d: &ocular::sparse::Dataset) -> Vec<Request> {
+    let n_items = d.n_items();
+    let mut reqs = Vec::new();
+    for u in 0..d.n_users() {
+        reqs.push(Request::Warm { user: u, m: 5 });
+        reqs.push(Request::WarmExternal {
+            user: d.external_user(u),
+            m: 0,
+        });
+    }
+    reqs.extend([
+        Request::Warm {
+            user: d.n_users() + 3,
+            m: 5,
+        },
+        Request::WarmExternal {
+            user: 999_999_999,
+            m: 5,
+        },
+        Request::Cold {
+            basket: vec![0, 1, 2],
+            m: 7,
+        },
+        Request::Cold {
+            basket: vec![n_items - 1],
+            m: 0,
+        },
+        Request::Cold {
+            basket: vec![],
+            m: 4,
+        },
+        Request::Cold {
+            basket: vec![n_items + 5],
+            m: 4,
+        },
+        Request::ColdExternal {
+            basket: vec![d.external_item(0), d.external_item(2)],
+            m: 6,
+        },
+        Request::ColdExternal {
+            basket: vec![123_456_789],
+            m: 6,
+        },
+    ]);
+    reqs
+}
+
+/// One engine per dtype (f64, f32, int8) over `d`, each labelled.
+fn zoo_engines(
+    model: &FactorModel,
+    d: &ocular::sparse::Dataset,
+    foldin: &OcularConfig,
+) -> Vec<(ServeEngine, String)> {
+    [None, Some(QuantDtype::F32), Some(QuantDtype::I8)]
+        .into_iter()
+        .map(|quant| {
+            let mut builder = EngineBuilder::from_model(model.clone())
+                .dataset(d.clone())
+                .index_config(IndexConfig { rel: 0.5, floor: 5 })
+                .config(ServeConfig {
+                    default_m: 6,
+                    // a small floor, so some requests take the candidate
+                    // path and others fall back
+                    candidates: CandidatePolicy::Clusters { min_candidates: 8 },
+                    foldin: foldin.clone(),
+                    ..Default::default()
+                })
+                .generation(7);
+            if let Some(dtype) = quant {
+                builder = builder.quantization(dtype);
+            }
+            (builder.build().unwrap(), format!("quant={quant:?}"))
+        })
+        .collect()
+}
+
+/// `serve_batch` at every thread count answers what `serve_one` does,
+/// telemetry and typed errors included.
+fn assert_batches_like_serve_one(e: &ServeEngine, reqs: &[Request], label: &str) {
+    let one: Vec<_> = reqs.iter().map(|req| e.serve_one(req)).collect();
+    for threads in [1usize, 2, 4, 8] {
+        let batch = with_threads(Some(threads), || e.serve_batch(reqs));
+        for ((req, a), b) in reqs.iter().zip(&one).zip(&batch) {
+            assert_eq!(a, b, "{label}: {threads}-thread batch diverged on {req:?}");
+        }
+    }
+}
+
+/// The whole request zoo, at f64, f32 and int8, with and without id maps:
+/// exactly the four error paths fail, and every reply batches like
+/// `serve_one` at every thread count.
+#[test]
+fn every_request_shape_batches_like_serve_one_at_every_thread_count() {
+    let (model, r, train_cfg) = trained();
+    for with_ids in [false, true] {
+        let d = with_id_maps(&r, with_ids);
+        let reqs = request_zoo(&d);
+        for (e, quant) in zoo_engines(&model, &d, &train_cfg) {
+            let label = format!("ids={with_ids} {quant}");
+            assert_eq!(e.generation(), 7, "{label}");
+            let errors = reqs.iter().filter(|req| e.serve_one(req).is_err());
+            assert_eq!(
+                errors.count(),
+                4,
+                "{label}: the four error paths, and only those"
+            );
+            assert_batches_like_serve_one(&e, &reqs, &label);
+        }
+    }
+}
+
+/// Users appended after the snapshot are served by request-time fold-in
+/// (`folded_in: true`), by row and by external id, and batch like
+/// `serve_one` at every thread count, at f64, f32 and int8.
+#[test]
+fn post_snapshot_users_fold_in_like_serve_one_at_every_thread_count() {
+    let (model, r, train_cfg) = trained();
+    for with_ids in [false, true] {
+        let d = with_id_maps(&r, with_ids);
+        let grown = grown_dataset(&d, with_ids);
+        assert_eq!(grown.n_users(), d.n_users() + 3);
+        let mut reqs = Vec::new();
+        for u in d.n_users()..grown.n_users() {
+            reqs.push(Request::Warm { user: u, m: 5 });
+            reqs.push(Request::WarmExternal {
+                user: grown.external_user(u),
+                m: 5,
+            });
+        }
+        for (e, quant) in zoo_engines(&model, &grown, &train_cfg) {
+            let label = format!("ids={with_ids} {quant}");
+            for req in &reqs {
+                let got = e.serve_one(req).unwrap();
+                assert!(
+                    got.folded_in,
+                    "{label}: overhang user must fold in: {req:?}"
+                );
+            }
+            assert_batches_like_serve_one(&e, &reqs, &label);
+        }
+    }
 }

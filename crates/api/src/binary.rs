@@ -17,24 +17,30 @@
 //! ```
 //!
 //! Payload sections are flat little-endian arrays of `f64`/`u64`/`u32`
-//! (or raw bytes). Because every section starts 8-aligned inside an
-//! 8-aligned region ([`ocular_bytes::ModelBytes`]), a little-endian
-//! target can hand out **borrowed** typed slices over the file bytes —
-//! loading a snapshot performs no per-payload allocation, and N serving
-//! processes mapping the same file share one page cache.
+//! (and `f32`/`i8` on 64-byte boundaries). Because every section starts
+//! 8-aligned inside an 8-aligned region ([`ocular_bytes::ModelBytes`]), a
+//! little-endian target can hand out **borrowed** typed slices over the
+//! file bytes — loading a snapshot performs no per-payload allocation, and
+//! N serving processes mapping the same file share one page cache.
 //!
 //! The trailing checksum covers the entire file, so truncation and bit
 //! corruption anywhere (header, payload, table, padding) are detected at
 //! open — a corrupt snapshot is a typed
 //! [`OcularError::Corrupt`], never garbage scores.
 //!
-//! [`SectionWriter`] builds the container; [`SectionReader`] validates
-//! and serves it. Model kinds plug in through
+//! [`SectionWriter`] streams the container into any [`Write`] sink —
+//! the snapshot's temporary file, or a `Vec<u8>` — through one 2 MiB
+//! staging chunk and one incremental checksum, so a save holds one chunk
+//! of the file, never all of it; [`SectionReader`] validates and serves
+//! it. Model kinds plug in through
 //! [`SnapshotModel::write_sections`](crate::SnapshotModel::write_sections)
 //! / [`SnapshotModel::read_sections`](crate::SnapshotModel::read_sections).
 
 use crate::error::OcularError;
-use ocular_bytes::{fnv1a64, F32Buf, F64Buf, I8Buf, ModelBytes, Pod, PodBuf, U32Buf, U64Buf};
+use ocular_bytes::{
+    fnv1a64, F32Buf, F64Buf, Fnv1a64, I8Buf, ModelBytes, Pod, PodBuf, U32Buf, U64Buf,
+};
+use std::io::Write;
 use std::sync::Arc;
 
 /// First eight bytes of every v3 binary snapshot.
@@ -62,142 +68,174 @@ fn corrupt(msg: impl Into<String>) -> OcularError {
     OcularError::Corrupt(msg.into())
 }
 
-/// Builds a v3 container: typed `put_*` calls append aligned sections,
-/// [`SectionWriter::finish`] appends the table and checksum.
-pub struct SectionWriter {
-    buf: Vec<u8>,
+/// Bytes the writer stages before hashing them and writing them to its
+/// sink, at file offsets that are multiples of it. 2 MiB is one huge page:
+/// a write that fills an aligned 2 MiB of the page cache gets one large
+/// folio, so the served mapping of the file is backed by huge-page TLB
+/// entries (`FilePmdMapped` in `/proc/<pid>/smaps`). Written 64 KiB at a
+/// time it was not, and a 100k-item catalog request over it read 7–29 µs
+/// slower (2-core x86-64 VM, Linux 6.18).
+const CHUNK: usize = 2 << 20;
+
+/// Streams a v3 container into a sink: typed `put_*` calls append aligned
+/// sections, [`SectionWriter::finish`] appends the table and checksum.
+///
+/// Bytes are encoded into one chunk-sized staging buffer, fed to one
+/// incremental FNV-1a state and written out a chunk at a time, so the file
+/// is never held whole (a `Vec<u8>` sink is the in-memory case). The first
+/// I/O error is kept, every later write is skipped, and `finish` returns it.
+pub struct SectionWriter<'a> {
+    sink: &'a mut dyn Write,
+    staged: Vec<u8>,
+    /// Bytes already handed to the sink: the file offset of `staged[0]`.
+    flushed: u64,
+    hash: Fnv1a64,
+    err: Option<std::io::Error>,
     sections: Vec<([u8; NAME_FIELD], u64, u64)>,
 }
 
-impl SectionWriter {
-    /// Starts a container for the given model kind tag.
+impl<'a> SectionWriter<'a> {
+    /// Starts a container for the given model kind tag, written to `sink`.
     ///
     /// # Panics
     /// Panics if the kind tag is empty, longer than 16 bytes, or contains
     /// NUL — kind tags are compile-time constants, so this is a
     /// programmer error, not input validation.
-    pub fn new(kind: &str) -> SectionWriter {
+    pub fn new(kind: &str, sink: &'a mut dyn Write) -> SectionWriter<'a> {
         assert!(
             !kind.is_empty() && kind.len() <= KIND_FIELD && !kind.contains('\0'),
             "kind tag must be 1..=16 NUL-free bytes, got {kind:?}"
         );
-        let mut buf = Vec::with_capacity(256);
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(kind.as_bytes());
-        buf.resize(HEADER, 0);
+        let mut staged = Vec::with_capacity(CHUNK);
+        staged.extend_from_slice(&MAGIC);
+        staged.extend_from_slice(kind.as_bytes());
+        staged.resize(HEADER, 0);
         SectionWriter {
-            buf,
+            sink,
+            staged,
+            flushed: 0,
+            hash: Fnv1a64::default(),
+            err: None,
             sections: Vec::new(),
         }
     }
 
-    /// Pads to an 8-byte boundary and records a new section's start.
-    fn begin(&mut self, name: &str) -> usize {
+    /// The file offset of the next byte.
+    fn pos(&self) -> u64 {
+        self.flushed + self.staged.len() as u64
+    }
+
+    /// Hashes and writes out the staged bytes when they fill a chunk
+    /// (whatever is staged when `all`), unless a write has already failed.
+    fn flush(&mut self, all: bool) {
+        if self.staged.len() < CHUNK && !all {
+            return;
+        }
+        if self.err.is_none() {
+            self.hash.update(&self.staged);
+            self.err = self.sink.write_all(&self.staged).err();
+        }
+        self.flushed += self.staged.len() as u64;
+        self.staged.clear();
+    }
+
+    /// Stages bytes, flushing at every chunk boundary.
+    fn stage(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let n = bytes.len().min(CHUNK - self.staged.len());
+            self.staged.extend_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+            self.flush(false);
+        }
+    }
+
+    /// Zero-pads the file up to a multiple of `align` (≤ 64).
+    fn pad_to(&mut self, align: u64) {
+        let pad = self.pos().next_multiple_of(align) - self.pos();
+        self.stage(&[0; 64][..pad as usize]);
+    }
+
+    /// Appends a section of `vals`, little-endian, starting on a multiple
+    /// of `align`, encoded straight into the staging buffer as many
+    /// elements at a time as fill the chunk.
+    fn put_pod<T: Pod>(&mut self, name: &str, vals: &[T], align: u64) {
         assert!(
             !name.is_empty() && name.len() <= NAME_FIELD && !name.contains('\0'),
             "section name must be 1..=8 NUL-free bytes, got {name:?}"
         );
-        assert!(
-            !self
-                .sections
-                .iter()
-                .any(|(n, _, _)| &n[..name.len()] == name.as_bytes()
-                    && n[name.len()..] == [0; NAME_FIELD][name.len()..]),
-            "duplicate section name {name:?}"
-        );
-        while self.buf.len() % 8 != 0 {
-            self.buf.push(0);
-        }
-        self.buf.len()
-    }
-
-    fn end(&mut self, name: &str, offset: usize) {
         let mut tag = [0u8; NAME_FIELD];
         tag[..name.len()].copy_from_slice(name.as_bytes());
-        self.sections
-            .push((tag, offset as u64, (self.buf.len() - offset) as u64));
-    }
-
-    fn put_pod<T: Pod>(&mut self, name: &str, vals: &[T]) {
-        let offset = self.begin(name);
-        self.buf.reserve(vals.len() * T::WIDTH);
-        for &v in vals {
-            v.write_le(&mut self.buf);
+        assert!(
+            self.sections.iter().all(|(n, _, _)| *n != tag),
+            "duplicate section name {name:?}"
+        );
+        self.pad_to(align);
+        let offset = self.pos();
+        let mut rest = vals;
+        while !rest.is_empty() {
+            // the section started 8-aligned, so the room left is whole elements
+            let room = (CHUNK - self.staged.len()) / T::WIDTH;
+            let (part, tail) = rest.split_at(rest.len().min(room));
+            let start = self.staged.len();
+            self.staged.resize(start + part.len() * T::WIDTH, 0);
+            for (out, &v) in self.staged[start..].chunks_exact_mut(T::WIDTH).zip(part) {
+                v.put_le(out);
+            }
+            self.flush(false);
+            rest = tail;
         }
-        self.end(name, offset);
-    }
-
-    /// Like [`put_pod`](Self::put_pod) but starts the section on a
-    /// **64-byte** boundary, so borrowed views over a 64-aligned region
-    /// (owned storage and mmap pages both are) land on cache-line
-    /// boundaries — the layout the blocked scoring kernels want for
-    /// quantized factor sections. 64-aligned offsets trivially satisfy
-    /// the reader's 8-alignment check.
-    fn put_pod64<T: Pod>(&mut self, name: &str, vals: &[T]) {
-        self.begin(name);
-        while self.buf.len() % 64 != 0 {
-            self.buf.push(0);
-        }
-        let offset = self.buf.len();
-        self.buf.reserve(vals.len() * T::WIDTH);
-        for &v in vals {
-            v.write_le(&mut self.buf);
-        }
-        self.end(name, offset);
+        self.sections.push((tag, offset, self.pos() - offset));
     }
 
     /// Appends an `f64` array section.
     pub fn put_f64s(&mut self, name: &str, vals: &[f64]) {
-        self.put_pod(name, vals);
+        self.put_pod(name, vals, 8);
     }
 
     /// Appends a `u64` array section.
     pub fn put_u64s(&mut self, name: &str, vals: &[u64]) {
-        self.put_pod(name, vals);
+        self.put_pod(name, vals, 8);
     }
 
     /// Appends a `u32` array section.
     pub fn put_u32s(&mut self, name: &str, vals: &[u32]) {
-        self.put_pod(name, vals);
+        self.put_pod(name, vals, 8);
     }
 
-    /// Appends an `f32` array section on a 64-byte boundary (quantized
-    /// factor payloads).
+    /// Appends an `f32` array section on a **64-byte** boundary (quantized
+    /// factor payloads), so borrowed views over a 64-aligned region (owned
+    /// storage and mmap pages both are) land on cache-line boundaries —
+    /// the layout the blocked scoring kernels want.
     pub fn put_f32s(&mut self, name: &str, vals: &[f32]) {
-        self.put_pod64(name, vals);
+        self.put_pod(name, vals, 64);
     }
 
     /// Appends an `i8` array section on a 64-byte boundary (int8-quantized
     /// factor payloads).
     pub fn put_i8s(&mut self, name: &str, vals: &[i8]) {
-        self.put_pod64(name, vals);
+        self.put_pod(name, vals, 64);
     }
 
-    /// Appends a raw byte section.
-    pub fn put_bytes(&mut self, name: &str, bytes: &[u8]) {
-        let offset = self.begin(name);
-        self.buf.extend_from_slice(bytes);
-        self.end(name, offset);
-    }
-
-    /// Appends the section table and trailing checksum, returning the
-    /// complete container bytes.
-    pub fn finish(mut self) -> Vec<u8> {
-        while self.buf.len() % 8 != 0 {
-            self.buf.push(0);
+    /// Appends the section table and the trailing checksum of every byte
+    /// before it, and flushes the sink: the container is complete when
+    /// this returns `Ok`. The error is the first write that failed.
+    pub fn finish(mut self) -> std::io::Result<()> {
+        self.pad_to(8);
+        let table_offset = self.pos();
+        let sections = std::mem::take(&mut self.sections);
+        for (name, offset, len) in &sections {
+            self.stage(name);
+            self.stage(&offset.to_le_bytes());
+            self.stage(&len.to_le_bytes());
         }
-        let table_offset = self.buf.len() as u64;
-        for (name, offset, len) in &self.sections {
-            self.buf.extend_from_slice(name);
-            self.buf.extend_from_slice(&offset.to_le_bytes());
-            self.buf.extend_from_slice(&len.to_le_bytes());
+        self.stage(&table_offset.to_le_bytes());
+        self.stage(&(sections.len() as u64).to_le_bytes());
+        self.flush(true);
+        if let Some(e) = self.err {
+            return Err(e);
         }
-        self.buf.extend_from_slice(&table_offset.to_le_bytes());
-        self.buf
-            .extend_from_slice(&(self.sections.len() as u64).to_le_bytes());
-        let checksum = fnv1a64(&self.buf);
-        self.buf.extend_from_slice(&checksum.to_le_bytes());
-        self.buf
+        self.sink.write_all(&self.hash.finish().to_le_bytes())?;
+        self.sink.flush()
     }
 }
 
@@ -401,12 +439,6 @@ impl SectionReader {
         self.pods(name)
     }
 
-    /// A raw byte view of a section.
-    pub fn bytes(&self, name: &str) -> Result<&[u8], OcularError> {
-        let (offset, len) = self.find(name)?;
-        Ok(&self.region.as_bytes()[offset..offset + len])
-    }
-
     /// Reads a fixed-shape `u64` metadata section into a small owned
     /// array, validating the element count — the conventional shape of
     /// each kind's `meta` section.
@@ -450,13 +482,25 @@ impl SectionReader {
 mod tests {
     use super::*;
 
+    /// The container `body` writes, streamed into memory.
+    fn encode(kind: &str, body: impl FnOnce(&mut SectionWriter)) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let mut w = SectionWriter::new(kind, &mut bytes);
+        body(&mut w);
+        w.finish().unwrap();
+        bytes
+    }
+
+    fn open(bytes: Vec<u8>) -> SectionReader {
+        SectionReader::open(ModelBytes::from_vec(bytes)).unwrap()
+    }
+
     fn sample() -> Vec<u8> {
-        let mut w = SectionWriter::new("test-kind");
-        w.put_u64s("meta", &[3, 4]);
-        w.put_f64s("facts", &[1.5, -2.0, 1e-300]);
-        w.put_u32s("ids", &[7, 8, 9, 10, 11]);
-        w.put_bytes("blob", b"hello");
-        w.finish()
+        encode("test-kind", |w| {
+            w.put_u64s("meta", &[3, 4]);
+            w.put_f64s("facts", &[1.5, -2.0, 1e-300]);
+            w.put_u32s("ids", &[7, 8, 9, 10, 11]);
+        })
     }
 
     #[test]
@@ -468,10 +512,9 @@ mod tests {
         assert_eq!(r.u64_meta::<2>("meta").unwrap(), [3, 4]);
         assert_eq!(&*r.f64s("facts").unwrap(), &[1.5, -2.0, 1e-300]);
         assert_eq!(&*r.u32s("ids").unwrap(), &[7, 8, 9, 10, 11]);
-        assert_eq!(r.bytes("blob").unwrap(), b"hello");
-        assert!(r.has("blob"));
+        assert!(r.has("ids"));
         assert!(!r.has("nope"));
-        assert_eq!(r.section_names(), vec!["meta", "facts", "ids", "blob"]);
+        assert_eq!(r.section_names(), vec!["meta", "facts", "ids"]);
         // zero-copy on little-endian targets
         if cfg!(target_endian = "little") {
             assert!(r.f64s("facts").unwrap().is_shared());
@@ -480,8 +523,8 @@ mod tests {
             r.f64s("nope"),
             Err(OcularError::Corrupt(msg)) if msg.contains("missing section")
         ));
-        // wrong element width rejected
-        assert!(r.f64s("blob").is_err());
+        // wrong element width rejected (20 bytes of u32)
+        assert!(r.f64s("ids").is_err());
     }
 
     #[test]
@@ -517,33 +560,29 @@ mod tests {
             n_items: 20,
             nnz: 55,
         };
-        let mut w = SectionWriter::new("k");
-        w.put_u64s("meta", &[1]);
-        meta.write_section(&mut w);
-        let r = SectionReader::open(ModelBytes::from_vec(w.finish())).unwrap();
+        let r = open(encode("k", |w| {
+            w.put_u64s("meta", &[1]);
+            meta.write_section(w);
+        }));
         assert_eq!(SnapshotMeta::read_section(&r).unwrap(), Some(meta));
 
         // absent section -> None, not an error
-        let mut w = SectionWriter::new("k");
-        w.put_u64s("meta", &[1]);
-        let r = SectionReader::open(ModelBytes::from_vec(w.finish())).unwrap();
+        let r = open(encode("k", |w| w.put_u64s("meta", &[1])));
         assert_eq!(SnapshotMeta::read_section(&r).unwrap(), None);
 
         // wrong shape -> typed corruption error
-        let mut w = SectionWriter::new("k");
-        w.put_u64s(SnapshotMeta::SECTION, &[1, 2]);
-        let r = SectionReader::open(ModelBytes::from_vec(w.finish())).unwrap();
+        let r = open(encode("k", |w| w.put_u64s(SnapshotMeta::SECTION, &[1, 2])));
         assert!(SnapshotMeta::read_section(&r).is_err());
     }
 
     #[test]
     fn f32_and_i8_sections_round_trip_on_64_byte_boundaries() {
-        let mut w = SectionWriter::new("quant");
-        w.put_u64s("meta", &[2, 3]);
-        w.put_f32s("if32", &[0.5f32, -1.25, 3.0, 0.0, 9.75, 2.5]);
-        w.put_i8s("ii8", &[-128i8, -7, 0, 7, 127, 1]);
-        w.put_f32s("i8scl", &[0.01f32, 0.02]);
-        let r = SectionReader::open(ModelBytes::from_vec(w.finish())).unwrap();
+        let r = open(encode("quant", |w| {
+            w.put_u64s("meta", &[2, 3]);
+            w.put_f32s("if32", &[0.5f32, -1.25, 3.0, 0.0, 9.75, 2.5]);
+            w.put_i8s("ii8", &[-128i8, -7, 0, 7, 127, 1]);
+            w.put_f32s("i8scl", &[0.01f32, 0.02]);
+        }));
         let f = r.f32s("if32").unwrap();
         assert_eq!(&*f, &[0.5f32, -1.25, 3.0, 0.0, 9.75, 2.5]);
         let q = r.i8s("ii8").unwrap();
@@ -561,8 +600,7 @@ mod tests {
 
     #[test]
     fn empty_container_is_valid() {
-        let bytes = SectionWriter::new("k").finish();
-        let r = SectionReader::open(ModelBytes::from_vec(bytes)).unwrap();
+        let r = open(encode("k", |_| {}));
         assert_eq!(r.kind(), "k");
         assert!(r.section_names().is_empty());
     }
@@ -570,9 +608,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate section")]
     fn duplicate_sections_panic_in_writer() {
-        let mut w = SectionWriter::new("k");
-        w.put_u64s("a", &[1]);
-        w.put_u64s("a", &[2]);
+        encode("k", |w| {
+            w.put_u64s("a", &[1]);
+            w.put_u64s("a", &[2]);
+        });
     }
 
     #[test]
@@ -584,6 +623,128 @@ mod tests {
             &[0u8; 64][..],
         ] {
             assert!(SectionReader::open(ModelBytes::from_vec(doc.to_vec())).is_err());
+        }
+    }
+
+    /// A sink that takes at most `max` bytes per `write` call and fails
+    /// once `budget` bytes have gone in.
+    struct Trickle<'v> {
+        out: &'v mut Vec<u8>,
+        max: usize,
+        budget: usize,
+    }
+
+    impl Write for Trickle<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::Error::other("sink full"));
+            }
+            let n = buf.len().min(self.max).min(self.budget);
+            self.out.extend_from_slice(&buf[..n]);
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The layout written the obvious way — the whole file in memory, one
+    /// checksum at the end: the oracle the streaming writer must match.
+    /// Sections are `(name, little-endian payload, alignment)`.
+    fn one_shot(kind: &str, sections: &[(&str, Vec<u8>, usize)]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(kind.as_bytes());
+        out.resize(HEADER, 0);
+        let mut table = Vec::new();
+        for (name, payload, align) in sections {
+            while out.len() % 8 != 0 || out.len() % align != 0 {
+                out.push(0);
+            }
+            let mut tag = [0u8; NAME_FIELD];
+            tag[..name.len()].copy_from_slice(name.as_bytes());
+            table.extend_from_slice(&tag);
+            table.extend_from_slice(&(out.len() as u64).to_le_bytes());
+            table.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            out.extend_from_slice(payload);
+        }
+        while out.len() % 8 != 0 {
+            out.push(0);
+        }
+        let table_offset = out.len() as u64;
+        out.extend_from_slice(&table);
+        out.extend_from_slice(&table_offset.to_le_bytes());
+        out.extend_from_slice(&(sections.len() as u64).to_le_bytes());
+        let checksum = fnv1a64(&out);
+        out.extend_from_slice(&checksum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn streamed_sections_equal_the_one_shot_layout_across_chunk_boundaries() {
+        // every width, sections several chunks long, odd lengths so padding
+        // lands mid-chunk, and a sink that takes 7 bytes per call
+        let f: Vec<f64> = (0..300_001).map(|i| i as f64 * 0.37 - 11.0).collect();
+        let u: Vec<u32> = (0..400_003u32)
+            .map(|i| i.wrapping_mul(2_654_435_761))
+            .collect();
+        let q: Vec<i8> = (0..1_000_001).map(|i| (i % 251) as i8).collect();
+        let g: Vec<f32> = (0..250_003).map(|i| i as f32 / 7.0).collect();
+        let le = |bytes: Vec<[u8; 8]>| -> Vec<u8> { bytes.concat() };
+        let expected = one_shot(
+            "big",
+            &[
+                ("meta", le(vec![9u64.to_le_bytes()]), 8),
+                ("f", le(f.iter().map(|v| v.to_le_bytes()).collect()), 8),
+                ("u", u.iter().flat_map(|v| v.to_le_bytes()).collect(), 8),
+                ("q", q.iter().map(|&v| v as u8).collect(), 64),
+                (
+                    "ids",
+                    [7u32, 8, 9].iter().flat_map(|v| v.to_le_bytes()).collect(),
+                    8,
+                ),
+                ("g", g.iter().flat_map(|v| v.to_le_bytes()).collect(), 64),
+            ],
+        );
+        let body = |w: &mut SectionWriter| {
+            w.put_u64s("meta", &[9]);
+            w.put_f64s("f", &f);
+            w.put_u32s("u", &u);
+            w.put_i8s("q", &q);
+            w.put_u32s("ids", &[7, 8, 9]);
+            w.put_f32s("g", &g);
+        };
+        assert!(expected.len() > 2 * CHUNK);
+        assert_eq!(encode("big", body), expected);
+        let mut trickled = Vec::new();
+        let mut sink = Trickle {
+            out: &mut trickled,
+            max: 7,
+            budget: usize::MAX,
+        };
+        let mut w = SectionWriter::new("big", &mut sink);
+        body(&mut w);
+        w.finish().unwrap();
+        assert_eq!(trickled, expected);
+    }
+
+    #[test]
+    fn a_failing_sink_is_a_sticky_error_out_of_finish() {
+        let bytes = sample();
+        for budget in 0..=bytes.len() {
+            let mut got = Vec::new();
+            let mut sink = Trickle {
+                out: &mut got,
+                max: usize::MAX,
+                budget,
+            };
+            let mut w = SectionWriter::new("test-kind", &mut sink);
+            w.put_u64s("meta", &[3, 4]);
+            w.put_f64s("facts", &[1.5, -2.0, 1e-300]);
+            w.put_u32s("ids", &[7, 8, 9, 10, 11]);
+            assert_eq!(w.finish().is_ok(), budget == bytes.len(), "budget {budget}");
+            assert_eq!(got, bytes[..budget], "budget {budget}");
         }
     }
 }

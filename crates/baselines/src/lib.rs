@@ -114,9 +114,11 @@ pub fn all_baselines(
 /// Test helper: a model through its v3 sections and back.
 #[cfg(test)]
 fn section_cycle<M: SnapshotModel>(m: &M) -> Result<M, OcularError> {
-    let mut w = ocular_api::SectionWriter::new(m.kind());
+    let mut bytes = Vec::new();
+    let mut w = ocular_api::SectionWriter::new(m.kind(), &mut bytes);
     m.write_sections(&mut w)?;
-    let region = ocular_bytes::ModelBytes::from_vec(w.finish());
+    w.finish()?;
+    let region = ocular_bytes::ModelBytes::from_vec(bytes);
     M::read_sections(&ocular_api::SectionReader::open(region)?)
 }
 

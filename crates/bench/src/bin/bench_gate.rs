@@ -19,7 +19,9 @@
 //! the 4-active bare kernel at most 0.33× the all-K one, so a scalar
 //! per-row loop coming back into the sparse arm fails at either level;
 //! where the runner has AVX2, the bare row-major int8 kernel's AVX2 stamp
-//! must beat its baseline stamp by 1.4× in the same run; where the runner
+//! must beat its baseline stamp by 1.4× in the same run; saving and
+//! mmap-loading the int8 catalog snapshot may cost 1.5× and 1.25× a bare
+//! checksum of its bytes; where the runner
 //! has two cores, the 4-active request scanned in parts may cost at most
 //! 1.1× itself on one thread (`split_vs_single`), and a requester on every
 //! core must get at least 0.9× the requests per second it gets with every
@@ -129,6 +131,10 @@ fn run() -> Result<Vec<String>, String> {
     let kernel_i8_avx2 = field(&serve, "quant.int8_kernel_levels.avx2.p50_us").ok();
     // snapshot cold-start cost (mmap load of the v3 file)
     let load_binary = field(&serve, "snapshot_load.binary_seconds")?;
+    // the int8 catalog's snapshot: save, mmap load, bare checksum of its bytes
+    let catalog_save = field(&serve, "catalog_save.p50_us")?;
+    let catalog_load = field(&serve, "catalog_load.p50_us")?;
+    let catalog_checksum = field(&serve, "catalog_checksum.p50_us")?;
     // end-to-end TCP serving tier: sustained closed-loop throughput and
     // round-trip latency quantiles from the loadgen run
     let net_throughput = field(&net, "throughput_rps")?;
@@ -445,6 +451,20 @@ fn run() -> Result<Vec<String>, String> {
              than 2× faster than for an all-K user ({quant_i8_dense_single:.1}µs): the \
              sparse-query arm is not running"
         ));
+    }
+    // …and saving or mmap-loading the 61 MB int8 catalog snapshot must stay
+    // the byte-serial FNV-1a checksum both pay plus a little: 92–105 ms for
+    // the checksum on a 2-core x86-64 VM, the streaming save 1.23–1.43× it, the
+    // load 0.99–1.04×; a save that built the whole file in a `Vec` read 1.8–2.1
+    for (row, us, bound) in [
+        ("save_vs_checksum", catalog_save, 1.5),
+        ("load_vs_checksum", catalog_load, 1.25),
+    ] {
+        let ratio = us / catalog_checksum;
+        println!("bench_gate: {row} catalog snapshot ratio={ratio:5.2}");
+        if ratio > bound {
+            failures.push(format!("{row} = {ratio:.2} (> {bound})"));
+        }
     }
     // …and the AVX2 stamp of that kernel must actually be wide: the same
     // source under `#[target_feature]` de-vectorizes silently when the

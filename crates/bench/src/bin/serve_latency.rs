@@ -35,13 +35,17 @@
 use ocular_api::Model;
 use ocular_baselines::{BaselineConfigs, Bpr, ItemKnn, Popularity, Wals};
 use ocular_bench::Args;
+use ocular_bytes::fnv1a64;
 use ocular_core::{fit, FactorModel, OcularConfig, Recommendation};
 use ocular_datasets::profiles;
 use ocular_linalg::{ops, KernelLevel, QuantizedFactors};
 use ocular_parallel::with_threads;
 use ocular_serve::engine::scan_parts;
 use ocular_serve::json::{obj, Json};
-use ocular_serve::{CandidatePolicy, EngineBuilder, IndexConfig, QuantDtype, Request, ServeConfig};
+use ocular_serve::{
+    AnySnapshot, CandidatePolicy, EngineBuilder, IndexConfig, QuantDtype, Request, ServeConfig,
+    Snapshot, SnapshotFormat,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -469,6 +473,29 @@ fn main() {
         }
     }
 
+    // the catalog as a served int8 snapshot: save, mmap load and a bare
+    // checksum of its bytes, which bench_gate holds the first two to
+    let catalog = AnySnapshot::Ocular(
+        Snapshot::build(qmodel, &IndexConfig::default()).with_quantization(QuantDtype::I8),
+    );
+    let path = std::env::temp_dir().join(format!("ocular-catalog-{}.snap", std::process::id()));
+    let save = measure(5, |_| {
+        (catalog.save_path(&path, None, SnapshotFormat::Binary)).expect("save catalog")
+    });
+    let bytes = std::fs::read(&path).expect("read catalog snapshot");
+    let checksum = measure(5, |_| {
+        std::hint::black_box(fnv1a64(&bytes));
+    });
+    let mut loaded = Vec::new();
+    let load = measure(5, |_| {
+        loaded.push(AnySnapshot::load_path_full(&path).expect("load catalog"))
+    });
+    drop(loaded);
+    let _ = std::fs::remove_file(&path);
+    report(&format!("catalog snapshot save ({} B)", bytes.len()), &save);
+    report("  mmap load", &load);
+    report("  bare fnv1a64", &checksum);
+
     let (dense_request, dense_single, dense_kernel) = dense_rows.expect("the int8 row ran");
     let (int8_parts, int8_single, int8_busy) = quant_single.expect("the int8 row ran");
     let lat_json = |l: &Latency| {
@@ -509,6 +536,9 @@ fn main() {
             "snapshot_load",
             obj(vec![("binary_seconds", Json::Num(load_binary_s))]),
         ),
+        ("catalog_save", lat_json(&save)),
+        ("catalog_load", lat_json(&load)),
+        ("catalog_checksum", lat_json(&checksum)),
         (
             "kinds",
             obj(kind_rows

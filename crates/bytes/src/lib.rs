@@ -15,7 +15,7 @@
 //!   reinterprets file bytes in place instead of re-allocating.
 //! * [`fnv1a64`] — the checksum/hash primitive shared by the snapshot
 //!   container (trailing integrity checksum) and the id-map raw hash
-//!   tables.
+//!   tables; [`Fnv1a64`] is its incremental form.
 //!
 //! This crate holds the workspace's `unsafe` code — the mmap syscall
 //! wrapper, the `&[u8]` → `&[T]` reinterpretation, and the
@@ -41,20 +41,40 @@ pub mod net;
 
 use std::sync::Arc;
 
-/// FNV-1a 64-bit hash/checksum over a byte slice.
+/// Incremental FNV-1a 64: bytes fed in any split hash as one [`fnv1a64`]
+/// over their concatenation — how a file never held whole is checksummed.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Fnv1a64 {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a64 {
+    /// Feeds the next bytes.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of every byte fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a 64-bit hash/checksum over a byte slice ([`Fnv1a64`] in one call).
 ///
 /// Used as the v3 snapshot container's trailing integrity checksum and as
 /// the bucket hash of the id-map raw tables. Not cryptographic — it
 /// detects truncation and bit corruption, not adversaries.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    let mut h = Fnv1a64::default();
+    h.update(bytes);
+    h.finish()
 }
 
 /// [`fnv1a64`] of one `u64` key's little-endian bytes — the id-map raw
@@ -297,11 +317,6 @@ impl std::fmt::Debug for ModelBytes {
 
 mod sealed {
     pub trait Sealed {}
-    impl Sealed for f64 {}
-    impl Sealed for u64 {}
-    impl Sealed for u32 {}
-    impl Sealed for f32 {}
-    impl Sealed for i8 {}
 }
 
 /// Plain-old-data element types a [`PodBuf`] can view: fixed-width,
@@ -312,59 +327,29 @@ pub trait Pod: sealed::Sealed + Copy + PartialEq + std::fmt::Debug + Send + Sync
     const WIDTH: usize;
     /// Decodes one element from its little-endian bytes.
     fn from_le(bytes: &[u8]) -> Self;
-    /// Appends the element's little-endian bytes.
-    fn write_le(self, out: &mut Vec<u8>);
+    /// Writes the element's little-endian bytes into `WIDTH`-byte `out`
+    /// (`#[inline]`: the snapshot writer calls it once per element).
+    fn put_le(self, out: &mut [u8]);
 }
 
-impl Pod for f64 {
-    const WIDTH: usize = 8;
-    fn from_le(bytes: &[u8]) -> f64 {
-        f64::from_le_bytes(bytes.try_into().expect("width-checked chunk"))
-    }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
+macro_rules! impl_pod {
+    ($($t:ty),*) => {$(
+        impl sealed::Sealed for $t {}
+
+        impl Pod for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            fn from_le(bytes: &[u8]) -> $t {
+                <$t>::from_le_bytes(bytes.try_into().expect("width-checked chunk"))
+            }
+            #[inline]
+            fn put_le(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+        }
+    )*};
 }
 
-impl Pod for u64 {
-    const WIDTH: usize = 8;
-    fn from_le(bytes: &[u8]) -> u64 {
-        u64::from_le_bytes(bytes.try_into().expect("width-checked chunk"))
-    }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-}
-
-impl Pod for u32 {
-    const WIDTH: usize = 4;
-    fn from_le(bytes: &[u8]) -> u32 {
-        u32::from_le_bytes(bytes.try_into().expect("width-checked chunk"))
-    }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-}
-
-impl Pod for f32 {
-    const WIDTH: usize = 4;
-    fn from_le(bytes: &[u8]) -> f32 {
-        f32::from_le_bytes(bytes.try_into().expect("width-checked chunk"))
-    }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-}
-
-impl Pod for i8 {
-    const WIDTH: usize = 1;
-    fn from_le(bytes: &[u8]) -> i8 {
-        bytes[0] as i8
-    }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.push(self as u8);
-    }
-}
+impl_pod!(f64, u64, u32, f32, i8);
 
 enum BufRepr<T: Pod> {
     Owned(Vec<T>),
@@ -559,6 +544,18 @@ mod tests {
     }
 
     #[test]
+    fn incremental_fnv_equals_one_shot_at_every_split() {
+        let bytes: Vec<u8> = (0..300u32).map(|i| (i * 37 % 251) as u8).collect();
+        for split in 0..=bytes.len() {
+            let mut h = Fnv1a64::default();
+            h.update(&bytes[..split]);
+            h.update(&[]);
+            h.update(&bytes[split..]);
+            assert_eq!(h.finish(), fnv1a64(&bytes), "split at {split}");
+        }
+    }
+
+    #[test]
     fn owned_region_round_trips_bytes() {
         let bytes: Vec<u8> = (0..23u8).collect();
         let region = ModelBytes::from_vec(bytes.clone());
@@ -588,10 +585,10 @@ mod tests {
     fn f32_and_i8_views_borrow_and_decode() {
         let mut bytes = Vec::new();
         for v in [1.5f32, -0.25, 3.0e10] {
-            v.write_le(&mut bytes);
+            bytes.extend_from_slice(&v.to_le_bytes());
         }
         for v in [-128i8, -1, 0, 127] {
-            v.write_le(&mut bytes);
+            bytes.extend_from_slice(&v.to_le_bytes());
         }
         let region = Arc::new(ModelBytes::from_vec(bytes));
         let f = F32Buf::from_region(&region, 0, 3).unwrap();
@@ -615,7 +612,7 @@ mod tests {
         let vals = [1.5f64, -2.25, 1e300, f64::MIN_POSITIVE];
         let mut bytes = Vec::new();
         for v in vals {
-            v.write_le(&mut bytes);
+            bytes.extend_from_slice(&v.to_le_bytes());
         }
         bytes.extend_from_slice(&7u32.to_le_bytes());
         let region = Arc::new(ModelBytes::from_vec(bytes));
@@ -633,7 +630,7 @@ mod tests {
     fn make_owned_promotes_and_preserves() {
         let mut bytes = Vec::new();
         for v in [10u64, 20, 30] {
-            v.write_le(&mut bytes);
+            bytes.extend_from_slice(&v.to_le_bytes());
         }
         let region = Arc::new(ModelBytes::from_vec(bytes));
         let mut buf = U64Buf::from_region(&region, 0, 3).unwrap();

@@ -296,9 +296,11 @@ mod tests {
     fn save_load_roundtrip() {
         use ocular_api::{SectionReader, SectionWriter, SnapshotModel};
         let m = toy();
-        let mut w = SectionWriter::new(FactorModel::KIND);
+        let mut bytes = Vec::new();
+        let mut w = SectionWriter::new(FactorModel::KIND, &mut bytes);
         m.write_sections(&mut w).unwrap();
-        let r = SectionReader::open(ocular_bytes::ModelBytes::from_vec(w.finish())).unwrap();
+        w.finish().unwrap();
+        let r = SectionReader::open(ocular_bytes::ModelBytes::from_vec(bytes)).unwrap();
         assert_eq!(FactorModel::read_sections(&r).unwrap(), m);
         // and the frozen text payload of the same model
         let text = "ocular-model v1 2 3 2 0\n1e0 0e0\n5e-1 5e-1\n2e0 0e0\n0e0 2e0\n1e0 1e0\n";

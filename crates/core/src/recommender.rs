@@ -255,9 +255,11 @@ mod tests {
     fn snapshot_model_roundtrips() {
         let (model, _) = trained();
         assert_eq!(SnapshotModel::kind(&model), "ocular");
-        let mut w = ocular_api::SectionWriter::new(FactorModel::KIND);
+        let mut bytes = Vec::new();
+        let mut w = ocular_api::SectionWriter::new(FactorModel::KIND, &mut bytes);
         model.write_sections(&mut w).unwrap();
-        let region = ocular_bytes::ModelBytes::from_vec(w.finish());
+        w.finish().unwrap();
+        let region = ocular_bytes::ModelBytes::from_vec(bytes);
         let r = ocular_api::SectionReader::open(region).unwrap();
         assert_eq!(FactorModel::read_sections(&r).unwrap(), model);
         assert!(matches!(

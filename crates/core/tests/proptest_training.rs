@@ -101,9 +101,11 @@ proptest! {
     fn save_load_roundtrip_preserves_model(r in arb_matrix(), seed in 0u64..100) {
         let cfg = OcularConfig { k: 2, lambda: 0.2, max_iters: 3, seed, ..Default::default() };
         let model = fit(&r.clone().into(), &cfg).model;
-        let mut w = SectionWriter::new(FactorModel::KIND);
+        let mut bytes = Vec::new();
+        let mut w = SectionWriter::new(FactorModel::KIND, &mut bytes);
         model.write_sections(&mut w).unwrap();
-        let r = SectionReader::open(ocular_bytes::ModelBytes::from_vec(w.finish())).unwrap();
+        w.finish().unwrap();
+        let r = SectionReader::open(ocular_bytes::ModelBytes::from_vec(bytes)).unwrap();
         prop_assert_eq!(FactorModel::read_sections(&r).unwrap(), model);
     }
 }

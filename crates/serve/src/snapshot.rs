@@ -12,9 +12,11 @@
 //! the raw interaction file) and the live-refresh [`SnapshotMeta`]
 //! (generation + source-data watermark).
 //!
-//! * **Write**: [`AnySnapshot::to_v3_bytes`] encodes,
-//!   [`AnySnapshot::save_path`] / [`AnySnapshot::save_path_full`] publish
-//!   the bytes under a path by unlink-and-rename, never by writing into
+//! * **Write**: one [`SectionWriter`] encoder streams the container into a
+//!   `Vec` ([`AnySnapshot::to_v3_bytes`]) or, holding a chunk of it and
+//!   never the file, into a temporary `<path>.tmp-<pid>-<n>` unique per
+//!   save, which [`AnySnapshot::save_path`] / [`AnySnapshot::save_path_full`]
+//!   publish under a path by unlink-and-rename, never by writing into
 //!   the file that is there, so a server that has the previous file mapped
 //!   keeps serving it untouched.
 //! * **Read**: [`AnySnapshot::load_path_full`] memory-maps the file and the
@@ -56,8 +58,9 @@ use ocular_bytes::ModelBytes;
 use ocular_core::FactorModel;
 use ocular_linalg::{QuantDtype, QuantizedFactors};
 use ocular_sparse::{IdMaps, RawIdTable};
-use std::io::{BufRead, Read};
+use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic first line of the legacy (OCuLaR-only) text envelope.
 const V1_HEADER: &str = "ocular-snapshot v1";
@@ -387,7 +390,19 @@ impl AnySnapshot {
         ids: Option<&IdMaps>,
         meta: Option<&SnapshotMeta>,
     ) -> Result<Vec<u8>, OcularError> {
-        let mut w = SectionWriter::new(self.kind());
+        let mut bytes = Vec::new();
+        self.write_v3(&mut bytes, ids, meta).map(|()| bytes)
+    }
+
+    /// Streams that container into `sink`: the one encoder behind
+    /// [`AnySnapshot::to_v3_bytes`] and [`AnySnapshot::save_path_full`].
+    fn write_v3(
+        &self,
+        sink: &mut dyn Write,
+        ids: Option<&IdMaps>,
+        meta: Option<&SnapshotMeta>,
+    ) -> Result<(), OcularError> {
+        let mut w = SectionWriter::new(self.kind(), sink);
         match self {
             AnySnapshot::Ocular(s) => s.write_sections(&mut w)?,
             AnySnapshot::Other(m) => {
@@ -406,7 +421,7 @@ impl AnySnapshot {
         if let Some(ids) = ids {
             write_ids_sections(&mut w, ids);
         }
-        Ok(w.finish())
+        Ok(w.finish()?)
     }
 
     /// [`AnySnapshot::save_path_full`] without metadata.
@@ -420,8 +435,10 @@ impl AnySnapshot {
     }
 
     /// Publishes the snapshot under `path` without ever writing into the
-    /// file that is there: the old file is unlinked, the bytes go to
-    /// `<path>.tmp-<pid>` in the same directory, and the temporary is
+    /// file that is there: the old file is unlinked, the container streams
+    /// (never held whole in memory) into `<path>.tmp-<pid>-<n>` in the same
+    /// directory — `n` counts this process's saves and the file is created
+    /// exclusively, so two saves never share it — and the temporary is
     /// renamed into place. A process that has the previous file mapped
     /// keeps its inode and its bits — never a truncated or half-written
     /// file — and picks the new one up when it next opens the path
@@ -435,28 +452,42 @@ impl AnySnapshot {
     /// rename over) stalled a 60 MB save by ≈ 0.3 s on every replacement,
     /// and a replace-by-rename also makes ext4 force the new data out
     /// (`auto_da_alloc`), the durability this writer does not promise:
-    /// this is about what readers see, and nothing is `fsync`ed. The
-    /// temporary is removed on error.
+    /// this is about what readers see, and nothing is `fsync`ed. On any
+    /// error the temporary is removed.
     pub fn save_path_full(
         &self,
         path: &Path,
         ids: Option<&IdMaps>,
         meta: Option<&SnapshotMeta>,
     ) -> Result<(), OcularError> {
-        let bytes = self.to_v3_bytes(ids, meta)?;
+        self.publish(path, ids, meta, |file| file)
+    }
+
+    /// [`AnySnapshot::save_path_full`] with the temporary file behind
+    /// `wrap`, the seam that lets tests fail the write at a chosen byte.
+    fn publish<W: Write>(
+        &self,
+        path: &Path,
+        ids: Option<&IdMaps>,
+        meta: Option<&SnapshotMeta>,
+        wrap: impl FnOnce(std::fs::File) -> W,
+    ) -> Result<(), OcularError> {
+        static SAVES: AtomicU64 = AtomicU64::new(0);
+        let n = SAVES.fetch_add(1, Ordering::Relaxed);
         let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(format!(".tmp-{}", std::process::id()));
+        tmp.push(format!(".tmp-{}-{n}", std::process::id()));
         let tmp = PathBuf::from(tmp);
         match std::fs::remove_file(path) {
             Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
             _ => {}
         }
-        std::fs::write(&tmp, bytes)
-            .and_then(|()| std::fs::rename(&tmp, path))
-            .map_err(|e| {
-                let _ = std::fs::remove_file(&tmp);
-                OcularError::from(e)
-            })
+        let file = std::fs::File::create_new(&tmp)?;
+        let written = self.write_v3(&mut wrap(file), ids, meta);
+        let published = written.and_then(|()| Ok(std::fs::rename(&tmp, path)?));
+        if published.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        published
     }
 
     /// Loads a v3 snapshot from a byte region (owned or mapped). The
@@ -857,6 +888,136 @@ mod tests {
             .save_path(&missing, None, SnapshotFormat::Binary)
             .is_err());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// An OCuLaR snapshot of `items` × 4 factors (≈ 50 file bytes an item),
+    /// with an int8 copy so 64-byte padding is in it too.
+    fn multi_chunk_snapshot(items: usize) -> AnySnapshot {
+        let model = FactorModel::new(
+            Matrix::from_vec(40, 4, (0..160).map(|v| v as f64 / 160.0).collect()),
+            Matrix::from_vec(
+                items,
+                4,
+                (0..4 * items).map(|v| (v % 97) as f64 / 97.0).collect(),
+            ),
+            false,
+        );
+        let snapshot = Snapshot::build(model, &IndexConfig::default());
+        AnySnapshot::Ocular(snapshot.with_quantization(QuantDtype::I8))
+    }
+
+    /// Passes bytes through to the file until `budget` of them have gone
+    /// in, then fails every write.
+    struct FailAfter {
+        file: std::fs::File,
+        budget: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::Error::other("disk full"));
+            }
+            let n = self.file.write(&buf[..buf.len().min(self.budget)])?;
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    #[test]
+    fn a_save_failing_at_any_byte_is_typed_and_the_mapped_generation_keeps_answering() {
+        let dir = std::env::temp_dir().join(format!("ocular-failing-save-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("m.snap");
+        // the old generation: published, mapped, behind an engine
+        AnySnapshot::Ocular(snapshot())
+            .save_path_full(&path, None, None)
+            .unwrap();
+        let engine = crate::EngineBuilder::from_loaded(AnySnapshot::load_path_full(&path).unwrap())
+            .dataset(ocular_sparse::Dataset::from_matrix(CsrMatrix::empty(2, 3)))
+            .build()
+            .unwrap();
+        let request = crate::Request::Warm { user: 1, m: 2 };
+        let answer = engine.serve_one(&request).unwrap();
+
+        let next = multi_chunk_snapshot(150_000);
+        let meta = sample_meta();
+        let bytes = next.to_v3_bytes(None, Some(&meta)).unwrap();
+        let at = |offset: usize| {
+            let word: [u8; 8] = bytes[offset..offset + 8].try_into().unwrap();
+            u64::from_le_bytes(word) as usize
+        };
+        // cut in the header, in and right after every section body (where
+        // padding starts), in the table and across the footer
+        let (len, table) = (bytes.len(), at(bytes.len() - 24));
+        let mut cuts = vec![0, 9, 24, table + 5, len - 20, len - 8, len - 1];
+        for entry in (table..len - 24).step_by(24) {
+            let (offset, size) = (at(entry + 8), at(entry + 16));
+            cuts.extend([offset + size / 2, offset + size, offset + size + 1]);
+        }
+        assert!(len > 2 * (2 << 20), "the file must span several chunks");
+        for budget in cuts {
+            let saved = next.publish(&path, None, Some(&meta), |file| FailAfter { file, budget });
+            assert!(
+                matches!(saved, Err(OcularError::Io(_))),
+                "cut at {budget}: {saved:?}"
+            );
+            assert_eq!(
+                std::fs::read_dir(&dir).unwrap().count(),
+                0,
+                "cut at {budget}: no temporary, nothing under the path"
+            );
+            assert_eq!(engine.serve_one(&request).unwrap(), answer);
+        }
+        next.save_path_full(&path, None, Some(&meta)).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_saves_to_one_path_never_publish_a_torn_file() {
+        // each save has its own temporary, so neither truncates the other's
+        // or renames it into place half-written
+        let dir = std::env::temp_dir().join(format!("ocular-racing-saves-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("m.snap");
+        let make = |i: usize| match i {
+            0 => AnySnapshot::Ocular(snapshot()),
+            _ => multi_chunk_snapshot(5_000),
+        };
+        let files = [0, 1].map(|i| make(i).to_v3_bytes(None, None).unwrap());
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for i in 0..2 {
+                let (path, files, start) = (&path, &files, &start);
+                s.spawn(move || {
+                    let snap = make(i);
+                    start.wait();
+                    for _ in 0..50 {
+                        snap.save_path_full(path, None, None).unwrap();
+                        // the other save may be between its unlink and its
+                        // rename, when the path names nothing
+                        match std::fs::read(path) {
+                            Ok(got) => assert!(files.contains(&got), "a torn file was published"),
+                            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound),
+                        }
+                    }
+                });
+            }
+        });
+        let loaded = AnySnapshot::load_path_full(&path).unwrap();
+        let again = loaded.snapshot.to_v3_bytes(None, None).unwrap();
+        assert!(files.contains(&again));
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            1,
+            "no temporaries"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

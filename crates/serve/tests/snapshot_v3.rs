@@ -1,9 +1,10 @@
 //! v3 binary snapshot suite: bit-exact round trips for every model
-//! kind, zero-copy serving from a read-only memory-mapped file, and
-//! rejection (typed `OcularError`, never a panic or silent garbage) of
-//! truncated and bit-flipped containers.
+//! kind, a saved file byte-equal to the in-memory container, zero-copy
+//! serving from a read-only memory-mapped file, and rejection (typed
+//! `OcularError`, never a panic or silent garbage) of truncated and
+//! bit-flipped containers.
 
-use ocular_api::OcularError;
+use ocular_api::{OcularError, SnapshotMeta};
 use ocular_baselines::{
     BaselineConfigs, Bpr, BprConfig, ItemKnn, Popularity, UserKnn, Wals, WalsConfig,
 };
@@ -11,8 +12,8 @@ use ocular_bytes::ModelBytes;
 use ocular_core::{fit, OcularConfig};
 use ocular_datasets::planted::{generate, PlantedConfig};
 use ocular_serve::{
-    AnySnapshot, CandidatePolicy, EngineBuilder, IndexConfig, Request, ServeConfig, Snapshot,
-    SnapshotFormat,
+    AnySnapshot, CandidatePolicy, EngineBuilder, IndexConfig, QuantDtype, Request, ServeConfig,
+    Snapshot, SnapshotFormat,
 };
 use ocular_sparse::{Dataset, IdMaps};
 use proptest::prelude::*;
@@ -131,6 +132,73 @@ fn binary_round_trips_are_bit_exact_for_every_kind() {
     }
 }
 
+/// The bytes `save_path_full` leaves on disk.
+fn saved_file(snap: &AnySnapshot, ids: Option<&IdMaps>, meta: Option<&SnapshotMeta>) -> Vec<u8> {
+    let path = std::env::temp_dir().join(format!("ocular-v3-saved-{}.snap", std::process::id()));
+    snap.save_path_full(&path, ids, meta).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    bytes
+}
+
+#[test]
+fn a_saved_file_is_byte_equal_to_the_in_memory_container() {
+    let r = dataset_with_ids();
+    let meta = SnapshotMeta {
+        generation: 3,
+        n_users: r.n_users() as u64,
+        n_items: r.n_items() as u64,
+        nnz: r.nnz() as u64,
+    };
+    let mut zoo = snapshot_zoo(&r);
+    let AnySnapshot::Ocular(ocular) = &zoo[0] else {
+        panic!("ocular kind expected")
+    };
+    let quantized = [QuantDtype::F32, QuantDtype::I8]
+        .map(|dtype| AnySnapshot::Ocular(ocular.clone().with_quantization(dtype)));
+    zoo.extend(quantized);
+    for snap in &zoo {
+        for (ids, meta) in [
+            (None, None),
+            (r.ids(), None),
+            (None, Some(&meta)),
+            (r.ids(), Some(&meta)),
+        ] {
+            assert_eq!(
+                saved_file(snap, ids, meta),
+                snap.to_v3_bytes(ids, meta).unwrap(),
+                "kind {}: ids {}, meta {}",
+                snap.kind(),
+                ids.is_some(),
+                meta.is_some()
+            );
+        }
+    }
+}
+
+#[test]
+fn every_committed_v3_golden_resaves_to_its_own_bytes() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/golden");
+    for name in [
+        "ocular",
+        "ocular-f32",
+        "ocular-int8",
+        "wals",
+        "bpr",
+        "user-knn",
+        "item-knn",
+        "popularity",
+    ] {
+        let fixture = std::fs::read(dir.join(format!("v3-{name}.snap"))).unwrap();
+        let loaded = AnySnapshot::load_v3(ModelBytes::from_vec(fixture.clone())).unwrap();
+        assert_eq!(
+            saved_file(&loaded.snapshot, loaded.ids.as_ref(), loaded.meta.as_ref()),
+            fixture,
+            "v3-{name}.snap"
+        );
+    }
+}
+
 #[test]
 fn zero_copy_load_borrows_from_the_region() {
     let r = dataset_with_ids();
@@ -238,9 +306,10 @@ fn truncation_rejected_at_every_length_for_every_kind() {
 
 #[test]
 fn unknown_kind_in_v3_container_is_typed() {
-    let mut w = ocular_api::SectionWriter::new("neural-net");
+    let mut bytes = Vec::new();
+    let mut w = ocular_api::SectionWriter::new("neural-net", &mut bytes);
     w.put_u64s("meta", &[1, 1]);
-    let bytes = w.finish();
+    w.finish().unwrap();
     assert!(matches!(
         AnySnapshot::load_v3(ModelBytes::from_vec(bytes)),
         Err(OcularError::UnknownModelKind(k)) if k == "neural-net"

@@ -26,7 +26,8 @@
 //! least 2× under the dense one with no split in either; and a requester
 //! per core times requests per second with the parts left to the engine
 //! and with each requester on one thread (`int8_busy_rps`,
-//! `int8_busy_single_rps`), where no core is idle to split onto.
+//! `int8_busy_single_rps`), where no core is idle to split onto. The catalog
+//! is saved, mmap-loaded, checksummed and served (`catalog_resident_bytes`).
 //! Flags: `--scale`, `--seed`, `--requests N`, `--m N`,
 //! `--rel R` / `--floor N` (index build knobs),
 //! `--quant-items N` / `--quant-k N` / `--quant-requests N` (quantized
@@ -491,10 +492,28 @@ fn main() {
         loaded.push(AnySnapshot::load_path_full(&path).expect("load catalog"))
     });
     drop(loaded);
+    // and served from its mapping: the file bytes its requests made resident
+    let rss_file = || {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+        let line = status.lines().find(|l| l.starts_with("RssFile:"));
+        let kb = line.and_then(|l| l.split_whitespace().nth(1)?.parse().ok());
+        kb.unwrap_or(0.0) * 1024.0
+    };
+    let before = rss_file();
+    let loaded = AnySnapshot::load_path_full(&path).expect("load catalog");
+    let mapped = EngineBuilder::from_loaded(loaded)
+        .dataset(qdata)
+        .candidates(CandidatePolicy::FullCatalog);
+    let mapped = mapped.build().expect("int8 engine over the mapped catalog");
+    for user in (0..quant_requests).map(|i| (i * 131) % quant_users) {
+        assert!(mapped.serve_one(&Request::Warm { user, m }).is_ok());
+    }
+    let resident = rss_file() - before;
     let _ = std::fs::remove_file(&path);
     report(&format!("catalog snapshot save ({} B)", bytes.len()), &save);
     report("  mmap load", &load);
     report("  bare fnv1a64", &checksum);
+    eprintln!("  served from the mapping: {resident:.0} B of the file resident");
 
     let (dense_request, dense_single, dense_kernel) = dense_rows.expect("the int8 row ran");
     let (int8_parts, int8_single, int8_busy) = quant_single.expect("the int8 row ran");
@@ -539,6 +558,8 @@ fn main() {
         ("catalog_save", lat_json(&save)),
         ("catalog_load", lat_json(&load)),
         ("catalog_checksum", lat_json(&checksum)),
+        ("catalog_bytes", Json::Num(bytes.len() as f64)),
+        ("catalog_resident_bytes", Json::Num(resident)),
         (
             "kinds",
             obj(kind_rows

@@ -13,6 +13,8 @@
 //!   Large model payloads (factor matrices, cluster-index CSR arrays,
 //!   id-map tables) live in these, so loading a binary snapshot
 //!   reinterprets file bytes in place instead of re-allocating.
+//!   A mapped region keeps its file open to checksum it through `read(2)`,
+//!   so only pages a request reads become resident.
 //! * [`fnv1a64`] — the checksum/hash primitive shared by the snapshot
 //!   container (trailing integrity checksum) and the id-map raw hash
 //!   tables; [`Fnv1a64`] is its incremental form.
@@ -231,7 +233,7 @@ mod mapping {
 enum RegionRepr {
     Owned(AlignedBytes),
     #[cfg(all(unix, target_pointer_width = "64"))]
-    Mapped(mapping::Mmap),
+    Mapped(mapping::Mmap, std::fs::File),
 }
 
 /// An immutable byte region holding a binary model snapshot — **owned or
@@ -268,7 +270,7 @@ impl ModelBytes {
             let file = std::fs::File::open(path)?;
             match mapping::Mmap::map(&file) {
                 Ok(m) => Ok(ModelBytes {
-                    repr: RegionRepr::Mapped(m),
+                    repr: RegionRepr::Mapped(m, file),
                 }),
                 Err(_) => ModelBytes::read_file(path),
             }
@@ -282,7 +284,7 @@ impl ModelBytes {
         match &self.repr {
             RegionRepr::Owned(b) => b.as_bytes(),
             #[cfg(all(unix, target_pointer_width = "64"))]
-            RegionRepr::Mapped(m) => m.as_bytes(),
+            RegionRepr::Mapped(m, _) => m.as_bytes(),
         }
     }
 
@@ -301,10 +303,42 @@ impl ModelBytes {
         match &self.repr {
             RegionRepr::Owned(_) => false,
             #[cfg(all(unix, target_pointer_width = "64"))]
-            RegionRepr::Mapped(_) => true,
+            RegionRepr::Mapped(..) => true,
         }
     }
+
+    /// [`fnv1a64`] of every byte but the last `trailer.len()`, which it
+    /// copies into `trailer`. A mapping is read through its file, 128 KiB
+    /// per `read(2)`, so hashing faults in none of it, and a file now
+    /// shorter than its mapping is `InvalidData` naming both lengths, not `SIGBUS`.
+    pub fn fnv1a64_with_trailer(&self, trailer: &mut [u8]) -> std::io::Result<u64> {
+        let body = self.len() - trailer.len();
+        #[cfg(all(unix, target_pointer_width = "64"))]
+        if let RegionRepr::Mapped(_, file) = &self.repr {
+            use std::{io::Error, io::ErrorKind, os::unix::fs::FileExt};
+            let shrunk = |e: Error| match file.metadata() {
+                Ok(f) if e.kind() == ErrorKind::UnexpectedEof => Error::new(
+                    ErrorKind::InvalidData,
+                    format!("file is {} bytes, was {} when mapped", f.len(), self.len()),
+                ),
+                _ => e,
+            };
+            let (mut stage, mut hash) = (vec![0u8; body.min(HASH_STAGE)], Fnv1a64::default());
+            for at in (0..body).step_by(HASH_STAGE) {
+                let part = &mut stage[..(body - at).min(HASH_STAGE)];
+                file.read_exact_at(part, at as u64).map_err(shrunk)?;
+                hash.update(part);
+            }
+            file.read_exact_at(trailer, body as u64).map_err(shrunk)?;
+            return Ok(hash.finish());
+        }
+        trailer.copy_from_slice(&self.as_bytes()[body..]);
+        Ok(fnv1a64(&self.as_bytes()[..body]))
+    }
 }
+
+/// Bytes per `read(2)` of [`ModelBytes::fnv1a64_with_trailer`]: about an L2.
+const HASH_STAGE: usize = 128 << 10;
 
 impl std::fmt::Debug for ModelBytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -656,6 +690,27 @@ mod tests {
         assert_eq!(read.as_bytes(), mapped.as_bytes());
         assert!(!read.is_mapped());
         drop(mapped);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn checksum_with_trailer_is_the_same_owned_and_mapped_across_read_boundaries() {
+        let path =
+            std::env::temp_dir().join(format!("ocular-bytes-fnv-{}.bin", std::process::id()));
+        for len in [8, 9, HASH_STAGE, HASH_STAGE + 8, 2 * HASH_STAGE + 13] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 131 % 251) as u8).collect();
+            std::fs::write(&path, &payload).unwrap();
+            let body = len - 8;
+            for region in [
+                ModelBytes::map_file(&path).unwrap(),
+                ModelBytes::from_vec(payload.clone()),
+            ] {
+                let mut trailer = [0u8; 8];
+                let hash = region.fnv1a64_with_trailer(&mut trailer).unwrap();
+                assert_eq!(hash, fnv1a64(&payload[..body]), "len {len} {region:?}");
+                assert_eq!(trailer, payload[body..], "len {len} {region:?}");
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -25,6 +25,10 @@
 //! process-wide helpers — and merges the parts' top-Ms under the same
 //! order. That is exact: an item in the catalog's top-M is in its part's,
 //! since all that outranks it there outranks it in the catalog.
+//!
+//! A quantized engine's warm requests never read the f64 item master, so
+//! the fold-in's column sums of it are summed by the first fold-in, not the
+//! build: a mapped master stays on disk until a cold request needs it.
 
 use crate::index::{ClusterIndex, IndexConfig};
 use crate::snapshot::{AnySnapshot, LoadedSnapshot, Snapshot, OCULAR_KIND};
@@ -195,9 +199,9 @@ enum EngineModel {
         index: ClusterIndex,
         /// Shared with split-scan parts, which may outlive this generation.
         quant: Option<Arc<QuantizedFactors>>,
-        /// `item_factors.column_sums()`, cached at build: the fold-in
-        /// solve needs it on every cold request and it is model-constant.
-        item_sum: Vec<f64>,
+        /// `item_factors.column_sums()`, model-constant, summed by the
+        /// first fold-in: it reads the whole f64 master (module docs).
+        item_sum: OnceLock<Vec<f64>>,
     },
     /// Any other kind, served through the trait hierarchy.
     Generic(Box<dyn Model>),
@@ -247,7 +251,7 @@ impl EngineModel {
     fn new(snapshot: AnySnapshot) -> Self {
         match snapshot {
             AnySnapshot::Ocular(s) => EngineModel::Ocular {
-                item_sum: s.model.item_factors.column_sums(),
+                item_sum: OnceLock::new(),
                 model: s.model,
                 index: s.index,
                 quant: s.quant.map(Arc::new),
@@ -818,7 +822,7 @@ impl ServeEngine {
                         &self.cfg.foldin,
                         1.0,
                         self.cfg.foldin_steps,
-                        item_sum,
+                        item_sum.get_or_init(|| model.item_factors.column_sums()),
                         &mut s.borrow_mut(),
                     )
                 });

@@ -10,12 +10,14 @@
 //!   non-decreasing `model_generation` sequence, and `/stats` converges
 //!   on the final generation with one recorded swap per reload;
 //! * **bounded engine lifetime** — the swapped-out engine (and with it
-//!   any mmap'd snapshot region it owns) is released exactly when the
-//!   last in-flight borrower drops, never while a batch is serving.
+//!   any mmap'd snapshot region it owns, and that region's open file) is
+//!   released exactly when the last in-flight borrower drops, never while
+//!   a batch is serving.
 #![cfg(target_os = "linux")]
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -24,25 +26,32 @@ use ocular_linalg::Matrix;
 use ocular_serve::json::Json;
 use ocular_serve::net::{http, Server, ServerConfig};
 use ocular_serve::swap::SwapEngine;
-use ocular_serve::{EngineBuilder, ServeEngine};
+use ocular_serve::{AnySnapshot, EngineBuilder, IndexConfig, ServeEngine, Snapshot};
 use ocular_sparse::{Dataset, Triplets};
 
 const N_USERS: usize = 48;
 const RELOADS: u64 = 5;
 
-fn engine(generation: u64) -> ServeEngine {
+fn dataset() -> Dataset {
     let mut t = Triplets::new(N_USERS, N_USERS);
     for i in 0..N_USERS {
         t.push(i, (i + 1) % N_USERS).unwrap();
         t.push(i, (i + 3) % N_USERS).unwrap();
     }
-    let data = Dataset::from_matrix(t.into_csr());
+    Dataset::from_matrix(t.into_csr())
+}
+
+fn model() -> FactorModel {
     let factors = |salt: usize| {
         let values = (0..N_USERS * 2).map(|x| 0.1 + ((x + salt) % 7) as f64 * 0.2);
         Matrix::from_vec(N_USERS, 2, values.collect())
     };
-    EngineBuilder::from_model(FactorModel::new(factors(0), factors(3), false))
-        .dataset(data)
+    FactorModel::new(factors(0), factors(3), false)
+}
+
+fn engine(generation: u64) -> ServeEngine {
+    EngineBuilder::from_model(model())
+        .dataset(dataset())
         .generation(generation)
         .build()
         .unwrap()
@@ -255,4 +264,52 @@ fn pipelined_requests_survive_a_mid_stream_swap() {
         last_gen = generation;
     }
     server.shutdown().unwrap();
+}
+
+/// This process's open descriptors on `path`.
+fn descriptors_on(path: &Path) -> usize {
+    let path = path.canonicalize().unwrap();
+    std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .filter(|target| *target == path)
+        .count()
+}
+
+/// A mapped snapshot region keeps its file open (its checksum is read
+/// through it), so every generation loaded from a file holds a descriptor
+/// on it. Fifty reloads must leave as many open as the one live generation
+/// started with: each swapped-out generation closes its file as it drops.
+#[test]
+fn reloads_from_a_mapped_snapshot_close_the_files_of_old_generations() {
+    let path =
+        std::env::temp_dir().join(format!("ocular-hot-swap-fds-{}.snap", std::process::id()));
+    AnySnapshot::Ocular(Snapshot::build(model(), &IndexConfig::default()))
+        .save_path_full(&path, None, None)
+        .unwrap();
+    let file = path.clone();
+    let mapped = move |generation: u64| {
+        EngineBuilder::from_loaded(AnySnapshot::load_path_full(&file)?)
+            .dataset(dataset())
+            .generation(generation)
+            .build()
+    };
+    let swap = SwapEngine::with_reload(mapped(1).unwrap(), Box::new(move |g| mapped(g + 1)));
+    let live = descriptors_on(&path);
+    assert_eq!(
+        live, 1,
+        "the live generation's mapped region holds its file"
+    );
+    for _ in 0..50 {
+        swap.reload().unwrap();
+    }
+    assert_eq!(swap.generation(), 51);
+    assert_eq!(
+        descriptors_on(&path),
+        live,
+        "old generations left files open"
+    );
+    drop(swap);
+    assert_eq!(descriptors_on(&path), 0);
+    std::fs::remove_file(&path).unwrap();
 }

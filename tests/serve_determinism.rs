@@ -271,10 +271,14 @@ fn quantized_engines_deterministic_across_threads() {
     }
 }
 
-/// Cold-start serving is a pure function of the request.
+/// Cold-start serving is a pure function of the request, the first one
+/// included: the fold-in's item column sums are summed by whichever cold
+/// request comes first, so on a fresh engine per thread count the first
+/// fold-ins of a batch race for them, and must still answer bit for bit.
 #[test]
 fn cold_start_deterministic() {
-    let (e, _) = engine(CandidatePolicy::Clusters { min_candidates: 5 });
+    let policy = CandidatePolicy::Clusters { min_candidates: 5 };
+    let (e, _) = engine(policy);
     let req = Request::Cold {
         basket: vec![3, 7, 11],
         m: 15,
@@ -283,6 +287,21 @@ fn cold_start_deterministic() {
     let b = e.serve_one(&req).unwrap();
     assert_eq!(a, b);
     assert_eq!(a.items.len(), 15);
+    let baskets: Vec<Request> = (0..16)
+        .map(|i| Request::Cold {
+            basket: vec![i, i + 20, i + 41],
+            m: 15,
+        })
+        .collect();
+    let want: Vec<_> = baskets.iter().map(|req| e.serve_one(req)).collect();
+    for threads in [1usize, 2, 4, 8] {
+        let (fresh, _) = engine(policy);
+        assert_eq!(
+            with_threads(Some(threads), || fresh.serve_batch(&baskets)),
+            want,
+            "first fold-ins at {threads} threads"
+        );
+    }
 }
 
 /// The planted interactions, with or without non-trivial external ids

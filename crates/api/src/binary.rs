@@ -58,9 +58,8 @@ const HEADER: usize = 8 + KIND_FIELD;
 /// Bytes of the fixed footer (table offset + section count + checksum).
 const FOOTER: usize = 24;
 
-/// Whether a byte prefix is a v3 binary snapshot — the magic sniff the
-/// serving CLI uses to keep v1/v2 text snapshots loading transparently.
-pub fn is_v3(prefix: &[u8]) -> bool {
+/// Whether a byte prefix starts with the v3 magic.
+fn is_v3(prefix: &[u8]) -> bool {
     prefix.len() >= MAGIC.len() && prefix[..MAGIC.len()] == MAGIC
 }
 
@@ -333,7 +332,10 @@ impl SectionReader {
         let computed = region.fnv1a64_with_trailer(&mut stored)?;
         let bytes = region.as_bytes();
         if !is_v3(bytes) {
-            return Err(corrupt("bad magic, not an ocular-snapshot v3"));
+            return Err(corrupt(
+                "bad magic, not an ocular-snapshot v3 (text snapshots from before v3 are no \
+                 longer read)",
+            ));
         }
         let checksum = u64::from_le_bytes(stored);
         if checksum != computed {

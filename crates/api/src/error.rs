@@ -101,8 +101,8 @@ impl std::error::Error for OcularError {}
 
 impl From<std::io::Error> for OcularError {
     fn from(e: std::io::Error) -> Self {
-        // InvalidData is how the text loaders report validation failures;
-        // everything else is a genuine I/O problem
+        // InvalidData is how a byte region reports bytes that are not what
+        // they claimed to be; everything else is a genuine I/O problem
         if e.kind() == std::io::ErrorKind::InvalidData {
             OcularError::Corrupt(e.to_string())
         } else {

@@ -13,7 +13,7 @@
 //!   └── Recommender          top-M via the shared ocular_linalg::topk kernel
 //!         ├── FoldIn         request-time cold start (optional capability)
 //!         ├── Explain        co-cluster provenance (optional, OCuLaR-only)
-//!         └── SnapshotModel  kind-tagged serialize / deserialize
+//!         └── SnapshotModel  kind-tagged v3 sections, out and in
 //!               Model = Recommender + SnapshotModel
 //! ```
 //!
@@ -28,7 +28,6 @@
 
 pub mod binary;
 pub mod error;
-pub mod textio;
 pub mod traits;
 
 pub use binary::{SectionReader, SectionWriter, SnapshotMeta};

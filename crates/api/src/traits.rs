@@ -19,7 +19,6 @@ use crate::binary::{SectionReader, SectionWriter};
 use crate::error::OcularError;
 use ocular_linalg::topk::top_k_excluding;
 use ocular_sparse::CsrMatrix;
-use std::io::BufRead;
 
 /// One ranked item with the score its model assigned. For OCuLaR the score
 /// is a probability; for the baselines it is a model score whose scale is
@@ -171,24 +170,17 @@ pub trait Explain: ScoreItems {
 /// carry *any* model kind and the loader dispatches on the tag instead of
 /// guessing at bytes.
 ///
-/// One writable codec per kind — **binary v3**
+/// One codec per kind, in and out — **binary v3**
 /// ([`SnapshotModel::write_sections`] / [`SnapshotModel::read_sections`]):
-/// typed sections in the mmap-able [`crate::binary`] container.
-/// `read_sections` should **borrow** its large payloads from the reader's
-/// byte region ([`SectionReader::f64s`] and friends return region-backed
-/// buffers), so loading a snapshot is allocation-free for the bulk data.
-/// [`SnapshotModel::load_model`] is the read-only text codec the frozen
-/// v1/v2 files keep loading through.
+/// typed sections in the mmap-able [`crate::binary`] container, the only
+/// snapshot format there is. `read_sections` should **borrow** its large
+/// payloads from the reader's byte region ([`SectionReader::f64s`] and
+/// friends return region-backed buffers), so loading a snapshot is
+/// allocation-free for the bulk data.
 pub trait SnapshotModel: ScoreItems {
     /// The stable kind tag written into snapshot envelopes (e.g. `"wals"`).
     /// Lowercase, no spaces; distinct per implementing type.
     fn kind(&self) -> &'static str;
-
-    /// Reads the kind's self-delimiting text payload out of a v1/v2
-    /// envelope, validating shape and values.
-    fn load_model(r: &mut dyn BufRead) -> Result<Self, OcularError>
-    where
-        Self: Sized;
 
     /// Writes the model's payload as typed sections of a v3 binary
     /// snapshot. Must round-trip bitwise against

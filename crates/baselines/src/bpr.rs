@@ -15,7 +15,7 @@
 //! non-interpretable baseline of Table I; the OCuLaR paper used the
 //! `theano-bpr` implementation, which this module replaces from scratch.
 
-use ocular_api::textio::{bad, read_line, read_matrix};
+use crate::bad;
 use ocular_api::{OcularError, Recommender, ScoreItems, SnapshotModel};
 use ocular_linalg::{ops, Matrix};
 use ocular_sparse::{CsrMatrix, Dataset};
@@ -228,34 +228,6 @@ impl SnapshotModel for Bpr {
         Self::KIND
     }
 
-    fn load_model(r: &mut dyn std::io::BufRead) -> Result<Self, OcularError> {
-        let header = read_line(r)?;
-        let f: Vec<&str> = header.split_whitespace().collect();
-        if f.len() != 10 || f[0] != "bpr-model" || f[1] != "v1" {
-            return Err(bad("bad bpr-model header"));
-        }
-        let n_users: usize = f[2].parse().map_err(|_| bad("bad n_users"))?;
-        let n_items: usize = f[3].parse().map_err(|_| bad("bad n_items"))?;
-        let config = BprConfig {
-            k: f[4].parse().map_err(|_| bad("bad k"))?,
-            lambda: f[5].parse().map_err(|_| bad("bad lambda"))?,
-            learning_rate: f[6].parse().map_err(|_| bad("bad learning_rate"))?,
-            epochs: f[7].parse().map_err(|_| bad("bad epochs"))?,
-            init_scale: f[8].parse().map_err(|_| bad("bad init_scale"))?,
-            seed: f[9].parse().map_err(|_| bad("bad seed"))?,
-        };
-        if config.k == 0 || config.learning_rate <= 0.0 {
-            return Err(bad("bpr-model header fails config validation"));
-        }
-        let user_factors = read_matrix(r, n_users, config.k)?;
-        let item_factors = read_matrix(r, n_items, config.k)?;
-        Ok(Bpr {
-            user_factors,
-            item_factors,
-            config,
-        })
-    }
-
     fn write_sections(&self, w: &mut ocular_api::SectionWriter) -> Result<(), OcularError> {
         let c = &self.config;
         w.put_u64s(
@@ -458,13 +430,15 @@ mod tests {
             },
         );
         assert_eq!(crate::section_cycle(&m).unwrap(), m);
-        assert!(Bpr::load_model(&mut "junk".as_bytes()).is_err());
-        // a header promising terabytes of factors is typed, not allocated
-        let bomb = "bpr-model v1 1000000000000 1 4 1e-2 5e-2 1 1e-1 0\n";
-        assert!(matches!(
-            Bpr::load_model(&mut bomb.as_bytes()),
-            Err(OcularError::Corrupt(_))
-        ));
+        assert!(crate::read_back::<Bpr>(Bpr::KIND, |_| {}).is_err());
+        // metadata promising terabytes of factors is typed, not allocated
+        let bomb = crate::read_back::<Bpr>(Bpr::KIND, |w| {
+            w.put_u64s("meta", &[1_000_000_000_000, 1, 4, 1, 0]);
+            w.put_f64s("cfg", &[1e-2, 5e-2, 1e-1]);
+            w.put_f64s("ufact", &[]);
+            w.put_f64s("ifact", &[1.0; 4]);
+        });
+        assert!(matches!(bomb, Err(OcularError::Corrupt(_))));
     }
 
     #[test]

@@ -111,15 +111,29 @@ pub fn all_baselines(
         .collect()
 }
 
-/// Test helper: a model through its v3 sections and back.
+/// Shorthand for a corrupt-payload error.
+fn bad(msg: impl Into<String>) -> OcularError {
+    OcularError::Corrupt(msg.into())
+}
+
+/// Test helper: reads a model out of the v3 container `body` writes.
 #[cfg(test)]
-fn section_cycle<M: SnapshotModel>(m: &M) -> Result<M, OcularError> {
+fn read_back<M: SnapshotModel>(
+    kind: &str,
+    body: impl FnOnce(&mut ocular_api::SectionWriter),
+) -> Result<M, OcularError> {
     let mut bytes = Vec::new();
-    let mut w = ocular_api::SectionWriter::new(m.kind(), &mut bytes);
-    m.write_sections(&mut w)?;
+    let mut w = ocular_api::SectionWriter::new(kind, &mut bytes);
+    body(&mut w);
     w.finish()?;
     let region = ocular_bytes::ModelBytes::from_vec(bytes);
     M::read_sections(&ocular_api::SectionReader::open(region)?)
+}
+
+/// Test helper: a model through its v3 sections and back.
+#[cfg(test)]
+fn section_cycle<M: SnapshotModel>(m: &M) -> Result<M, OcularError> {
+    read_back(m.kind(), |w| m.write_sections(w).unwrap())
 }
 
 #[cfg(test)]

@@ -15,11 +15,10 @@
 //! the new user's similarity to every training user, which this
 //! implementation does not precompute — its `as_fold_in` stays `None`.
 
+use crate::bad;
 use crate::similarity::{top_k_neighbors, Neighbor};
-use ocular_api::textio::{bad, read_csr, read_line};
 use ocular_api::{validate_basket, FoldIn, OcularError, Recommender, ScoreItems, SnapshotModel};
 use ocular_sparse::{CsrMatrix, Dataset};
-use std::io::BufRead;
 
 /// Configuration for both kNN models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,47 +31,6 @@ impl Default for KnnConfig {
     fn default() -> Self {
         KnnConfig { k: 50 }
     }
-}
-
-/// Reads `n` neighbour-list lines, one `len idx:sim …` line per entity.
-fn read_neighbors(r: &mut dyn BufRead, n: usize) -> Result<Vec<Vec<Neighbor>>, OcularError> {
-    // `n` is the header's word: grow as lines arrive, never pre-size
-    let mut lists = Vec::new();
-    for e in 0..n {
-        let line = read_line(r)?;
-        let mut fields = line.split_whitespace();
-        let len: usize = fields
-            .next()
-            .and_then(|f| f.parse().ok())
-            .ok_or_else(|| bad(format!("entity {e}: bad neighbour count")))?;
-        let list: Vec<Neighbor> = fields
-            .map(|f| {
-                let (idx, sim) = f
-                    .split_once(':')
-                    .ok_or_else(|| bad(format!("entity {e}: bad neighbour entry")))?;
-                let neighbor = Neighbor {
-                    index: idx
-                        .parse()
-                        .map_err(|_| bad(format!("entity {e}: bad neighbour index")))?,
-                    similarity: sim
-                        .parse()
-                        .map_err(|_| bad(format!("entity {e}: bad similarity")))?,
-                };
-                if !neighbor.similarity.is_finite() {
-                    return Err(bad(format!("entity {e}: non-finite similarity")));
-                }
-                Ok(neighbor)
-            })
-            .collect::<Result<_, OcularError>>()?;
-        if list.len() != len {
-            return Err(bad(format!(
-                "entity {e}: declared {len} neighbours, found {}",
-                list.len()
-            )));
-        }
-        lists.push(list);
-    }
-    Ok(lists)
 }
 
 /// Writes neighbour lists (as a CSR triple) plus the interaction matrix
@@ -238,26 +196,6 @@ impl SnapshotModel for UserKnn {
         Self::KIND
     }
 
-    fn load_model(r: &mut dyn BufRead) -> Result<Self, OcularError> {
-        let header = read_line(r)?;
-        let f: Vec<&str> = header.split_whitespace().collect();
-        if f.len() != 3 || f[0] != "user-knn-model" || f[1] != "v1" {
-            return Err(bad("bad user-knn-model header"));
-        }
-        let n: usize = f[2].parse().map_err(|_| bad("bad entity count"))?;
-        let neighbors = read_neighbors(r, n)?;
-        let matrix = read_csr(r)?;
-        if matrix.n_rows() != n {
-            return Err(bad("neighbour lists and interactions disagree on users"));
-        }
-        // user neighbours index rows of the interaction matrix
-        check_neighbor_bounds(&neighbors, matrix.n_rows())?;
-        Ok(UserKnn {
-            neighbors,
-            r: matrix,
-        })
-    }
-
     fn write_sections(&self, w: &mut ocular_api::SectionWriter) -> Result<(), OcularError> {
         write_knn_sections(w, &self.neighbors, &self.r);
         Ok(())
@@ -353,26 +291,6 @@ impl FoldIn for ItemKnn {
 impl SnapshotModel for ItemKnn {
     fn kind(&self) -> &'static str {
         Self::KIND
-    }
-
-    fn load_model(r: &mut dyn BufRead) -> Result<Self, OcularError> {
-        let header = read_line(r)?;
-        let f: Vec<&str> = header.split_whitespace().collect();
-        if f.len() != 3 || f[0] != "item-knn-model" || f[1] != "v1" {
-            return Err(bad("bad item-knn-model header"));
-        }
-        let n: usize = f[2].parse().map_err(|_| bad("bad entity count"))?;
-        let neighbors = read_neighbors(r, n)?;
-        let matrix = read_csr(r)?;
-        if matrix.n_cols() != n {
-            return Err(bad("neighbour lists and interactions disagree on items"));
-        }
-        // item neighbours index columns of the interaction matrix
-        check_neighbor_bounds(&neighbors, matrix.n_cols())?;
-        Ok(ItemKnn {
-            neighbors,
-            r: matrix,
-        })
     }
 
     fn write_sections(&self, w: &mut ocular_api::SectionWriter) -> Result<(), OcularError> {
@@ -501,13 +419,6 @@ mod tests {
         assert!((scores[0] - sim31).abs() < 1e-12);
     }
 
-    /// The `item-knn-model v1` payload of the committed v2 golden (the
-    /// envelope header line stripped; the reader stops where it ends).
-    fn golden_item_knn_text() -> &'static str {
-        let snap = include_str!("../../../tests/data/golden/v2-item-knn.snap");
-        snap.split_once('\n').unwrap().1
-    }
-
     #[test]
     fn snapshot_roundtrips_bitwise_for_both_variants() {
         let r = blocks();
@@ -515,40 +426,35 @@ mod tests {
         assert_eq!(crate::section_cycle(&user_model).unwrap(), user_model);
         let item_model = ItemKnn::fit(&r, &KnnConfig { k: 2 });
         assert_eq!(crate::section_cycle(&item_model).unwrap(), item_model);
-        // text payloads are kind-tagged: loading one as the other is rejected
-        let text = golden_item_knn_text();
-        assert!(ItemKnn::load_model(&mut text.as_bytes()).is_ok());
-        assert!(UserKnn::load_model(&mut text.as_bytes()).is_err());
-        // an entity count nobody checked is not a capacity
-        for bomb in [
-            "user-knn-model v1 1000000000000\n",
-            "item-knn-model v1 1000000000000\n",
-        ] {
-            assert!(UserKnn::load_model(&mut bomb.as_bytes()).is_err());
-            assert!(ItemKnn::load_model(&mut bomb.as_bytes()).is_err());
-        }
+        // an interaction shape nobody checked is not a capacity
+        let bomb = |w: &mut ocular_api::SectionWriter| {
+            w.put_u64s("nbrptr", &[0]);
+            w.put_u32s("nbridx", &[]);
+            w.put_f64s("nbrsim", &[]);
+            w.put_u64s("rmeta", &[1_000_000_000_000, 1_000_000_000_000]);
+            w.put_u64s("rptr", &[0]);
+            w.put_u32s("rcol", &[]);
+        };
+        assert!(crate::read_back::<UserKnn>(UserKnn::KIND, bomb).is_err());
+        assert!(crate::read_back::<ItemKnn>(ItemKnn::KIND, bomb).is_err());
     }
 
     #[test]
     fn corrupt_neighbour_payloads_rejected_at_load() {
-        let text = golden_item_knn_text();
+        let model = ItemKnn::fit(&blocks(), &KnnConfig { k: 2 });
         // out-of-bounds neighbour index: must fail at load, not panic when
         // a request later indexes the score buffer
-        let sim_pos = text.find(':').unwrap();
-        let idx_pos = text[..sim_pos].rfind(' ').unwrap() + 1;
-        let tampered = format!("{}999{}", &text[..idx_pos], &text[sim_pos..]);
+        let mut tampered = model.clone();
+        tampered.neighbors[0][0].index = 999;
         assert!(matches!(
-            ItemKnn::load_model(&mut tampered.as_bytes()),
+            crate::section_cycle(&tampered),
             Err(OcularError::Corrupt(msg)) if msg.contains("out of bounds")
         ));
         // non-finite similarity: rejected instead of panicking in topk
-        let end = text[sim_pos..]
-            .find([' ', '\n'])
-            .map(|o| sim_pos + o)
-            .unwrap();
-        let tampered = format!("{}:NaN{}", &text[..sim_pos], &text[end..]);
+        let mut tampered = model;
+        tampered.neighbors[0][0].similarity = f64::NAN;
         assert!(matches!(
-            ItemKnn::load_model(&mut tampered.as_bytes()),
+            crate::section_cycle(&tampered),
             Err(OcularError::Corrupt(msg)) if msg.contains("similarity")
         ));
     }

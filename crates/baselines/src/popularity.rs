@@ -7,7 +7,7 @@
 //! supported: a basket request gets the same global ranking with the
 //! basket excluded.
 
-use ocular_api::textio::{bad, read_floats, read_line};
+use crate::bad;
 use ocular_api::{validate_basket, FoldIn, OcularError, Recommender, ScoreItems, SnapshotModel};
 use ocular_sparse::Dataset;
 
@@ -70,18 +70,6 @@ impl FoldIn for Popularity {
 impl SnapshotModel for Popularity {
     fn kind(&self) -> &'static str {
         Self::KIND
-    }
-
-    fn load_model(r: &mut dyn std::io::BufRead) -> Result<Self, OcularError> {
-        let header = read_line(r)?;
-        let f: Vec<&str> = header.split_whitespace().collect();
-        if f.len() != 4 || f[0] != "popularity-model" || f[1] != "v1" {
-            return Err(bad("bad popularity-model header"));
-        }
-        let n_users: usize = f[2].parse().map_err(|_| bad("bad n_users"))?;
-        let n_items: usize = f[3].parse().map_err(|_| bad("bad n_items"))?;
-        let scores = read_floats(r, n_items)?;
-        Ok(Popularity { scores, n_users })
     }
 
     fn write_sections(&self, w: &mut ocular_api::SectionWriter) -> Result<(), OcularError> {
@@ -150,10 +138,13 @@ mod tests {
             Dataset::from_matrix(CsrMatrix::from_pairs(5, 7, &[(0, 0), (1, 6), (2, 3)]).unwrap());
         let m = Popularity::fit(&r);
         assert_eq!(crate::section_cycle(&m).unwrap(), m);
-        // the frozen text payload of the same model
-        let text = "popularity-model v1 5 7\n1e0 0e0 0e0 1e0 0e0 0e0 1e0\n";
-        assert_eq!(Popularity::load_model(&mut text.as_bytes()).unwrap(), m);
-        assert!(Popularity::load_model(&mut "junk".as_bytes()).is_err());
+        assert!(crate::read_back::<Popularity>(Popularity::KIND, |_| {}).is_err());
+        // scores that disagree with the declared catalog size
+        let short = crate::read_back::<Popularity>(Popularity::KIND, |w| {
+            w.put_u64s("meta", &[5, 7]);
+            w.put_f64s("scores", &[1.0; 6]);
+        });
+        assert!(matches!(short, Err(OcularError::Corrupt(_))));
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! ([`ocular_api::FoldIn`]): a new user's factor vector is one ridge solve
 //! against the frozen item factors — `O(K³ + basket·K²)` per request.
 
-use ocular_api::textio::{bad, read_line, read_matrix};
 use ocular_api::{validate_basket, FoldIn, OcularError, Recommender, ScoreItems, SnapshotModel};
 use ocular_linalg::{ops, Cholesky, Matrix};
 use ocular_sparse::{CsrMatrix, Dataset};
@@ -310,51 +309,6 @@ impl SnapshotModel for Wals {
         Self::KIND
     }
 
-    fn load_model(r: &mut dyn std::io::BufRead) -> Result<Self, OcularError> {
-        let header = read_line(r)?;
-        let f: Vec<&str> = header.split_whitespace().collect();
-        if f.len() != 10 || f[0] != "wals-model" || f[1] != "v1" {
-            return Err(bad("bad wals-model header"));
-        }
-        let n_users: usize = f[2].parse().map_err(|_| bad("bad n_users"))?;
-        let n_items: usize = f[3].parse().map_err(|_| bad("bad n_items"))?;
-        let config = WalsConfig {
-            k: f[4].parse().map_err(|_| bad("bad k"))?,
-            b: f[5].parse().map_err(|_| bad("bad b"))?,
-            lambda: f[6].parse().map_err(|_| bad("bad lambda"))?,
-            iters: f[7].parse().map_err(|_| bad("bad iters"))?,
-            init_scale: f[8].parse().map_err(|_| bad("bad init_scale"))?,
-            seed: f[9].parse().map_err(|_| bad("bad seed"))?,
-        };
-        config.validate()?;
-        let user_factors = read_matrix(r, n_users, config.k)?;
-        let item_factors = read_matrix(r, n_items, config.k)?;
-        let trace_line = read_line(r)?;
-        let mut fields = trace_line.split_whitespace();
-        if fields.next() != Some("trace") {
-            return Err(bad("missing trace section"));
-        }
-        let len: usize = fields
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| bad("bad trace length"))?;
-        let objective_trace: Vec<f64> = fields
-            .map(|v| v.parse::<f64>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| bad("bad trace value"))?;
-        if objective_trace.len() != len {
-            return Err(bad("trace length mismatch"));
-        }
-        let item_gram = item_factors.gram();
-        Ok(Wals {
-            user_factors,
-            item_factors,
-            objective_trace,
-            config,
-            item_gram,
-        })
-    }
-
     fn write_sections(&self, w: &mut ocular_api::SectionWriter) -> Result<(), OcularError> {
         let c = &self.config;
         w.put_u64s(
@@ -556,16 +510,22 @@ mod tests {
         let r = two_blocks();
         let m = Wals::fit(&r, &cfg());
         assert_eq!(crate::section_cycle(&m).unwrap(), m);
-        // "junk", and a header promising terabytes of factors: both typed
-        for text in [
-            "junk",
-            "wals-model v1 1000000000000 1 4 1e-2 1e-2 1 1e-1 0\n",
-        ] {
-            assert!(matches!(
-                Wals::load_model(&mut text.as_bytes()),
-                Err(OcularError::Corrupt(_))
-            ));
-        }
+        // no sections, and metadata promising terabytes of factors: both typed
+        let bomb = |w: &mut ocular_api::SectionWriter| {
+            w.put_u64s("meta", &[1_000_000_000_000, 1, 4, 1, 0]);
+            w.put_f64s("cfg", &[1e-2, 1e-2, 1e-1]);
+            w.put_f64s("ufact", &[]);
+            w.put_f64s("ifact", &[1.0; 4]);
+            w.put_f64s("trace", &[]);
+        };
+        assert!(matches!(
+            crate::read_back::<Wals>(Wals::KIND, |_| {}),
+            Err(OcularError::Corrupt(_))
+        ));
+        assert!(matches!(
+            crate::read_back::<Wals>(Wals::KIND, bomb),
+            Err(OcularError::Corrupt(_))
+        ));
     }
 
     #[test]

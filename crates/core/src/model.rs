@@ -1,8 +1,7 @@
 //! The factor model: non-negative co-cluster affiliation vectors.
 
-use ocular_api::{textio, OcularError};
+use ocular_api::OcularError;
 use ocular_linalg::{ops, Matrix};
-use std::io::BufRead;
 
 /// Smallest affinity used inside logs/denominators. With non-negative
 /// factors the loss `−log(1 − e^{−p})` is singular at `p = 0`; clamping to
@@ -158,32 +157,13 @@ impl FactorModel {
             0.0
         }
     }
-
-    /// Loads the frozen `ocular-model v1` text payload: a
-    /// `ocular-model v1 <n_users> <n_items> <k_total> <has_bias>` line, then
-    /// one `{:e}` row per user and per item. Read-only — models are
-    /// persisted as v3 sections; corruption and truncation are
-    /// [`OcularError::Corrupt`].
-    pub fn load<R: BufRead>(mut r: &mut R) -> Result<FactorModel, OcularError> {
-        let header = textio::read_line(&mut r)?;
-        let parts: Vec<&str> = header.split_whitespace().collect();
-        if parts.len() != 6 || parts[0] != "ocular-model" || parts[1] != "v1" {
-            return Err(textio::bad("bad ocular-model header"));
-        }
-        let n_users: usize = parts[2].parse().map_err(|_| textio::bad("bad n_users"))?;
-        let n_items: usize = parts[3].parse().map_err(|_| textio::bad("bad n_items"))?;
-        let k: usize = parts[4].parse().map_err(|_| textio::bad("bad k"))?;
-        let user_factors = textio::read_matrix(&mut r, n_users, k)?;
-        let item_factors = textio::read_matrix(&mut r, n_items, k)?;
-        // a bias flag with no room for its two columns is a bad file
-        FactorModel::try_new(user_factors, item_factors, parts[5] == "1")
-            .map_err(|e| textio::bad(e.to_string()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ocular_api::{SectionReader, SectionWriter, SnapshotModel};
+    use ocular_bytes::ModelBytes;
 
     fn toy() -> FactorModel {
         let u = Matrix::from_rows(&[&[1.0, 0.0], &[0.5, 0.5]]);
@@ -292,33 +272,38 @@ mod tests {
         assert_eq!(m.cluster_contributions(0, 0), vec![2.0]);
     }
 
-    #[test]
-    fn save_load_roundtrip() {
-        use ocular_api::{SectionReader, SectionWriter, SnapshotModel};
-        let m = toy();
+    /// Reads a FactorModel out of the v3 container `body` writes.
+    fn read(body: impl FnOnce(&mut SectionWriter)) -> Result<FactorModel, OcularError> {
         let mut bytes = Vec::new();
         let mut w = SectionWriter::new(FactorModel::KIND, &mut bytes);
-        m.write_sections(&mut w).unwrap();
+        body(&mut w);
         w.finish().unwrap();
-        let r = SectionReader::open(ocular_bytes::ModelBytes::from_vec(bytes)).unwrap();
-        assert_eq!(FactorModel::read_sections(&r).unwrap(), m);
-        // and the frozen text payload of the same model
-        let text = "ocular-model v1 2 3 2 0\n1e0 0e0\n5e-1 5e-1\n2e0 0e0\n0e0 2e0\n1e0 1e0\n";
-        assert_eq!(FactorModel::load(&mut text.as_bytes()).unwrap(), m);
+        FactorModel::read_sections(&SectionReader::open(ModelBytes::from_vec(bytes))?)
+    }
+
+    #[test]
+    fn save_load_roundtrip() {
+        let m = toy();
+        assert_eq!(read(|w| m.write_sections(w).unwrap()).unwrap(), m);
     }
 
     #[test]
     fn load_rejects_garbage() {
-        assert!(FactorModel::load(&mut "not a model".as_bytes()).is_err());
-        assert!(FactorModel::load(&mut "ocular-model v1 2 2 2 0\n1 2\n".as_bytes()).is_err());
+        assert!(read(|_| {}).is_err());
+        let corrupt = |meta: [u64; 4], factors: &[f64]| {
+            let got = read(|w| {
+                w.put_u64s("meta", &meta);
+                w.put_f64s("ufact", factors);
+                w.put_f64s("ifact", factors);
+            });
+            matches!(got, Err(OcularError::Corrupt(_)))
+        };
+        assert!(corrupt([2, 2, 2, 0], &[1.0, 2.0]));
         // a header promising 32 TB of factors is a typed error, not an
         // allocation the process dies in
-        assert!(matches!(
-            FactorModel::load(&mut "ocular-model v1 1000000000000 1 4 0\n".as_bytes()),
-            Err(OcularError::Corrupt(_))
-        ));
+        assert!(corrupt([1_000_000_000_000, 1, 4, 0], &[]));
         // a bias flag without room for the two bias columns
-        assert!(FactorModel::load(&mut "ocular-model v1 0 0 2 1\n".as_bytes()).is_err());
+        assert!(corrupt([0, 0, 2, 1], &[]));
     }
 
     #[test]

@@ -120,10 +120,6 @@ impl SnapshotModel for FactorModel {
         Self::KIND
     }
 
-    fn load_model(mut r: &mut dyn std::io::BufRead) -> Result<Self, OcularError> {
-        FactorModel::load(&mut r)
-    }
-
     fn write_sections(&self, w: &mut ocular_api::SectionWriter) -> Result<(), OcularError> {
         w.put_u64s(
             "meta",
@@ -262,9 +258,5 @@ mod tests {
         let region = ocular_bytes::ModelBytes::from_vec(bytes);
         let r = ocular_api::SectionReader::open(region).unwrap();
         assert_eq!(FactorModel::read_sections(&r).unwrap(), model);
-        assert!(matches!(
-            <FactorModel as SnapshotModel>::load_model(&mut "junk".as_bytes()),
-            Err(OcularError::Corrupt(_))
-        ));
     }
 }

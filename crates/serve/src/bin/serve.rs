@@ -25,9 +25,9 @@
 //! unlink-and-rename: saving to the path a server has mapped never
 //! disturbs it. Serving loads it through a zero-copy memory mapping
 //! (start-up cost independent of model size, page cache shared across
-//! serve processes); text snapshots from before v3 still load through the
-//! line-oriented reader. The measured load time is reported on stderr as
-//! `snapshot_load_seconds=…`.
+//! serve processes); a text snapshot from before v3 is no longer read —
+//! `serve --model` exits 1 naming the format. The measured load time is
+//! reported on stderr as `snapshot_load_seconds=…`.
 //!
 //! `--k` is the latent dimensionality for the factor models and the
 //! neighbourhood size for the kNN variants; `--iters` maps to each
@@ -158,9 +158,9 @@ impl Flags {
             .find(|(k, _)| !KNOWN_FLAGS.contains(&&**k))
         {
             return Err(match key.as_str() {
-                "format" => "--format is gone: a snapshot is always one `ocular-snapshot v3` \
-                             file (text snapshots still load)"
-                    .into(),
+                "format" => {
+                    "--format is gone: a snapshot is always one `ocular-snapshot v3` file".into()
+                }
                 _ => format!("unknown flag --{key} (see the crate docs for each mode's flags)"),
             });
         }
@@ -404,8 +404,7 @@ fn build_engine(flags: &Flags, floor_generation: u64) -> Result<ServeEngine, Str
         .ok_or("serving requires --interactions <edge list> (owned-item exclusion)")?;
     let sep = flags.get("sep").unwrap_or("\t");
 
-    // magic-sniffing load: a v3 container is mmap'd and borrowed
-    // zero-copy, a text snapshot from before v3 parses line by line
+    // the v3 container is mmap'd and borrowed zero-copy
     let t_load = std::time::Instant::now();
     let mut loaded = AnySnapshot::load_path_full(std::path::Path::new(snap_path))
         .map_err(|e| format!("load {snap_path}: {e}"))?;

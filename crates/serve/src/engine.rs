@@ -579,22 +579,6 @@ impl ServeEngine {
         }
     }
 
-    /// The engine's candidate-generation index.
-    ///
-    /// # Panics
-    /// Panics if the engine serves a non-OCuLaR kind (no index exists).
-    pub fn index(&self) -> &ClusterIndex {
-        match &self.model {
-            EngineModel::Ocular { index, .. } => index,
-            EngineModel::Generic(m) => {
-                panic!(
-                    "engine serves kind `{}`, which has no cluster index",
-                    m.kind()
-                )
-            }
-        }
-    }
-
     /// The kind tag of the model being served.
     pub fn kind(&self) -> &'static str {
         match &self.model {

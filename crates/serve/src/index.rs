@@ -138,27 +138,6 @@ impl ClusterIndex {
         }
     }
 
-    /// Assembles an index from raw parts (the text snapshot loader).
-    /// Validates that `rel` is in range and every list is strictly
-    /// ascending and in-bounds (via [`ClusterIndex::from_csr`], which
-    /// checks the packed layout).
-    pub fn from_parts(rel: f64, n_items: usize, items: Vec<Vec<u32>>) -> Result<Self, String> {
-        let lists = items;
-        Self::from_csr(
-            rel,
-            n_items,
-            {
-                let mut indptr: Vec<u64> = Vec::with_capacity(lists.len() + 1);
-                indptr.push(0);
-                for list in &lists {
-                    indptr.push(indptr.last().expect("non-empty") + list.len() as u64);
-                }
-                indptr.into()
-            },
-            lists.concat().into(),
-        )
-    }
-
     /// Assembles an index from (possibly region-borrowed) CSR arrays —
     /// the v3 binary snapshot load path. Validates `rel`, the row-pointer
     /// shape and every list's ordering/bounds, so corrupt bytes are an
@@ -447,13 +426,21 @@ mod tests {
 
     #[test]
     fn from_parts_validates() {
-        assert!(ClusterIndex::from_parts(0.5, 4, vec![vec![0, 1], vec![3]]).is_ok());
-        assert!(ClusterIndex::from_parts(0.5, 4, vec![vec![1, 0]]).is_err());
-        assert!(ClusterIndex::from_parts(0.5, 4, vec![vec![2, 2]]).is_err());
-        assert!(ClusterIndex::from_parts(0.5, 4, vec![vec![4]]).is_err());
-        assert!(ClusterIndex::from_parts(0.0, 4, vec![]).is_err());
-        assert!(ClusterIndex::from_parts(f64::NAN, 4, vec![]).is_err());
-        assert!(ClusterIndex::from_parts(1.5, 4, vec![]).is_err());
+        // per-cluster item lists, packed as CSR for `from_csr`
+        let from_parts = |rel: f64, n_items: usize, lists: &[&[u32]]| {
+            let mut indptr = vec![0u64];
+            for list in lists {
+                indptr.push(indptr[indptr.len() - 1] + list.len() as u64);
+            }
+            ClusterIndex::from_csr(rel, n_items, indptr.into(), lists.concat().into())
+        };
+        assert!(from_parts(0.5, 4, &[&[0, 1], &[3]]).is_ok());
+        assert!(from_parts(0.5, 4, &[&[1, 0]]).is_err());
+        assert!(from_parts(0.5, 4, &[&[2, 2]]).is_err());
+        assert!(from_parts(0.5, 4, &[&[4]]).is_err());
+        assert!(from_parts(0.0, 4, &[]).is_err());
+        assert!(from_parts(f64::NAN, 4, &[]).is_err());
+        assert!(from_parts(1.5, 4, &[]).is_err());
     }
 
     #[test]

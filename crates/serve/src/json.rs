@@ -6,7 +6,9 @@
 //! protocol and bench artifacts need: objects, arrays, strings with the
 //! standard escapes, finite numbers, booleans and null. Rendering uses
 //! Rust's shortest-roundtrip float formatting, so probabilities survive a
-//! parse→render→parse cycle bit-exactly.
+//! parse→render→parse cycle bit-exactly. Arrays and objects nest at most
+//! 32 deep, so a hostile body cannot recurse the parser off its thread's
+//! stack.
 
 use std::fmt;
 
@@ -39,6 +41,7 @@ impl Json {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -171,9 +174,16 @@ impl fmt::Display for Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. Requests
+/// and replies nest two levels; the parser recurses once per level, so
+/// this bounds its stack.
+const MAX_DEPTH: usize = 32;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -211,8 +221,7 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -220,6 +229,23 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = if self.peek() == Some(b'{') {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -428,6 +454,18 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        // a million unclosed brackets is an error, not a stack overflow
+        let deep = format!("{{\"user\": {}", "[".repeat(1_000_000));
+        assert!(Json::parse(&deep).unwrap_err().contains("nesting deeper"));
     }
 
     #[test]

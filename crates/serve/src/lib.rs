@@ -16,7 +16,8 @@
 //!   kind in the workspace zoo (`ocular`, `wals`, `bpr`, `user-knn`,
 //!   `item-knn`, `popularity`) snapshots through
 //!   [`ocular_api::SnapshotModel`] and loads back through [`AnySnapshot`];
-//!   text files from before v3 still load (read-only).
+//!   a file in any other format (the text snapshots from before v3) is a
+//!   typed [`ocular_api::OcularError::Corrupt`].
 //! * **One engine** ([`engine`]) — [`ServeEngine`], built by
 //!   [`EngineBuilder`] around one loaded model and one serving dataset,
 //!   each held once.

@@ -24,56 +24,21 @@
 //!   large buffers from the mapping ([`AnySnapshot::load_v3`]) — engine
 //!   start-up allocates nothing per payload.
 //!
-//! ## The read-only text reader
-//!
-//! Files written before v3 are line-oriented text and keep loading:
-//! [`AnySnapshot::load_path_full`] sniffs the magic bytes and hands
-//! anything that is not v3 to [`AnySnapshot::load_text`]. The format has
-//! no writer — load one and save it to migrate. The grammar, kept as the
-//! reader's reference:
-//!
-//! ```text
-//! ocular-snapshot v2 <kind>            (or `ocular-snapshot v1` = ocular)
-//! <kind-specific model payload, self-delimiting: `ocular-model v1`,
-//!  `wals-model v1`, … — see each kind's `SnapshotModel::load_model`>
-//! [cocluster-index v1 <n_clusters> <n_items> <rel>      (kind = ocular only)
-//!  <n_clusters lines: "<len> <ascending item ids>">]
-//! [snapshot-meta v1 <generation> <n_users> <n_items> <nnz>]   (optional)
-//! [id-maps v1 <n_users> <n_items>                             (optional)
-//!  <n_users external user ids, one line>
-//!  <n_items external item ids, one line>]
-//! ocular-snapshot end
-//! ```
-//!
-//! The trailing sentinel makes truncation detectable: a file cut off at
-//! any line is rejected instead of mis-loading. Every header count is
-//! untrusted — buffers grow as lines arrive.
+//! There is no other format: a file that is not a v3 container, such as a
+//! text snapshot from before v3, is a typed [`OcularError::Corrupt`].
 
 use crate::index::{ClusterIndex, IndexConfig};
-use ocular_api::binary::{is_v3, SectionReader, SectionWriter, SnapshotMeta};
-use ocular_api::textio::{bad, read_line};
+use ocular_api::binary::{SectionReader, SectionWriter, SnapshotMeta};
 use ocular_api::{Model, OcularError, SnapshotModel};
 use ocular_baselines::{Bpr, ItemKnn, Popularity, UserKnn, Wals};
 use ocular_bytes::ModelBytes;
 use ocular_core::FactorModel;
 use ocular_linalg::{QuantDtype, QuantizedFactors};
 use ocular_sparse::{IdMaps, RawIdTable};
-use std::io::{BufRead, Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Magic first line of the legacy (OCuLaR-only) text envelope.
-const V1_HEADER: &str = "ocular-snapshot v1";
-/// Prefix of the kind-tagged v2 text envelope header.
-const V2_PREFIX: &str = "ocular-snapshot v2";
-/// Magic line opening the text index section.
-const INDEX_HEADER: &str = "cocluster-index v1";
-/// Magic line opening the optional text external-id-maps section.
-const IDS_HEADER: &str = "id-maps v1";
-/// Magic line opening the optional text live-refresh metadata section.
-const META_HEADER: &str = "snapshot-meta v1";
-/// Trailing sentinel proving a text snapshot was written to completion.
-const FOOTER: &str = "ocular-snapshot end";
 /// The kind tag of OCuLaR snapshots (canonically defined on
 /// [`FactorModel::KIND`], mirrored here for dispatch).
 pub const OCULAR_KIND: &str = FactorModel::KIND;
@@ -124,136 +89,6 @@ impl Snapshot {
         self
     }
 
-    /// Parses the text `ocular` payload: `ocular-model v1` + the
-    /// `cocluster-index v1` section, stopping before any trailing section.
-    fn load_text_payload(mut r: &mut dyn BufRead) -> Result<Snapshot, OcularError> {
-        let model = FactorModel::load(&mut r)?;
-        let header = read_line(r)?;
-        let rest = header
-            .strip_prefix(INDEX_HEADER)
-            .ok_or_else(|| bad(format!("bad index header, expected `{INDEX_HEADER} …`")))?;
-        let fields: Vec<&str> = rest.split_whitespace().collect();
-        let [n_clusters, n_items, rel] = fields[..] else {
-            return Err(bad("index header needs n_clusters n_items rel"));
-        };
-        let n_clusters: usize = n_clusters
-            .parse()
-            .map_err(|_| bad("bad index n_clusters"))?;
-        let n_items: usize = n_items.parse().map_err(|_| bad("bad index n_items"))?;
-        let rel: f64 = rel.parse().map_err(|_| bad("bad index rel cutoff"))?;
-        if (n_clusters, n_items) != (model.n_clusters(), model.n_items()) {
-            return Err(bad(format!(
-                "index covers {n_clusters} clusters × {n_items} items but the model has {} × {}",
-                model.n_clusters(),
-                model.n_items()
-            )));
-        }
-        let mut items = Vec::new();
-        for c in 0..n_clusters {
-            let line = read_line(r)?;
-            let mut fields = line.split_whitespace();
-            let len: usize = fields
-                .next()
-                .and_then(|f| f.parse().ok())
-                .ok_or_else(|| bad(format!("cluster {c}: bad list length")))?;
-            let list: Vec<u32> = fields
-                .map(|f| f.parse::<u32>())
-                .collect::<Result<_, _>>()
-                .map_err(|_| bad(format!("cluster {c}: bad item id")))?;
-            if list.len() != len {
-                return Err(bad(format!(
-                    "cluster {c}: declared {len} items, found {}",
-                    list.len()
-                )));
-            }
-            items.push(list);
-        }
-        let index =
-            ClusterIndex::from_parts(rel, n_items, items).map_err(|e| bad(e.to_string()))?;
-        Ok(Snapshot {
-            model,
-            index,
-            quant: None,
-        })
-    }
-}
-
-/// Reads one text line of exactly `n` external ids.
-fn read_ids_line(r: &mut dyn BufRead, n: usize, what: &str) -> Result<Vec<u64>, OcularError> {
-    let line = read_line(r)?;
-    let ids: Vec<u64> = line
-        .split_whitespace()
-        .map(|f| f.parse::<u64>())
-        .collect::<Result<_, _>>()
-        .map_err(|_| bad(format!("id-maps: bad {what} id")))?;
-    if ids.len() != n {
-        return Err(bad(format!(
-            "id-maps: declared {n} {what} ids, found {}",
-            ids.len()
-        )));
-    }
-    Ok(ids)
-}
-
-/// After a text payload: parses the optional trailing sections in order —
-/// `snapshot-meta v1`, then `id-maps v1` — then the trailing sentinel.
-fn read_tail_sections(
-    r: &mut dyn BufRead,
-) -> Result<(Option<SnapshotMeta>, Option<IdMaps>), OcularError> {
-    let mut line = read_line(r)?;
-    let mut meta = None;
-    if let Some(rest) = line
-        .strip_prefix(META_HEADER)
-        .and_then(|rest| rest.strip_prefix(' '))
-    {
-        let fields: Vec<u64> = rest
-            .split_whitespace()
-            .map(|f| f.parse::<u64>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| bad("snapshot-meta: bad value"))?;
-        let [generation, n_users, n_items, nnz] = fields[..] else {
-            return Err(bad(
-                "snapshot-meta header needs generation n_users n_items nnz",
-            ));
-        };
-        meta = Some(SnapshotMeta {
-            generation,
-            n_users,
-            n_items,
-            nnz,
-        });
-        line = read_line(r)?;
-    }
-    if line == FOOTER {
-        return Ok((meta, None));
-    }
-    // the separator is part of the required prefix (same convention as
-    // the v2 envelope header), so `id-maps v10 …` is corruption, not a
-    // v1 section with a mis-binned count
-    let rest = line
-        .strip_prefix(IDS_HEADER)
-        .and_then(|rest| rest.strip_prefix(' '))
-        .ok_or_else(|| {
-            bad(format!(
-                "expected `{META_HEADER} …`, `{IDS_HEADER} …` or `{FOOTER}`, got `{line}`"
-            ))
-        })?;
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    let [n_users, n_items] = fields[..] else {
-        return Err(bad("id-maps header needs n_users n_items"));
-    };
-    let n_users: usize = n_users.parse().map_err(|_| bad("bad id-maps n_users"))?;
-    let n_items: usize = n_items.parse().map_err(|_| bad("bad id-maps n_items"))?;
-    let users = read_ids_line(r, n_users, "user")?;
-    let items = read_ids_line(r, n_items, "item")?;
-    let ids = IdMaps::new(users, items).map_err(|e| bad(format!("id-maps: {e}")))?;
-    if read_line(r)? != FOOTER {
-        return Err(bad(format!("missing `{FOOTER}` sentinel")));
-    }
-    Ok((meta, Some(ids)))
-}
-
-impl Snapshot {
     /// Writes the OCuLaR payload (model + candidate index) as v3 binary
     /// sections.
     fn write_sections(&self, w: &mut SectionWriter) -> Result<(), OcularError> {
@@ -513,59 +348,10 @@ impl AnySnapshot {
         })
     }
 
-    /// Loads a pre-v3 **text** snapshot (see the module docs for the
-    /// grammar): the v1 envelope (implicitly `ocular`), or a v2 envelope
-    /// whose kind tag is dispatched against the registry of known model
-    /// kinds. Same typed errors as [`AnySnapshot::load_v3`].
-    pub fn load_text(r: &mut dyn BufRead) -> Result<LoadedSnapshot, OcularError> {
-        let header = read_line(r)?;
-        // the separator is part of the required prefix, so `v2wals` (no
-        // space) and version strings like `v2.1` are rejected instead of
-        // mis-binning into a kind tag
-        let kind = if header == V1_HEADER {
-            OCULAR_KIND
-        } else {
-            header
-                .strip_prefix(V2_PREFIX)
-                .and_then(|rest| rest.strip_prefix(' '))
-                .filter(|kind| !kind.is_empty() && !kind.contains(char::is_whitespace))
-                .ok_or_else(|| {
-                    bad(format!(
-                        "bad snapshot header, expected `{V1_HEADER}` or `{V2_PREFIX} <kind>`"
-                    ))
-                })?
-        };
-        let snapshot = match kind {
-            OCULAR_KIND => AnySnapshot::Ocular(Snapshot::load_text_payload(r)?),
-            Wals::KIND => AnySnapshot::Other(Box::new(Wals::load_model(r)?)),
-            Bpr::KIND => AnySnapshot::Other(Box::new(Bpr::load_model(r)?)),
-            UserKnn::KIND => AnySnapshot::Other(Box::new(UserKnn::load_model(r)?)),
-            ItemKnn::KIND => AnySnapshot::Other(Box::new(ItemKnn::load_model(r)?)),
-            Popularity::KIND => AnySnapshot::Other(Box::new(Popularity::load_model(r)?)),
-            other => return Err(OcularError::UnknownModelKind(other.to_string())),
-        };
-        let (meta, ids) = read_tail_sections(r)?;
-        Ok(LoadedSnapshot {
-            snapshot,
-            ids,
-            meta,
-        })
-    }
-
-    /// Loads a snapshot file, sniffing the magic bytes: a v3 container is
-    /// memory-mapped and loaded zero-copy ([`AnySnapshot::load_v3`]);
-    /// anything else goes through the text reader
-    /// ([`AnySnapshot::load_text`]), so files from before v3 still load.
+    /// Loads a snapshot file: memory-maps it and loads it zero-copy
+    /// ([`AnySnapshot::load_v3`]).
     pub fn load_path_full(path: &Path) -> Result<LoadedSnapshot, OcularError> {
-        let mut prefix = [0u8; 8];
-        let mut file = std::fs::File::open(path)?;
-        let n = file.read(&mut prefix)?;
-        if is_v3(&prefix[..n]) {
-            drop(file);
-            return Self::load_v3(ModelBytes::map_file(path)?);
-        }
-        // text path: re-open from the start (the probe consumed bytes)
-        Self::load_text(&mut std::io::BufReader::new(std::fs::File::open(path)?))
+        Self::load_v3(ModelBytes::map_file(path)?)
     }
 }
 
@@ -610,26 +396,6 @@ mod tests {
         }
     }
 
-    /// `snapshot()` with `sample_meta()` and `sample_ids()`, byte for byte
-    /// what the v2 text writer produced for them.
-    const TEXT: &str = "ocular-snapshot v2 ocular\n\
-        ocular-model v1 2 3 2 0\n1e0 0e0\n0e0 1.2e0\n2e0 0e0\n1e0 1.5e0\n0e0 3e0\n\
-        cocluster-index v1 2 3 5e-1\n2 0 1\n2 1 2\n\
-        snapshot-meta v1 2 2 3 4\n\
-        id-maps v1 2 3\n101 7\n900 4 55\n\
-        ocular-snapshot end\n";
-    const META_LINE: &str = "snapshot-meta v1 2 2 3 4\n";
-    const IDS_LINES: &str = "id-maps v1 2 3\n101 7\n900 4 55\n";
-
-    /// `TEXT` without its two optional sections.
-    fn bare_text() -> String {
-        TEXT.replace(META_LINE, "").replace(IDS_LINES, "")
-    }
-
-    fn load_text(text: &str) -> Result<LoadedSnapshot, OcularError> {
-        AnySnapshot::load_text(&mut text.as_bytes())
-    }
-
     fn ocular(loaded: LoadedSnapshot) -> Snapshot {
         match loaded.snapshot {
             AnySnapshot::Ocular(s) => s,
@@ -646,70 +412,98 @@ mod tests {
         AnySnapshot::load_v3(ModelBytes::from_vec(bytes)).unwrap()
     }
 
+    /// Loads the v3 container `body` writes under `kind`: checksummed and
+    /// well-formed, so only the payload is on trial.
+    fn load(
+        kind: &str,
+        body: impl FnOnce(&mut SectionWriter),
+    ) -> Result<LoadedSnapshot, OcularError> {
+        let mut bytes = Vec::new();
+        let mut w = SectionWriter::new(kind, &mut bytes);
+        body(&mut w);
+        w.finish().unwrap();
+        AnySnapshot::load_v3(ModelBytes::from_vec(bytes))
+    }
+
+    /// `snapshot()`'s model under a hand-written index: `rel = 0.5` keeps
+    /// items {0, 1} in cluster 0 and {1, 2} in cluster 1.
+    fn with_index(indptr: &[u64], items: &[u32]) -> Result<LoadedSnapshot, OcularError> {
+        load(OCULAR_KIND, |w| {
+            snapshot().model.write_sections(w).unwrap();
+            w.put_f64s("idxrel", &[0.5]);
+            w.put_u64s("idxptr", indptr);
+            w.put_u32s("idxdat", items);
+        })
+    }
+
     #[test]
     fn roundtrip() {
-        // text → model → v3 → model: every stage is the same snapshot
-        let loaded = load_text(TEXT).unwrap();
-        assert_eq!(loaded.ids, Some(sample_ids()));
-        assert_eq!(loaded.meta, Some(sample_meta()));
-        let s = ocular(loaded);
-        assert_eq!(s, snapshot());
-        let cycled = v3_cycle(&AnySnapshot::Ocular(s), None, None);
-        assert_eq!(ocular(cycled), snapshot());
-    }
-
-    #[test]
-    fn v1_envelope_still_loads() {
-        let v1 = bare_text().replacen("ocular-snapshot v2 ocular", V1_HEADER, 1);
-        assert_eq!(ocular(load_text(&v1).unwrap()), snapshot());
-    }
-
-    #[test]
-    fn truncation_at_every_line_rejected() {
-        for text in [TEXT.to_string(), bare_text()] {
-            let lines: Vec<&str> = text.lines().collect();
-            for keep in 0..lines.len() {
-                let partial = lines[..keep].join("\n");
-                assert!(
-                    load_text(&partial).is_err(),
-                    "truncation after {keep} lines must be rejected"
-                );
-            }
-        }
+        // model → v3 → model, with both optional sections
+        let (meta, ids) = (sample_meta(), sample_ids());
+        let loaded = v3_cycle(&AnySnapshot::Ocular(snapshot()), Some(&ids), Some(&meta));
+        assert_eq!(loaded.ids, Some(ids));
+        assert_eq!(loaded.meta, Some(meta));
+        assert_eq!(ocular(loaded), snapshot());
+        assert_eq!(
+            ocular(with_index(&[0, 2, 4], &[0, 1, 1, 2]).unwrap()),
+            snapshot()
+        );
     }
 
     #[test]
     fn corrupt_sections_rejected() {
         // wrong envelope
-        assert!(load_text("nope\n").is_err());
-        // tamper with the index header's cluster count
-        let tampered = TEXT.replace("cocluster-index v1 2", "cocluster-index v1 3");
-        assert!(load_text(&tampered).is_err());
-        // unknown index section version
-        let tampered = TEXT.replace("cocluster-index v1", "cocluster-index v9");
-        assert!(load_text(&tampered).is_err());
+        let nope = ModelBytes::from_vec(b"nope\n".to_vec());
+        assert!(matches!(
+            AnySnapshot::load_v3(nope),
+            Err(OcularError::Corrupt(_))
+        ));
+        // an index over three clusters for a two-cluster model
+        assert!(matches!(
+            with_index(&[0, 2, 4, 4], &[0, 1, 1, 2]),
+            Err(OcularError::Corrupt(_))
+        ));
+        // no index at all
+        let bare = load(OCULAR_KIND, |w| snapshot().model.write_sections(w).unwrap());
+        assert!(matches!(bare, Err(OcularError::Corrupt(_))));
     }
 
     #[test]
     fn list_length_mismatch_rejected() {
-        // cluster 0's list line is "2 0 1" (rel 0.5 keeps items 0, 1);
-        // lie about its length
-        let tampered = TEXT.replace("\n2 0 1\n", "\n3 0 1\n");
-        assert!(load_text(&tampered).is_err());
+        // row pointers that disagree with the item array
+        assert!(with_index(&[0, 3, 4], &[0, 1, 1, 2]).is_err());
+        assert!(with_index(&[0, 2, 5], &[0, 1, 1, 2]).is_err());
         // out-of-order ids
-        let tampered = TEXT.replace("\n2 0 1\n", "\n2 1 0\n");
-        assert!(load_text(&tampered).is_err());
+        assert!(with_index(&[0, 2, 4], &[1, 0, 1, 2]).is_err());
+        // an item past the catalog
+        assert!(with_index(&[0, 2, 4], &[0, 1, 1, 3]).is_err());
     }
 
     #[test]
     fn a_declared_shape_is_never_a_capacity() {
-        // 63 bytes whose header count must never become a capacity
-        for payload in [
-            "ocular-snapshot v2 ocular\nocular-model v1 1000000000000 1 4 0\n",
-            "ocular-snapshot v2 wals\nwals-model v1 1000000000000 1 4 1e-2 1e-2 1 1e-1 0\n",
-            "ocular-snapshot v2 user-knn\nuser-knn-model v1 1000000000000\n",
-        ] {
-            assert!(matches!(load_text(payload), Err(OcularError::Corrupt(_))));
+        // metadata whose counts must never become a capacity
+        let ocular = load(OCULAR_KIND, |w| {
+            w.put_u64s("meta", &[1_000_000_000_000, 1, 4, 0]);
+            w.put_f64s("ufact", &[]);
+            w.put_f64s("ifact", &[1.0; 4]);
+        });
+        let wals = load(Wals::KIND, |w| {
+            w.put_u64s("meta", &[1_000_000_000_000, 1, 4, 1, 0]);
+            w.put_f64s("cfg", &[1e-2, 1e-2, 1e-1]);
+            w.put_f64s("ufact", &[]);
+            w.put_f64s("ifact", &[1.0; 4]);
+            w.put_f64s("trace", &[]);
+        });
+        let user_knn = load(UserKnn::KIND, |w| {
+            w.put_u64s("nbrptr", &[0]);
+            w.put_u32s("nbridx", &[]);
+            w.put_f64s("nbrsim", &[]);
+            w.put_u64s("rmeta", &[1_000_000_000_000, 1]);
+            w.put_u64s("rptr", &[0]);
+            w.put_u32s("rcol", &[]);
+        });
+        for loaded in [ocular, wals, user_knn] {
+            assert!(matches!(loaded, Err(OcularError::Corrupt(_))));
         }
     }
 
@@ -744,36 +538,49 @@ mod tests {
 
     #[test]
     fn unknown_kind_rejected_with_typed_error() {
-        let doc = "ocular-snapshot v2 neural-net\nwhatever\nocular-snapshot end\n";
         assert!(matches!(
-            load_text(doc),
+            load("neural-net", |_| {}),
             Err(OcularError::UnknownModelKind(k)) if k == "neural-net"
         ));
     }
 
     #[test]
     fn malformed_v2_headers_are_corrupt_not_misbinned() {
-        for header in [
-            // no separator: must not parse as kind `wals`
+        // text snapshots from before v3 — well-formed or not, shorter than
+        // a v3 header or longer — are corrupt, never mis-binned into a kind
+        let long = format!(
+            "ocular-snapshot v2 ocular\nocular-model v1 1 1 1 0\n{}",
+            "1e0\n".repeat(8)
+        );
+        for text in [
             "ocular-snapshot v2wals\n",
-            // future version strings must not strip into a bogus kind
             "ocular-snapshot v2.1 wals\n",
-            // empty kind tag
             "ocular-snapshot v2 \n",
+            "ocular-snapshot v1\n",
+            long.as_str(),
         ] {
-            assert!(matches!(load_text(header), Err(OcularError::Corrupt(_))));
+            let loaded = AnySnapshot::load_v3(ModelBytes::from_vec(text.as_bytes().to_vec()));
+            let Err(OcularError::Corrupt(msg)) = loaded else {
+                panic!("{text:?} must be corrupt");
+            };
+            assert!(msg.contains("v3"), "{msg}");
         }
+        let path = std::env::temp_dir().join(format!("ocular-text-era-{}", std::process::id()));
+        std::fs::write(&path, &long).unwrap();
+        let Err(OcularError::Corrupt(msg)) = AnySnapshot::load_path_full(&path) else {
+            panic!("a text file must be corrupt by path too");
+        };
+        assert!(msg.contains("no longer read"), "{msg}");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn id_maps_section_round_trips_for_ocular() {
-        let loaded = load_text(&TEXT.replace(META_LINE, "")).unwrap();
+        let loaded = v3_cycle(&AnySnapshot::Ocular(snapshot()), Some(&sample_ids()), None);
         assert_eq!(loaded.snapshot.kind(), "ocular");
         assert_eq!(loaded.ids, Some(sample_ids()));
         assert_eq!(loaded.meta, None);
-        let cycled = v3_cycle(&loaded.snapshot, loaded.ids.as_ref(), None);
-        assert_eq!(cycled.ids, Some(sample_ids()));
-        assert_eq!(ocular(cycled), snapshot());
+        assert_eq!(ocular(loaded), snapshot());
     }
 
     #[test]
@@ -783,49 +590,50 @@ mod tests {
         let cycled = v3_cycle(&pop, Some(&sample_ids()), None);
         assert_eq!(cycled.snapshot.kind(), "popularity");
         assert_eq!(cycled.ids, Some(sample_ids()));
-        // the same model and section in the text envelope
-        let text = format!(
-            "ocular-snapshot v2 popularity\npopularity-model v1 2 3\n1e0 1e0 1e0\n\
-             {IDS_LINES}ocular-snapshot end\n"
-        );
-        let loaded = load_text(&text).unwrap();
-        assert_eq!(loaded.snapshot.kind(), "popularity");
-        assert_eq!(loaded.ids, Some(sample_ids()));
     }
 
     #[test]
     fn snapshots_without_ids_load_with_none() {
-        let loaded = load_text(&bare_text()).unwrap();
-        assert_eq!((loaded.ids, loaded.meta), (None, None));
         let cycled = v3_cycle(&AnySnapshot::Ocular(snapshot()), None, None);
         assert_eq!((cycled.ids, cycled.meta), (None, None));
     }
 
     #[test]
     fn corrupt_id_maps_rejected() {
-        // wrong count
-        let tampered = TEXT.replace("id-maps v1 2 3", "id-maps v1 3 3");
-        assert!(load_text(&tampered).is_err());
-        // duplicate external id
-        let tampered = TEXT.replace("101 7", "101 101");
-        assert!(load_text(&tampered).is_err());
-        // non-numeric id
-        let tampered = TEXT.replace("900 4 55", "900 x 55");
-        assert!(load_text(&tampered).is_err());
-        // a future/corrupt section version must not mis-bin into v1
-        // (`id-maps v10 …` would otherwise strip to a valid-looking count)
-        let tampered = TEXT.replace("id-maps v1 ", "id-maps v10 ");
-        assert!(matches!(load_text(&tampered), Err(OcularError::Corrupt(_))));
-    }
-
-    #[test]
-    fn snapshot_meta_round_trips_in_text_format() {
-        // meta without ids, and a corrupt meta line
-        let loaded = load_text(&TEXT.replace(IDS_LINES, "")).unwrap();
-        assert_eq!(loaded.meta, Some(sample_meta()));
-        assert_eq!(loaded.ids, None);
-        let tampered = TEXT.replace(META_LINE, "snapshot-meta v1 2 2 3\n");
-        assert!(load_text(&tampered).is_err());
+        let (ut, it) = sample_ids().raw_tables();
+        let with_ids = |uids: &[u64], uhk: &[u64]| {
+            load(OCULAR_KIND, |w| {
+                snapshot().write_sections(w).unwrap();
+                w.put_u64s("uids", uids);
+                w.put_u64s("iids", sample_ids().items());
+                w.put_u64s("uhk", uhk);
+                w.put_u32s("uhv", ut.vals());
+                w.put_u64s("ihk", it.keys());
+                w.put_u32s("ihv", it.vals());
+            })
+        };
+        assert_eq!(
+            with_ids(&[101, 7], ut.keys()).unwrap().ids,
+            Some(sample_ids())
+        );
+        // duplicate external id, and an order array the table does not index
+        for uids in [&[101, 101][..], &[101, 8], &[101]] {
+            assert!(matches!(
+                with_ids(uids, ut.keys()),
+                Err(OcularError::Corrupt(_))
+            ));
+        }
+        // a lookup table whose two halves disagree in length
+        assert!(matches!(
+            with_ids(&[101, 7], &ut.keys()[1..]),
+            Err(OcularError::Corrupt(_))
+        ));
+        // an order array without its tables
+        let orphan = load(OCULAR_KIND, |w| {
+            snapshot().write_sections(w).unwrap();
+            w.put_u64s("uids", &[101, 7]);
+        });
+        assert!(matches!(orphan, Err(OcularError::Corrupt(_))));
     }
 
     #[test]
@@ -838,23 +646,18 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_meta_survives_save_path_in_both_formats() {
-        // `load_path_full` sniffs the magic: a saved v3 file and a text
-        // file from before v3 both come back with their metadata
+    fn snapshot_meta_survives_save_path() {
         let dir = std::env::temp_dir().join(format!("ocular_meta_path_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let (text_path, v3_path) = (dir.join("snap.txt"), dir.join("snap.bin"));
-        std::fs::write(&text_path, TEXT).unwrap();
+        let path = dir.join("snap.bin");
         AnySnapshot::Ocular(snapshot())
-            .save_path_full(&v3_path, None, Some(&sample_meta()))
+            .save_path_full(&path, None, Some(&sample_meta()))
             .unwrap();
-        for path in [&text_path, &v3_path] {
-            let loaded = AnySnapshot::load_path_full(path).unwrap();
-            assert_eq!(loaded.meta, Some(sample_meta()), "{}", path.display());
-            assert_eq!(ocular(loaded), snapshot());
-        }
+        let loaded = AnySnapshot::load_path_full(&path).unwrap();
+        assert_eq!(loaded.meta, Some(sample_meta()));
+        assert_eq!(ocular(loaded), snapshot());
         // publishing leaves nothing but the snapshot behind
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1021,7 +824,7 @@ mod tests {
     }
 
     #[test]
-    fn quantized_sections_round_trip_in_v3_and_are_dropped_by_text() {
+    fn quantized_sections_round_trip_in_v3() {
         for dtype in [QuantDtype::F32, QuantDtype::I8] {
             let s = snapshot().with_quantization(dtype);
             assert_eq!(s.quant.as_ref().unwrap().dtype(), dtype);
@@ -1033,8 +836,6 @@ mod tests {
             let again = AnySnapshot::Ocular(loaded).to_v3_bytes(None, None).unwrap();
             assert_eq!(again, bytes, "{dtype}: v3 must be a fixed point");
         }
-        // the text envelope never had a narrow copy, only the master
-        assert_eq!(ocular(load_text(TEXT).unwrap()).quant, None);
     }
 
     #[test]

@@ -219,17 +219,29 @@ mod tests {
 
     #[test]
     fn a_reload_pointed_at_a_lying_header_keeps_the_old_generation() {
-        // 63-byte text files whose headers promise terabytes: the reload
-        // must come back as a typed failure (a header count that became a
-        // capacity would abort the live process) and generation 1 keeps
-        // answering
-        for (i, bomb) in [
-            "ocular-snapshot v2 ocular\nocular-model v1 1000000000000 1 4 0\n",
-            "ocular-snapshot v2 wals\nwals-model v1 1000000000000 1 4 1e-2 1e-2 1 1e-1 0\n",
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        // files that promise terabytes — checksummed v3 containers whose
+        // metadata counts or section table lie, and a text snapshot from
+        // before v3 — must come back as typed failures (a count that
+        // became a capacity would abort the live process) while generation
+        // 1 keeps answering
+        let mut counts = Vec::new();
+        let mut w = ocular_api::SectionWriter::new("ocular", &mut counts);
+        w.put_u64s("meta", &[1_000_000_000_000, 1, 4, 0]);
+        w.put_f64s("ufact", &[]);
+        w.put_f64s("ifact", &[1.0; 4]);
+        w.finish().unwrap();
+        let mut table = crate::AnySnapshot::Other(Box::new(Popularity::fit(
+            &Dataset::from_matrix(Triplets::new(2, 2).into_csr()),
+        )))
+        .to_v3_bytes(None, None)
+        .unwrap();
+        let len = table.len();
+        let at = u64::from_le_bytes(table[len - 24..len - 16].try_into().unwrap()) as usize;
+        table[at + 16..at + 24].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let checksum = ocular_bytes::fnv1a64(&table[..len - 8]);
+        table[len - 8..].copy_from_slice(&checksum.to_le_bytes());
+        let text = b"ocular-snapshot v2 ocular\nocular-model v1 1000000000000 1 4 0\n".to_vec();
+        for (i, bomb) in [counts, table, text].into_iter().enumerate() {
             let path = std::env::temp_dir().join(format!("ocular-bomb-{}-{i}", std::process::id()));
             std::fs::write(&path, bomb).unwrap();
             let source = path.clone();
@@ -240,10 +252,11 @@ mod tests {
                     EngineBuilder::from_loaded(loaded).build()
                 }),
             );
-            assert!(matches!(
-                swap.reload(),
-                Err(ReloadError::Failed(OcularError::Corrupt(_)))
-            ));
+            let reloaded = swap.reload();
+            assert!(
+                matches!(reloaded, Err(ReloadError::Failed(OcularError::Corrupt(_)))),
+                "bomb {i}: {reloaded:?}"
+            );
             assert_eq!(swap.generation(), 1);
             let served = swap.engine().serve_one(&Request::Warm { user: 0, m: 2 });
             assert!(served.is_ok());

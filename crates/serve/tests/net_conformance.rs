@@ -415,6 +415,29 @@ fn pipelined_requests_answer_in_request_order() {
     let _ = std::fs::remove_file(&snap);
 }
 
+/// A body nested a million arrays deep — under the 1 MiB body cap — is a
+/// typed `bad_request`, and the server keeps serving: the parser stops at
+/// its depth limit instead of recursing off the I/O thread's stack, which
+/// would abort the whole process.
+#[test]
+fn a_request_nested_a_million_deep_is_a_bad_request() {
+    let (edges, snap) = train_fixture("deep");
+    let server = spawn_server(build_engine(&edges, &snap), ServerConfig::default());
+    let body = format!("{{\"user\": {}", "[".repeat(1_000_000));
+    assert!(body.len() < http::MAX_BODY_BYTES);
+    let resp = Client::connect(server.addr()).round_trip("POST", "/recommend", &body);
+    assert_eq!(resp.status, 400);
+    match WireReply::decode(std::str::from_utf8(&resp.body).unwrap().trim_end()).unwrap() {
+        WireReply::Err(err) => assert_eq!(err.code, ErrorCode::BadRequest),
+        WireReply::Ok(_) => panic!("a million-deep body must not be served"),
+    }
+    let resp = Client::connect(server.addr()).round_trip("GET", "/healthz", "");
+    assert_eq!(resp.status, 200);
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_file(&edges);
+    let _ = std::fs::remove_file(&snap);
+}
+
 #[test]
 fn stats_endpoint_reports_counters_and_latency() {
     let (edges, snap) = train_fixture("stats");

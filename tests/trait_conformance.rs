@@ -6,8 +6,7 @@
 //!    kernel's convention: score descending, ties by ascending item);
 //! 2. kind-tagged snapshots round-trip **bitwise** through
 //!    [`AnySnapshot`]'s v3 container;
-//! 3. legacy v1 OCuLaR snapshots still load;
-//! 4. the serving engine's batched output equals offline `recommend` for
+//! 3. the serving engine's batched output equals offline `recommend` for
 //!    every kind, at 1/2/4/8 threads.
 
 use ocular::datasets::planted::{generate, PlantedConfig};
@@ -186,35 +185,6 @@ fn snapshots_roundtrip_bitwise_for_every_kind() {
 }
 
 #[test]
-fn v3_binary_snapshots_agree_with_text_bitwise_for_every_kind() {
-    // the committed corpus holds every kind in both eras: the text file
-    // parses into the model whose v3 bytes are the committed v3 file, and
-    // both serve the same scores bit for bit
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/golden");
-    for kind in [
-        "ocular",
-        "wals",
-        "bpr",
-        "user-knn",
-        "item-knn",
-        "popularity",
-    ] {
-        let text = AnySnapshot::load_path_full(&dir.join(format!("v2-{kind}.snap"))).unwrap();
-        let v3 = AnySnapshot::load_path_full(&dir.join(format!("v3-{kind}.snap"))).unwrap();
-        assert_eq!(text.snapshot.kind(), kind);
-        assert_eq!(v3.snapshot.kind(), kind);
-        assert_eq!(text.ids, v3.ids, "kind {kind}");
-        for u in 0..text.ids.as_ref().unwrap().n_users() {
-            assert_eq!(
-                scores_of(&text.snapshot, u),
-                scores_of(&v3.snapshot, u),
-                "kind {kind}: binary↔text must agree bitwise"
-            );
-        }
-    }
-}
-
-#[test]
 fn quantized_v3_snapshots_roundtrip_bitwise_through_the_zoo_harness() {
     let r = dataset();
     for dtype in [QuantDtype::F32, QuantDtype::I8] {
@@ -235,23 +205,6 @@ fn quantized_v3_snapshots_roundtrip_bitwise_through_the_zoo_harness() {
             "{dtype}: v3 serialisation must be stable"
         );
     }
-}
-
-#[test]
-fn v1_ocular_snapshots_still_load() {
-    // a v1 snapshot is the v2 body under the v1 envelope header
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/golden");
-    let v2 = std::fs::read_to_string(dir.join("v2-ocular.snap")).unwrap();
-    assert!(v2.starts_with("ocular-snapshot v2 ocular\n"));
-    let v1 = v2.replacen("ocular-snapshot v2 ocular", "ocular-snapshot v1", 1);
-    let load = |text: &str| match AnySnapshot::load_text(&mut text.as_bytes())
-        .unwrap()
-        .snapshot
-    {
-        AnySnapshot::Ocular(s) => s,
-        AnySnapshot::Other(_) => panic!("v1 must load as the ocular kind"),
-    };
-    assert_eq!(load(&v1), load(&v2));
 }
 
 #[test]

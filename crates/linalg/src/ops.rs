@@ -90,28 +90,6 @@ pub fn max_abs(x: &[f64]) -> f64 {
     x.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
 }
 
-/// Blocked inner product: partial sums over `warp`-sized chunks, then a
-/// final tree fold — the shape of the paper's GPU shared-memory reduction
-/// (§VI-A), kept for the kernel benches to time against [`dot`].
-pub fn block_dot(a: &[f64], b: &[f64], warp: usize) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let warp = warp.max(1);
-    let mut partials: Vec<f64> = a
-        .chunks(warp)
-        .zip(b.chunks(warp))
-        .map(|(ca, cb)| dot(ca, cb))
-        .collect();
-    // tree reduction
-    while partials.len() > 1 {
-        let half = partials.len().div_ceil(2);
-        for i in 0..partials.len() / 2 {
-            partials[i] += partials[half + i];
-        }
-        partials.truncate(half);
-    }
-    partials.first().copied().unwrap_or(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,20 +151,5 @@ mod tests {
     fn max_abs_basic() {
         assert_eq!(max_abs(&[-5.0, 2.0, 4.5]), 5.0);
         assert_eq!(max_abs(&[]), 0.0);
-    }
-
-    #[test]
-    fn block_dot_matches_dot_for_every_warp() {
-        let a: Vec<f64> = (0..37).map(|i| (i as f64) * 0.3 - 2.0).collect();
-        let b: Vec<f64> = (0..37).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        for warp in [1, 4, 32, 64] {
-            assert!(
-                (block_dot(&a, &b, warp) - dot(&a, &b)).abs() < 1e-9,
-                "warp {warp}"
-            );
-        }
-        assert_eq!(block_dot(&[], &[], 32), 0.0);
-        // warp 0 is clamped to 1, not a division hazard
-        assert_eq!(block_dot(&[2.0], &[3.0], 0), 6.0);
     }
 }

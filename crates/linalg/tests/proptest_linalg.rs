@@ -97,15 +97,6 @@ proptest! {
         prop_assert!((d.sqrt() - ops::norm(&a)).abs() < 1e-9);
     }
 
-    #[test]
-    fn block_dot_matches_dot(a in proptest::collection::vec(-5.0f64..5.0, 0..64),
-                             b in proptest::collection::vec(-5.0f64..5.0, 0..64),
-                             warp in 0usize..70) {
-        let n = a.len().min(b.len());
-        let exact = ops::dot(&a[..n], &b[..n]);
-        prop_assert!((ops::block_dot(&a[..n], &b[..n], warp) - exact).abs() < 1e-9);
-    }
-
     /// f32 quantization is plain rounding: the per-element round-trip
     /// error is bounded by one f32 ulp of the value (relative 2⁻²³, with
     /// an absolute floor for subnormals).

@@ -116,7 +116,7 @@ use ocular_serve::{
 };
 use ocular_sparse::io::{append_edge_list, read_edge_list};
 use ocular_sparse::{CsrMatrix, Dataset, IdMaps};
-use std::io::{BufRead, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
 /// Every `--key` some mode reads.
@@ -459,7 +459,6 @@ fn serve_mode(flags: &Flags) -> Result<(), String> {
     let batch_size: usize = flags.num("batch", 256)?.max(1);
     let engine = build_engine(flags, 0)?;
 
-    let stdin = std::io::stdin();
     let mut out = BufWriter::new(std::io::stdout().lock());
     let mut pending: Vec<Result<Request, WireReply>> = Vec::with_capacity(batch_size);
     let flush_batch = |pending: &mut Vec<Result<Request, WireReply>>,
@@ -484,17 +483,19 @@ fn serve_mode(flags: &Flags) -> Result<(), String> {
         out.flush().map_err(|e| e.to_string())
     };
 
-    for line in stdin.lock().lines() {
+    // a batch also ends where no further line is buffered, so every request
+    // read is answered before a read that could block
+    let mut input = BufReader::with_capacity(1 << 16, std::io::stdin().lock());
+    while let Some(line) = (&mut input).lines().next() {
         let line = line.map_err(|e| e.to_string())?;
-        if line.trim().is_empty() {
-            continue;
+        if !line.trim().is_empty() {
+            pending.push(
+                WireRequest::decode(&line)
+                    .map(|w| w.request)
+                    .map_err(WireReply::Err),
+            );
         }
-        pending.push(
-            WireRequest::decode(&line)
-                .map(|w| w.request)
-                .map_err(WireReply::Err),
-        );
-        if pending.len() >= batch_size {
+        if pending.len() >= batch_size || !input.buffer().contains(&b'\n') {
             flush_batch(&mut pending, &mut out)?;
         }
     }

@@ -1,6 +1,6 @@
 //! A minimal HTTP/1.1 codec for the serving tier — request parsing on the
-//! server side, response parsing on the client side (load generator,
-//! conformance tests), and response formatting shared by both.
+//! server side, response parsing on the client side (conformance tests),
+//! and response formatting shared by both.
 //!
 //! Deliberately small: methods/paths/headers the wire protocol needs
 //! (`Content-Length` framing, `Connection` keep-alive negotiation), hard
@@ -199,7 +199,7 @@ pub fn format_response(status: u16, body: &[u8], keep_alive: bool) -> Vec<u8> {
     out
 }
 
-/// Formats a request (client side — load generator, conformance tests).
+/// Formats a request (client side — conformance and hot-swap tests).
 pub fn format_request(method: &str, path: &str, body: &[u8], keep_alive: bool) -> Vec<u8> {
     let head = format!(
         "{method} {path} HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",

@@ -2,15 +2,13 @@
 //! front-end over the [`crate::protocol`] wire format.
 //!
 //! * [`http`] — the minimal HTTP codec (request parsing, response
-//!   framing, a blocking client half for tools and tests);
+//!   framing, a blocking client half for tests);
 //! * [`stats`] — lock-free counters and log-bucketed latency histograms
 //!   behind `GET /stats`;
 //! * [`server`] (Linux only) — the epoll event loop, worker-pool request
 //!   coalescing, keep-alive + pipelining, admission control, and the
 //!   control plane (`POST /admin/reload` + `SIGHUP` hot swaps through
-//!   [`crate::swap::SwapEngine`]);
-//! * [`loadgen`] — the closed-loop load generator used by the `loadgen`
-//!   binary and the network benchmarks.
+//!   [`crate::swap::SwapEngine`]).
 //!
 //! The stdin CLI (`serve` binary) and this TCP tier decode and encode
 //! through the same [`crate::protocol`] types, so a request line piped
@@ -18,7 +16,6 @@
 //! response bodies — the conformance tests assert exactly that.
 
 pub mod http;
-pub mod loadgen;
 #[cfg(target_os = "linux")]
 pub mod server;
 pub mod stats;

@@ -183,7 +183,7 @@ impl WireError {
         ])
     }
 
-    /// Decodes the wire JSON object (tests, load generator).
+    /// Decodes the wire JSON object (tests, the repo benchmark's client).
     pub fn from_json(v: &Json) -> Result<WireError, String> {
         let message = v
             .get("error")
@@ -331,8 +331,7 @@ impl WireRequest {
         Ok(WireRequest { request })
     }
 
-    /// Encodes back to the v1 wire shape (load generator, round-trip
-    /// tests). Always pins `"v"` and spells `m` explicitly.
+    /// Encodes back to the v1 wire shape (round-trip tests). Always pins `"v"` and spells `m` explicitly.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![("v", Json::Int(PROTOCOL_VERSION))];
         let m = match &self.request {
@@ -494,7 +493,7 @@ impl WireResponse {
         obj(fields)
     }
 
-    /// Decodes the wire JSON object (tests, load generator). External ids
+    /// Decodes the wire JSON object (tests, the repo benchmark's client). External ids
     /// at or above 2^53 cannot be recovered from JSON numbers and are
     /// rejected, mirroring the request-side rule.
     pub fn from_json(v: &Json) -> Result<WireResponse, String> {

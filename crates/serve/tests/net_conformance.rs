@@ -16,7 +16,7 @@ use ocular_core::OcularConfig;
 use ocular_serve::json::Json;
 use ocular_serve::net::http;
 use ocular_serve::net::{RunningServer, Server, ServerConfig};
-use ocular_serve::protocol::ErrorCode;
+use ocular_serve::protocol::{Echo, ErrorCode};
 use ocular_serve::{
     AnySnapshot, CandidatePolicy, EngineBuilder, KernelLevel, QuantDtype, ServeConfig, ServeEngine,
     SwapEngine, WireReply,
@@ -343,6 +343,62 @@ fn cli_and_tcp_serve_byte_identical_bodies() {
         WireReply::decode(line).unwrap();
     }
     server.shutdown().unwrap();
+    let _ = std::fs::remove_file(&edges);
+    let _ = std::fs::remove_file(&snap);
+}
+
+/// A co-process that writes one request line and waits for its reply gets
+/// the reply while stdin stays open: the CLI answers what it has read
+/// before it blocks for the next line, not after `--batch` lines or EOF.
+#[test]
+fn stdin_cli_answers_each_request_before_the_next_arrives() {
+    use std::io::BufRead;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let (edges, snap) = train_fixture("stdin-interactive");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args([
+            "--model",
+            snap.to_str().unwrap(),
+            "--interactions",
+            edges.to_str().unwrap(),
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    let stdout = BufReader::new(child.stdout.take().unwrap());
+    let (tx, rx) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in stdout.lines() {
+            if tx.send(line.unwrap()).is_err() {
+                break;
+            }
+        }
+    });
+    for (request, user) in [(r#"{"user": 0, "m": 1}"#, 0), (r#"{"user": 2, "m": 1}"#, 2)] {
+        writeln!(stdin, "{request}").unwrap();
+        stdin.flush().unwrap();
+        let reply = match rx.recv_timeout(Duration::from_secs(20)) {
+            Ok(reply) => reply,
+            Err(e) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("no reply to `{request}` within 20 s with stdin open: {e}");
+            }
+        };
+        let WireReply::Ok(resp) = WireReply::decode(&reply).unwrap() else {
+            panic!("`{request}` answered {reply}");
+        };
+        assert_eq!(resp.echo, Echo::User(user), "{reply}");
+    }
+    drop(stdin);
+    assert!(child.wait().unwrap().success(), "EOF on stdin must exit 0");
+    reader.join().unwrap();
+    assert!(rx.try_recv().is_err(), "one reply per request");
     let _ = std::fs::remove_file(&edges);
     let _ = std::fs::remove_file(&snap);
 }

@@ -17,7 +17,7 @@
 //! | [`core`] | OCuLaR, R-OCuLaR, co-clusters, explanations |
 //! | [`baselines`] | wALS, BPR, user-/item-based kNN, popularity |
 //! | [`community`] | Modularity, Louvain, BIGCLAM comparators |
-//! | [`parallel`] | simulated GPU kernels, parallel trainer, memory model |
+//! | [`parallel`] | data-parallel trainer (§VI on CPU cores), memory model, worker pool |
 //! | [`serve`] | online serving: snapshots, candidate generation, batching, hot swap |
 //!
 //! ## Five-minute tour

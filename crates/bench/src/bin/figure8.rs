@@ -77,7 +77,7 @@ fn main() {
             None => println!("speedup at relative gap {gap:.0e}: target not reached"),
         }
     }
-    let threads = rayon::current_num_threads();
+    let threads = ocular_parallel::threads();
     println!("(host parallelism: {threads} threads — the paper's GPU reached 57×)\n");
 
     let here = MemoryModel::host_f64(

@@ -3,8 +3,8 @@
 //!
 //! Paper setup: 625 parameter pairs fanned out with Spark over 8 GPU
 //! machines in ~8 minutes (vs >2 days on one CPU). Here the same
-//! embarrassingly parallel fan-out runs on rayon
-//! ([`ocular_eval::gridsearch`]); the default grid is 5×5 to stay
+//! embarrassingly parallel fan-out runs on `ocular_parallel`'s scoped
+//! threads ([`ocular_eval::gridsearch`]); the default grid is 5×5 to stay
 //! laptop-friendly — pass `--grid 25` for the paper's resolution.
 //!
 //! Paper result: the optimal pairs lie *outside* the coarse grid used for
@@ -80,7 +80,7 @@ fn main() {
     println!("{}", result.render_heatmap());
     println!(
         "grid evaluated in {elapsed:.1} s on {} threads (paper: 8 min on 8 GPUs vs >2 days on 1 CPU)",
-        rayon::current_num_threads()
+        ocular_parallel::threads()
     );
     if args.flag("csv") {
         println!("{}", result.to_csv());

@@ -409,7 +409,7 @@ fn main() {
         // per second with the parts left to the engine, and with every
         // requester on one thread — where no core is idle, the engine must
         // not split; best of two each, interleaved
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let cores = ocular_parallel::host_cores();
         let busy_rps = |threads: Option<usize>| {
             let t0 = Instant::now();
             std::thread::scope(|s| {

@@ -3,16 +3,16 @@
 //! The paper selects K and λ by cross-validated grid search on recall@M and
 //! accelerates the search by fanning the 625 parameter pairs out over a
 //! Spark cluster of GPU machines (Section VII-E). Here the same
-//! embarrassingly parallel structure is expressed with rayon: each `(K, λ)`
-//! cell fits a [`Recommender`] independently, and every fitted model is
-//! scored with recall@M under the one evaluation protocol
+//! embarrassingly parallel structure is an [`ocular_parallel::map_slice`]
+//! over the cells, one block per thread: each `(K, λ)` cell fits a
+//! [`Recommender`] independently, and every fitted model is scored with
+//! recall@M under the one evaluation protocol
 //! ([`crate::protocol::evaluate`]) — the cells cannot drift apart on
 //! metric definitions.
 
 use crate::protocol::evaluate;
 use ocular_api::Recommender;
 use ocular_sparse::CsrMatrix;
-use rayon::prelude::*;
 
 /// Result of a grid search: the metric surface plus the best cell.
 #[derive(Debug, Clone)]
@@ -88,9 +88,10 @@ impl GridResult {
 /// Runs the grid search. `fit_cell(k, λ)` fits a model with those
 /// hyper-parameters on `train`; the model is scored with recall@`m` on
 /// `test` under the evaluation protocol. Cells are evaluated in parallel
-/// (rayon), mirroring the paper's cluster fan-out; results are
-/// deterministic because each cell is independent and seeded by the
-/// caller.
+/// ([`ocular_parallel::map_slice`], sized by
+/// [`ocular_parallel::with_threads`]), mirroring the paper's cluster
+/// fan-out; results are deterministic because each cell is independent and
+/// seeded by the caller.
 ///
 /// # Panics
 /// Panics if either axis is empty.
@@ -112,13 +113,10 @@ where
     let cells: Vec<(usize, usize)> = (0..ks.len())
         .flat_map(|ki| (0..lambdas.len()).map(move |li| (ki, li)))
         .collect();
-    let flat: Vec<f64> = cells
-        .par_iter()
-        .map(|&(ki, li)| {
-            let model = fit_cell(ks[ki], lambdas[li]);
-            evaluate(model.as_ref(), train, test, m).recall
-        })
-        .collect();
+    let flat = ocular_parallel::map_slice(&cells, |&(ki, li)| {
+        let model = fit_cell(ks[ki], lambdas[li]);
+        evaluate(model.as_ref(), train, test, m).recall
+    });
     let mut scores = vec![vec![0.0; lambdas.len()]; ks.len()];
     for (&(ki, li), &v) in cells.iter().zip(&flat) {
         scores[ki][li] = v;

@@ -1,13 +1,15 @@
 //! A small persistent worker pool for the serving tier.
 //!
-//! [`rayon`]'s scoped data parallelism fits batch computations that start
-//! and finish inside one call; the network front-end instead needs
-//! **long-lived** workers that pull submitted jobs off a queue while the
-//! I/O thread keeps multiplexing connections, and a split catalog scan
-//! needs helpers that are already running when a request arrives — a
-//! thread spawned per request costs what the split saves. [`WorkerPool`] is
-//! that primitive: N threads draining one shared channel of boxed closures,
-//! joined on drop so a server shutdown cannot leak threads.
+//! The crate's scoped fan-out ([`crate::fan_out`]) fits batch computations
+//! that start and finish inside one call, on threads spawned for it; the
+//! network front-end instead needs **long-lived** workers that pull
+//! submitted jobs off a queue while the I/O thread keeps multiplexing
+//! connections, and a split catalog scan needs helpers that are already
+//! running when a request arrives — a thread spawned per request costs
+//! what the split saves. [`WorkerPool`] is that primitive: N threads
+//! draining one shared channel of boxed closures, joined on drop so a
+//! server shutdown cannot leak threads. The jobs own what they read
+//! (`'static`): borrowed work on persistent threads would need `unsafe`.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};

@@ -17,10 +17,10 @@ use ocular_core::linesearch::{RowScratch, RowUpdate, SearchStats};
 use ocular_core::trainer::{fit_with, TrainResult, WeightsFor};
 use ocular_linalg::Matrix;
 use ocular_sparse::{CsrMatrix, Dataset};
-use rayon::prelude::*;
 
-/// One parallel half-sweep over all rows of `own`; returns what the step
-/// search did (integer sums, so independent of how rows were scheduled).
+/// One parallel half-sweep over all rows of `own`, in [`crate::row_blocks`]
+/// with one scratch per block; returns what the step search did (integer
+/// sums, so independent of how rows were scheduled).
 fn parallel_sweep_side(
     own: &mut Matrix,
     adjacency: &CsrMatrix,
@@ -28,36 +28,39 @@ fn parallel_sweep_side(
     weights_for_positives: &WeightsFor<'_>,
 ) -> SearchStats {
     let k = own.cols();
-    own.as_mut_slice()
-        .par_chunks_mut(k)
-        .enumerate()
-        .map_init(RowScratch::default, |scratch, (e, row)| {
-            let mut stats = SearchStats::default();
+    let blocks = crate::row_blocks(own.as_mut_slice(), k);
+    let per_block = crate::fan_out(blocks, |(first, rows)| {
+        let mut scratch = RowScratch::default();
+        let mut stats = SearchStats::default();
+        for (j, row) in rows.chunks_mut(k).enumerate() {
+            let e = first + j;
             update.run(
                 row,
                 adjacency.row(e),
                 weights_for_positives(e),
-                scratch,
+                &mut scratch,
                 &mut stats,
             );
-            stats
-        })
-        .reduce(SearchStats::default, |mut a, b| {
-            a += b;
-            a
-        })
+        }
+        stats
+    });
+    let mut stats = SearchStats::default();
+    for block in per_block {
+        stats += block;
+    }
+    stats
 }
 
 /// Fits OCuLaR with data-parallel half-sweeps. Same configuration, same
 /// semantics and (given the same seed) the same model as
 /// [`ocular_core::fit`] — only faster on multi-core hosts.
 ///
-/// `threads`: `None` uses rayon's global pool; `Some(n)` builds a dedicated
-/// pool (used by the Figure 8 harness to emulate "CPU" = 1 thread vs
-/// "GPU" = all cores on one binary).
+/// `threads`: `None` uses [`crate::threads`]; `Some(n)` runs on `n` (used
+/// by the Figure 8 harness to emulate "CPU" = 1 thread vs "GPU" = all
+/// cores on one binary).
 ///
 /// # Panics
-/// Panics if `cfg` fails validation or the thread pool cannot be built.
+/// Panics if `cfg` fails validation.
 pub fn fit_parallel(data: &Dataset, cfg: &OcularConfig, threads: Option<usize>) -> TrainResult {
     crate::with_threads(threads, || fit_with(data, cfg, &mut parallel_sweep_side))
 }

@@ -1,5 +1,5 @@
 //! The in-process serving engine: candidate generation, heap selection,
-//! cold-start fold-in and rayon-parallel batching — polymorphic over model
+//! cold-start fold-in and parallel batching — polymorphic over model
 //! kinds.
 //!
 //! OCuLaR models keep their specialised request path (co-cluster candidate
@@ -39,9 +39,8 @@ use ocular_core::{
 };
 use ocular_linalg::topk::{top_k_excluding, MonotoneTopK, TopK};
 use ocular_linalg::{ops, KernelLevel, PreparedQuery, QuantDtype, QuantizedFactors};
-use ocular_parallel::WorkerPool;
+use ocular_parallel::{host_cores, WorkerPool};
 use ocular_sparse::Dataset;
-use rayon::prelude::*;
 use std::cell::RefCell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -49,11 +48,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 
 thread_local! {
-    // Request working memory, one set per serving thread (rayon workers
-    // included): the OCuLaR fold-in solver scratch, and the dense score
-    // vector of the trait-served kinds. Allocating these per request is
-    // what put the cold path's p99 an order of magnitude over its p50;
-    // buffers are cleared and resized on every use, so output is unchanged.
+    // Request working memory, one set per serving thread (a batch's
+    // fan-out threads included): the OCuLaR fold-in solver scratch, and the
+    // dense score vector of the trait-served kinds. Allocating these per
+    // request is what put the cold path's p99 an order of magnitude over its
+    // p50; buffers are cleared and resized on every use, so output is unchanged.
     static FOLD_SCRATCH: RefCell<FoldInScratch> = RefCell::new(FoldInScratch::new());
     static SCORES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
@@ -532,7 +531,7 @@ impl EngineBuilder {
 /// interaction [`Dataset`] — used both for owned-item exclusion and for
 /// resolving external-id requests through the dataset's id maps. All
 /// serving methods take `&self`, so one engine can be shared across
-/// threads; [`ServeEngine::serve_batch`] does exactly that via rayon.
+/// threads; [`ServeEngine::serve_batch`] does exactly that.
 ///
 /// Construct through [`EngineBuilder`].
 pub struct ServeEngine {
@@ -704,13 +703,15 @@ impl ServeEngine {
         }
     }
 
-    /// Serves a batch of requests in parallel on the ambient rayon pool
-    /// (size it with [`ocular_parallel::with_threads`]). Responses are
+    /// Serves a batch of requests in parallel, one
+    /// [`ocular_parallel::map_slice`] block per thread (size it with
+    /// [`ocular_parallel::with_threads`]; a batch of one spawns nothing, and
+    /// each block's scans split under the caller's count). Responses are
     /// returned in request order, and every response is identical to what
     /// [`ServeEngine::serve_one`] returns for that request — batching
     /// changes wall-clock, never output.
     pub fn serve_batch(&self, requests: &[Request]) -> Vec<Result<ServedList, ServeError>> {
-        requests.par_iter().map(|r| self.serve_one(r)).collect()
+        ocular_parallel::map_slice(requests, |r| self.serve_one(r))
     }
 
     /// Renders a serving result as the wire protocol's reply — the one
@@ -943,18 +944,12 @@ impl Drop for HeldCores<'_> {
     }
 }
 
-/// The host's cores, read once: a scan runs in at most this many parts, on
-/// the requester and one fewer helper.
-fn host_cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
-}
-
 /// Parts a quantized full-catalog scan of `n` items runs in from this thread
 /// while its engine's other scans hold `busy` cores (0 on an idle engine):
-/// one per thread ([`ocular_parallel::with_threads`], else
-/// `RAYON_NUM_THREADS`, else the host) and per core the host has, less the
-/// busy ones, at most one per `SPLIT_ROWS` items — never fewer than one.
+/// one per thread ([`ocular_parallel::threads`]: the
+/// [`ocular_parallel::with_threads`] count, else the host's cores) and per
+/// core the host has, less the busy ones, at most one per `SPLIT_ROWS`
+/// items — never fewer than one.
 ///
 /// A part only pays where a core would otherwise wait. With every core
 /// serving a request, splitting costs each request more CPU for no wall
@@ -962,7 +957,7 @@ fn host_cores() -> usize {
 /// `http_warm_catalog` model, read 14,035–14,701 req/s unsplit and
 /// 11,261–11,650 with every scan in two parts.
 pub fn scan_parts(n: usize, busy: usize) -> usize {
-    let free = rayon::current_num_threads()
+    let free = ocular_parallel::threads()
         .min(host_cores())
         .saturating_sub(busy);
     free.clamp(1, (n / SPLIT_ROWS).max(1))
@@ -1024,11 +1019,11 @@ impl SplitScan {
 /// so a busy pool costs no more than one part and nothing waits on a queue.
 ///
 /// The helpers are a [`WorkerPool`] because they must already be running
-/// when a request arrives: the workspace's `rayon` starts a scoped thread per
-/// call. A `par_iter` over the parts, merged the same way, read 6,210–7,624
-/// req/s with one requester looping on the `http_warm_catalog` model (2-core
-/// VM, three runs) — no better than the one-part scan's 7,145–7,576 —
-/// against 9,622–10,883 here.
+/// when a request arrives: [`ocular_parallel::fan_out`] starts a scoped thread
+/// per part per call. Such a fan-out over the parts, merged the same way,
+/// read 6,210–7,624 req/s with one requester looping on the
+/// `http_warm_catalog` model (2-core VM, three runs) — no better than the
+/// one-part scan's 7,145–7,576 — against 9,622–10,883 here.
 fn split_scan(
     quant: &Arc<QuantizedFactors>,
     query: PreparedQuery,

@@ -42,9 +42,9 @@
 //!   [`ocular_api::FoldIn`] capability, with a typed
 //!   [`ocular_api::OcularError::Unsupported`] answer where the algorithm
 //!   admits none), then served through the same selection path.
-//! * **Batching** ([`ServeEngine::serve_batch`]) — rayon-parallel over
-//!   requests, deterministic in request order and output regardless of
-//!   thread count.
+//! * **Batching** ([`ServeEngine::serve_batch`]) — parallel over
+//!   requests (one [`ocular_parallel::map_slice`] block per thread),
+//!   deterministic in request order and output regardless of thread count.
 //! * **A wire protocol and a network tier** ([`protocol`], [`net`]) — one
 //!   versioned request/response/error encoding behind both the stdin CLI
 //!   and the epoll HTTP/1.1 front-end (keep-alive, pipelining, batch

@@ -15,7 +15,8 @@
 //! The same fit with the Armijo search reports what the search did —
 //! trials per accepted step, and how many trials were rejected from their
 //! `O(K)` part or cut short — from the exact counts in
-//! `TrainingHistory::search`.
+//! `TrainingHistory::search`, and splits its sweeps into the item and the
+//! user half: each half's seconds, trials and positives visited.
 //!
 //! With `--bench-out PATH` it additionally writes a `BENCH_train.json`
 //! artifact (fastest OCuLaR fit wall-clock over the sweep, per-sweep
@@ -25,7 +26,8 @@
 use ocular_baselines::{ItemKnn, KnnConfig, UserKnn};
 use ocular_bench::harness::{evaluate_recommender, OcularRecommender};
 use ocular_bench::Args;
-use ocular_core::linesearch::SearchStats;
+use ocular_core::linesearch::{RowScratch, SearchStats};
+use ocular_core::trainer::fit_with;
 use ocular_core::OcularConfig;
 use ocular_datasets::profiles;
 use ocular_eval::protocol::evaluate;
@@ -176,7 +178,37 @@ fn main() {
     // `bench_gate` holds to the baseline) and, as telemetry only, seconds
     // per positive visited — the exact count inside trials, one O(K) part
     // per trial, and each half-sweep's value-and-gradient pass
-    let search_fit = ocular_core::fit(&split.train, &search_cfg);
+    //
+    // The fit runs through `fit_with` with a half-sweep of the probe's own,
+    // so each half is timed from outside the library: the item half's
+    // positives come from the dataset's item view, the user half's from
+    // its matrix. Its model and counts are `fit`'s.
+    let mut halves = [(0.0, SearchStats::default()); 2]; // [items, users]
+    let mut scratch = RowScratch::default();
+    let search_fit = fit_with(
+        &split.train,
+        &search_cfg,
+        &mut |own, adjacency, update, weights| {
+            let t0 = std::time::Instant::now();
+            let mut stats = SearchStats::default();
+            for e in 0..own.rows() {
+                let row = own.row_mut(e);
+                update.run(row, adjacency.row(e), weights(e), &mut scratch, &mut stats);
+            }
+            let half = &mut halves[usize::from(std::ptr::eq(adjacency, split.train.matrix()))];
+            half.0 += t0.elapsed().as_secs_f64();
+            half.1 += stats;
+            stats
+        },
+    );
+    for (side, (seconds, stats)) in ["item", "user"].iter().zip(&halves) {
+        println!(
+            "{side} half-sweeps: {seconds:.4}s over {} sweeps; {} trials, {} positives visited in them",
+            search_fit.history.iterations(),
+            stats.trials,
+            stats.visited,
+        );
+    }
     let per_sweep = search_fit.history.sweep_seconds;
     let ns_per_visit: Vec<f64> = per_sweep
         .iter()

@@ -148,6 +148,11 @@ impl OcularConfig {
         if !(0.0..1.0).contains(&self.beta) || self.beta == 0.0 {
             return Err("beta must lie in (0, 1)".into());
         }
+        // zero trials would leave every row where it started and report
+        // the first sweep's zero decrease as convergence
+        if self.max_backtracks == 0 {
+            return Err("max_backtracks must be positive".into());
+        }
         if self.inner_steps == 0 {
             return Err("inner_steps must be positive".into());
         }
@@ -235,6 +240,13 @@ mod tests {
         }
         .validate()
         .is_err());
+        assert!(OcularConfig {
+            max_backtracks: 0,
+            ..Default::default()
+        }
+        .validate()
+        .unwrap_err()
+        .contains("max_backtracks"));
         assert!(OcularConfig {
             inner_steps: 0,
             ..Default::default()

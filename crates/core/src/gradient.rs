@@ -69,11 +69,17 @@ pub struct LocalProblem<'a> {
     pub fixed_dim: Option<usize>,
 }
 
-impl LocalProblem<'_> {
+impl<'a> LocalProblem<'a> {
     /// Local objective `Q(f)` for a candidate row `own`.
     pub fn objective(&self, own: &[f64]) -> f64 {
         self.objective_within(own, 0.0, f64::INFINITY)
             .expect("nothing exceeds an infinite bound")
+    }
+
+    /// The `O(K)` part of `Q(own)`, `⟨own, negsum⟩ + λ‖own‖²`, in the order
+    /// every evaluation of `Q` starts from.
+    pub(crate) fn linear_part(&self, own: &[f64]) -> f64 {
+        ops::dot(own, self.negsum) + self.lambda * ops::norm_sq(own)
     }
 
     /// `Q(own)`, summed only as far as deciding `Q(own) − q0 ≤ bound` needs:
@@ -82,13 +88,28 @@ impl LocalProblem<'_> {
     /// [`crate::linesearch`] — otherwise `Ok(Q(own))`, accumulated in the
     /// order, and so to the bits, of an unbounded evaluation.
     pub fn objective_within(&self, own: &[f64], q0: f64, bound: f64) -> Result<f64, usize> {
-        let mut q = ops::dot(own, self.negsum) + self.lambda * ops::norm_sq(own);
-        for (visited, &e) in self.positives.iter().enumerate() {
+        self.objective_within_from(own, self.linear_part(own), q0, bound)
+    }
+
+    /// [`Self::objective_within`] given `linear = self.linear_part(own)`,
+    /// for a caller that formed it alongside other sums over `own`.
+    pub(crate) fn objective_within_from(
+        &self,
+        own: &[f64],
+        linear: f64,
+        q0: f64,
+        bound: f64,
+    ) -> Result<f64, usize> {
+        let mut q = linear;
+        // the test runs before the next group's dots: a screened trial
+        // forms none
+        let mut affinities = self.affinities(own);
+        for visited in 0..self.positives.len() {
             if q - q0 > bound {
                 return Err(visited);
             }
-            let p = ops::dot(own, self.other.row(e as usize));
-            q += self.weights.get(e as usize) * pair_loss(p);
+            let (e, _, p) = affinities.next().expect("one per positive");
+            q += self.weights.get(e) * pair_loss(p);
         }
         Ok(q)
     }
@@ -111,14 +132,12 @@ impl LocalProblem<'_> {
         debug_assert_eq!(own.len(), grad.len());
         let mut q = 0.0;
         if VALUE {
-            q = ops::dot(own, self.negsum) + self.lambda * ops::norm_sq(own);
+            q = self.linear_part(own);
         }
         grad.copy_from_slice(self.negsum);
         ops::axpy(2.0 * self.lambda, own, grad);
-        for &e in self.positives {
-            let row = self.other.row(e as usize);
-            let p = ops::dot(own, row);
-            let w = self.weights.get(e as usize);
+        for (e, row, p) in self.affinities(own) {
+            let w = self.weights.get(e);
             if VALUE {
                 q += w * pair_loss(p);
             }
@@ -128,6 +147,62 @@ impl LocalProblem<'_> {
             grad[d] = 0.0;
         }
         q
+    }
+
+    /// The positives in order with their affinities to `own`.
+    fn affinities<'o>(&self, own: &'o [f64]) -> Affinities<'a, 'o> {
+        Affinities::new(own, self.other, self.positives)
+    }
+}
+
+/// `(e, f_e, ⟨own, f_e⟩)` for each `e` of a positive list, in list order,
+/// the dots formed four at a time by [`ops::dots4`] — each to the bits of
+/// [`ops::dot`], the four add chains interleaved. A consumer that stops
+/// early has paid for at most three dots it never reads.
+pub(crate) struct Affinities<'a, 'o> {
+    own: &'o [f64],
+    /// The fixed side's rows, flat: row `e` is `other[e·K..(e+1)·K]`.
+    other: &'a [f64],
+    ids: &'a [u32],
+    next: usize,
+    dots: [f64; 4],
+}
+
+impl<'a, 'o> Affinities<'a, 'o> {
+    pub(crate) fn new(own: &'o [f64], other: &'a Matrix, ids: &'a [u32]) -> Self {
+        debug_assert_eq!(own.len(), other.cols());
+        Affinities {
+            own,
+            other: other.as_slice(),
+            ids,
+            next: 0,
+            dots: [0.0; 4],
+        }
+    }
+
+    #[inline(always)]
+    fn row(&self, e: usize) -> &'a [f64] {
+        let k = self.own.len();
+        &self.other[e * k..(e + 1) * k]
+    }
+}
+
+impl<'a> Iterator for Affinities<'a, '_> {
+    type Item = (usize, &'a [f64], f64);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Self::Item> {
+        let e = *self.ids.get(self.next)? as usize;
+        let lane = self.next % 4;
+        if lane == 0 {
+            // a short last group repeats its last row: its dot is unread
+            let group = &self.ids[self.next..];
+            let last = group.len().min(4) - 1;
+            let row = |j: usize| self.row(group[j.min(last)] as usize);
+            self.dots = ops::dots4(self.own, [row(0), row(1), row(2), row(3)]);
+        }
+        self.next += 1;
+        Some((e, self.row(e), self.dots[lane]))
     }
 }
 

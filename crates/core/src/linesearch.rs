@@ -131,8 +131,11 @@ fn armijo_counted(
     let degree = problem.positives.len() as u64;
     let mut alpha = 1.0;
     for _ in 0..params.max_backtracks {
-        ops::projected_step(own, grad, alpha, candidate);
-        let predicted = ops::dot_diff(grad, candidate, own);
+        // one pass: the candidate, its predictor and its O(K) part, in
+        // LocalProblem::linear_part's order
+        let [predicted, pull, norm] =
+            ops::projected_step_sums(own, grad, alpha, problem.negsum, candidate);
+        let linear = pull + problem.lambda * norm;
         if predicted == 0.0 {
             // projection absorbed the whole step: stationary w.r.t. the
             // active set (e.g. zero row with non-negative gradient)
@@ -143,7 +146,7 @@ fn armijo_counted(
         let bound = params.sigma * predicted;
         stats.trials += 1;
         stats.visited_unscreened += degree;
-        match problem.objective_within(candidate, q0, bound) {
+        match problem.objective_within_from(candidate, linear, q0, bound) {
             Ok(q1) => {
                 stats.visited += degree;
                 if q1 - q0 <= bound {

@@ -11,6 +11,7 @@
 //! gradients use: `Σ_{r=0} ⟨f_u,f_i⟩ = ⟨Σ_u f_u, Σ_i f_i⟩ − Σ_{r=1} ⟨f_u,f_i⟩`,
 //! so the whole objective costs `O(nnz·K + (n_u + n_i)·K)`.
 
+use crate::gradient::Affinities;
 use crate::model::{FactorModel, P_MIN};
 use ocular_linalg::ops;
 use ocular_sparse::CsrMatrix;
@@ -82,10 +83,8 @@ pub fn objective_parts(
     // positive-example terms, and ⟨f_u,f_i⟩ over positives for the sum-trick
     let mut pos_affinity_sum = 0.0;
     for u in 0..r.n_rows() {
-        let fu = user_factors.row(u);
         let w = weights[u];
-        for &i in r.row(u) {
-            let p = ops::dot(fu, item_factors.row(i as usize));
+        for (_, _, p) in Affinities::new(user_factors.row(u), item_factors, r.row(u)) {
             q += w * pair_loss(p);
             pos_affinity_sum += p;
         }

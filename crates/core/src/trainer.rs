@@ -556,6 +556,22 @@ mod tests {
     }
 
     #[test]
+    fn try_fit_rejects_a_search_with_no_trials() {
+        // with no trial the fit would return its initial factors as
+        // "converged" after one sweep of zero decrease
+        let cfg = OcularConfig {
+            max_backtracks: 0,
+            ..quick_cfg()
+        };
+        match try_fit(&two_blocks(), &cfg) {
+            Err(ocular_api::OcularError::InvalidConfig(msg)) => {
+                assert!(msg.contains("max_backtracks"), "{msg}")
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn fixed_step_mode_trains() {
         let r = two_blocks();
         let cfg = OcularConfig {

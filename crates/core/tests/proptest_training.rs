@@ -162,7 +162,7 @@ fn bits(v: &[f64]) -> Vec<u64> {
 /// dimension, both weight layouts, and non-finite `q0` / row entries.
 fn check_against_naive(seed: u64, tally: &mut Tally) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let k = rng.gen_range(1..6usize);
+    let k = rng.gen_range(1..41usize);
     let n_other = rng.gen_range(1..12usize);
     // factor magnitudes: ordinary, tiny (affinities under P_MIN), or sparse
     let magnitude = [1.0, 1e-7, 3.0][rng.gen_range(0..3usize)];

@@ -1,4 +1,4 @@
-//! Ablations of the design choices the paper (and DESIGN.md) call out:
+//! Ablations of the design choices the paper calls out:
 //!
 //! 1. **single PGD step vs (near-)exact subproblem solves** — Section IV-B:
 //!    *"performing only one gradient descent step significantly speeds up
@@ -15,11 +15,12 @@
 //! Usage: `cargo run -p ocular-bench --release --bin ablations --
 //!   [--scale …] [--seed S] [--m 50]`
 
-use ocular_bench::harness::{evaluate_recommender, OcularRecommender};
+use ocular_bench::harness::OcularRecommender;
 use ocular_bench::{Args, TextTable};
 use ocular_core::gradient::{negative_sum, negative_sum_naive};
 use ocular_core::{fit, OcularConfig};
 use ocular_datasets::profiles;
+use ocular_eval::protocol::evaluate;
 use ocular_sparse::{Split, SplitConfig};
 use std::time::Instant;
 
@@ -119,7 +120,7 @@ fn main() {
         let result = fit(&split.train, cfg);
         let secs = t0.elapsed().as_secs_f64();
         let rec = OcularRecommender::from_model(result.model.clone(), "variant");
-        let report = evaluate_recommender(&rec, &split.train, &split.test, m);
+        let report = evaluate(&rec, &split.train, &split.test, m);
         if baseline_recall.is_none() {
             baseline_recall = Some(report.recall);
         }

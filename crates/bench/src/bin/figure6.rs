@@ -13,12 +13,12 @@
 //! (default 0.01 — the synthetic stand-in is ~10× smaller than Movielens-1M,
 //! so the paper's absolute λ range over-regularises it).
 
-use ocular_bench::harness::evaluate_recommender;
 use ocular_bench::harness::OcularRecommender;
 use ocular_bench::{Args, TextTable};
 use ocular_core::coclusters::{cocluster_stats, extract_coclusters_relative};
 use ocular_core::OcularConfig;
 use ocular_datasets::profiles;
+use ocular_eval::protocol::evaluate;
 use ocular_sparse::{Split, SplitConfig};
 
 fn main() {
@@ -68,7 +68,7 @@ fn main() {
                 ..Default::default()
             };
             let rec = OcularRecommender::fit_absolute(&split.train, &cfg);
-            let report = evaluate_recommender(&rec, &split.train, &split.test, m);
+            let report = evaluate(&rec, &split.train, &split.test, m);
             // relative membership threshold: regularised magnitudes split
             // asymmetrically between the user and item side, so absolute
             // thresholds under-count the large side

@@ -4,7 +4,7 @@
 //!
 //! Paper result: the CUDA implementation reaches the same training
 //! accuracy 57× faster than the C++/boost CPU implementation on Netflix
-//! with K = 200. Our substitute (DESIGN.md §2) runs the paper's kernel
+//! with K = 200. Our substitute runs the paper's kernel
 //! decomposition on host threads, so the *shape* reproduces — identical
 //! final likelihood, parallel trace strictly left of the sequential one —
 //! with the speedup bounded by host cores instead of 57×.

@@ -24,7 +24,7 @@
 //! bench-regression gate.
 
 use ocular_baselines::{ItemKnn, KnnConfig, UserKnn};
-use ocular_bench::harness::{evaluate_recommender, OcularRecommender};
+use ocular_bench::harness::OcularRecommender;
 use ocular_bench::Args;
 use ocular_core::linesearch::{RowScratch, SearchStats};
 use ocular_core::trainer::fit_with;
@@ -96,13 +96,13 @@ fn main() {
 
     for knn in [20, 50, 150, 400] {
         let m = ItemKnn::fit(&split.train, &KnnConfig { k: knn });
-        let r = evaluate_recommender(&m, &split.train, &split.test, 50);
+        let r = evaluate(&m, &split.train, &split.test, 50);
         println!(
             "item-kNN k={knn:<4} recall@50={:.4} MAP@50={:.4}",
             r.recall, r.map
         );
         let m = UserKnn::fit(&split.train, &KnnConfig { k: knn });
-        let r = evaluate_recommender(&m, &split.train, &split.test, 50);
+        let r = evaluate(&m, &split.train, &split.test, 50);
         println!(
             "user-kNN k={knn:<4} recall@50={:.4} MAP@50={:.4}",
             r.recall, r.map
@@ -124,7 +124,7 @@ fn main() {
             let rec = OcularRecommender::fit_absolute(&split.train, &cfg);
             let elapsed = t0.elapsed().as_secs_f64();
             fit_seconds.push(elapsed);
-            let r = evaluate_recommender(&rec, &split.train, &split.test, 50);
+            let r = evaluate(&rec, &split.train, &split.test, 50);
             println!(
                 "OCuLaR k={k:>3} λ={lambda:<5} recall@50={:.4} MAP@50={:.4}  ({elapsed:.1}s)",
                 r.recall, r.map,

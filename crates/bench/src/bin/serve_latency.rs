@@ -147,9 +147,9 @@ fn main() {
     );
 
     let mk_engine = |candidates| {
-        EngineBuilder::from_model(model.clone())
+        let snapshot = Snapshot::build(model.clone(), &index_cfg);
+        EngineBuilder::from_snapshot(AnySnapshot::Ocular(snapshot))
             .dataset(r.clone())
-            .index_config(index_cfg)
             .config(ServeConfig {
                 default_m: m,
                 candidates,
@@ -278,7 +278,7 @@ fn main() {
     let mut kind_rows: Vec<(&'static str, Latency)> = Vec::new();
     for model in kind_models {
         let kind = model.kind();
-        let engine = EngineBuilder::from_recommender(model)
+        let engine = EngineBuilder::from_snapshot(AnySnapshot::Other(model))
             .dataset(r.clone())
             .config(ServeConfig {
                 default_m: m,

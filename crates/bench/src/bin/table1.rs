@@ -20,11 +20,11 @@ use ocular_baselines::{
     BaselineConfigs, Bpr, BprConfig, ItemKnn, KnnConfig, Popularity, Recommender, UserKnn, Wals,
     WalsConfig,
 };
-use ocular_bench::harness::{evaluate_recommender, OcularRecommender};
+use ocular_bench::harness::OcularRecommender;
 use ocular_bench::{Args, TextTable};
 use ocular_core::OcularConfig;
 use ocular_datasets::profiles;
-use ocular_eval::protocol::average_reports;
+use ocular_eval::protocol::{average_reports, evaluate};
 use ocular_sparse::{Dataset, Split, SplitConfig};
 
 /// One method = a name plus a list of candidate configurations; each
@@ -162,7 +162,9 @@ fn main() {
         "Table I — MAP@{m} and recall@{m}, {instances} instance(s), scale {scale:?}, tuning {}",
         if tune { "on" } else { "off" }
     );
-    println!("(synthetic stand-in datasets; see DESIGN.md §2 — compare ordering, not absolutes)\n");
+    println!(
+        "(synthetic stand-ins shaped like the paper's datasets — compare ordering, not absolutes)\n"
+    );
 
     let method_names: Vec<&'static str> = methods(1, false).iter().map(|m| m.name).collect();
     let mut table = TextTable::new(
@@ -193,12 +195,7 @@ fn main() {
                 let mut best = (0usize, f64::NEG_INFINITY);
                 for (ci, fit) in method.candidates.iter().enumerate() {
                     let model = fit(&select_split.train, seed);
-                    let r = evaluate_recommender(
-                        model.as_ref(),
-                        &select_split.train,
-                        &select_split.test,
-                        m,
-                    );
+                    let r = evaluate(model.as_ref(), &select_split.train, &select_split.test, m);
                     if r.recall > best.1 {
                         best = (ci, r.recall);
                     }
@@ -225,12 +222,7 @@ fn main() {
             );
             for (slot, method) in zoo.iter().enumerate() {
                 let model = method.candidates[chosen[slot]](&split.train, seed + inst as u64);
-                reports[slot].push(evaluate_recommender(
-                    model.as_ref(),
-                    &split.train,
-                    &split.test,
-                    m,
-                ));
+                reports[slot].push(evaluate(model.as_ref(), &split.train, &split.test, m));
             }
         }
         let averaged: Vec<ocular_eval::EvalReport> =

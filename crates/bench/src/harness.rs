@@ -2,8 +2,7 @@
 
 use ocular_api::{Recommender, ScoreItems};
 use ocular_core::{fit, FactorModel, OcularConfig, Weighting};
-use ocular_eval::protocol::{evaluate, EvalReport};
-use ocular_sparse::{CsrMatrix, Dataset};
+use ocular_sparse::Dataset;
 
 /// [`FactorModel`] under a display name, so the Table I harness can carry
 /// "OCuLaR" and "R-OCuLaR" columns side by side in one `dyn Recommender`
@@ -73,18 +72,6 @@ impl Recommender for OcularRecommender {
     }
 }
 
-/// Evaluates any [`Recommender`] under the paper's protocol at cutoff `m`
-/// (thin alias for [`ocular_eval::protocol::evaluate`], kept for the bench
-/// binaries' vocabulary).
-pub fn evaluate_recommender(
-    model: &dyn Recommender,
-    train: &CsrMatrix,
-    test: &CsrMatrix,
-    m: usize,
-) -> EvalReport {
-    evaluate(model, train, test, m)
-}
-
 /// Default OCuLaR hyper-parameters for a dataset with `k_hint` planted
 /// co-clusters (the harness's untuned setting; pass `--tune` to grid
 /// search instead).
@@ -102,7 +89,8 @@ pub fn default_ocular_config(k_hint: usize, seed: u64) -> OcularConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocular_sparse::{Split, SplitConfig};
+    use ocular_eval::protocol::evaluate;
+    use ocular_sparse::{CsrMatrix, Split, SplitConfig};
 
     #[test]
     fn adapter_scores_match_model() {
@@ -131,7 +119,7 @@ mod tests {
         let r = Dataset::from_matrix(CsrMatrix::from_pairs(16, 16, &pairs).unwrap());
         let split = Split::new(&r, &SplitConfig::default());
         let rec = OcularRecommender::fit_absolute(&split.train, &default_ocular_config(2, 3));
-        let report = evaluate_recommender(&rec, &split.train, &split.test, 10);
+        let report = evaluate(&rec, &split.train, &split.test, 10);
         assert!(report.recall > 0.5, "block data should be easy: {report}");
     }
 }

@@ -1,7 +1,8 @@
 //! # ocular-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation section, plus Criterion microbenches and ablations.
+//! evaluation section, plus ablations, the serving latency probe, the CI
+//! bench gate and the repo benchmark.
 //!
 //! | target | regenerates | run |
 //! |---|---|---|
@@ -12,12 +13,13 @@
 //! | `figure7` | Fig. 7 (time/iteration vs dataset fraction and K) | `… --bin figure7` |
 //! | `figure8` | Fig. 8 (likelihood-vs-time, sequential vs parallel) | `… --bin figure8` |
 //! | `figure9` | Fig. 9 (recall@50 heatmap over the (K, λ) grid) | `… --bin figure9` |
-//! | `ablations` | design-choice ablations called out in DESIGN.md | `… --bin ablations` |
+//! | `ablations` | the paper's design-choice ablations (one PGD step, λ, Armijo, bias, sum trick) | `… --bin ablations` |
 //!
 //! Every binary accepts `--scale small|medium|paper` (default `small`,
 //! ≈10× below the paper's dataset sizes so the full suite runs on a laptop
 //! in minutes), `--seed N` and `--instances N`. Absolute numbers differ
-//! from the paper (synthetic stand-in data; see DESIGN.md §2) but the
+//! from the paper (synthetic stand-ins shaped like its datasets, see
+//! [`ocular_datasets::profiles`]) but the
 //! qualitative shape — who wins, scaling slopes, where the heatmap peaks —
 //! is the reproduction target.
 
@@ -29,5 +31,5 @@ pub mod harness;
 pub mod table;
 
 pub use args::Args;
-pub use harness::{evaluate_recommender, OcularRecommender};
+pub use harness::OcularRecommender;
 pub use table::TextTable;

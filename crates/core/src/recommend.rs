@@ -62,13 +62,6 @@ pub fn recommend_top_m(
     top_m_for_factors(model, model.user_factors.row(u), r.row(u), m)
 }
 
-/// Top-M lists for every user. Memory: `n_users × m` recommendations.
-pub fn recommend_all(model: &FactorModel, r: &CsrMatrix, m: usize) -> Vec<Vec<Recommendation>> {
-    (0..model.n_users())
-        .map(|u| recommend_top_m(model, r, u, m))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,19 +111,5 @@ mod tests {
         for rec in recommend_top_m(&m, &r, 0, 4) {
             assert!((rec.probability - m.prob(0, rec.item)).abs() < 1e-15);
         }
-    }
-
-    #[test]
-    fn recommend_all_covers_every_user() {
-        let m = FactorModel::new(
-            Matrix::from_rows(&[&[1.0], &[0.5], &[0.0]]),
-            Matrix::from_rows(&[&[1.0], &[2.0]]),
-            false,
-        );
-        let r = CsrMatrix::empty(3, 2);
-        let all = recommend_all(&m, &r, 1);
-        assert_eq!(all.len(), 3);
-        // user 2 has zero affinity everywhere → ties, item 0 first
-        assert_eq!(all[2][0].item, 0);
     }
 }

@@ -7,8 +7,8 @@
 //! the paper's datasets: structure edges are sampled *within* co-clusters
 //! proportionally to popularity, and noise edges globally.
 
-use crate::planted::{CoClusterTruth, PlantedConfig, PlantedDataset};
-use ocular_sparse::{CsrMatrix, Dataset, Triplets};
+use crate::planted::{PlantedConfig, PlantedDataset};
+use ocular_sparse::{Dataset, Triplets};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -195,12 +195,6 @@ pub fn generate(cfg: &PowerLawConfig) -> PlantedDataset {
             seed: cfg.seed,
         },
     }
-}
-
-/// Convenience: generate just the matrix.
-pub fn generate_matrix(cfg: &PowerLawConfig) -> (CsrMatrix, CoClusterTruth) {
-    let d = generate(cfg);
-    (d.matrix.into_matrix(), d.truth)
 }
 
 #[cfg(test)]

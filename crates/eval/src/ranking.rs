@@ -22,12 +22,6 @@ pub fn top_m_excluding(scores: &[f64], exclude: &[u32], m: usize) -> Vec<usize> 
         .collect()
 }
 
-/// Full ranking (all non-excluded items, best first). O(n log n); prefer
-/// [`top_m_excluding`] when only a prefix is needed.
-pub fn rank_all_excluding(scores: &[f64], exclude: &[u32]) -> Vec<usize> {
-    top_m_excluding(scores, exclude, scores.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,8 +59,9 @@ mod tests {
 
     #[test]
     fn rank_all_matches_sort() {
+        // m = n ranks the whole catalog
         let scores = [3.0, 1.0, 2.0, 2.0, 5.0];
-        assert_eq!(rank_all_excluding(&scores, &[]), vec![4, 0, 2, 3, 1]);
+        assert_eq!(top_m_excluding(&scores, &[], 5), vec![4, 0, 2, 3, 1]);
     }
 
     #[test]

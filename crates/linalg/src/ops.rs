@@ -88,17 +88,6 @@ pub fn norm(x: &[f64]) -> f64 {
     norm_sq(x).sqrt()
 }
 
-/// Projects onto the non-negative orthant in place: `x_c ← max(0, x_c)`.
-/// This is the `(·)₊` of the paper's projected gradient step.
-#[inline]
-pub fn project_nonneg(x: &mut [f64]) {
-    for xi in x.iter_mut() {
-        if *xi < 0.0 {
-            *xi = 0.0;
-        }
-    }
-}
-
 /// Writes the projected gradient step `out = (x - alpha * g)₊` without
 /// touching `x` (line search evaluates several candidate steps).
 #[inline]
@@ -195,13 +184,6 @@ mod tests {
     fn norms() {
         assert_eq!(norm_sq(&[3.0, 4.0]), 25.0);
         assert_eq!(norm(&[3.0, 4.0]), 5.0);
-    }
-
-    #[test]
-    fn projection_clamps_negatives_only() {
-        let mut x = vec![-1.0, 0.0, 2.5];
-        project_nonneg(&mut x);
-        assert_eq!(x, vec![0.0, 0.0, 2.5]);
     }
 
     #[test]

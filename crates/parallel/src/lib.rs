@@ -34,7 +34,8 @@
 //! The measured speedup is bounded by host cores rather than 57×, but the
 //! *shape* of Figure 8 — same final likelihood, parallel trace strictly
 //! left of the sequential trace — is preserved, which is the claim the
-//! substitution needs to support (see DESIGN.md).
+//! substitution needs to support (the Figure 8 row of the README's *Paper
+//! ↔ code map*).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

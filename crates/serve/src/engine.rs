@@ -2,12 +2,20 @@
 //! cold-start fold-in and parallel batching — polymorphic over model
 //! kinds.
 //!
-//! OCuLaR models keep their specialised request path (co-cluster candidate
-//! generation against the [`ClusterIndex`], factor-level scoring); every
-//! other kind is served through the [`ocular_api`] trait hierarchy, with
-//! [`CandidatePolicy::Clusters`] degrading gracefully to the full catalog
-//! — non-co-clustered models have no cluster structure to generate
-//! candidates from, so they are served exactly.
+//! An engine serves the [`AnySnapshot`] it was built from, the one type
+//! that knows the model kind from file to request. [`EngineBuilder`] starts
+//! from one ([`EngineBuilder::from_snapshot`]), from a loaded file
+//! ([`EngineBuilder::from_loaded`]) or from a fitted OCuLaR model
+//! ([`EngineBuilder::from_model`], indexed with the default
+//! [`IndexConfig`]); a baseline is served as [`AnySnapshot::Other`].
+//!
+//! OCuLaR snapshots keep their specialised request path (co-cluster
+//! candidate generation against the [`ClusterIndex`](crate::ClusterIndex),
+//! factor-level scoring); every other kind is served through the
+//! [`ocular_api`] trait hierarchy, with [`CandidatePolicy::Clusters`]
+//! degrading gracefully to the full catalog — non-co-clustered models have
+//! no cluster structure to generate candidates from, so they are served
+//! exactly.
 //!
 //! The OCuLaR path is one fused scan-and-select pass per request: items
 //! (candidates or the whole catalog, a 1024-affinity stack tile at a time
@@ -30,9 +38,9 @@
 //! the fold-in's column sums of it are summed by the first fold-in, not the
 //! build: a mapped master stays on disk until a cold request needs it.
 
-use crate::index::{ClusterIndex, IndexConfig};
-use crate::snapshot::{AnySnapshot, LoadedSnapshot, Snapshot, OCULAR_KIND};
-use ocular_api::{validate_basket, Model, OcularError};
+use crate::index::IndexConfig;
+use crate::snapshot::{AnySnapshot, LoadedSnapshot, Snapshot};
+use ocular_api::{validate_basket, OcularError};
 use ocular_core::model::prob_from_affinity;
 use ocular_core::{
     fold_in_user_with, top_m_for_factors, FactorModel, FoldInScratch, OcularConfig, Recommendation,
@@ -84,9 +92,10 @@ pub enum CandidatePolicy {
     /// [`ocular_core::recommend_top_m`] for warm users.
     FullCatalog,
     /// Score only items reachable from the requester's co-clusters via the
-    /// [`ClusterIndex`]. Falls back to the full catalog when fewer than
-    /// `max(m, min_candidates)` un-owned candidates are reachable, so thin
-    /// cluster coverage degrades to exact serving instead of short lists.
+    /// [`ClusterIndex`](crate::ClusterIndex). Falls back to the full
+    /// catalog when fewer than `max(m, min_candidates)` un-owned candidates
+    /// are reachable, so thin cluster coverage degrades to exact serving
+    /// instead of short lists.
     /// Non-co-clustered model kinds always take the full-catalog path.
     Clusters {
         /// Fallback floor on usable (un-owned) candidates.
@@ -184,28 +193,6 @@ pub struct ServedList {
 /// [`OcularError`].
 pub type ServeError = OcularError;
 
-/// The model a loaded snapshot put behind the engine.
-// One lives per engine generation — never in a collection — so the size
-// spread between the inline OCuLaR fast path and the boxed generic path
-// costs nothing, while boxing would add a pointer chase per request.
-#[allow(clippy::large_enum_variant)]
-enum EngineModel {
-    /// OCuLaR: factor model + co-cluster candidate index (the specialised
-    /// fast path), optionally with a quantized copy of the item factors
-    /// that scoring dispatches to.
-    Ocular {
-        model: FactorModel,
-        index: ClusterIndex,
-        /// Shared with split-scan parts, which may outlive this generation.
-        quant: Option<Arc<QuantizedFactors>>,
-        /// `item_factors.column_sums()`, model-constant, summed by the
-        /// first fold-in: it reads the whole f64 master (module docs).
-        item_sum: OnceLock<Vec<f64>>,
-    },
-    /// Any other kind, served through the trait hierarchy.
-    Generic(Box<dyn Model>),
-}
-
 /// Settles the quantized copy a snapshot is scanned through: the one it
 /// carries when that matches the requested dtype (or none was requested),
 /// else a fresh narrowing of the f64 master to `quantize`; `kernel` pins
@@ -219,7 +206,7 @@ fn scan_ready(
 ) -> Result<AnySnapshot, OcularError> {
     match snapshot {
         AnySnapshot::Ocular(mut s) => {
-            let carried = s.quant.take();
+            let carried = s.quant.take().map(Arc::unwrap_or_clone);
             let quant = match quantize {
                 Some(dtype) if carried.as_ref().map(QuantizedFactors::dtype) != Some(dtype) => {
                     Some(QuantizedFactors::quantize(&s.model.item_factors, dtype))
@@ -231,7 +218,7 @@ fn scan_ready(
                 None => quant,
             };
             let quant = quant.map(QuantizedFactors::with_factor_major).transpose();
-            s.quant = quant.map_err(OcularError::Corrupt)?;
+            s.quant = quant.map_err(OcularError::Corrupt)?.map(Arc::new);
             Ok(AnySnapshot::Ocular(s))
         }
         AnySnapshot::Other(m) => match quantize {
@@ -242,43 +229,6 @@ fn scan_ready(
             ))),
             None => Ok(AnySnapshot::Other(m)),
         },
-    }
-}
-
-impl EngineModel {
-    /// Puts a [`scan_ready`] snapshot behind the engine.
-    fn new(snapshot: AnySnapshot) -> Self {
-        match snapshot {
-            AnySnapshot::Ocular(s) => EngineModel::Ocular {
-                item_sum: OnceLock::new(),
-                model: s.model,
-                index: s.index,
-                quant: s.quant.map(Arc::new),
-            },
-            AnySnapshot::Other(m) => EngineModel::Generic(m),
-        }
-    }
-
-    fn n_users(&self) -> usize {
-        match self {
-            EngineModel::Ocular { model, .. } => model.n_users(),
-            EngineModel::Generic(m) => m.n_users(),
-        }
-    }
-
-    fn n_items(&self) -> usize {
-        match self {
-            EngineModel::Ocular { model, .. } => model.n_items(),
-            EngineModel::Generic(m) => m.n_items(),
-        }
-    }
-
-    /// The quantized item factors scoring dispatches to, if any.
-    fn quant(&self) -> Option<&QuantizedFactors> {
-        match self {
-            EngineModel::Ocular { quant, .. } => quant.as_deref(),
-            EngineModel::Generic(_) => None,
-        }
     }
 }
 
@@ -342,21 +292,9 @@ pub struct ScanStats {
     pub split: u64,
 }
 
-/// What an [`EngineBuilder`] builds an engine around.
-// Builder-only value, consumed once by `build()`; variant size spread is
-// irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum EngineSource {
-    /// A loaded snapshot of any kind.
-    Any(AnySnapshot),
-    /// An OCuLaR factor model — the builder derives the candidate index
-    /// with its configured [`IndexConfig`].
-    Model(FactorModel),
-}
-
-/// The one way to construct a [`ServeEngine`] — from a snapshot, an
-/// OCuLaR model, or any boxed [`Model`], plus the serving dataset and
-/// knobs.
+/// The one way to construct a [`ServeEngine`] — from an [`AnySnapshot`]
+/// (a baseline is [`AnySnapshot::Other`]), a loaded file or a fitted OCuLaR
+/// model, plus the serving dataset and knobs.
 ///
 /// ```ignore
 /// let engine = EngineBuilder::from_loaded(loaded)   // LoadedSnapshot
@@ -371,31 +309,25 @@ enum EngineSource {
 /// live-refresh contract. A dataset *smaller* than the model is still a
 /// [`OcularError::ShapeMismatch`].
 pub struct EngineBuilder {
-    source: EngineSource,
+    snapshot: AnySnapshot,
     dataset: Option<Dataset>,
     cfg: ServeConfig,
-    index_cfg: IndexConfig,
     generation: u64,
     quantize: Option<QuantDtype>,
     kernel: Option<KernelLevel>,
 }
 
 impl EngineBuilder {
-    fn new(source: EngineSource) -> Self {
+    /// Starts from a snapshot of any model kind.
+    pub fn from_snapshot(snapshot: AnySnapshot) -> Self {
         EngineBuilder {
-            source,
+            snapshot,
             dataset: None,
             cfg: ServeConfig::default(),
-            index_cfg: IndexConfig::default(),
             generation: 0,
             quantize: None,
             kernel: None,
         }
-    }
-
-    /// Starts from a snapshot of any model kind.
-    pub fn from_snapshot(snapshot: AnySnapshot) -> Self {
-        Self::new(EngineSource::Any(snapshot))
     }
 
     /// Starts from a freshly loaded snapshot, adopting its generation
@@ -406,17 +338,11 @@ impl EngineBuilder {
         Self::from_snapshot(loaded.snapshot).generation(generation)
     }
 
-    /// Starts from an OCuLaR factor model; the builder derives the
-    /// co-cluster candidate index with the configured
-    /// [`EngineBuilder::index_config`].
+    /// Starts from an OCuLaR factor model, indexed with the default
+    /// [`IndexConfig`]; build the [`Snapshot`] yourself for another.
     pub fn from_model(model: FactorModel) -> Self {
-        Self::new(EngineSource::Model(model))
-    }
-
-    /// Starts from any boxed [`Model`] — the programmatic path for
-    /// baseline kinds.
-    pub fn from_recommender(model: Box<dyn Model>) -> Self {
-        Self::from_snapshot(AnySnapshot::Other(model))
+        let snapshot = Snapshot::build(model, &IndexConfig::default());
+        Self::from_snapshot(AnySnapshot::Ocular(snapshot))
     }
 
     /// The serving interaction [`Dataset`] — owned-item exclusion, id
@@ -441,12 +367,6 @@ impl EngineBuilder {
     /// Top-M length used when a request does not specify `m`.
     pub fn default_m(mut self, m: usize) -> Self {
         self.cfg.default_m = m;
-        self
-    }
-
-    /// Index build parameters, used only by [`EngineBuilder::from_model`].
-    pub fn index_config(mut self, index_cfg: IndexConfig) -> Self {
-        self.index_cfg = index_cfg;
         self
     }
 
@@ -495,26 +415,20 @@ impl EngineBuilder {
             .foldin
             .validate()
             .map_err(OcularError::InvalidConfig)?;
-        let snapshot = scan_ready(
-            match self.source {
-                EngineSource::Any(s) => s,
-                EngineSource::Model(m) => AnySnapshot::Ocular(Snapshot::build(m, &self.index_cfg)),
-            },
-            self.quantize,
-            self.kernel,
-        )?;
-        let model = EngineModel::new(snapshot);
+        let snapshot = scan_ready(self.snapshot, self.quantize, self.kernel)?;
         // dataset ⊇ model: equal shapes are the steady state, a strictly
         // larger dataset means deltas arrived since the snapshot was
         // trained and the overhang is served by fold-in.
-        if owned.n_users() < model.n_users() || owned.n_items() < model.n_items() {
+        let model = (snapshot.n_users(), snapshot.n_items());
+        if owned.n_users() < model.0 || owned.n_items() < model.1 {
             return Err(OcularError::ShapeMismatch {
-                expected: (model.n_users(), model.n_items()),
+                expected: model,
                 found: (owned.n_users(), owned.n_items()),
             });
         }
         Ok(ServeEngine {
-            model,
+            snapshot,
+            item_sum: OnceLock::new(),
             owned,
             fold_ins: FoldInCounters::default(),
             scans: Default::default(),
@@ -527,7 +441,7 @@ impl EngineBuilder {
 
 /// The in-process serving engine.
 ///
-/// Holds the loaded model (any snapshot kind) and the training
+/// Holds the [`AnySnapshot`] it was built from and the training
 /// interaction [`Dataset`] — used both for owned-item exclusion and for
 /// resolving external-id requests through the dataset's id maps. All
 /// serving methods take `&self`, so one engine can be shared across
@@ -535,7 +449,12 @@ impl EngineBuilder {
 ///
 /// Construct through [`EngineBuilder`].
 pub struct ServeEngine {
-    model: EngineModel,
+    /// The model served, as built: scan-ready ([`scan_ready`]).
+    snapshot: AnySnapshot,
+    /// An OCuLaR model's `item_factors.column_sums()`, model-constant,
+    /// summed by the first fold-in: it reads the whole f64 master (module
+    /// docs).
+    item_sum: OnceLock<Vec<f64>>,
     owned: Dataset,
     fold_ins: FoldInCounters,
     /// [`ScanStats`] in field order; statistics, so every access is relaxed.
@@ -570,9 +489,9 @@ impl ServeEngine {
     /// Panics if the engine serves a non-OCuLaR kind; check
     /// [`ServeEngine::kind`] first, or use the trait-level accessors.
     pub fn model(&self) -> &FactorModel {
-        match &self.model {
-            EngineModel::Ocular { model, .. } => model,
-            EngineModel::Generic(m) => {
+        match &self.snapshot {
+            AnySnapshot::Ocular(s) => &s.model,
+            AnySnapshot::Other(m) => {
                 panic!("engine serves kind `{}`, not an OCuLaR model", m.kind())
             }
         }
@@ -580,9 +499,14 @@ impl ServeEngine {
 
     /// The kind tag of the model being served.
     pub fn kind(&self) -> &'static str {
-        match &self.model {
-            EngineModel::Ocular { .. } => OCULAR_KIND,
-            EngineModel::Generic(m) => m.kind(),
+        self.snapshot.kind()
+    }
+
+    /// The quantized item factors scoring dispatches to, if any.
+    fn quant(&self) -> Option<&QuantizedFactors> {
+        match &self.snapshot {
+            AnySnapshot::Ocular(s) => s.quant.as_deref(),
+            AnySnapshot::Other(_) => None,
         }
     }
 
@@ -590,7 +514,7 @@ impl ServeEngine {
     /// or `None` when the engine scores through the f64 master —
     /// reported in wire responses and `/stats`.
     pub fn dtype(&self) -> Option<&'static str> {
-        self.model.quant().map(|q| q.dtype().name())
+        self.quant().map(|q| q.dtype().name())
     }
 
     /// Name of the ISA level the scoring kernels run at (`"baseline"` /
@@ -599,7 +523,7 @@ impl ServeEngine {
     /// levels. Only the quantized kernels come in more than one level, so
     /// an engine scoring through the f64 master says `"baseline"`.
     pub fn kernel(&self) -> &'static str {
-        let level = self.model.quant().map(QuantizedFactors::kernel_level);
+        let level = self.quant().map(QuantizedFactors::kernel_level);
         level.unwrap_or(KernelLevel::Baseline).name()
     }
 
@@ -618,12 +542,12 @@ impl ServeEngine {
     /// Users the model was trained on; dataset users past the model's rows
     /// arrived after the snapshot and are served by fold-in.
     pub fn model_users(&self) -> usize {
-        self.model.n_users()
+        self.snapshot.n_users()
     }
 
     /// Items the model was trained on (recommendable catalog).
     pub fn model_items(&self) -> usize {
-        self.model.n_items()
+        self.snapshot.n_items()
     }
 
     /// The engine's configuration.
@@ -657,7 +581,7 @@ impl ServeEngine {
     /// Resident bytes of the int8 factor-major scan sidecar: `(k + 4) ×
     /// items` (codes and `i32` row sums), 0 without int8.
     pub fn sidecar_bytes(&self) -> usize {
-        let copy = self.model.quant().and_then(|q| q.factor_major());
+        let copy = self.quant().and_then(|q| q.factor_major());
         copy.map_or(0, |c| c.bytes())
     }
 
@@ -751,7 +675,7 @@ impl ServeEngine {
 
     /// Serves dataset row `user` (`user < self.owned.n_users()`).
     fn serve_warm(&self, user: usize, m: usize) -> Result<ServedList, ServeError> {
-        if user >= self.model.n_users() {
+        if user >= self.model_users() {
             // dataset ⊇ model: a row past the model but inside the dataset
             // belongs to a user appended after the snapshot was trained —
             // serve them by request-time fold-in on their interactions
@@ -761,30 +685,18 @@ impl ServeEngine {
                 .row(user)
                 .iter()
                 .map(|&i| i as usize)
-                .filter(|&i| i < self.model.n_items())
+                .filter(|&i| i < self.model_items())
                 .collect();
             let mut list = self.serve_cold(&basket, m)?;
             list.folded_in = true;
             return Ok(list);
         }
-        match &self.model {
-            EngineModel::Ocular {
-                model,
-                index,
-                quant,
-                ..
-            } => {
-                let factors = model.user_factors.row(user);
-                Ok(self.select(
-                    model,
-                    index,
-                    quant.as_ref(),
-                    factors,
-                    self.owned.row(user),
-                    m,
-                ))
+        match &self.snapshot {
+            AnySnapshot::Ocular(s) => {
+                let factors = s.model.user_factors.row(user);
+                Ok(self.select(s, factors, self.owned.row(user), m))
             }
-            EngineModel::Generic(model) => self.select_dense(self.owned.row(user), m, |scores| {
+            AnySnapshot::Other(model) => self.select_dense(self.owned.row(user), m, |scores| {
                 model.score_user(user, scores);
                 Ok(())
             }),
@@ -792,29 +704,26 @@ impl ServeEngine {
     }
 
     fn serve_cold(&self, basket: &[usize], m: usize) -> Result<ServedList, ServeError> {
-        let exclude = validate_basket(basket, self.model.n_items())?;
-        match &self.model {
-            EngineModel::Ocular {
-                model,
-                index,
-                quant,
-                item_sum,
-            } => {
-                let fold = FOLD_SCRATCH.with(|s| {
+        let exclude = validate_basket(basket, self.model_items())?;
+        match &self.snapshot {
+            AnySnapshot::Ocular(s) => {
+                let model = &s.model;
+                let fold = FOLD_SCRATCH.with(|scratch| {
                     fold_in_user_with(
                         model,
                         basket,
                         &self.cfg.foldin,
                         1.0,
                         self.cfg.foldin_steps,
-                        item_sum.get_or_init(|| model.item_factors.column_sums()),
-                        &mut s.borrow_mut(),
+                        self.item_sum
+                            .get_or_init(|| model.item_factors.column_sums()),
+                        &mut scratch.borrow_mut(),
                     )
                 });
                 self.fold_ins.record(&fold);
-                Ok(self.select(model, index, quant.as_ref(), &fold.factors, &exclude, m))
+                Ok(self.select(s, &fold.factors, &exclude, m))
             }
-            EngineModel::Generic(model) => {
+            AnySnapshot::Other(model) => {
                 let fold_in = model.as_fold_in().ok_or(OcularError::Unsupported {
                     kind: model.name(),
                     capability: "cold-start fold-in",
@@ -859,15 +768,14 @@ impl ServeEngine {
     /// `exclude` is ascending.
     fn select(
         &self,
-        model: &FactorModel,
-        index: &ClusterIndex,
-        quant: Option<&Arc<QuantizedFactors>>,
+        snapshot: &Snapshot,
         factors: &[f64],
         exclude: &[u32],
         m: usize,
     ) -> ServedList {
+        let (model, quant) = (&snapshot.model, snapshot.quant.as_ref());
         if let CandidatePolicy::Clusters { min_candidates } = self.cfg.candidates {
-            let candidates = index.candidates(factors);
+            let candidates = snapshot.index.candidates(factors);
             // usable = candidates not excluded (both lists ascending)
             let usable = candidates.len() - intersection_size(&candidates, exclude);
             if usable >= m.max(min_candidates) {
@@ -1127,6 +1035,7 @@ fn intersection_size(a: &[u32], b: &[u32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::ClusterIndex;
     use ocular_api::Recommender as _;
     use ocular_baselines::{ItemKnn, KnnConfig, Popularity, UserKnn};
     use ocular_core::{fit, recommend_top_m};
@@ -1158,6 +1067,15 @@ mod tests {
         (model, data.matrix, cfg)
     }
 
+    /// A builder over `model` indexed with `rel = 0.5, floor = 10`.
+    fn indexed(model: FactorModel) -> EngineBuilder {
+        let index_cfg = IndexConfig {
+            rel: 0.5,
+            floor: 10,
+        };
+        EngineBuilder::from_snapshot(AnySnapshot::Ocular(Snapshot::build(model, &index_cfg)))
+    }
+
     fn engine(policy: CandidatePolicy) -> (ServeEngine, Dataset) {
         let (model, r, train_cfg) = trained();
         let cfg = ServeConfig {
@@ -1166,12 +1084,8 @@ mod tests {
             foldin: train_cfg,
             ..Default::default()
         };
-        let e = EngineBuilder::from_model(model)
+        let e = indexed(model)
             .dataset(r.clone())
-            .index_config(IndexConfig {
-                rel: 0.5,
-                floor: 10,
-            })
             .config(cfg)
             .build()
             .unwrap();
@@ -1403,7 +1317,7 @@ mod tests {
     fn generic_kind_served_exactly_with_cluster_policy_degrading() {
         let (_, r, _) = trained();
         let knn = ItemKnn::fit(&r, &KnnConfig { k: 10 });
-        let e = EngineBuilder::from_recommender(Box::new(knn.clone()))
+        let e = EngineBuilder::from_snapshot(AnySnapshot::Other(Box::new(knn.clone())))
             .dataset(r.clone())
             .default_m(5)
             .candidates(CandidatePolicy::Clusters { min_candidates: 5 })
@@ -1434,7 +1348,8 @@ mod tests {
     #[test]
     fn generic_kind_without_fold_in_rejects_cold_requests() {
         let (_, r, _) = trained();
-        let e = EngineBuilder::from_recommender(Box::new(UserKnn::fit(&r, &KnnConfig { k: 10 })))
+        let knn = UserKnn::fit(&r, &KnnConfig { k: 10 });
+        let e = EngineBuilder::from_snapshot(AnySnapshot::Other(Box::new(knn)))
             .dataset(r.clone())
             .build()
             .unwrap();
@@ -1452,7 +1367,7 @@ mod tests {
     #[test]
     fn generic_batch_deterministic_across_threads() {
         let (_, r, _) = trained();
-        let e = EngineBuilder::from_recommender(Box::new(Popularity::fit(&r)))
+        let e = EngineBuilder::from_snapshot(AnySnapshot::Other(Box::new(Popularity::fit(&r))))
             .dataset(r.clone())
             .build()
             .unwrap();
@@ -1524,12 +1439,8 @@ mod tests {
     #[test]
     fn quantized_cluster_policy_serves_both_paths() {
         let (model, r, train_cfg) = trained();
-        let e = EngineBuilder::from_model(model)
+        let e = indexed(model)
             .dataset(r)
-            .index_config(IndexConfig {
-                rel: 0.5,
-                floor: 10,
-            })
             .config(ServeConfig {
                 default_m: 5,
                 candidates: CandidatePolicy::Clusters { min_candidates: 1 },
@@ -1585,7 +1496,7 @@ mod tests {
         let (codes, scale, zero, qsum) = quant.i8_parts();
         let mut qsum = qsum.to_vec();
         qsum[17] += 1.0;
-        bad.quant = Some(
+        bad.quant = Some(Arc::new(
             QuantizedFactors::from_parts_i8(
                 quant.rows(),
                 quant.cols(),
@@ -1595,7 +1506,7 @@ mod tests {
                 qsum.into(),
             )
             .unwrap(),
-        );
+        ));
         let build = move |snap: &Snapshot, generation| {
             EngineBuilder::from_snapshot(AnySnapshot::Ocular(snap.clone()))
                 .dataset(r.clone())
@@ -1627,7 +1538,7 @@ mod tests {
     #[test]
     fn quantization_rejected_for_generic_kinds() {
         let (_, r, _) = trained();
-        let built = EngineBuilder::from_recommender(Box::new(Popularity::fit(&r)))
+        let built = EngineBuilder::from_snapshot(AnySnapshot::Other(Box::new(Popularity::fit(&r))))
             .dataset(r)
             .quantization(QuantDtype::F32)
             .build();
@@ -1654,12 +1565,8 @@ mod tests {
             foldin: train_cfg,
             ..Default::default()
         };
-        let e = EngineBuilder::from_model(model)
+        let e = indexed(model)
             .dataset(d.clone())
-            .index_config(IndexConfig {
-                rel: 0.5,
-                floor: 10,
-            })
             .config(cfg)
             .build()
             .unwrap();
@@ -1872,14 +1779,16 @@ mod tests {
         // owned items straddle a tile boundary and include the last index
         let owned = [SCAN_TILE - 1, SCAN_TILE, SCAN_TILE + 1, n_items - 1];
         let data = owning(n_users, n_items, &owned);
-        let index_cfg = IndexConfig {
-            rel: 0.5,
-            floor: 10,
-        };
 
         let mut candidate_lists = 0usize;
         for model in [&tied, &saturated] {
-            let index = Snapshot::build(model.clone(), &index_cfg).index;
+            let index = ClusterIndex::build(
+                model,
+                &IndexConfig {
+                    rel: 0.5,
+                    floor: 10,
+                },
+            );
             for quantize in [None, Some(QuantDtype::F32), Some(QuantDtype::I8)] {
                 for policy in [
                     CandidatePolicy::FullCatalog,
@@ -1892,9 +1801,8 @@ mod tests {
                         levels.extend(KernelLevel::available().map(Some));
                     }
                     for level in levels {
-                        let mut builder = EngineBuilder::from_model(model.clone())
+                        let mut builder = indexed(model.clone())
                             .dataset(data.clone())
-                            .index_config(index_cfg)
                             .candidates(policy)
                             .default_m(default_m);
                         if let Some(dtype) = quantize {

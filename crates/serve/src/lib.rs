@@ -19,8 +19,8 @@
 //!   a file in any other format (the text snapshots from before v3) is a
 //!   typed [`ocular_api::OcularError::Corrupt`].
 //! * **One engine** ([`engine`]) — [`ServeEngine`], built by
-//!   [`EngineBuilder`] around one loaded model and one serving dataset,
-//!   each held once.
+//!   [`EngineBuilder`] around the [`AnySnapshot`] it serves and one serving
+//!   dataset, each held once.
 //! * **Candidate generation** ([`index`]) — per-cluster inverted item
 //!   lists built once at load; a request scores only items reachable from
 //!   the requester's co-clusters, with a full-catalog fallback knob
@@ -34,7 +34,8 @@
 //!   two ISA levels ([`KernelLevel`]: baseline and AVX2) and picked per
 //!   process from what the CPU reports — automatically, with identical
 //!   replies at either; `/stats` names the level in use. A large catalog is
-//!   scanned in parts, one per thread, merged exactly ([`engine`]).
+//!   scanned in parts, one per core no other scan of the engine holds,
+//!   merged exactly ([`engine`]).
 //! * **Cold start** — unseen users are folded in at request time
 //!   (OCuLaR via [`ocular_core::fold_in_user`], a projected-Newton solve
 //!   of the user's own subproblem whose iteration and non-convergence

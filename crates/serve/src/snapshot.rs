@@ -38,6 +38,7 @@ use ocular_sparse::{IdMaps, RawIdTable};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The kind tag of OCuLaR snapshots (canonically defined on
 /// [`FactorModel::KIND`], mirrored here for dispatch).
@@ -65,7 +66,9 @@ pub struct Snapshot {
     /// Optional quantized item factors (`f32` or per-row affine `int8`)
     /// for the serving fast path, produced at save time by
     /// [`Snapshot::with_quantization`]. The f64 master is always present.
-    pub quant: Option<QuantizedFactors>,
+    /// Clones share it, as do the parts of a split scan, which may outlive
+    /// the engine that started them.
+    pub quant: Option<Arc<QuantizedFactors>>,
 }
 
 impl Snapshot {
@@ -85,7 +88,8 @@ impl Snapshot {
     /// catalog through the matching blocked kernel
     /// ([`QuantizedFactors::score_block`]) instead of the f64 path.
     pub fn with_quantization(mut self, dtype: QuantDtype) -> Self {
-        self.quant = Some(QuantizedFactors::quantize(&self.model.item_factors, dtype));
+        let quant = QuantizedFactors::quantize(&self.model.item_factors, dtype);
+        self.quant = Some(Arc::new(quant));
         self
     }
 
@@ -154,7 +158,7 @@ impl Snapshot {
         Ok(Snapshot {
             model,
             index,
-            quant,
+            quant: quant.map(Arc::new),
         })
     }
 }
@@ -202,12 +206,28 @@ pub enum AnySnapshot {
 }
 
 impl AnySnapshot {
+    /// The model the snapshot carries, whichever its kind: what the
+    /// kind-level questions (tag, shape, capabilities) are asked of.
+    pub fn model(&self) -> &dyn Model {
+        match self {
+            AnySnapshot::Ocular(s) => &s.model,
+            AnySnapshot::Other(m) => m.as_ref(),
+        }
+    }
+
     /// The snapshot's kind tag.
     pub fn kind(&self) -> &'static str {
-        match self {
-            AnySnapshot::Ocular(_) => OCULAR_KIND,
-            AnySnapshot::Other(m) => m.kind(),
-        }
+        self.model().kind()
+    }
+
+    /// Users the model was trained on.
+    pub fn n_users(&self) -> usize {
+        self.model().n_users()
+    }
+
+    /// Items the model was trained on.
+    pub fn n_items(&self) -> usize {
+        self.model().n_items()
     }
 
     /// Serialises the snapshot as an `ocular-snapshot v3` container, with

@@ -150,6 +150,7 @@ impl SwapEngine {
 mod tests {
     use super::*;
     use crate::engine::{EngineBuilder, Request};
+    use crate::snapshot::AnySnapshot;
     use ocular_baselines::Popularity;
     use ocular_sparse::{Dataset, Triplets};
 
@@ -160,7 +161,7 @@ mod tests {
             t.push(i, (i + 1) % n).unwrap();
         }
         let data = Dataset::from_matrix(t.into_csr());
-        EngineBuilder::from_recommender(Box::new(Popularity::fit(&data)))
+        EngineBuilder::from_snapshot(AnySnapshot::Other(Box::new(Popularity::fit(&data))))
             .dataset(data)
             .generation(generation)
             .build()

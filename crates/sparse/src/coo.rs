@@ -91,13 +91,6 @@ impl Triplets {
         Ok(())
     }
 
-    /// Grows the logical shape (never shrinks). Useful when the extent of the
-    /// data is only known after ingestion (e.g. streaming a ratings file).
-    pub fn grow_shape(&mut self, n_rows: usize, n_cols: usize) {
-        self.n_rows = self.n_rows.max(n_rows);
-        self.n_cols = self.n_cols.max(n_cols);
-    }
-
     /// Read-only view of the staged entries (row, col), in insertion order.
     pub fn entries(&self) -> &[(u32, u32)] {
         &self.entries
@@ -162,14 +155,6 @@ mod tests {
             t.push(0, 5),
             Err(SparseError::ColOutOfBounds { col: 5, n_cols: 2 })
         );
-    }
-
-    #[test]
-    fn grow_shape_never_shrinks() {
-        let mut t = Triplets::new(4, 4);
-        t.grow_shape(2, 10);
-        assert_eq!(t.n_rows(), 4);
-        assert_eq!(t.n_cols(), 10);
     }
 
     #[test]

@@ -43,7 +43,8 @@ fn price_estimate(cluster: &CoCluster, item: usize, seed: u64) -> (f64, usize) {
 
 fn main() {
     // the proprietary B2B-DB stand-in: many clients, few products,
-    // pronounced industry-vertical co-purchase blocks (DESIGN.md §2)
+    // pronounced industry-vertical co-purchase blocks
+    // (`ocular::datasets::profiles::b2b_like`)
     let data = b2b_like(Scale::Factor(0.25), 11);
     println!(
         "B2B purchase graph: {} clients × {} products, {} purchases\n",

@@ -52,7 +52,8 @@ fn main() {
 
     // relative membership threshold: with 100+ genes per module the
     // per-gene strengths are individually small, so the absolute √ln2
-    // threshold would under-count the gene side (see DESIGN.md §5)
+    // threshold would under-count the gene side: membership is judged
+    // against each side's strongest member instead
     let clusters = ocular::core::coclusters::extract_coclusters_relative(&result.model, 0.3);
     println!("\nrecovered {} expression modules:", clusters.len());
     for c in &clusters {

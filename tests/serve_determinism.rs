@@ -47,12 +47,12 @@ fn engine(policy: CandidatePolicy) -> (ServeEngine, ocular::sparse::Dataset) {
         foldin: train_cfg,
         ..Default::default()
     };
-    let e = EngineBuilder::from_model(model)
+    let index_cfg = IndexConfig {
+        rel: 0.5,
+        floor: 10,
+    };
+    let e = EngineBuilder::from_snapshot(AnySnapshot::Ocular(Snapshot::build(model, &index_cfg)))
         .dataset(r.clone())
-        .index_config(IndexConfig {
-            rel: 0.5,
-            floor: 10,
-        })
         .config(cfg)
         .build()
         .unwrap();
@@ -211,12 +211,13 @@ fn quantized_engines_deterministic_across_threads() {
             true => (&big_model, &big_r, &big_requests),
         };
         for level in std::iter::once(None).chain(KernelLevel::available().map(Some)) {
-            let mut builder = EngineBuilder::from_model(model.clone())
+            let index_cfg = IndexConfig {
+                rel: 0.5,
+                floor: 10,
+            };
+            let snapshot = Snapshot::build(model.clone(), &index_cfg);
+            let mut builder = EngineBuilder::from_snapshot(AnySnapshot::Ocular(snapshot))
                 .dataset(r.clone())
-                .index_config(IndexConfig {
-                    rel: 0.5,
-                    floor: 10,
-                })
                 .config(ServeConfig {
                     default_m: 20,
                     candidates: policy,
@@ -391,9 +392,9 @@ fn zoo_engines(
     [None, Some(QuantDtype::F32), Some(QuantDtype::I8)]
         .into_iter()
         .map(|quant| {
-            let mut builder = EngineBuilder::from_model(model.clone())
+            let snapshot = Snapshot::build(model.clone(), &IndexConfig { rel: 0.5, floor: 5 });
+            let mut builder = EngineBuilder::from_snapshot(AnySnapshot::Ocular(snapshot))
                 .dataset(d.clone())
-                .index_config(IndexConfig { rel: 0.5, floor: 5 })
                 .config(ServeConfig {
                     default_m: 6,
                     // a small floor, so some requests take the candidate

@@ -7,7 +7,9 @@
 //! 2. kind-tagged snapshots round-trip **bitwise** through
 //!    [`AnySnapshot`]'s v3 container;
 //! 3. the serving engine's batched output equals offline `recommend` for
-//!    every kind, at 1/2/4/8 threads.
+//!    every kind, at 1/2/4/8 threads, and a cold basket answers what the
+//!    kind's [`FoldInModel`] capability scores — or, for a kind without
+//!    one, a typed `Unsupported`.
 
 use ocular::datasets::planted::{generate, PlantedConfig};
 use ocular::prelude::*;
@@ -211,12 +213,27 @@ fn quantized_v3_snapshots_roundtrip_bitwise_through_the_zoo_harness() {
 fn serve_batch_equals_offline_recommend_for_every_kind_across_threads() {
     let r = dataset();
     let m = 10;
+    let basket = vec![7, 2, 30];
+    let mut without_fold_in = Vec::new();
     for snap in snapshot_zoo(&r) {
         let kind = snap.kind();
         // offline reference before the engine consumes the snapshot
         let expected: Vec<Vec<ScoredItem>> = (0..r.n_rows())
             .map(|u| recommend_of(&snap, u, r.row(u), m))
             .collect();
+        // the cold basket, scored densely through the kind's capability
+        let cold_expected = snap.model().as_fold_in().map(|fold_in| {
+            let mut scores = Vec::new();
+            fold_in.score_basket(&basket, &mut scores).unwrap();
+            let exclude = ocular::api::validate_basket(&basket, r.n_cols()).unwrap();
+            ocular::linalg::topk::top_k_excluding(&scores, &exclude, m)
+                .into_iter()
+                .map(|(score, item)| (item, score))
+                .collect::<Vec<_>>()
+        });
+        if cold_expected.is_none() {
+            without_fold_in.push(kind);
+        }
         let engine = EngineBuilder::from_snapshot(snap)
             .dataset(r.clone())
             .config(ServeConfig {
@@ -227,12 +244,38 @@ fn serve_batch_equals_offline_recommend_for_every_kind_across_threads() {
             .build()
             .unwrap();
         assert_eq!(engine.kind(), kind);
+        if kind != "ocular" {
+            // nothing quantized to report for a kind without factors to narrow
+            assert_eq!(
+                (engine.dtype(), engine.kernel(), engine.sidecar_bytes()),
+                (None, "baseline", 0),
+                "kind {kind}"
+            );
+        }
         let requests: Vec<Request> = (0..r.n_rows())
             .map(|user| Request::Warm { user, m })
+            .chain([Request::Cold {
+                basket: basket.clone(),
+                m,
+            }])
             .collect();
         for threads in [1usize, 2, 4, 8] {
-            let served =
+            let mut served =
                 ocular::parallel::with_threads(Some(threads), || engine.serve_batch(&requests));
+            let cold = served.pop().unwrap();
+            match &cold_expected {
+                Some(want) => {
+                    let got = cold.expect("a kind with fold-in serves cold baskets");
+                    assert!(got.items.iter().all(|x| !basket.contains(&x.item)));
+                    let got: Vec<(usize, f64)> =
+                        got.items.iter().map(|x| (x.item, x.probability)).collect();
+                    assert_eq!(&got, want, "kind {kind}, cold, {threads} threads: bitwise");
+                }
+                None => assert!(
+                    matches!(cold, Err(OcularError::Unsupported { .. })),
+                    "kind {kind}, cold, {threads} threads: {cold:?}"
+                ),
+            }
             for (u, (got, want)) in served.iter().zip(&expected).enumerate() {
                 let got = got.as_ref().expect("warm users must serve");
                 assert_eq!(
@@ -250,4 +293,5 @@ fn serve_batch_equals_offline_recommend_for_every_kind_across_threads() {
             }
         }
     }
+    assert_eq!(without_fold_in, ["bpr", "user-knn"]);
 }

@@ -1,6 +1,6 @@
 //! **Figure 8** — distance to optimal training likelihood versus time:
-//! sequential ("CPU") versus the simulated massively-parallel engine
-//! ("GPU").
+//! sequential ("CPU": the trainer on one thread) versus the simulated
+//! massively-parallel engine ("GPU": the same trainer on every core).
 //!
 //! Paper result: the CUDA implementation reaches the same training
 //! accuracy 57× faster than the C++/boost CPU implementation on Netflix
@@ -19,7 +19,7 @@ use ocular_bench::{Args, TextTable};
 use ocular_core::{fit, OcularConfig};
 use ocular_datasets::profiles;
 use ocular_parallel::memory::paper_netflix_example;
-use ocular_parallel::{fit_parallel, speedup_at_threshold, MemoryModel, TimedTrace};
+use ocular_parallel::{fit_parallel, speedup_at_threshold, with_threads, MemoryModel, TimedTrace};
 
 fn main() {
     let args = Args::parse();
@@ -42,7 +42,7 @@ fn main() {
     );
 
     eprintln!("[figure8] sequential (CPU reference) training…");
-    let cpu = fit(&data.matrix, &cfg);
+    let cpu = with_threads(Some(1), || fit(&data.matrix, &cfg));
     eprintln!("[figure8] parallel (simulated GPU) training…");
     let gpu = fit_parallel(&data.matrix, &cfg, None);
     assert_eq!(

@@ -26,8 +26,8 @@
 use ocular_baselines::{ItemKnn, KnnConfig, UserKnn};
 use ocular_bench::harness::OcularRecommender;
 use ocular_bench::Args;
-use ocular_core::linesearch::{RowScratch, SearchStats};
-use ocular_core::trainer::fit_with;
+use ocular_core::linesearch::SearchStats;
+use ocular_core::trainer::{fit_with, sweep_side};
 use ocular_core::OcularConfig;
 use ocular_datasets::profiles;
 use ocular_eval::protocol::evaluate;
@@ -155,7 +155,11 @@ fn main() {
         inner_steps: 4,
         ..search_cfg.clone()
     };
-    let flat_history = ocular_core::fit(&split.train, &flat_cfg).history;
+    // on one thread: the guard measures per-sweep state leaks in the same
+    // serial sweeps it always has, not how two blocks share the cores
+    let flat_history =
+        ocular_parallel::with_threads(Some(1), || ocular_core::fit(&split.train, &flat_cfg))
+            .history;
     assert!(
         flat_history.final_objective() < flat_history.objective[0],
         "the fixed-step flatness fit must train, not diverge"
@@ -179,22 +183,17 @@ fn main() {
     // per positive visited — the exact count inside trials, one O(K) part
     // per trial, and each half-sweep's value-and-gradient pass
     //
-    // The fit runs through `fit_with` with a half-sweep of the probe's own,
+    // The fit runs through `fit_with` around the trainer's own half-sweep,
     // so each half is timed from outside the library: the item half's
     // positives come from the dataset's item view, the user half's from
     // its matrix. Its model and counts are `fit`'s.
     let mut halves = [(0.0, SearchStats::default()); 2]; // [items, users]
-    let mut scratch = RowScratch::default();
     let search_fit = fit_with(
         &split.train,
         &search_cfg,
         &mut |own, adjacency, update, weights| {
             let t0 = std::time::Instant::now();
-            let mut stats = SearchStats::default();
-            for e in 0..own.rows() {
-                let row = own.row_mut(e);
-                update.run(row, adjacency.row(e), weights(e), &mut scratch, &mut stats);
-            }
+            let stats = sweep_side(own, adjacency, update, weights);
             let half = &mut halves[usize::from(std::ptr::eq(adjacency, split.train.matrix()))];
             half.0 += t0.elapsed().as_secs_f64();
             half.1 += stats;

@@ -187,8 +187,7 @@ pub fn fixed_step(
 pub struct RowScratch(Vec<f64>);
 
 /// The block-coordinate update of one factor row against a fixed other
-/// side: the single implementation behind the sequential and parallel
-/// half-sweeps and behind fold-in.
+/// side: the single implementation behind the trainer's half-sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct RowUpdate<'a> {
     /// Factor matrix of the fixed side.

@@ -13,7 +13,7 @@
 
 use crate::gradient::Affinities;
 use crate::model::{FactorModel, P_MIN};
-use ocular_linalg::ops;
+use ocular_linalg::{ops, par, Matrix};
 use ocular_sparse::CsrMatrix;
 
 /// Per-positive-example loss `−log(1 − e^{−p})`, clamped at `p = P_MIN`.
@@ -69,23 +69,59 @@ pub fn objective(r: &CsrMatrix, model: &FactorModel, lambda: f64, weights: &[f64
     objective_parts(r, &model.user_factors, &model.item_factors, lambda, weights)
 }
 
+/// Positives per window of the objective's terms (256 KiB of pairs).
+const WINDOW: usize = 16_384;
+
 /// [`objective`] on raw factor matrices — the trainer's hot path (no model
 /// wrapper, no clones).
 pub fn objective_parts(
     r: &CsrMatrix,
-    user_factors: &ocular_linalg::Matrix,
-    item_factors: &ocular_linalg::Matrix,
+    user_factors: &Matrix,
+    item_factors: &Matrix,
     lambda: f64,
     weights: &[f64],
 ) -> f64 {
+    let (uf, itf) = (user_factors, item_factors);
+    objective_parts_in(r, uf, itf, lambda, weights, &mut Vec::new())
+}
+
+/// [`objective_parts`] with its window buffer supplied, so a fit reuses
+/// one. Each window's `(w·pair_loss(p), p)` are formed in parallel blocks,
+/// then the two running sums add them one by one in CSR order, so `Q` has
+/// the same bits at every thread count.
+pub(crate) fn objective_parts_in(
+    r: &CsrMatrix,
+    user_factors: &Matrix,
+    item_factors: &Matrix,
+    lambda: f64,
+    weights: &[f64],
+    terms: &mut Vec<(f64, f64)>,
+) -> f64 {
     debug_assert_eq!(weights.len(), r.n_rows());
+    let (_, _, indptr, cols) = r.as_parts();
     let mut q = 0.0;
     // positive-example terms, and ⟨f_u,f_i⟩ over positives for the sum-trick
     let mut pos_affinity_sum = 0.0;
-    for u in 0..r.n_rows() {
-        let w = weights[u];
-        for (_, _, p) in Affinities::new(user_factors.row(u), item_factors, r.row(u)) {
-            q += w * pair_loss(p);
+    terms.resize(cols.len().min(WINDOW), (0.0, 0.0));
+    for start in (0..cols.len()).step_by(WINDOW) {
+        let window = &mut terms[..WINDOW.min(cols.len() - start)];
+        par::fan_out(par::row_blocks(window, 1), |(first, out)| {
+            // a block is flat CSR positions `at..end`, which may cut rows
+            let (mut at, end) = (start + first, start + first + out.len());
+            let (mut u, mut out) = (indptr.partition_point(|&p| p <= at) - 1, out.iter_mut());
+            while at < end {
+                let row_end = indptr[u + 1].min(end);
+                let ids = &cols[at..row_end];
+                for ((_, _, p), slot) in
+                    Affinities::new(user_factors.row(u), item_factors, ids).zip(&mut out)
+                {
+                    *slot = (weights[u] * pair_loss(p), p);
+                }
+                (at, u) = (row_end, u + 1);
+            }
+        });
+        for &(loss, p) in window.iter() {
+            q += loss;
             pos_affinity_sum += p;
         }
     }
@@ -120,7 +156,6 @@ pub fn objective_naive(r: &CsrMatrix, model: &FactorModel, lambda: f64, weights:
 mod tests {
     use super::*;
     use crate::Weighting;
-    use ocular_linalg::Matrix;
 
     fn toy_model() -> FactorModel {
         FactorModel::new(
@@ -241,5 +276,52 @@ mod tests {
             false,
         );
         assert!(objective(&r, &good, 0.0, &w) < objective(&r, &bad, 0.0, &w));
+    }
+
+    /// The objective written out serially: one `dot` per positive in CSR
+    /// order, both sums running in that order.
+    fn objective_serial(r: &CsrMatrix, uf: &Matrix, itf: &Matrix, lambda: f64, w: &[f64]) -> f64 {
+        let (mut q, mut pos_affinity_sum) = (0.0, 0.0);
+        for u in 0..r.n_rows() {
+            for &i in r.row(u) {
+                let p = ops::dot(uf.row(u), itf.row(i as usize));
+                q += w[u] * pair_loss(p);
+                pos_affinity_sum += p;
+            }
+        }
+        q += ops::dot(&uf.column_sums(), &itf.column_sums()) - pos_affinity_sum;
+        q + lambda * (uf.frobenius_sq() + itf.frobenius_sq())
+    }
+
+    #[test]
+    fn windowed_objective_is_bit_equal_to_the_serial_sum_at_any_thread_count() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // ≈ 4.5 windows; user 0's row alone is longer than a window, and
+        // users 1 and 7 have no positives
+        let (n_users, n_items, k) = (40, 20_000, 3);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut pairs: Vec<(usize, usize)> = (0..WINDOW + 1_000).map(|i| (0, i)).collect();
+        for u in (2..n_users).filter(|&u| u != 7) {
+            let degree = rng.gen_range(0..3_000);
+            pairs.extend((0..degree).map(|_| (u, rng.gen_range(0..n_items))));
+        }
+        let r = CsrMatrix::from_pairs(n_users, n_items, &pairs).unwrap();
+        assert!(r.nnz() > 4 * WINDOW && r.row_nnz(0) > WINDOW);
+        let mut random = |rows| {
+            let mut m = Matrix::zeros(rows, k);
+            m.as_mut_slice()
+                .iter_mut()
+                .for_each(|v| *v = rng.gen::<f64>());
+            m
+        };
+        let (uf, itf) = (random(n_users), random(n_items));
+        for weighting in [Weighting::Absolute, Weighting::Relative] {
+            let w = user_weights(&r, weighting);
+            let want = objective_serial(&r, &uf, &itf, 0.3, &w).to_bits();
+            for t in [1, 7] {
+                let got = par::with_threads(Some(t), || objective_parts(&r, &uf, &itf, 0.3, &w));
+                assert_eq!(got.to_bits(), want, "{weighting:?}, {t} threads");
+            }
+        }
     }
 }

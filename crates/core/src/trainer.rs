@@ -6,13 +6,19 @@
 //! column sums are computed once so every subproblem gets its negative sum
 //! in `O(deg · K)` — the Yang–Leskovec sum-trick that gives the algorithm
 //! its `O(nnz · K)` per-sweep complexity.
+//!
+//! Each factor row's subproblem reads only the *fixed* side, so a
+//! half-sweep updates its rows in [`par::row_blocks`] at once (Section VI);
+//! the per-sweep objective forms its terms in blocks too. The model, the
+//! objective trace and the step-search counts are bitwise the same at any
+//! thread count; one thread is one block on the calling thread.
 
 use crate::config::OcularConfig;
 use crate::gradient::PosWeights;
 use crate::linesearch::{RowScratch, RowUpdate, SearchStats};
 use crate::loss::user_weights;
 use crate::model::FactorModel;
-use ocular_linalg::Matrix;
+use ocular_linalg::{par, Matrix};
 use ocular_sparse::{CsrMatrix, Dataset};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,8 +33,7 @@ pub struct TrainingHistory {
     /// matching the paper's "running time per iteration" in Figure 7).
     pub sweep_seconds: Vec<f64>,
     /// What the step search did in each sweep (both half-sweeps summed):
-    /// exact counts, equal between [`fit`] and the parallel trainer at any
-    /// thread count.
+    /// exact counts, equal at every thread count.
     pub search: Vec<SearchStats>,
     /// Whether the relative-decrease tolerance was met before `max_iters`.
     pub converged: bool,
@@ -98,25 +103,28 @@ fn init_factors(
 /// Maps a row of the side being updated to the weights of its positives.
 pub type WeightsFor<'w> = dyn Fn(usize) -> PosWeights<'w> + Sync + 'w;
 
-/// Updates one side (all items, or all users) in place; returns what the
-/// step search did.
-fn sweep_side(
+/// [`fit`]'s half-sweep: updates one side (all items, or all users) in
+/// place, in [`par::row_blocks`] with one scratch per block; returns what
+/// the step search did (integer sums, so independent of the schedule).
+pub fn sweep_side(
     own: &mut Matrix,
     adjacency: &CsrMatrix, // rows = own entities, cols = other entities
     update: &RowUpdate<'_>,
     weights_for_positives: &WeightsFor<'_>,
-    scratch: &mut RowScratch,
 ) -> SearchStats {
+    let k = own.cols();
+    let per_block = par::fan_out(par::row_blocks(own.as_mut_slice(), k), |(first, rows)| {
+        let mut scratch = RowScratch::default();
+        let mut stats = SearchStats::default();
+        for (j, row) in rows.chunks_mut(k).enumerate() {
+            let e = first + j;
+            let (positives, weights) = (adjacency.row(e), weights_for_positives(e));
+            update.run(row, positives, weights, &mut scratch, &mut stats);
+        }
+        stats
+    });
     let mut stats = SearchStats::default();
-    for e in 0..own.rows() {
-        update.run(
-            own.row_mut(e),
-            adjacency.row(e),
-            weights_for_positives(e),
-            scratch,
-            &mut stats,
-        );
-    }
+    per_block.into_iter().for_each(|block| stats += block);
     stats
 }
 
@@ -134,9 +142,8 @@ pub fn bias_layout(
     }
 }
 
-/// Seeded factor initialisation, shared by this sequential trainer and the
-/// parallel trainer in `ocular-parallel` — both draw from the same RNG
-/// stream, so they start from bitwise-identical factors.
+/// Seeded factor initialisation: one RNG stream, drawn on the calling
+/// thread, so every thread count starts from bitwise-identical factors.
 ///
 /// With [`crate::config::InitStrategy::NeighborhoodSeeded`] (the default),
 /// the random background is scaled down and each co-cluster dimension is
@@ -186,24 +193,24 @@ pub fn initial_factors(r: &CsrMatrix, cfg: &OcularConfig) -> (Matrix, Matrix) {
 /// Fits an OCuLaR (or R-OCuLaR) model to the one-class interaction store
 /// `data`. The item half-sweep reads the dataset's build-once CSC dual
 /// view ([`Dataset::item_view`]) — nothing is re-transposed per fit — and
-/// all per-sweep buffers are allocated once up front.
+/// its buffers are allocated once per fit (each block's row scratch once
+/// per half-sweep). Half-sweeps and the objective's positive terms run on
+/// [`par::threads`] threads (size them with [`par::with_threads`]); the
+/// result is the same at every count.
 ///
 /// # Panics
 /// Panics if `cfg` fails [`OcularConfig::validate`]. Use [`try_fit`] for a
 /// fallible variant.
 pub fn fit(data: &Dataset, cfg: &OcularConfig) -> TrainResult {
-    // the row update's temporaries, allocated once for the whole run
-    let mut scratch = RowScratch::default();
-    fit_with(data, cfg, &mut |own, adjacency, update, weights| {
-        sweep_side(own, adjacency, update, weights, &mut scratch)
-    })
+    fit_with(data, cfg, &mut sweep_side)
 }
 
 /// The training loop around a caller-supplied half-sweep, which must apply
 /// `update` to every row of `own` (row `e` has positives
 /// `adjacency.row(e)`, weighted by `weights(e)`) and return the summed
-/// [`SearchStats`]. Rows of one side are independent, so any schedule —
-/// [`fit`]'s sequential one, the parallel trainer's — gives the same model.
+/// [`SearchStats`]: [`sweep_side`], or a caller's wrapper around it (the
+/// `probe` bench times each half this way). Rows of one side are
+/// independent, so any schedule gives the same model.
 ///
 /// # Panics
 /// Panics if `cfg` fails [`OcularConfig::validate`].
@@ -231,8 +238,11 @@ pub fn fit_with(
     let (lambda, search, steps) = (cfg.lambda, cfg.into(), cfg.inner_steps);
     let fixed_step = (!cfg.line_search).then_some(cfg.fixed_step);
 
-    let eval =
-        |uf: &Matrix, itf: &Matrix| crate::loss::objective_parts(r, uf, itf, cfg.lambda, &weights);
+    // the objective's positive terms, one window's worth for the whole run
+    let mut terms = Vec::new();
+    let mut eval = |uf: &Matrix, itf: &Matrix| {
+        crate::loss::objective_parts_in(r, uf, itf, cfg.lambda, &weights, &mut terms)
+    };
     let mut q = eval(&user_factors, &item_factors);
     let mut history = TrainingHistory {
         objective: vec![q],

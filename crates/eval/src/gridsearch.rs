@@ -90,8 +90,10 @@ impl GridResult {
 /// `test` under the evaluation protocol. Cells are evaluated in parallel
 /// ([`ocular_parallel::map_slice`], sized by
 /// [`ocular_parallel::with_threads`]), mirroring the paper's cluster
-/// fan-out; results are deterministic because each cell is independent and
-/// seeded by the caller.
+/// fan-out. Each cell runs under `with_threads(Some(1))`, so a fit that
+/// fans out itself stays on its cell's thread and `N` threads start at most
+/// `N`, not `N²`. Results are deterministic because each cell is
+/// independent and seeded by the caller.
 ///
 /// # Panics
 /// Panics if either axis is empty.
@@ -114,8 +116,10 @@ where
         .flat_map(|ki| (0..lambdas.len()).map(move |li| (ki, li)))
         .collect();
     let flat = ocular_parallel::map_slice(&cells, |&(ki, li)| {
-        let model = fit_cell(ks[ki], lambdas[li]);
-        evaluate(model.as_ref(), train, test, m).recall
+        ocular_parallel::with_threads(Some(1), || {
+            let model = fit_cell(ks[ki], lambdas[li]);
+            evaluate(model.as_ref(), train, test, m).recall
+        })
     });
     let mut scores = vec![vec![0.0; lambdas.len()]; ks.len()];
     for (&(ki, li), &v) in cells.iter().zip(&flat) {
@@ -206,6 +210,27 @@ mod tests {
                     crate::protocol::evaluate(cell_model(surface(k, l)).as_ref(), &train, &test, 1)
                         .recall;
                 assert_eq!(result.score(ki, li), direct, "cell ({k}, {l})");
+            }
+        }
+    }
+
+    #[test]
+    fn each_cell_runs_on_one_thread() {
+        let (train, test) = fixture();
+        let (ks, lambdas) = ([10, 20], [1.0, 2.0]);
+        let seen = std::sync::Mutex::new(Vec::new());
+        let result = ocular_parallel::with_threads(Some(3), || {
+            grid_search(&ks, &lambdas, &train, &test, 1, |k, l| {
+                seen.lock().unwrap().push(ocular_parallel::threads());
+                cell_model(k as f64 * l / 100.0)
+            })
+        });
+        assert_eq!(*seen.lock().unwrap(), [1; 4]);
+        for (ki, &k) in ks.iter().enumerate() {
+            for (li, &l) in lambdas.iter().enumerate() {
+                let model = cell_model(k as f64 * l / 100.0);
+                let serial = evaluate(model.as_ref(), &train, &test, 1).recall;
+                assert_eq!(result.score(ki, li), serial, "cell ({k}, {l})");
             }
         }
     }

@@ -246,7 +246,7 @@ impl Matrix {
     }
 
     /// Largest absolute entry difference to `other`; ∞-norm distance used in
-    /// tests comparing sequential and parallel trainers.
+    /// tests comparing factorisations.
     ///
     /// # Panics
     /// Panics on shape mismatch.

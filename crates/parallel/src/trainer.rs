@@ -1,75 +1,37 @@
-//! Data-parallel block-coordinate trainer — the "GPU" trainer of Figure 8.
+//! The "GPU" trainer of Figure 8: [`ocular_core::fit`] under a thread count.
 //!
-//! Within a half-sweep every factor row's subproblem reads only the *fixed*
-//! side (plus its own row), so updating all items — and then all users —
-//! concurrently is mathematically identical to the sequential sweep, not an
-//! approximation. With both trainers starting from
-//! [`ocular_core::trainer::initial_factors`], `fit_parallel` produces
-//! **bitwise-identical** models to [`ocular_core::fit`]; the speedup is
-//! pure wall-clock. (The paper's CUDA kernel runs one thread block per
-//! positive rating and accumulates with `atomicAdd`, whose order varies;
-//! per-row parallelism is how the same decomposition is expressed
+//! `fit` itself is data-parallel — its half-sweeps run in row blocks and
+//! its per-sweep objective forms its positive terms in blocks, on
+//! [`crate::threads`] threads — and bitwise identical at every count, so the
+//! speedup is pure wall-clock. (The paper's CUDA kernel runs one thread
+//! block per positive rating and accumulates with `atomicAdd`, whose order
+//! varies; per-row parallelism is how the same decomposition is expressed
 //! deterministically on a host with tens of threads rather than thousands
 //! of CUDA cores.)
 
 use ocular_core::config::OcularConfig;
-use ocular_core::linesearch::{RowScratch, RowUpdate, SearchStats};
-use ocular_core::trainer::{fit_with, TrainResult, WeightsFor};
-use ocular_linalg::Matrix;
-use ocular_sparse::{CsrMatrix, Dataset};
+use ocular_core::trainer::{fit, TrainResult};
+use ocular_sparse::Dataset;
 
-/// One parallel half-sweep over all rows of `own`, in [`crate::row_blocks`]
-/// with one scratch per block; returns what the step search did (integer
-/// sums, so independent of how rows were scheduled).
-fn parallel_sweep_side(
-    own: &mut Matrix,
-    adjacency: &CsrMatrix,
-    update: &RowUpdate<'_>,
-    weights_for_positives: &WeightsFor<'_>,
-) -> SearchStats {
-    let k = own.cols();
-    let blocks = crate::row_blocks(own.as_mut_slice(), k);
-    let per_block = crate::fan_out(blocks, |(first, rows)| {
-        let mut scratch = RowScratch::default();
-        let mut stats = SearchStats::default();
-        for (j, row) in rows.chunks_mut(k).enumerate() {
-            let e = first + j;
-            update.run(
-                row,
-                adjacency.row(e),
-                weights_for_positives(e),
-                &mut scratch,
-                &mut stats,
-            );
-        }
-        stats
-    });
-    let mut stats = SearchStats::default();
-    for block in per_block {
-        stats += block;
-    }
-    stats
-}
-
-/// Fits OCuLaR with data-parallel half-sweeps. Same configuration, same
-/// semantics and (given the same seed) the same model as
-/// [`ocular_core::fit`] — only faster on multi-core hosts.
-///
-/// `threads`: `None` uses [`crate::threads`]; `Some(n)` runs on `n` (used
-/// by the Figure 8 harness to emulate "CPU" = 1 thread vs "GPU" = all
-/// cores on one binary).
+/// Fits OCuLaR on `threads` threads: `None` keeps [`crate::threads`];
+/// `Some(n)` runs on `n` (the Figure 8 harness compares one thread with
+/// all cores on one binary). The same model as [`ocular_core::fit`] at
+/// any count.
 ///
 /// # Panics
 /// Panics if `cfg` fails validation.
 pub fn fit_parallel(data: &Dataset, cfg: &OcularConfig, threads: Option<usize>) -> TrainResult {
-    crate::with_threads(threads, || fit_with(data, cfg, &mut parallel_sweep_side))
+    crate::with_threads(threads, || fit(data, cfg))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocular_core::fit;
+    use crate::with_threads;
+    use ocular_sparse::CsrMatrix;
 
+    /// Four dense `n × n` blocks on the diagonal, then one user and one
+    /// item with no positives.
     fn blocks(n: usize) -> Dataset {
         let mut pairs = Vec::new();
         for b in 0..4 {
@@ -79,7 +41,7 @@ mod tests {
                 }
             }
         }
-        Dataset::from_matrix(CsrMatrix::from_pairs(4 * n, 4 * n, &pairs).unwrap())
+        Dataset::from_matrix(CsrMatrix::from_pairs(4 * n + 1, 4 * n + 1, &pairs).unwrap())
     }
 
     fn cfg() -> OcularConfig {
@@ -92,30 +54,44 @@ mod tests {
         }
     }
 
+    /// `fit` at one thread against 2, 3 and 7: the same model, the same
+    /// objective trace bit for bit and the same step-search counts per
+    /// sweep. Returns the one-thread fit.
+    fn same_at_every_thread_count(data: &Dataset, cfg: &OcularConfig) -> TrainResult {
+        let bits = |r: &TrainResult| -> Vec<u64> {
+            r.history.objective.iter().map(|q| q.to_bits()).collect()
+        };
+        let one = with_threads(Some(1), || fit(data, cfg));
+        for t in [2, 3, 7] {
+            let many = with_threads(Some(t), || fit(data, cfg));
+            assert_eq!(one.model, many.model, "{t} threads: model");
+            assert_eq!(bits(&one), bits(&many), "{t} threads: objective");
+            assert_eq!(one.history.search, many.history.search, "{t} threads");
+        }
+        one
+    }
+
     #[test]
     fn parallel_is_bitwise_identical_to_sequential() {
         let r = blocks(5);
-        let seq = fit(&r, &cfg());
-        let par = fit_parallel(&r, &cfg(), None);
-        assert_eq!(
-            seq.model, par.model,
-            "per-row parallelism must not change the math"
-        );
-        assert_eq!(seq.history.objective, par.history.objective);
+        let one = same_at_every_thread_count(&r, &cfg());
+        let par = fit_parallel(&r, &cfg(), Some(2));
+        assert_eq!(one.model, par.model);
+        assert_eq!(one.history.objective, par.history.objective);
+        // the user and the item with no positives are updated too
+        assert_eq!(one.model.item_factors.row(20), &[0.0; 4]);
     }
 
     #[test]
     fn parallel_identical_across_thread_counts() {
-        let r = blocks(4);
-        let one = fit_parallel(&r, &cfg(), Some(1));
-        let four = fit_parallel(&r, &cfg(), Some(4));
-        assert_eq!(one.model, four.model);
+        // fewer users (3) and items (2) than threads (7)
+        let r = CsrMatrix::from_pairs(3, 2, &[(0, 0), (1, 0), (1, 1), (2, 1)]).unwrap();
+        same_at_every_thread_count(&Dataset::from_matrix(r), &cfg());
     }
 
     #[test]
     fn parallel_monotone_objective() {
-        let r = blocks(5);
-        let result = fit_parallel(&r, &cfg(), None);
+        let result = with_threads(Some(7), || fit(&blocks(5), &cfg()));
         for w in result.history.objective.windows(2) {
             assert!(w[1] <= w[0] + 1e-9);
         }
@@ -123,25 +99,19 @@ mod tests {
 
     #[test]
     fn relative_weighting_supported() {
-        let r = blocks(3);
         let c = OcularConfig {
             weighting: ocular_core::Weighting::Relative,
             ..cfg()
         };
-        let seq = fit(&r, &c);
-        let par = fit_parallel(&r, &c, None);
-        assert_eq!(seq.model, par.model);
+        same_at_every_thread_count(&blocks(3), &c);
     }
 
     #[test]
     fn bias_extension_supported() {
-        let r = blocks(3);
         let c = OcularConfig {
             bias: true,
             ..cfg()
         };
-        let seq = fit(&r, &c);
-        let par = fit_parallel(&r, &c, None);
-        assert_eq!(seq.model, par.model);
+        same_at_every_thread_count(&blocks(3), &c);
     }
 }

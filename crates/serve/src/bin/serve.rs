@@ -11,6 +11,7 @@
 //!       [--quantize f32|int8]            (ocular only) \
 //!       [--algo ocular|wals|bpr|user-knn|item-knn|popularity] \
 //!       [--k 8] [--lambda 0.5] [--iters 60] [--seed 0] [--sep '\t'] \
+//!       [--threads N]                    (ocular training) \
 //!       [--rel 0.5] [--floor 100]        (ocular index build) \
 //!       [--b 0.01] [--lr 0.05]           (wals / bpr)
 //! ```
@@ -32,7 +33,9 @@
 //! `--k` is the latent dimensionality for the factor models and the
 //! neighbourhood size for the kNN variants; `--iters` maps to each
 //! fitter's sweep/epoch knob; `--lambda` is each model's own
-//! regularization (defaults differ per algorithm).
+//! regularization (defaults differ per algorithm). `--threads N` caps
+//! the OCuLaR fit at `N` threads (default: the host's cores); the model is
+//! the same at every count.
 //!
 //! **Serve** — load a snapshot of *any* kind plus the training
 //! interactions (for owned-item exclusion), read one JSON request per
@@ -286,7 +289,9 @@ fn train_mode(flags: &Flags) -> Result<(), String> {
                 seed,
                 ..Default::default()
             };
-            let model = try_fit(&r, &cfg).map_err(|e| e.to_string())?.model;
+            let threads: Option<usize> = flags.opt_num("threads")?;
+            let fitted = ocular_parallel::with_threads(threads, || try_fit(&r, &cfg));
+            let model = fitted.map_err(|e| e.to_string())?.model;
             let index_cfg = ocular_serve::IndexConfig {
                 rel: flags.num("rel", 0.5)?,
                 floor: flags.num("floor", 100)?,

@@ -11,13 +11,13 @@
 //! |---|---|
 //! | [`api`] | the canonical trait hierarchy every model implements |
 //! | [`sparse`] | binary interaction matrices, splits, samplers, loaders |
-//! | [`linalg`] | dense factor matrices, Cholesky, vector kernels |
+//! | [`linalg`] | dense factor matrices, Cholesky, vector kernels, the scoped fan-out (`par`) |
 //! | [`datasets`] | synthetic generators and the paper's dataset profiles |
 //! | [`eval`] | recall@M / MAP@M, evaluation protocol, grid search |
 //! | [`core`] | OCuLaR, R-OCuLaR, co-clusters, explanations |
 //! | [`baselines`] | wALS, BPR, user-/item-based kNN, popularity |
 //! | [`community`] | Modularity, Louvain, BIGCLAM comparators |
-//! | [`parallel`] | data-parallel trainer (§VI on CPU cores), memory model, worker pool |
+//! | [`parallel`] | `fit_parallel` (`fit` under a thread count, §VI on CPU cores), memory model, worker pool |
 //! | [`serve`] | online serving: snapshots, candidate generation, batching, hot swap |
 //!
 //! ## Five-minute tour

@@ -1,11 +1,12 @@
-//! Guard for the parallel trainer's determinism: per-row data parallelism
-//! must be *exact* — the fitted model, and therefore every downstream
-//! metric, must be bit-identical no matter how many threads run the
-//! half-sweeps. This is the property that lets Figure 8-style speedups be
+//! Guard for the trainer's determinism: per-row data parallelism must be
+//! *exact* — the fitted model, and therefore every downstream metric, must
+//! be bit-identical no matter how many threads run the half-sweeps and the
+//! objective. This is the property that lets Figure 8-style speedups be
 //! claimed without an accuracy asterisk.
 
 use ocular::core::linesearch::SearchStats;
 use ocular::datasets::planted::{generate, PlantedConfig};
+use ocular::parallel::with_threads;
 use ocular::prelude::*;
 
 fn dataset() -> ocular::sparse::Dataset {
@@ -57,11 +58,12 @@ fn recall_identical_across_thread_counts() {
             "{threads}-thread recall@20 must match the 1-thread run exactly"
         );
     }
-    // and the parallel path agrees with the sequential reference trainer
-    let seq = fit(&split.train, &cfg);
+    // and the parallel path agrees with the sequential reference: fit()
+    // on one thread
+    let seq = with_threads(Some(1), || fit(&split.train, &cfg));
     assert_eq!(
         &seq.model, ref_model,
-        "parallel must be a drop-in for fit()"
+        "parallel must be a drop-in for one-thread fit()"
     );
 
     // sanity: the guarded model is actually good, not degenerately equal
@@ -73,7 +75,7 @@ fn recall_identical_across_thread_counts() {
 
 /// The step-search telemetry is plain integer sums over rows, so it must
 /// not depend on how rows were scheduled: every thread count reports what
-/// the sequential trainer reports, sweep by sweep.
+/// fit() on one thread reports, sweep by sweep.
 #[test]
 fn search_counts_identical_across_thread_counts() {
     let r = dataset();
@@ -85,13 +87,13 @@ fn search_counts_identical_across_thread_counts() {
         seed: 6,
         ..Default::default()
     };
-    let seq = fit(&r, &cfg).history.search;
+    let seq = with_threads(Some(1), || fit(&r, &cfg)).history.search;
     assert_eq!(seq.len(), 12, "one record per sweep");
     for threads in [1usize, 2, 4, 8] {
         let par = fit_parallel(&r, &cfg, Some(threads)).history.search;
         assert_eq!(
             par, seq,
-            "{threads}-thread search counts must equal fit()'s"
+            "{threads}-thread search counts must equal one-thread fit()'s"
         );
     }
     // the counts describe a search that actually backtracked and actually

@@ -4,11 +4,11 @@
 //! Beyond the sweep it runs two data-backbone guards:
 //!
 //! * a fixed-work training run whose **per-sweep** wall-clock must stay
-//!   flat (last sweep ≤ 1.2× the fastest sweep) — the regression guard
-//!   for per-sweep allocation churn, which once crept 0.138 s → 0.226 s
-//!   over a run. The run takes fixed steps: the Armijo search drops
-//!   failing trials early, more of them in the first sweeps than near
-//!   convergence, so its sweeps do not do equal work;
+//!   flat (last ≤ 1.2× the fastest, in the flattest of three repeats) —
+//!   the regression guard for per-sweep allocation churn, which once crept
+//!   0.138 s → 0.226 s over a run. The run takes fixed steps: the Armijo
+//!   search drops failing trials early, more of them in the first sweeps
+//!   than near convergence, so its sweeps do not do equal work;
 //! * a streaming-**ingestion** timing (edge-list text → [`Dataset`] via
 //!   the chunked reader).
 //!
@@ -156,20 +156,30 @@ fn main() {
         ..search_cfg.clone()
     };
     // on one thread: the guard measures per-sweep state leaks in the same
-    // serial sweeps it always has, not how two blocks share the cores
-    let flat_history =
-        ocular_parallel::with_threads(Some(1), || ocular_core::fit(&split.train, &flat_cfg))
-            .history;
-    assert!(
-        flat_history.final_objective() < flat_history.objective[0],
-        "the fixed-step flatness fit must train, not diverge"
-    );
-    let flat_sweeps = flat_history.sweep_seconds;
-    let min_sweep = flat_sweeps.iter().cloned().fold(f64::INFINITY, f64::min);
-    let last_sweep = *flat_sweeps.last().expect("at least one sweep");
-    let flatness = last_sweep / min_sweep;
+    // serial sweeps it always has, not how two blocks share the cores; the
+    // flattest of three fits counts: a leak slows every fit, host noise some
+    let (mut flatness, mut min_sweep, mut last_sweep) = (f64::INFINITY, 0.0, 0.0);
+    for _ in 0..3 {
+        let h =
+            ocular_parallel::with_threads(Some(1), || ocular_core::fit(&split.train, &flat_cfg))
+                .history;
+        assert!(
+            h.final_objective() < h.objective[0],
+            "the fixed-step flatness fit must train, not diverge"
+        );
+        let min = h
+            .sweep_seconds
+            .iter()
+            .cloned()
+            .fold(f64::INFINITY, f64::min);
+        let last = *h.sweep_seconds.last().expect("at least one sweep");
+        if last / min < flatness {
+            (flatness, min_sweep, last_sweep) = (last / min, min, last);
+        }
+    }
     println!(
-        "per-sweep seconds (K={}, fixed steps): min={min_sweep:.4} last={last_sweep:.4} last/min={flatness:.2}",
+        "per-sweep seconds (K={}, fixed steps, flattest of 3 fits): min={min_sweep:.4} \
+         last={last_sweep:.4} last/min={flatness:.2}",
         flat_cfg.k
     );
     assert!(
@@ -191,9 +201,9 @@ fn main() {
     let search_fit = fit_with(
         &split.train,
         &search_cfg,
-        &mut |own, adjacency, update, weights| {
+        &mut |own, adjacency, update, weights, values| {
             let t0 = std::time::Instant::now();
-            let stats = sweep_side(own, adjacency, update, weights);
+            let stats = sweep_side(own, adjacency, update, weights, values);
             let half = &mut halves[usize::from(std::ptr::eq(adjacency, split.train.matrix()))];
             half.0 += t0.elapsed().as_secs_f64();
             half.1 += stats;

@@ -159,7 +159,7 @@ impl<'a> LocalProblem<'a> {
 /// the dots formed four at a time by [`ops::dots4`] — each to the bits of
 /// [`ops::dot`], the four add chains interleaved. A consumer that stops
 /// early has paid for at most three dots it never reads.
-pub(crate) struct Affinities<'a, 'o> {
+struct Affinities<'a, 'o> {
     own: &'o [f64],
     /// The fixed side's rows, flat: row `e` is `other[e·K..(e+1)·K]`.
     other: &'a [f64],
@@ -169,7 +169,7 @@ pub(crate) struct Affinities<'a, 'o> {
 }
 
 impl<'a, 'o> Affinities<'a, 'o> {
-    pub(crate) fn new(own: &'o [f64], other: &'a Matrix, ids: &'a [u32]) -> Self {
+    fn new(own: &'o [f64], other: &'a Matrix, ids: &'a [u32]) -> Self {
         debug_assert_eq!(own.len(), other.cols());
         Affinities {
             own,

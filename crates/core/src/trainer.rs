@@ -8,15 +8,15 @@
 //! its `O(nnz · K)` per-sweep complexity.
 //!
 //! Each factor row's subproblem reads only the *fixed* side, so a
-//! half-sweep updates its rows in [`par::row_blocks`] at once (Section VI);
-//! the per-sweep objective forms its terms in blocks too. The model, the
-//! objective trace and the step-search counts are bitwise the same at any
-//! thread count; one thread is one block on the calling thread.
+//! half-sweep updates its rows in [`par::row_blocks`] at once (Section VI).
+//! The user half's row objectives add up to `Q`, so a sweep's objective
+//! costs no pass over the positives. The model, the objective trace and the
+//! step-search counts are bitwise the same at any thread count.
 
 use crate::config::OcularConfig;
 use crate::gradient::PosWeights;
 use crate::linesearch::{RowScratch, RowUpdate, SearchStats};
-use crate::loss::user_weights;
+use crate::loss::{objective_parts, user_sum, user_weights};
 use crate::model::FactorModel;
 use ocular_linalg::{par, Matrix};
 use ocular_sparse::{CsrMatrix, Dataset};
@@ -29,8 +29,8 @@ use std::time::Instant;
 pub struct TrainingHistory {
     /// Objective `Q` before training (`objective[0]`) and after each sweep.
     pub objective: Vec<f64>,
-    /// Wall-clock seconds of each sweep (excludes the objective evaluation,
-    /// matching the paper's "running time per iteration" in Figure 7).
+    /// Wall-clock seconds of each sweep (the paper's "running time per
+    /// iteration", Figure 7), without adding up its objective.
     pub sweep_seconds: Vec<f64>,
     /// What the step search did in each sweep (both half-sweeps summed):
     /// exact counts, equal at every thread count.
@@ -103,23 +103,39 @@ fn init_factors(
 /// Maps a row of the side being updated to the weights of its positives.
 pub type WeightsFor<'w> = dyn Fn(usize) -> PosWeights<'w> + Sync + 'w;
 
+/// What [`fit_with`] calls for each half-sweep: [`sweep_side`]'s signature.
+pub type HalfSweep<'s> = dyn for<'w> FnMut(
+        &mut Matrix,
+        &CsrMatrix,
+        &RowUpdate<'_>,
+        &WeightsFor<'w>,
+        &mut [f64],
+    ) -> SearchStats
+    + 's;
+
 /// [`fit`]'s half-sweep: updates one side (all items, or all users) in
-/// place, in [`par::row_blocks`] with one scratch per block; returns what
+/// place, in [`par::row_blocks`] with one scratch per block, and writes each
+/// row's local objective after its update into `values[row]`; returns what
 /// the step search did (integer sums, so independent of the schedule).
 pub fn sweep_side(
     own: &mut Matrix,
     adjacency: &CsrMatrix, // rows = own entities, cols = other entities
     update: &RowUpdate<'_>,
     weights_for_positives: &WeightsFor<'_>,
+    values: &mut [f64],
 ) -> SearchStats {
     let k = own.cols();
-    let per_block = par::fan_out(par::row_blocks(own.as_mut_slice(), k), |(first, rows)| {
+    // equal row counts cut into equal blocks: each value meets its row
+    let value_blocks = par::row_blocks(&mut values[..own.rows()], 1);
+    let parts = par::row_blocks(own.as_mut_slice(), k)
+        .into_iter()
+        .zip(value_blocks);
+    let per_block = par::fan_out(parts.collect(), |((first, rows), (_, values))| {
         let mut scratch = RowScratch::default();
         let mut stats = SearchStats::default();
-        for (j, row) in rows.chunks_mut(k).enumerate() {
-            let e = first + j;
+        for ((row, q), e) in rows.chunks_mut(k).zip(values).zip(first..) {
             let (positives, weights) = (adjacency.row(e), weights_for_positives(e));
-            update.run(row, positives, weights, &mut scratch, &mut stats);
+            *q = update.run(row, positives, weights, &mut scratch, &mut stats);
         }
         stats
     });
@@ -194,9 +210,9 @@ pub fn initial_factors(r: &CsrMatrix, cfg: &OcularConfig) -> (Matrix, Matrix) {
 /// `data`. The item half-sweep reads the dataset's build-once CSC dual
 /// view ([`Dataset::item_view`]) — nothing is re-transposed per fit — and
 /// its buffers are allocated once per fit (each block's row scratch once
-/// per half-sweep). Half-sweeps and the objective's positive terms run on
+/// per half-sweep). Half-sweeps and the initial objective run on
 /// [`par::threads`] threads (size them with [`par::with_threads`]); the
-/// result is the same at every count.
+/// result, each sweep's objective included, is the same at every count.
 ///
 /// # Panics
 /// Panics if `cfg` fails [`OcularConfig::validate`]. Use [`try_fit`] for a
@@ -207,23 +223,15 @@ pub fn fit(data: &Dataset, cfg: &OcularConfig) -> TrainResult {
 
 /// The training loop around a caller-supplied half-sweep, which must apply
 /// `update` to every row of `own` (row `e` has positives
-/// `adjacency.row(e)`, weighted by `weights(e)`) and return the summed
-/// [`SearchStats`]: [`sweep_side`], or a caller's wrapper around it (the
-/// `probe` bench times each half this way). Rows of one side are
+/// `adjacency.row(e)`, weighted by `weights(e)`), write what
+/// [`RowUpdate::run`] returns for row `e` into `values[e]` and return the
+/// summed [`SearchStats`]: [`sweep_side`], or a caller's wrapper around it
+/// (the `probe` bench times each half this way). Rows of one side are
 /// independent, so any schedule gives the same model.
 ///
 /// # Panics
 /// Panics if `cfg` fails [`OcularConfig::validate`].
-pub fn fit_with(
-    data: &Dataset,
-    cfg: &OcularConfig,
-    half_sweep: &mut dyn for<'w> FnMut(
-        &mut Matrix,
-        &CsrMatrix,
-        &RowUpdate<'_>,
-        &WeightsFor<'w>,
-    ) -> SearchStats,
-) -> TrainResult {
+pub fn fit_with(data: &Dataset, cfg: &OcularConfig, half_sweep: &mut HalfSweep<'_>) -> TrainResult {
     if let Err(msg) = cfg.validate() {
         panic!("invalid OcularConfig: {msg}");
     }
@@ -238,12 +246,10 @@ pub fn fit_with(
     let (lambda, search, steps) = (cfg.lambda, cfg.into(), cfg.inner_steps);
     let fixed_step = (!cfg.line_search).then_some(cfg.fixed_step);
 
-    // the objective's positive terms, one window's worth for the whole run
-    let mut terms = Vec::new();
-    let mut eval = |uf: &Matrix, itf: &Matrix| {
-        crate::loss::objective_parts_in(r, uf, itf, cfg.lambda, &weights, &mut terms)
-    };
-    let mut q = eval(&user_factors, &item_factors);
+    // each row's local objective after its update: one buffer for the
+    // whole run, long enough for either side
+    let mut values = vec![0.0; r.n_rows().max(r.n_cols())];
+    let mut q = objective_parts(r, &user_factors, &item_factors, lambda, &weights);
     let mut history = TrainingHistory {
         objective: vec![q],
         sweep_seconds: Vec::new(),
@@ -269,6 +275,7 @@ pub fn fit_with(
                 fixed_step,
             },
             &|_| PosWeights::PerEntity(&weights),
+            &mut values,
         );
         // user half-sweep: positives of user u are r.row(u), all weighted w_u
         item_factors.column_sums_into(&mut other_sum);
@@ -285,11 +292,12 @@ pub fn fit_with(
                 fixed_step,
             },
             &|u| PosWeights::Uniform(weights[u]),
+            &mut values,
         );
         history.sweep_seconds.push(t0.elapsed().as_secs_f64());
         history.search.push(stats);
 
-        let q_new = eval(&user_factors, &item_factors);
+        let q_new = user_sum(&values[..r.n_rows()], &item_factors, lambda);
         history.objective.push(q_new);
         let decrease = q - q_new;
         q = q_new;
@@ -596,5 +604,150 @@ mod tests {
             m.prob(0, 1) > m.prob(0, 4),
             "fixed-step training should still fit"
         );
+    }
+
+    /// Users of degree 1–7 over `n_items`, every seventh user with none.
+    fn random_data(n_users: usize, n_items: usize, seed: u64) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pairs = Vec::new();
+        for u in (0..n_users).filter(|u| u % 7 != 3) {
+            for _ in 0..rng.gen_range(1..8) {
+                pairs.push((u, rng.gen_range(0..n_items)));
+            }
+        }
+        Dataset::from_matrix(CsrMatrix::from_pairs(n_users, n_items, &pairs).unwrap())
+    }
+
+    /// Fits on `threads` threads and checks both ends of the objective
+    /// trace bit for bit: the first is `objective_parts` on the initial
+    /// factors, the last `objective` on the fitted model. Returns the fit.
+    fn check_trace(data: &Dataset, cfg: &OcularConfig, threads: usize) -> TrainResult {
+        let result = par::with_threads(Some(threads), || fit(data, cfg));
+        let (r, model, history) = (data.matrix(), &result.model, &result.history);
+        let what = format!("{cfg:?} on {threads} threads");
+        let factors = model.user_factors.as_slice().iter();
+        assert!(
+            factors
+                .chain(model.item_factors.as_slice())
+                .all(|v| v.is_finite()),
+            "{what}: non-finite factors"
+        );
+        let w = user_weights(r, cfg.weighting);
+        let (uf, itf) = initial_factors(r, cfg);
+        let initial = objective_parts(r, &uf, &itf, cfg.lambda, &w);
+        assert_eq!(history.objective[0].to_bits(), initial.to_bits(), "{what}");
+        let last = crate::loss::objective(r, model, cfg.lambda, &w);
+        assert_eq!(
+            history.final_objective().to_bits(),
+            last.to_bits(),
+            "{what}: trace ends at {}, the model's objective is {last}",
+            history.final_objective()
+        );
+        result
+    }
+
+    #[test]
+    fn the_last_trace_value_is_the_models_objective_bit_for_bit() {
+        let data = random_data(50, 30, 11);
+        let base = OcularConfig {
+            k: 3,
+            lambda: 0.5,
+            tol: 0.0,
+            seed: 4,
+            ..Default::default()
+        };
+        let configs = [
+            base.clone(),
+            OcularConfig {
+                weighting: Weighting::Relative,
+                ..base.clone()
+            },
+            OcularConfig {
+                bias: true,
+                ..base.clone()
+            },
+            OcularConfig {
+                inner_steps: 3,
+                ..base.clone()
+            },
+            OcularConfig {
+                line_search: false,
+                fixed_step: 0.01,
+                ..base.clone()
+            },
+        ];
+        for cfg in configs {
+            for max_iters in [0, 1, 2, 4] {
+                let cfg = OcularConfig {
+                    max_iters,
+                    ..cfg.clone()
+                };
+                let one = check_trace(&data, &cfg, 1);
+                assert_eq!(one.history.iterations(), max_iters);
+                for threads in [2, 3, 7] {
+                    let many = check_trace(&data, &cfg, threads);
+                    assert_eq!(many.history.objective, one.history.objective);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_shapes_fit_finitely_with_a_consistent_trace() {
+        let cfg = OcularConfig {
+            max_iters: 3,
+            ..quick_cfg()
+        };
+        let cases = [
+            (
+                "no positives",
+                Dataset::from_matrix(CsrMatrix::empty(4, 3)),
+                cfg.clone(),
+            ),
+            (
+                "0 users",
+                Dataset::from_matrix(CsrMatrix::empty(0, 5)),
+                cfg.clone(),
+            ),
+            (
+                "0 items",
+                Dataset::from_matrix(CsrMatrix::empty(5, 0)),
+                cfg.clone(),
+            ),
+            (
+                "zero-degree row under Relative",
+                random_data(10, 6, 2),
+                OcularConfig {
+                    weighting: Weighting::Relative,
+                    ..cfg.clone()
+                },
+            ),
+            (
+                "K > min(users, items)",
+                random_data(5, 3, 8),
+                OcularConfig {
+                    k: 6,
+                    ..cfg.clone()
+                },
+            ),
+            (
+                "λ = 0",
+                two_blocks(),
+                OcularConfig {
+                    lambda: 0.0,
+                    ..cfg.clone()
+                },
+            ),
+        ];
+        for (name, data, cfg) in cases {
+            for threads in [1, 3] {
+                let result = check_trace(&data, &cfg, threads);
+                assert!(
+                    result.history.objective.iter().all(|q| q.is_finite()),
+                    "{name}: {:?}",
+                    result.history.objective
+                );
+            }
+        }
     }
 }

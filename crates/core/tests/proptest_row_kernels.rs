@@ -186,7 +186,10 @@ fn check_row_kernels(seed: u64, tally: &mut Tally) -> Result<(), String> {
     Ok(())
 }
 
-/// `objective_parts` summed row by row, one [`ops::dot`] per positive.
+/// `Q` as a sum of per-user local objectives in user order, each written
+/// out one positive at a time: `⟨f_u, negsum_u⟩ + λ‖f_u‖²`, then
+/// `w_u · pair_loss` per positive with one [`ops::dot`] each; `λ‖F_I‖²`
+/// last.
 fn naive_objective(
     r: &CsrMatrix,
     users: &Matrix,
@@ -194,17 +197,19 @@ fn naive_objective(
     lambda: f64,
     weights: &[f64],
 ) -> f64 {
+    let item_sum = items.column_sums();
+    let mut negsum = vec![0.0; items.cols()];
     let mut q = 0.0;
-    let mut affinity = 0.0;
     for u in 0..r.n_rows() {
+        let own = users.row(u);
+        negative_sum(items, &item_sum, r.row(u), &mut negsum);
+        let mut q_u = ops::dot(own, &negsum) + lambda * ops::norm_sq(own);
         for &i in r.row(u) {
-            let a = ops::dot(users.row(u), items.row(i as usize));
-            q += weights[u] * pair_loss(a);
-            affinity += a;
+            q_u += weights[u] * pair_loss(ops::dot(own, items.row(i as usize)));
         }
+        q += q_u;
     }
-    q += ops::dot(&users.column_sums(), &items.column_sums()) - affinity;
-    q + lambda * (users.frobenius_sq() + items.frobenius_sq())
+    q + lambda * items.frobenius_sq()
 }
 
 /// Compares [`objective_parts`] with the row-order reference, both

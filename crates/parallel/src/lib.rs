@@ -18,9 +18,10 @@
 //! * [`fit_parallel`] — `ocular_core::fit` under a thread count. The
 //!   trainer itself is data-parallel: its half-sweeps update all items (then
 //!   all users) in row blocks, because each factor row's subproblem reads
-//!   only the *fixed* side, and the per-sweep objective forms its positive
-//!   terms the same way. Per-entity parallelism is exact: the model is
-//!   bitwise identical at every thread count, which the tests assert;
+//!   only the *fixed* side, and each sweep's objective is summed from the
+//!   user half's row objectives in user order. Per-entity parallelism is
+//!   exact: the model and the objective trace are bitwise identical at
+//!   every thread count, which the tests assert;
 //! * [`memory`] — the paper's device-memory footprint model
 //!   `O(max(nnz, n_u·K, n_i·K))`, including the Netflix/K=200 ≈ 2.7 GB
 //!   worked example;

@@ -1,9 +1,9 @@
 //! The "GPU" trainer of Figure 8: [`ocular_core::fit`] under a thread count.
 //!
-//! `fit` itself is data-parallel — its half-sweeps run in row blocks and
-//! its per-sweep objective forms its positive terms in blocks, on
-//! [`crate::threads`] threads — and bitwise identical at every count, so the
-//! speedup is pure wall-clock. (The paper's CUDA kernel runs one thread
+//! `fit` itself is data-parallel — its half-sweeps run in row blocks on
+//! [`crate::threads`] threads, and each sweep's objective is added up from
+//! the user half's row objectives in user order — and bitwise identical at
+//! every count, so the speedup is pure wall-clock. (The paper's CUDA kernel runs one thread
 //! block per positive rating and accumulates with `atomicAdd`, whose order
 //! varies; per-row parallelism is how the same decomposition is expressed
 //! deterministically on a host with tens of threads rather than thousands

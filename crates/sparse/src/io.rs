@@ -445,7 +445,7 @@ impl ParsedInteractions {
 /// returning how many records the rating threshold dropped. The shared
 /// parsing loop behind the full readers **and** the delta-append path.
 fn for_each_record<R, F>(
-    reader: R,
+    mut reader: R,
     sep: &str,
     rating_threshold: Option<f64>,
     mut sink: F,
@@ -455,30 +455,36 @@ where
     F: FnMut(u64, u64) -> Result<(), SparseError>,
 {
     let mut dropped = 0usize;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
+    // one line buffer for the whole stream, not a `String` per record
+    let mut buf = String::new();
+    for lineno in 1.. {
+        buf.clear();
+        if reader.read_line(&mut buf)? == 0 {
+            break;
+        }
+        let line = buf.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let mut fields = line.split(sep);
         let u: u64 = fields
             .next()
-            .ok_or_else(|| SparseError::Io(format!("line {}: missing user", lineno + 1)))?
+            .ok_or_else(|| SparseError::Io(format!("line {}: missing user", lineno)))?
             .trim()
             .parse()
-            .map_err(|e| SparseError::Io(format!("line {}: bad user id: {e}", lineno + 1)))?;
+            .map_err(|e| SparseError::Io(format!("line {}: bad user id: {e}", lineno)))?;
         let i: u64 = fields
             .next()
-            .ok_or_else(|| SparseError::Io(format!("line {}: missing item", lineno + 1)))?
+            .ok_or_else(|| SparseError::Io(format!("line {}: missing item", lineno)))?
             .trim()
             .parse()
-            .map_err(|e| SparseError::Io(format!("line {}: bad item id: {e}", lineno + 1)))?;
+            .map_err(|e| SparseError::Io(format!("line {}: bad item id: {e}", lineno)))?;
         if let Some(threshold) = rating_threshold {
             let rating: f64 = match fields.next() {
-                Some(f) => f.trim().parse().map_err(|e| {
-                    SparseError::Io(format!("line {}: bad rating: {e}", lineno + 1))
-                })?,
+                Some(f) => f
+                    .trim()
+                    .parse()
+                    .map_err(|e| SparseError::Io(format!("line {}: bad rating: {e}", lineno)))?,
                 // No rating column: implicit feedback, always positive.
                 None => threshold,
             };
@@ -767,6 +773,35 @@ mod tests {
         assert!(read_edge_list_str("abc\t1\n", "\t", None).is_err());
         assert!(read_edge_list_str("1\n", "\t", None).is_err());
         assert!(read_edge_list_str("1,2,notarating\n", ",", Some(3.0)).is_err());
+    }
+
+    #[test]
+    fn line_endings_comments_and_line_numbers() {
+        // CRLF endings, a comment, blank lines and no newline at the end
+        let data = "1\t2\r\n# note\r\n\r\n\n3\t4\r\n 5\t6";
+        let (m, ids) = read_edge_list_str(data, "\t", None).unwrap().into_matrix();
+        assert_eq!(m.nnz(), 3);
+        assert_eq!(ids.users(), &[1, 3, 5]);
+        assert_eq!(ids.items(), &[2, 4, 6]);
+        // a bad id on line 3 names line 3, with or without blank lines
+        for data in [
+            "1\t2\n3\t4\nx\t5\n",
+            "1\t2\n\nx\t5",
+            "# a\r\n1\t2\r\nx\t5\r\n",
+        ] {
+            match read_edge_list_str(data, "\t", None) {
+                Err(SparseError::Io(msg)) => {
+                    assert!(msg.starts_with("line 3: bad user id"), "{msg}")
+                }
+                other => panic!("expected a line-3 error, got {other:?}"),
+            }
+        }
+        // invalid UTF-8 is a typed I/O error, not a panic or a skipped line
+        let bytes: &[u8] = b"1\t2\n\xff\t3\n";
+        match parse_records(bytes, "\t", None, READER_CHUNK) {
+            Err(SparseError::Io(msg)) => assert!(msg.contains("UTF-8"), "{msg}"),
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub struct ScoredItem {
 /// capability of the hierarchy, and all the evaluation protocol needs.
 ///
 /// `Send + Sync` is a supertrait bound because trait objects flow into
-/// parallel serving batches (`ocular_parallel::map_slice`).
+/// parallel serving batches (`ocular_linalg::par::map_slice`).
 pub trait ScoreItems: Send + Sync {
     /// Human-readable name for reports and error messages (e.g. `"wALS"`).
     fn name(&self) -> &'static str;

@@ -15,11 +15,12 @@
 //! Usage: `cargo run -p ocular-bench --release --bin figure8 --
 //!   [--scale …] [--seed S] [--k 32] [--sweeps 12] [--csv]`
 
+use ocular_bench::memory::{paper_netflix_example, MemoryModel};
+use ocular_bench::speedup::{speedup_at_threshold, TimedTrace};
 use ocular_bench::{Args, TextTable};
 use ocular_core::{fit, OcularConfig};
 use ocular_datasets::profiles;
-use ocular_parallel::memory::paper_netflix_example;
-use ocular_parallel::{fit_parallel, speedup_at_threshold, with_threads, MemoryModel, TimedTrace};
+use ocular_linalg::par::{self, with_threads};
 
 fn main() {
     let args = Args::parse();
@@ -44,7 +45,7 @@ fn main() {
     eprintln!("[figure8] sequential (CPU reference) training…");
     let cpu = with_threads(Some(1), || fit(&data.matrix, &cfg));
     eprintln!("[figure8] parallel (simulated GPU) training…");
-    let gpu = fit_parallel(&data.matrix, &cfg, None);
+    let gpu = fit(&data.matrix, &cfg);
     assert_eq!(
         cpu.model, gpu.model,
         "the parallel engine must reach the identical model"
@@ -77,7 +78,7 @@ fn main() {
             None => println!("speedup at relative gap {gap:.0e}: target not reached"),
         }
     }
-    let threads = ocular_parallel::threads();
+    let threads = par::threads();
     println!("(host parallelism: {threads} threads — the paper's GPU reached 57×)\n");
 
     let here = MemoryModel::host_f64(

@@ -161,7 +161,7 @@ fn main() {
     let (mut flatness, mut min_sweep, mut last_sweep) = (f64::INFINITY, 0.0, 0.0);
     for _ in 0..3 {
         let h =
-            ocular_parallel::with_threads(Some(1), || ocular_core::fit(&split.train, &flat_cfg))
+            ocular_linalg::par::with_threads(Some(1), || ocular_core::fit(&split.train, &flat_cfg))
                 .history;
         assert!(
             h.final_objective() < h.objective[0],

@@ -39,8 +39,8 @@ use ocular_bench::Args;
 use ocular_bytes::fnv1a64;
 use ocular_core::{fit, FactorModel, OcularConfig, Recommendation};
 use ocular_datasets::profiles;
+use ocular_linalg::par::{host_cores, with_threads};
 use ocular_linalg::{ops, KernelLevel, QuantizedFactors};
-use ocular_parallel::with_threads;
 use ocular_serve::engine::scan_parts;
 use ocular_serve::json::{obj, Json};
 use ocular_serve::{
@@ -409,7 +409,7 @@ fn main() {
         // per second with the parts left to the engine, and with every
         // requester on one thread — where no core is idle, the engine must
         // not split; best of two each, interleaved
-        let cores = ocular_parallel::host_cores();
+        let cores = host_cores();
         let busy_rps = |threads: Option<usize>| {
             let t0 = Instant::now();
             std::thread::scope(|s| {

@@ -28,6 +28,8 @@
 
 pub mod args;
 pub mod harness;
+pub mod memory;
+pub mod speedup;
 pub mod table;
 
 pub use args::Args;

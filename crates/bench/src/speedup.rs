@@ -3,7 +3,8 @@
 //! The paper plots *distance to optimal training likelihood* against time
 //! for the CPU and GPU implementations; the GPU curve reaches any target
 //! accuracy ~57× sooner. These helpers turn [`TrainingHistory`] telemetry
-//! into such traces and compute the speedup at a target.
+//! into such traces and compute the speedup at a target; `figure8` prints
+//! them for `fit` on one thread against `fit` on every core.
 
 use ocular_core::trainer::TrainingHistory;
 

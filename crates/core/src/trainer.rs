@@ -606,6 +606,87 @@ mod tests {
         );
     }
 
+    /// Four dense `n × n` blocks on the diagonal, then one user and one
+    /// item with no positives.
+    fn diagonal_blocks(n: usize) -> Dataset {
+        let mut pairs = Vec::new();
+        for b in 0..4 {
+            for u in 0..n {
+                for i in 0..n {
+                    pairs.push((b * n + u, b * n + i));
+                }
+            }
+        }
+        Dataset::from_matrix(CsrMatrix::from_pairs(4 * n + 1, 4 * n + 1, &pairs).unwrap())
+    }
+
+    fn par_cfg() -> OcularConfig {
+        OcularConfig {
+            k: 4,
+            lambda: 0.1,
+            max_iters: 15,
+            seed: 11,
+            ..Default::default()
+        }
+    }
+
+    /// `fit` at one thread against 2, 3 and 7: the same model, the same
+    /// objective trace bit for bit and the same step-search counts per
+    /// sweep. Returns the one-thread fit.
+    fn same_at_every_thread_count(data: &Dataset, cfg: &OcularConfig) -> TrainResult {
+        let bits = |r: &TrainResult| -> Vec<u64> {
+            r.history.objective.iter().map(|q| q.to_bits()).collect()
+        };
+        let one = par::with_threads(Some(1), || fit(data, cfg));
+        for t in [2, 3, 7] {
+            let many = par::with_threads(Some(t), || fit(data, cfg));
+            assert_eq!(one.model, many.model, "{t} threads: model");
+            assert_eq!(bits(&one), bits(&many), "{t} threads: objective");
+            assert_eq!(one.history.search, many.history.search, "{t} threads");
+        }
+        one
+    }
+
+    #[test]
+    fn parallel_is_bitwise_identical_to_sequential() {
+        let one = same_at_every_thread_count(&diagonal_blocks(5), &par_cfg());
+        // the user and the item with no positives are updated too
+        assert_eq!(one.model.item_factors.row(20), &[0.0; 4]);
+    }
+
+    #[test]
+    fn parallel_identical_across_thread_counts() {
+        // fewer users (3) and items (2) than threads (7)
+        let r = CsrMatrix::from_pairs(3, 2, &[(0, 0), (1, 0), (1, 1), (2, 1)]).unwrap();
+        same_at_every_thread_count(&Dataset::from_matrix(r), &par_cfg());
+    }
+
+    #[test]
+    fn parallel_monotone_objective() {
+        let result = par::with_threads(Some(7), || fit(&diagonal_blocks(5), &par_cfg()));
+        for w in result.history.objective.windows(2) {
+            assert!(w[1] <= w[0] + 1e-9);
+        }
+    }
+
+    #[test]
+    fn relative_weighting_supported() {
+        let c = OcularConfig {
+            weighting: Weighting::Relative,
+            ..par_cfg()
+        };
+        same_at_every_thread_count(&diagonal_blocks(3), &c);
+    }
+
+    #[test]
+    fn bias_extension_supported() {
+        let c = OcularConfig {
+            bias: true,
+            ..par_cfg()
+        };
+        same_at_every_thread_count(&diagonal_blocks(3), &c);
+    }
+
     /// Users of degree 1–7 over `n_items`, every seventh user with none.
     fn random_data(n_users: usize, n_items: usize, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -621,6 +702,14 @@ mod tests {
     /// Fits on `threads` threads and checks both ends of the objective
     /// trace bit for bit: the first is `objective_parts` on the initial
     /// factors, the last `objective` on the fitted model. Returns the fit.
+    ///
+    /// After a line-search sweep on data with positives, every row with none
+    /// must be exactly 0 (a frozen bias column stays 1): its `Q` is
+    /// `⟨f, Σ f_other⟩ + λ‖f‖²`, least at 0, and the search's first trial,
+    /// the whole gradient step, lands there once `Σ f_other ≥ (1 − 2λ)·f`
+    /// per column. With no positives anywhere `Σ f_other` is 0 and each step
+    /// only scales the row by `1 − 2λα`; a fixed step `α = 0.01` stops short
+    /// of 0 in the first sweep.
     fn check_trace(data: &Dataset, cfg: &OcularConfig, threads: usize) -> TrainResult {
         let result = par::with_threads(Some(threads), || fit(data, cfg));
         let (r, model, history) = (data.matrix(), &result.model, &result.history);
@@ -632,6 +721,22 @@ mod tests {
                 .all(|v| v.is_finite()),
             "{what}: non-finite factors"
         );
+        if cfg.line_search && r.nnz() > 0 && history.iterations() > 0 {
+            let k = model.n_clusters();
+            let sides = [
+                ("user", data.user_degrees(), &model.user_factors, k + 1),
+                ("item", data.item_degrees(), &model.item_factors, k),
+            ];
+            for (side, degrees, factors, frozen) in sides {
+                for row in (0..degrees.len()).filter(|&row| degrees[row] == 0) {
+                    for (c, &v) in factors.row(row).iter().enumerate() {
+                        if !(model.has_bias() && c == frozen) {
+                            assert_eq!(v, 0.0, "{what}: zero-degree {side} {row}, column {c}");
+                        }
+                    }
+                }
+            }
+        }
         let w = user_weights(r, cfg.weighting);
         let (uf, itf) = initial_factors(r, cfg);
         let initial = objective_parts(r, &uf, &itf, cfg.lambda, &w);
@@ -648,7 +753,6 @@ mod tests {
 
     #[test]
     fn the_last_trace_value_is_the_models_objective_bit_for_bit() {
-        let data = random_data(50, 30, 11);
         let base = OcularConfig {
             k: 3,
             lambda: 0.5,
@@ -676,17 +780,21 @@ mod tests {
                 ..base.clone()
             },
         ];
-        for cfg in configs {
-            for max_iters in [0, 1, 2, 4] {
-                let cfg = OcularConfig {
-                    max_iters,
-                    ..cfg.clone()
-                };
-                let one = check_trace(&data, &cfg, 1);
-                assert_eq!(one.history.iterations(), max_iters);
-                for threads in [2, 3, 7] {
-                    let many = check_trace(&data, &cfg, threads);
-                    assert_eq!(many.history.objective, one.history.objective);
+        // random_data has zero-degree users, diagonal_blocks a zero-degree
+        // user and item
+        for data in [random_data(50, 30, 11), diagonal_blocks(3)] {
+            for cfg in &configs {
+                for max_iters in [0, 1, 2, 4] {
+                    let cfg = OcularConfig {
+                        max_iters,
+                        ..cfg.clone()
+                    };
+                    let one = check_trace(&data, &cfg, 1);
+                    assert_eq!(one.history.iterations(), max_iters);
+                    for threads in [2, 3, 7] {
+                        let many = check_trace(&data, &cfg, threads);
+                        assert_eq!(many.history.objective, one.history.objective);
+                    }
                 }
             }
         }

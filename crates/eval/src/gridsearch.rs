@@ -3,15 +3,16 @@
 //! The paper selects K and λ by cross-validated grid search on recall@M and
 //! accelerates the search by fanning the 625 parameter pairs out over a
 //! Spark cluster of GPU machines (Section VII-E). Here the same
-//! embarrassingly parallel structure is an [`ocular_parallel::map_slice`]
-//! over the cells, one block per thread: each `(K, λ)` cell fits a
-//! [`Recommender`] independently, and every fitted model is scored with
-//! recall@M under the one evaluation protocol
+//! embarrassingly parallel structure is an
+//! [`ocular_linalg::par::map_slice`] over the cells, one block per thread:
+//! each `(K, λ)` cell fits a [`Recommender`] independently, and every
+//! fitted model is scored with recall@M under the one evaluation protocol
 //! ([`crate::protocol::evaluate`]) — the cells cannot drift apart on
 //! metric definitions.
 
 use crate::protocol::evaluate;
 use ocular_api::Recommender;
+use ocular_linalg::par;
 use ocular_sparse::CsrMatrix;
 
 /// Result of a grid search: the metric surface plus the best cell.
@@ -88,12 +89,11 @@ impl GridResult {
 /// Runs the grid search. `fit_cell(k, λ)` fits a model with those
 /// hyper-parameters on `train`; the model is scored with recall@`m` on
 /// `test` under the evaluation protocol. Cells are evaluated in parallel
-/// ([`ocular_parallel::map_slice`], sized by
-/// [`ocular_parallel::with_threads`]), mirroring the paper's cluster
-/// fan-out. Each cell runs under `with_threads(Some(1))`, so a fit that
-/// fans out itself stays on its cell's thread and `N` threads start at most
-/// `N`, not `N²`. Results are deterministic because each cell is
-/// independent and seeded by the caller.
+/// ([`par::map_slice`], sized by [`par::with_threads`]), mirroring the
+/// paper's cluster fan-out. Each cell runs under `with_threads(Some(1))`, so
+/// a fit that fans out itself stays on its cell's thread and `N` threads
+/// start at most `N`, not `N²`. Results are deterministic because each cell
+/// is independent and seeded by the caller.
 ///
 /// # Panics
 /// Panics if either axis is empty.
@@ -115,8 +115,8 @@ where
     let cells: Vec<(usize, usize)> = (0..ks.len())
         .flat_map(|ki| (0..lambdas.len()).map(move |li| (ki, li)))
         .collect();
-    let flat = ocular_parallel::map_slice(&cells, |&(ki, li)| {
-        ocular_parallel::with_threads(Some(1), || {
+    let flat = par::map_slice(&cells, |&(ki, li)| {
+        par::with_threads(Some(1), || {
             let model = fit_cell(ks[ki], lambdas[li]);
             evaluate(model.as_ref(), train, test, m).recall
         })
@@ -219,9 +219,9 @@ mod tests {
         let (train, test) = fixture();
         let (ks, lambdas) = ([10, 20], [1.0, 2.0]);
         let seen = std::sync::Mutex::new(Vec::new());
-        let result = ocular_parallel::with_threads(Some(3), || {
+        let result = par::with_threads(Some(3), || {
             grid_search(&ks, &lambdas, &train, &test, 1, |k, l| {
-                seen.lock().unwrap().push(ocular_parallel::threads());
+                seen.lock().unwrap().push(par::threads());
                 cell_model(k as f64 * l / 100.0)
             })
         });

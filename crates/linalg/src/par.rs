@@ -1,5 +1,6 @@
 //! The workspace's one scoped executor and its one thread knob,
-//! [`with_threads`]; `ocular-parallel` re-exports it.
+//! [`with_threads`]; the trainer, the serving batches and the grid search
+//! call it here.
 
 use std::cell::Cell;
 use std::ops::Range;

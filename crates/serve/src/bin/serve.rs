@@ -113,6 +113,7 @@
 use ocular_api::SnapshotMeta;
 use ocular_baselines::{Bpr, BprConfig, ItemKnn, KnnConfig, Popularity, UserKnn, Wals, WalsConfig};
 use ocular_core::{try_fit, OcularConfig};
+use ocular_linalg::par::with_threads;
 use ocular_serve::{
     AnySnapshot, CandidatePolicy, EngineBuilder, QuantDtype, Request, ServeConfig, ServeEngine,
     Snapshot, WireReply, WireRequest,
@@ -290,7 +291,7 @@ fn train_mode(flags: &Flags) -> Result<(), String> {
                 ..Default::default()
             };
             let threads: Option<usize> = flags.opt_num("threads")?;
-            let fitted = ocular_parallel::with_threads(threads, || try_fit(&r, &cfg));
+            let fitted = with_threads(threads, || try_fit(&r, &cfg));
             let model = fitted.map_err(|e| e.to_string())?.model;
             let index_cfg = ocular_serve::IndexConfig {
                 rel: flags.num("rel", 0.5)?,
@@ -473,8 +474,7 @@ fn serve_mode(flags: &Flags) -> Result<(), String> {
             .iter()
             .filter_map(|p| p.as_ref().ok().cloned())
             .collect();
-        let mut served =
-            ocular_parallel::with_threads(threads, || engine.serve_batch(&requests)).into_iter();
+        let mut served = with_threads(threads, || engine.serve_batch(&requests)).into_iter();
         for parsed in pending.drain(..) {
             let reply = match parsed {
                 Err(reply) => reply,

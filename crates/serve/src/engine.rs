@@ -39,15 +39,16 @@
 //! build: a mapped master stays on disk until a cold request needs it.
 
 use crate::index::IndexConfig;
+use crate::pool::WorkerPool;
 use crate::snapshot::{AnySnapshot, LoadedSnapshot, Snapshot};
 use ocular_api::{validate_basket, OcularError};
 use ocular_core::model::prob_from_affinity;
 use ocular_core::{
     fold_in_user_with, top_m_for_factors, FactorModel, FoldInScratch, OcularConfig, Recommendation,
 };
+use ocular_linalg::par::{self, host_cores};
 use ocular_linalg::topk::{top_k_excluding, MonotoneTopK, TopK};
 use ocular_linalg::{ops, KernelLevel, PreparedQuery, QuantDtype, QuantizedFactors};
-use ocular_parallel::{host_cores, WorkerPool};
 use ocular_sparse::Dataset;
 use std::cell::RefCell;
 use std::ops::Range;
@@ -627,15 +628,14 @@ impl ServeEngine {
         }
     }
 
-    /// Serves a batch of requests in parallel, one
-    /// [`ocular_parallel::map_slice`] block per thread (size it with
-    /// [`ocular_parallel::with_threads`]; a batch of one spawns nothing, and
-    /// each block's scans split under the caller's count). Responses are
-    /// returned in request order, and every response is identical to what
-    /// [`ServeEngine::serve_one`] returns for that request — batching
-    /// changes wall-clock, never output.
+    /// Serves a batch of requests in parallel, one [`par::map_slice`] block
+    /// per thread (size it with [`par::with_threads`]; a batch of one spawns
+    /// nothing, and each block's scans split under the caller's count).
+    /// Responses are returned in request order, and every response is
+    /// identical to what [`ServeEngine::serve_one`] returns for that request
+    /// — batching changes wall-clock, never output.
     pub fn serve_batch(&self, requests: &[Request]) -> Vec<Result<ServedList, ServeError>> {
-        ocular_parallel::map_slice(requests, |r| self.serve_one(r))
+        par::map_slice(requests, |r| self.serve_one(r))
     }
 
     /// Renders a serving result as the wire protocol's reply — the one
@@ -854,10 +854,9 @@ impl Drop for HeldCores<'_> {
 
 /// Parts a quantized full-catalog scan of `n` items runs in from this thread
 /// while its engine's other scans hold `busy` cores (0 on an idle engine):
-/// one per thread ([`ocular_parallel::threads`]: the
-/// [`ocular_parallel::with_threads`] count, else the host's cores) and per
-/// core the host has, less the busy ones, at most one per `SPLIT_ROWS`
-/// items — never fewer than one.
+/// one per thread ([`par::threads`]: the [`par::with_threads`] count, else
+/// the host's cores) and per core the host has, less the busy ones, at most
+/// one per `SPLIT_ROWS` items — never fewer than one.
 ///
 /// A part only pays where a core would otherwise wait. With every core
 /// serving a request, splitting costs each request more CPU for no wall
@@ -865,9 +864,7 @@ impl Drop for HeldCores<'_> {
 /// `http_warm_catalog` model, read 14,035–14,701 req/s unsplit and
 /// 11,261–11,650 with every scan in two parts.
 pub fn scan_parts(n: usize, busy: usize) -> usize {
-    let free = ocular_parallel::threads()
-        .min(host_cores())
-        .saturating_sub(busy);
+    let free = par::threads().min(host_cores()).saturating_sub(busy);
     free.clamp(1, (n / SPLIT_ROWS).max(1))
 }
 
@@ -927,8 +924,8 @@ impl SplitScan {
 /// so a busy pool costs no more than one part and nothing waits on a queue.
 ///
 /// The helpers are a [`WorkerPool`] because they must already be running
-/// when a request arrives: [`ocular_parallel::fan_out`] starts a scoped thread
-/// per part per call. Such a fan-out over the parts, merged the same way,
+/// when a request arrives: [`par::fan_out`] starts a scoped thread per part
+/// per call. Such a fan-out over the parts, merged the same way,
 /// read 6,210–7,624 req/s with one requester looping on the
 /// `http_warm_catalog` model (2-core VM, three runs) — no better than the
 /// one-part scan's 7,145–7,576 — against 9,622–10,883 here.
@@ -1180,7 +1177,7 @@ mod tests {
                 m: 7,
             }])
             .collect();
-        let batch = ocular_parallel::with_threads(Some(4), || e.serve_batch(&reqs));
+        let batch = par::with_threads(Some(4), || e.serve_batch(&reqs));
         assert_eq!(batch.len(), reqs.len());
         for (req, got) in reqs.iter().zip(&batch) {
             assert_eq!(got, &e.serve_one(req));
@@ -1374,10 +1371,10 @@ mod tests {
         let reqs: Vec<Request> = (0..r.n_rows())
             .map(|user| Request::Warm { user, m: 6 })
             .collect();
-        let reference = ocular_parallel::with_threads(Some(1), || e.serve_batch(&reqs));
+        let reference = par::with_threads(Some(1), || e.serve_batch(&reqs));
         for threads in [2usize, 4] {
             assert_eq!(
-                ocular_parallel::with_threads(Some(threads), || e.serve_batch(&reqs)),
+                par::with_threads(Some(threads), || e.serve_batch(&reqs)),
                 reference
             );
         }
@@ -1892,7 +1889,7 @@ mod tests {
         // parts are also run directly, two and four of them, below
         let n_items = 2 * SPLIT_ROWS + 37;
         let (n_users, threads, default_m) = (6usize, 2, 5usize);
-        let parts = ocular_parallel::with_threads(Some(threads), || scan_parts(n_items, 0));
+        let parts = par::with_threads(Some(threads), || scan_parts(n_items, 0));
         assert_eq!(parts, host_cores().min(threads));
         let boundary = part_items(n_items, 2, 1).start;
         let [tied, saturated] = hostile_models(n_users, n_items);
@@ -1962,8 +1959,7 @@ mod tests {
                         .unwrap();
                     let ctx = format!("{dtype:?} {level:?}");
                     for (request, .., want) in &cases {
-                        let got =
-                            ocular_parallel::with_threads(Some(threads), || e.serve_one(request));
+                        let got = par::with_threads(Some(threads), || e.serve_one(request));
                         assert_eq!(got.as_ref(), Ok(want), "{request:?} {ctx}");
                         let trained =
                             matches!(request, Request::Warm { user, .. } if *user < n_users);

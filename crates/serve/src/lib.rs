@@ -44,7 +44,7 @@
 //!   [`ocular_api::OcularError::Unsupported`] answer where the algorithm
 //!   admits none), then served through the same selection path.
 //! * **Batching** ([`ServeEngine::serve_batch`]) — parallel over
-//!   requests (one [`ocular_parallel::map_slice`] block per thread),
+//!   requests (one [`ocular_linalg::par::map_slice`] block per thread),
 //!   deterministic in request order and output regardless of thread count.
 //! * **A wire protocol and a network tier** ([`protocol`], [`net`]) — one
 //!   versioned request/response/error encoding behind both the stdin CLI
@@ -83,6 +83,7 @@ pub mod engine;
 pub mod index;
 pub mod json;
 pub mod net;
+mod pool;
 pub mod protocol;
 pub mod snapshot;
 pub mod swap;

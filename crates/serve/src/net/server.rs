@@ -1,5 +1,5 @@
 //! The non-blocking TCP front-end (Linux only): one epoll-driven I/O
-//! thread feeding a [`WorkerPool`] that answers batches through
+//! thread feeding a `WorkerPool` that answers batches through
 //! [`crate::ServeEngine::serve_batch`].
 //!
 //! ## Architecture
@@ -36,14 +36,13 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ocular_bytes::net::{Epoll, Event, EventFd, Interest};
-use ocular_parallel::WorkerPool;
-
 use crate::engine::Request;
 use crate::net::http::{self, ParseOutcome};
 use crate::net::stats::ServerStats;
+use crate::pool::WorkerPool;
 use crate::protocol::{ErrorCode, WireError, WireReply, WireRequest};
 use crate::swap::{ReloadError, SwapEngine};
+use ocular_bytes::net::{Epoll, Event, EventFd, Interest};
 
 /// Tuning knobs for a [`Server`].
 #[derive(Debug, Clone)]

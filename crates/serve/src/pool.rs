@@ -1,9 +1,9 @@
 //! A small persistent worker pool for the serving tier.
 //!
-//! The crate's scoped fan-out ([`crate::fan_out`]) fits batch computations
-//! that start and finish inside one call, on threads spawned for it; the
-//! network front-end instead needs **long-lived** workers that pull
-//! submitted jobs off a queue while the I/O thread keeps multiplexing
+//! The scoped fan-out ([`ocular_linalg::par::fan_out`]) fits batch
+//! computations that start and finish inside one call, on threads spawned
+//! for it; the network front-end instead needs **long-lived** workers that
+//! pull submitted jobs off a queue while the I/O thread keeps multiplexing
 //! connections, and a split catalog scan needs helpers that are already
 //! running when a request arrives — a thread spawned per request costs
 //! what the split saves. [`WorkerPool`] is that primitive: N threads
@@ -23,14 +23,14 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 ///
 /// Dropping the pool closes the queue, lets every already-submitted job
 /// finish, and joins all workers — a deterministic, leak-free shutdown.
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     sender: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
     /// Spawns `threads` workers (at least one).
-    pub fn new(threads: usize) -> WorkerPool {
+    pub(crate) fn new(threads: usize) -> WorkerPool {
         let (sender, receiver) = channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
         let workers = (0..threads.max(1))
@@ -56,16 +56,11 @@ impl WorkerPool {
         }
     }
 
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Submits a job; it runs on the first free worker. Never blocks the
     /// caller (the queue is unbounded — admission control belongs to the
     /// caller, which is exactly what the serving tier's bounded pending
     /// queue does).
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
+    pub(crate) fn execute(&self, job: impl FnOnce() + Send + 'static) {
         self.sender
             .as_ref()
             .expect("pool alive while not dropped")
@@ -94,7 +89,6 @@ mod tests {
     #[test]
     fn executes_all_jobs_across_workers() {
         let pool = WorkerPool::new(4);
-        assert_eq!(pool.threads(), 4);
         let counter = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel();
         for _ in 0..100 {
@@ -130,7 +124,6 @@ mod tests {
     #[test]
     fn zero_threads_clamps_to_one() {
         let pool = WorkerPool::new(0);
-        assert_eq!(pool.threads(), 1);
         let (tx, rx) = mpsc::channel();
         pool.execute(move || tx.send(7).unwrap());
         assert_eq!(

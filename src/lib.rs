@@ -17,7 +17,6 @@
 //! | [`core`] | OCuLaR, R-OCuLaR, co-clusters, explanations |
 //! | [`baselines`] | wALS, BPR, user-/item-based kNN, popularity |
 //! | [`community`] | Modularity, Louvain, BIGCLAM comparators |
-//! | [`parallel`] | `fit_parallel` (`fit` under a thread count, §VI on CPU cores), memory model, worker pool |
 //! | [`serve`] | online serving: snapshots, candidate generation, batching, hot swap |
 //!
 //! ## Five-minute tour
@@ -48,7 +47,6 @@ pub use ocular_core as core;
 pub use ocular_datasets as datasets;
 pub use ocular_eval as eval;
 pub use ocular_linalg as linalg;
-pub use ocular_parallel as parallel;
 pub use ocular_serve as serve;
 pub use ocular_sparse as sparse;
 
@@ -68,7 +66,6 @@ pub mod prelude {
         Recommendation, TrainResult, Weighting,
     };
     pub use ocular_eval::protocol::{evaluate, EvalReport};
-    pub use ocular_parallel::fit_parallel;
     pub use ocular_serve::{
         AnySnapshot, CandidatePolicy, EngineBuilder, QuantDtype, QuantizedFactors, Request,
         ServeConfig, ServeEngine, ServedList, Snapshot, SwapEngine,

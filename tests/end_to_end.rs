@@ -96,7 +96,7 @@ fn parallel_trainer_is_a_drop_in_replacement() {
         ..Default::default()
     };
     let seq = fit(&data.matrix, &cfg);
-    let par = fit_parallel(&data.matrix, &cfg, Some(3));
+    let par = ocular::linalg::par::with_threads(Some(3), || fit(&data.matrix, &cfg));
     assert_eq!(seq.model, par.model);
 }
 

@@ -9,7 +9,7 @@
 //! every thread count and through `serve_one` as through `serve_batch`.
 
 use ocular::datasets::planted::{generate, PlantedConfig};
-use ocular::parallel::with_threads;
+use ocular::linalg::par::with_threads;
 use ocular::prelude::*;
 use ocular::serve::engine::scan_parts;
 use ocular::serve::{IndexConfig, KernelLevel};

@@ -261,7 +261,7 @@ fn serve_batch_equals_offline_recommend_for_every_kind_across_threads() {
             .collect();
         for threads in [1usize, 2, 4, 8] {
             let mut served =
-                ocular::parallel::with_threads(Some(threads), || engine.serve_batch(&requests));
+                ocular::linalg::par::with_threads(Some(threads), || engine.serve_batch(&requests));
             let cold = served.pop().unwrap();
             match &cold_expected {
                 Some(want) => {

@@ -67,9 +67,12 @@
 //! ```text
 //! serve --model model.snap --interactions data.tsv \
 //!       --listen 127.0.0.1:7878 \
-//!       [--queue-cap 1024] [--batch 256] [--threads 1] \
+//!       [--queue-cap 1024] [--batch 256] [--threads N] \
 //!       [--max-connections 1024]    (+ the serve-mode engine flags)
 //! ```
+//!
+//! `--threads N` runs `N` serve workers (default: one per core), each
+//! answering up to `--batch` requests per wakeup.
 //!
 //! A flag no mode reads (a typo, a removed flag such as `--format`) is
 //! an error — exit status 2, naming the flag — never silently ignored.
@@ -517,7 +520,7 @@ fn serve_mode(flags: &Flags) -> Result<(), String> {
 /// them.
 #[cfg(target_os = "linux")]
 fn listen_mode(flags: &Flags, addr: &str) -> Result<(), String> {
-    use ocular_serve::net::{Server, ServerConfig};
+    use ocular_serve::net::Server;
     use ocular_serve::SwapEngine;
 
     let initial = build_engine(flags, 0)?;
@@ -528,16 +531,27 @@ fn listen_mode(flags: &Flags, addr: &str) -> Result<(), String> {
             build_engine(&reload_flags, current + 1).map_err(ocular_api::OcularError::Io)
         }),
     ));
-    let cfg = ServerConfig {
-        queue_cap: flags.num("queue-cap", 1024)?,
-        batch_max: flags.num("batch", 256usize)?.max(1),
-        workers: flags.num("threads", 1usize)?.max(1),
-        max_connections: flags.num("max-connections", 1024)?,
-        handle_signals: true,
-    };
-    let server = Server::bind(swap, addr, cfg).map_err(|e| format!("bind {addr}: {e}"))?;
+    let server =
+        Server::bind(swap, addr, server_config(flags)?).map_err(|e| format!("bind {addr}: {e}"))?;
     eprintln!("listening on {}", server.local_addr());
     server.run().map_err(|e| e.to_string())
+}
+
+/// The TCP front-end's knobs from the flags: `--threads` workers (default
+/// one per core), `--batch`, `--queue-cap`, `--max-connections`; each
+/// absent flag keeps [`ocular_serve::net::ServerConfig::default`]'s
+/// value, and the server reads a zero `--threads` or `--batch` as 1.
+#[cfg(target_os = "linux")]
+fn server_config(flags: &Flags) -> Result<ocular_serve::net::ServerConfig, String> {
+    use ocular_serve::net::ServerConfig;
+    let defaults = ServerConfig::default();
+    Ok(ServerConfig {
+        queue_cap: flags.num("queue-cap", defaults.queue_cap)?,
+        batch_max: flags.num("batch", defaults.batch_max)?,
+        workers: flags.num("threads", defaults.workers)?,
+        max_connections: flags.num("max-connections", defaults.max_connections)?,
+        handle_signals: true,
+    })
 }
 
 #[cfg(not(target_os = "linux"))]
@@ -606,5 +620,18 @@ mod tests {
             .err()
             .unwrap();
         assert!(err.contains("unknown flag --shards"), "{err}");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn listen_threads_default_to_the_server_default() {
+        use ocular_serve::net::ServerConfig;
+        let flags = parse("--model m.snap --interactions e.tsv --listen 127.0.0.1:0").unwrap();
+        let cfg = server_config(&flags).unwrap();
+        assert_eq!(cfg.workers, ServerConfig::default().workers);
+        assert_eq!(cfg.workers, ocular_linalg::par::host_cores());
+        assert_eq!(cfg.batch_max, 256);
+        let flags = parse("--model m.snap --interactions e.tsv --listen x --threads 3").unwrap();
+        assert_eq!(server_config(&flags).unwrap().workers, 3);
     }
 }

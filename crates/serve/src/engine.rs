@@ -446,7 +446,9 @@ impl EngineBuilder {
 /// interaction [`Dataset`] — used both for owned-item exclusion and for
 /// resolving external-id requests through the dataset's id maps. All
 /// serving methods take `&self`, so one engine can be shared across
-/// threads; [`ServeEngine::serve_batch`] does exactly that.
+/// threads: [`ServeEngine::serve_batch`] fans a batch out over scoped
+/// threads, and the TCP front-end's persistent workers each call
+/// [`ServeEngine::serve_one`] on it.
 ///
 /// Construct through [`EngineBuilder`].
 pub struct ServeEngine {

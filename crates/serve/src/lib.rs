@@ -43,13 +43,16 @@
 //!   [`ocular_api::FoldIn`] capability, with a typed
 //!   [`ocular_api::OcularError::Unsupported`] answer where the algorithm
 //!   admits none), then served through the same selection path.
-//! * **Batching** ([`ServeEngine::serve_batch`]) — parallel over
-//!   requests (one [`ocular_linalg::par::map_slice`] block per thread),
-//!   deterministic in request order and output regardless of thread count.
+//! * **Batching** ([`ServeEngine::serve_batch`], the stdin CLI's path) —
+//!   parallel over requests (one [`ocular_linalg::par::map_slice`] block
+//!   per thread), deterministic in request order and output regardless of
+//!   thread count.
 //! * **A wire protocol and a network tier** ([`protocol`], [`net`]) — one
 //!   versioned request/response/error encoding behind both the stdin CLI
-//!   and the epoll HTTP/1.1 front-end (keep-alive, pipelining, batch
-//!   coalescing, typed 429 shedding, `/stats`).
+//!   and the epoll HTTP/1.1 front-end (keep-alive, pipelining, typed 429
+//!   shedding, `/stats`). The front-end's parallelism is its persistent
+//!   workers, one per core by default, each answering its batch with
+//!   [`ServeEngine::serve_one`] in a loop — no thread is started per batch.
 //! * **Hot swap** ([`swap`]) — [`SwapEngine`] replaces the serving engine
 //!   under load with zero dropped requests and monotone generations
 //!   (`POST /admin/reload`, `SIGHUP`).

@@ -1,6 +1,6 @@
 //! The non-blocking TCP front-end (Linux only): one epoll-driven I/O
-//! thread feeding a `WorkerPool` that answers batches through
-//! [`crate::ServeEngine::serve_batch`].
+//! thread feeding a `WorkerPool` whose workers answer their batches
+//! themselves, one [`crate::ServeEngine::serve_one`] after another.
 //!
 //! ## Architecture
 //!
@@ -10,18 +10,26 @@
 //!                                                              │
 //!                              429 Overloaded ◄── queue full ──┤ queue ok
 //!                                                              ▼
-//!                                     inbox ──chunks──► WorkerPool
+//!                           inbox ──one batch per worker──► WorkerPool
 //!                                                              │
-//!                  response slots ◄── mpsc completions ◄── serve_batch
+//!                  response slots ◄── mpsc completions ◄── serve_one × batch
 //!                        │                    ▲
 //!                        ▼                    └── eventfd wake
 //!              in-order write-back (keep-alive / pipelining safe)
 //! ```
 //!
+//! Parallelism across requests is the pool's: each wakeup's inbox is cut
+//! into at most one batch per worker (and at most
+//! [`ServerConfig::batch_max`] requests each), and a worker serves its
+//! batch in order on its own thread. Nothing is spawned per batch: a
+//! scoped fan-out per batch was most of the server's overhead on a small
+//! request.
+//!
 //! Responses are queued per connection in **request order**: each parsed
 //! request claims a slot; a completion fills its slot; the writer only
 //! flushes the front of the queue once it is ready, so HTTP/1.1
-//! pipelining never reorders replies. Admission control is a bound on
+//! pipelining never reorders replies, however the workers' batches
+//! finish. Admission control is a bound on
 //! engine work in flight — when the pending queue is full the request is
 //! answered immediately with a typed [`WireError::overloaded`] (HTTP
 //! 429) and the connection stays healthy; connections are never silently
@@ -50,10 +58,13 @@ pub struct ServerConfig {
     /// Maximum engine requests in flight (queued + being served) before
     /// admission control starts answering `overloaded`.
     pub queue_cap: usize,
-    /// Maximum requests coalesced into one [`crate::ServeEngine::serve_batch`]
-    /// call.
+    /// Maximum requests in one worker's batch (0 is read as 1). A wakeup's
+    /// inbox is split into `inbox.len().div_ceil(workers)`-request batches,
+    /// capped at this.
     pub batch_max: usize,
-    /// Serve worker threads (the I/O thread is separate).
+    /// Serve worker threads, the I/O thread aside (0 is read as 1); by
+    /// default one per core ([`ocular_linalg::par::host_cores`]). Each
+    /// serves its batches one request at a time.
     pub workers: usize,
     /// Maximum simultaneously open connections; extras are answered with
     /// a `503` and closed.
@@ -68,7 +79,7 @@ impl Default for ServerConfig {
         ServerConfig {
             queue_cap: 1024,
             batch_max: 256,
-            workers: 1,
+            workers: ocular_linalg::par::host_cores(),
             max_connections: 1024,
             handle_signals: false,
         }
@@ -185,8 +196,11 @@ impl Server {
     pub fn bind<A: ToSocketAddrs>(
         engine: Arc<SwapEngine>,
         addr: A,
-        cfg: ServerConfig,
+        mut cfg: ServerConfig,
     ) -> std::io::Result<Server> {
+        // a zero would never drain the inbox or would divide it by zero
+        cfg.batch_max = cfg.batch_max.max(1);
+        cfg.workers = cfg.workers.max(1);
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -359,9 +373,11 @@ impl Server {
                 }
             }
 
-            // Hand parsed requests to the workers in coalesced batches.
+            // Hand parsed requests to the workers: one batch per worker,
+            // each answered in order on the worker's own thread.
+            let batch_len = inbox.len().div_ceil(cfg.workers).min(cfg.batch_max);
             while !inbox.is_empty() {
-                let take = inbox.len().min(cfg.batch_max);
+                let take = inbox.len().min(batch_len);
                 let batch: Vec<PendingJob> = inbox.drain(..take).collect();
                 let hist_idx = (batch_counter as usize) % stats.histograms.len();
                 batch_counter += 1;
@@ -373,9 +389,8 @@ impl Server {
                 let tx = comp_tx.clone();
                 let wake = Arc::clone(&wake);
                 pool.execute(move || {
-                    let reqs: Vec<Request> = batch.iter().map(|j| j.request.clone()).collect();
-                    let results = engine.serve_batch(&reqs);
-                    for (job, result) in batch.into_iter().zip(results) {
+                    for job in batch {
+                        let result = engine.serve_one(&job.request);
                         let reply = engine.wire_reply(&job.request, &result);
                         let mut body = reply.encode().into_bytes();
                         body.push(b'\n');

@@ -471,6 +471,92 @@ fn pipelined_requests_answer_in_request_order() {
     let _ = std::fs::remove_file(&snap);
 }
 
+/// Several workers finish their batches out of order; every connection
+/// still gets its replies in request order, each byte for byte what
+/// `serve_one` answers on its own. Three connections pipeline 64 mixed
+/// warm, cold and failing requests each before reading a reply, at 1, 2
+/// and 4 workers.
+#[test]
+fn pipelined_replies_keep_order_and_bytes_across_workers() {
+    let (edges, snap) = train_fixture("workers");
+    let reference = build_engine(&edges, &snap);
+    let body = |i: usize, conn: usize| -> String {
+        let (user, m) = ((i + conn) % 4, 1 + (i + 2 * conn) % 4);
+        match i % 4 {
+            0 | 2 => format!("{{\"user\": {user}, \"m\": {m}}}"),
+            1 => format!("{{\"basket\": [{user}, {}], \"m\": {m}}}", (user + 1) % 4),
+            _ if i % 8 == 3 => format!("{{\"basket_ids\": [55, 56], \"m\": {m}}}"),
+            _ => format!("{{\"user\": {}, \"m\": {m}}}", 90 + conn),
+        }
+    };
+    let expected = |text: &str| -> Vec<u8> {
+        let req = ocular_serve::WireRequest::decode(text).unwrap().request;
+        let reply = reference.wire_reply(&req, &reference.serve_one(&req));
+        let mut bytes = reply.encode().into_bytes();
+        bytes.push(b'\n');
+        http::format_response(reply.http_status(), &bytes, true)
+    };
+    for workers in [1, 2, 4] {
+        let server = spawn_server(
+            build_engine(&edges, &snap),
+            ServerConfig {
+                workers,
+                ..Default::default()
+            },
+        );
+        let mut clients: Vec<Client> = (0..3).map(|_| Client::connect(server.addr())).collect();
+        for (conn, client) in clients.iter_mut().enumerate() {
+            for i in 0..64 {
+                client.send("POST", "/recommend", &body(i, conn));
+            }
+        }
+        for (conn, client) in clients.iter_mut().enumerate() {
+            client
+                .reader
+                .get_ref()
+                .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+                .unwrap();
+            for i in 0..64 {
+                let text = body(i, conn);
+                let want = expected(&text);
+                let mut got = vec![0u8; want.len()];
+                std::io::Read::read_exact(&mut client.reader, &mut got).unwrap();
+                assert_eq!(
+                    String::from_utf8_lossy(&got),
+                    String::from_utf8_lossy(&want),
+                    "{workers} workers, connection {conn}, request {i}: `{text}`"
+                );
+            }
+        }
+        let stats = server.stats();
+        assert_eq!(stats.served.load(std::sync::atomic::Ordering::Relaxed), 192);
+        server.shutdown().unwrap();
+    }
+    let _ = std::fs::remove_file(&edges);
+    let _ = std::fs::remove_file(&snap);
+}
+
+/// `batch_max: 0` and `workers: 0` are read as 1: the inbox drains and a
+/// request is answered, instead of the I/O thread queueing empty batches
+/// forever (or dividing the inbox by zero workers).
+#[test]
+fn zero_batch_max_and_workers_still_serve() {
+    let (edges, snap) = train_fixture("zeros");
+    let server = spawn_server(
+        build_engine(&edges, &snap),
+        ServerConfig {
+            batch_max: 0,
+            workers: 0,
+            ..Default::default()
+        },
+    );
+    let resp = Client::connect(server.addr()).round_trip("POST", "/recommend", r#"{"user": 0}"#);
+    assert_eq!(resp.status, 200);
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_file(&edges);
+    let _ = std::fs::remove_file(&snap);
+}
+
 /// A body nested a million arrays deep — under the 1 MiB body cap — is a
 /// typed `bad_request`, and the server keeps serving: the parser stops at
 /// its depth limit instead of recursing off the I/O thread's stack, which

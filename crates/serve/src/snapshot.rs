@@ -164,8 +164,8 @@ impl Snapshot {
 }
 
 /// Writes the optional id-map sections: both external-id order arrays
-/// plus both raw lookup tables, so the serving tier probes the tables in
-/// place instead of rebuilding hash maps.
+/// plus both lookup tables as the maps hold them, so the serving tier
+/// probes the tables in place and a save builds none.
 fn write_ids_sections(w: &mut SectionWriter, ids: &IdMaps) {
     w.put_u64s("uids", ids.users());
     w.put_u64s("iids", ids.items());
@@ -620,7 +620,8 @@ mod tests {
 
     #[test]
     fn corrupt_id_maps_rejected() {
-        let (ut, it) = sample_ids().raw_tables();
+        let ids = sample_ids();
+        let (ut, it) = ids.raw_tables();
         let with_ids = |uids: &[u64], uhk: &[u64]| {
             load(OCULAR_KIND, |w| {
                 snapshot().write_sections(w).unwrap();

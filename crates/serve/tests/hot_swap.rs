@@ -15,8 +15,6 @@
 //!   a batch is serving.
 #![cfg(target_os = "linux")]
 
-use std::io::{BufReader, Write};
-use std::net::TcpStream;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -24,10 +22,13 @@ use std::sync::{Arc, Weak};
 use ocular_core::FactorModel;
 use ocular_linalg::Matrix;
 use ocular_serve::json::Json;
-use ocular_serve::net::{http, Server, ServerConfig};
+use ocular_serve::net::{Server, ServerConfig};
 use ocular_serve::swap::SwapEngine;
 use ocular_serve::{AnySnapshot, EngineBuilder, IndexConfig, ServeEngine, Snapshot};
 use ocular_sparse::{Dataset, Triplets};
+
+mod common;
+use common::{Client, TestServer};
 
 const N_USERS: usize = 48;
 const RELOADS: u64 = 5;
@@ -57,37 +58,6 @@ fn engine(generation: u64) -> ServeEngine {
         .unwrap()
 }
 
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        Client {
-            writer: stream.try_clone().unwrap(),
-            reader: BufReader::new(stream),
-        }
-    }
-
-    fn send(&mut self, method: &str, path: &str, body: &str) {
-        self.writer
-            .write_all(&http::format_request(method, path, body.as_bytes(), true))
-            .unwrap();
-    }
-
-    fn recv(&mut self) -> http::HttpResponse {
-        http::read_response(&mut self.reader).unwrap()
-    }
-
-    fn round_trip(&mut self, method: &str, path: &str, body: &str) -> http::HttpResponse {
-        self.send(method, path, body);
-        self.recv()
-    }
-}
-
 /// Parses a `/recommend` response body, panicking on anything that is not
 /// a success, and returns the generation stamped on it.
 fn generation_of(body: &[u8]) -> u64 {
@@ -111,16 +81,18 @@ fn hot_swap_under_load_drops_nothing_and_keeps_generations_monotone() {
     // watch every swapped-out engine's lifetime from outside
     let mut retired: Vec<Weak<ServeEngine>> = Vec::new();
 
-    let server = Server::bind(
-        Arc::clone(&swap),
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 2,
-            ..Default::default()
-        },
-    )
-    .expect("bind ephemeral port")
-    .spawn();
+    let server = TestServer::new(
+        Server::bind(
+            Arc::clone(&swap),
+            "127.0.0.1:0",
+            ServerConfig {
+                workers: 2,
+                ..Default::default()
+            },
+        )
+        .expect("bind ephemeral port")
+        .spawn(),
+    );
     let addr = server.addr();
 
     // closed-loop load: 3 connections, pipelined bursts of 8, until told
@@ -229,9 +201,11 @@ fn pipelined_requests_survive_a_mid_stream_swap() {
         engine(1),
         Box::new(|current| Ok(engine(current + 1))),
     ));
-    let server = Server::bind(Arc::clone(&swap), "127.0.0.1:0", ServerConfig::default())
-        .expect("bind ephemeral port")
-        .spawn();
+    let server = TestServer::new(
+        Server::bind(Arc::clone(&swap), "127.0.0.1:0", ServerConfig::default())
+            .expect("bind ephemeral port")
+            .spawn(),
+    );
     let addr = server.addr();
 
     let mut client = Client::connect(addr);

@@ -7,7 +7,6 @@
 #![cfg(target_os = "linux")]
 
 use std::io::{BufReader, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::Arc;
@@ -15,13 +14,16 @@ use std::sync::Arc;
 use ocular_core::OcularConfig;
 use ocular_serve::json::Json;
 use ocular_serve::net::http;
-use ocular_serve::net::{RunningServer, Server, ServerConfig};
+use ocular_serve::net::{Server, ServerConfig};
 use ocular_serve::protocol::{Echo, ErrorCode};
 use ocular_serve::{
     AnySnapshot, CandidatePolicy, EngineBuilder, KernelLevel, QuantDtype, ServeConfig, ServeEngine,
     SwapEngine, WireReply,
 };
 use ocular_sparse::io::read_edge_list;
+
+mod common;
+use common::{Client, TestServer};
 
 const EDGES: &str = "100\t7\n100\t8\n200\t7\n200\t8\n300\t55\n300\t56\n400\t55\n400\t56\n";
 
@@ -75,42 +77,12 @@ fn build_engine(edges: &Path, snap: &Path) -> ServeEngine {
         .unwrap()
 }
 
-fn spawn_server(engine: ServeEngine, cfg: ServerConfig) -> RunningServer {
-    Server::bind(Arc::new(SwapEngine::new(engine)), "127.0.0.1:0", cfg)
-        .expect("bind ephemeral port")
-        .spawn()
-}
-
-/// One keep-alive client connection with split read/write halves.
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        Client {
-            writer: stream.try_clone().unwrap(),
-            reader: BufReader::new(stream),
-        }
-    }
-
-    fn send(&mut self, method: &str, path: &str, body: &str) {
-        self.writer
-            .write_all(&http::format_request(method, path, body.as_bytes(), true))
-            .unwrap();
-    }
-
-    fn recv(&mut self) -> http::HttpResponse {
-        http::read_response(&mut self.reader).unwrap()
-    }
-
-    fn round_trip(&mut self, method: &str, path: &str, body: &str) -> http::HttpResponse {
-        self.send(method, path, body);
-        self.recv()
-    }
+fn spawn_server(engine: ServeEngine, cfg: ServerConfig) -> TestServer {
+    TestServer::new(
+        Server::bind(Arc::new(SwapEngine::new(engine)), "127.0.0.1:0", cfg)
+            .expect("bind ephemeral port")
+            .spawn(),
+    )
 }
 
 /// The request stream both transports must answer identically: every
@@ -511,11 +483,6 @@ fn pipelined_replies_keep_order_and_bytes_across_workers() {
             }
         }
         for (conn, client) in clients.iter_mut().enumerate() {
-            client
-                .reader
-                .get_ref()
-                .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-                .unwrap();
             for i in 0..64 {
                 let text = body(i, conn);
                 let want = expected(&text);

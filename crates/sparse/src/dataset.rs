@@ -13,16 +13,16 @@
 //!   every item-sweep, kNN build and wALS half-sweep;
 //! * cached per-axis degree vectors ([`Dataset::user_degrees`],
 //!   [`Dataset::item_degrees`]);
-//! * optional hash-backed **external↔internal id maps**
-//!   ([`crate::io::IdMaps`]) with O(1) lookups in both directions, shared
-//!   by `Arc` so train/test splits and serving snapshots agree on the id
-//!   space by construction.
+//! * optional **external↔internal id maps** ([`crate::io::IdMaps`], one
+//!   open-addressed table per axis) with O(1) lookups in both directions,
+//!   shared by `Arc` so train/test splits and serving snapshots agree on
+//!   the id space by construction.
 //!
 //! `Dataset` is immutable after construction, so `&Dataset` (or
 //! `Arc<Dataset>`) can be handed to trainers, evaluators and serving
 //! engines concurrently without copies.
 
-use crate::io::{Compactor, IdMaps};
+use crate::io::IdMaps;
 use crate::split::{Split, SplitConfig};
 use crate::{CsrMatrix, SparseError};
 use std::ops::Deref;
@@ -200,8 +200,18 @@ impl Dataset {
     }
 
     /// Starts a delta batch over this dataset — see [`DatasetBuilder`].
+    /// The base is cloned: the matrix clone is `O(unique)`, and the id
+    /// maps' order and table arrays are copied (or, mapped, copied on the
+    /// first never-seen id), never re-hashed.
     pub fn delta_builder(&self) -> DatasetBuilder {
-        DatasetBuilder::from_dataset(self)
+        DatasetBuilder {
+            base: self.clone(),
+            ids: self.ids().cloned(),
+            staged: StreamingTriplets::new(),
+            pushed: 0,
+            max_row: 0,
+            max_col: 0,
+        }
     }
 
     /// Merges a batch of external `(user, item)` records over this dataset
@@ -238,8 +248,8 @@ impl Dataset {
 /// internal indices and the shape grows to cover them.
 pub struct DatasetBuilder {
     base: Dataset,
-    /// Seeded compactors when the base is id-mapped; `None` = identity.
-    compactors: Option<(Compactor, Compactor)>,
+    /// The base's id maps, growing; `None` = identity.
+    ids: Option<IdMaps>,
     staged: StreamingTriplets,
     pushed: usize,
     max_row: usize,
@@ -247,30 +257,11 @@ pub struct DatasetBuilder {
 }
 
 impl DatasetBuilder {
-    /// A builder staging deltas over `base` (the base is cloned; the
-    /// matrix clone is `O(unique)` and id maps are shared by `Arc`).
-    pub fn from_dataset(base: &Dataset) -> DatasetBuilder {
-        let compactors = base.ids().map(|ids| {
-            (
-                Compactor::seeded(ids.users()),
-                Compactor::seeded(ids.items()),
-            )
-        });
-        DatasetBuilder {
-            base: base.clone(),
-            compactors,
-            staged: StreamingTriplets::new(),
-            pushed: 0,
-            max_row: 0,
-            max_col: 0,
-        }
-    }
-
     /// Stages one delta record, given as **external** ids (internal
     /// indices under the identity mapping).
     pub fn push(&mut self, user: u64, item: u64) -> Result<(), SparseError> {
-        let (r, c) = match &mut self.compactors {
-            Some((users, items)) => (users.get(user) as usize, items.get(item) as usize),
+        let (r, c) = match &mut self.ids {
+            Some(ids) => ids.compact(user, item)?,
             None => {
                 let r = usize::try_from(user).map_err(|_| SparseError::RowOutOfBounds {
                     row: usize::MAX,
@@ -289,15 +280,10 @@ impl DatasetBuilder {
         self.staged.push(r, c)
     }
 
-    /// Number of delta records staged so far (duplicates included).
-    pub fn staged_records(&self) -> usize {
-        self.pushed
-    }
-
     /// Number of users the result will have (base + never-seen).
     pub fn n_users(&self) -> usize {
-        match &self.compactors {
-            Some((users, _)) => users.len(),
+        match &self.ids {
+            Some(ids) => ids.n_users(),
             None if self.pushed > 0 => self.base.n_users().max(self.max_row + 1),
             None => self.base.n_users(),
         }
@@ -305,8 +291,8 @@ impl DatasetBuilder {
 
     /// Number of items the result will have (base + never-seen).
     pub fn n_items(&self) -> usize {
-        match &self.compactors {
-            Some((_, items)) => items.len(),
+        match &self.ids {
+            Some(ids) => ids.n_items(),
             None if self.pushed > 0 => self.base.n_items().max(self.max_col + 1),
             None => self.base.n_items(),
         }
@@ -330,13 +316,13 @@ impl DatasetBuilder {
             .collect();
         let merged = merge_dedup(&base_pairs, &delta);
         let matrix = CsrMatrix::from_sorted_unique_pairs(n_users, n_items, &merged);
-        match self.compactors {
-            Some((users, items)) => {
+        match self.ids {
+            Some(ids) => {
                 if n_users == self.base.n_users() && n_items == self.base.n_items() {
-                    let ids = self.base.ids_arc().expect("compactors imply id maps");
+                    let ids = self.base.ids_arc().expect("grown maps imply base maps");
                     Dataset::with_ids(matrix, ids)
                 } else {
-                    Dataset::new(matrix, IdMaps::from_compactors(users, items))
+                    Dataset::new(matrix, ids)
                 }
             }
             None => Ok(Dataset::from_matrix(matrix)),
@@ -764,7 +750,6 @@ mod tests {
         let merged = base.append_deltas(std::iter::empty()).unwrap();
         assert_eq!(merged, base);
         let b = base.delta_builder();
-        assert_eq!(b.staged_records(), 0);
         assert_eq!(b.n_users(), base.n_users());
         assert_eq!(b.n_items(), base.n_items());
     }

@@ -14,34 +14,37 @@
 //!
 //! All readers compact arbitrary (sparse, 1-based, hash-like) external ids
 //! into dense 0-based indices and return the [`IdMaps`] needed to translate
-//! recommendations back to external ids. Parsing is **streaming**: records
+//! recommendations back to external ids. Each axis of the maps is one
+//! [`RawIdTable`] from ingest to request: the readers grow it as new ids
+//! appear, the v3 snapshot writes its arrays as they are, and a loaded
+//! snapshot probes them in place. Parsing is **streaming**: records
 //! flow one at a time into a [`crate::StreamingTriplets`] chunked builder,
 //! so a repeat-heavy interaction log never materialises its raw record
 //! list — peak memory is `O(unique pairs + entities + chunk)`.
 
 use crate::{CsrMatrix, Dataset, SparseError, StreamingTriplets};
 use ocular_bytes::{fnv1a64_key, U32Buf, U64Buf};
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
-/// Sentinel marking an empty slot in a [`RawIdTable`] (the internal
-/// indices themselves are bounded by `u32::MAX` entries, enforced at map
-/// construction, so the sentinel can never collide with a real index).
+/// Sentinel marking an empty slot in a [`RawIdTable`] (an axis holds fewer
+/// than `u32::MAX` ids, enforced by [`RawIdTable`]'s one insert routine and
+/// by [`IdMaps::from_raw`], so the sentinel can never collide with a real
+/// index).
 const RAW_EMPTY: u32 = u32::MAX;
 
 /// A flat open-addressed hash table mapping external ids to internal
-/// indices — the **on-disk** (and mmap-servable) form of one axis of an
-/// [`IdMaps`] lookup.
+/// indices — the one form of one axis of an [`IdMaps`] lookup, in memory,
+/// on disk and mapped.
 ///
 /// Layout: two parallel arrays of power-of-two capacity, `keys: u64[cap]`
 /// and `vals: u32[cap]`, with `vals[slot] == u32::MAX` marking empty
 /// slots. A key hashes to `fnv1a64(key_le_bytes) & (cap - 1)` and probes
-/// linearly. The layout is part of the v3 snapshot contract: the writer
-/// builds it deterministically and the serving tier probes it **in
-/// place**, borrowed from the snapshot's byte region, so engine start-up
-/// rebuilds no hash tables.
-#[derive(Debug, Clone)]
+/// linearly. The layout is part of the v3 snapshot contract: ingestion
+/// grows it deterministically, the writer copies its arrays out, and the
+/// serving tier probes it **in place**, borrowed from the snapshot's byte
+/// region, so neither a save nor engine start-up builds a table.
+#[derive(Debug, Clone, Default)]
 pub struct RawIdTable {
     keys: U64Buf,
     vals: U32Buf,
@@ -49,40 +52,34 @@ pub struct RawIdTable {
 
 impl RawIdTable {
     /// Builds the table for an external-id order array (`order[ix]` =
-    /// external id of internal index `ix`). Deterministic: the same order
-    /// array always produces the same bytes. Capacity is the smallest
-    /// power of two holding the entries at ≤ 50% load (minimum one empty
-    /// slot, so probes always terminate).
+    /// external id of internal index `ix`), inserting in index order.
+    /// Deterministic: the same order array always produces the same bytes.
+    /// Capacity is the smallest power of two holding the entries at ≤ 50%
+    /// load (so probes always terminate), and zero for no entries. Every
+    /// id is inserted, so a duplicate makes a table [`IdMaps::from_raw`]
+    /// rejects.
     ///
-    /// # Panics
-    /// Panics if `order` holds `u32::MAX` or more entries (the internal
-    /// index domain; [`IdMaps::new`] rejects this earlier with an error).
-    pub fn build(order: &[u64]) -> RawIdTable {
-        assert!(
-            order.len() < RAW_EMPTY as usize,
-            "id table exceeds u32 addressing"
-        );
-        if order.is_empty() {
-            return RawIdTable {
-                keys: U64Buf::default(),
-                vals: U32Buf::default(),
-            };
-        }
-        let cap = (order.len() * 2).next_power_of_two();
-        let mut keys = vec![0u64; cap];
-        let mut vals = vec![RAW_EMPTY; cap];
+    /// Errors if `order` holds `u32::MAX` or more entries.
+    pub fn build(order: &[u64]) -> Result<RawIdTable, SparseError> {
+        let cap = if order.is_empty() {
+            0
+        } else {
+            (order.len() * 2).next_power_of_two()
+        };
+        RawIdTable::with_entries(order, cap)
+    }
+
+    /// The table of `order` at capacity `cap`, each id inserted in index
+    /// order.
+    fn with_entries(order: &[u64], cap: usize) -> Result<RawIdTable, SparseError> {
+        let mut table = RawIdTable {
+            keys: vec![0u64; cap].into(),
+            vals: vec![RAW_EMPTY; cap].into(),
+        };
         for (ix, &external) in order.iter().enumerate() {
-            let mut slot = fnv1a64_key(external) as usize & (cap - 1);
-            while vals[slot] != RAW_EMPTY {
-                slot = (slot + 1) & (cap - 1);
-            }
-            keys[slot] = external;
-            vals[slot] = ix as u32;
+            table.insert(external, ix)?;
         }
-        RawIdTable {
-            keys: keys.into(),
-            vals: vals.into(),
-        }
+        Ok(table)
     }
 
     /// Assembles a table from (possibly region-borrowed) arrays, checking
@@ -116,7 +113,31 @@ impl RawIdTable {
         &self.vals
     }
 
-    /// Looks up a key by bounded linear probing. O(1) expected.
+    /// Puts `key → ix` in the first empty slot of its probe path — the one
+    /// insert routine, and where the axis bound is enforced: an error when
+    /// `ix` would make the table hold `u32::MAX` entries or more. It does
+    /// not look for `key` first (a caller that must not repeat a key
+    /// probes before inserting), and the table must have a free slot.
+    fn insert(&mut self, key: u64, ix: usize) -> Result<(), SparseError> {
+        if ix + 1 >= RAW_EMPTY as usize {
+            return Err(SparseError::Io(format!(
+                "id map exceeds u32 addressing ({} entries)",
+                ix + 1
+            )));
+        }
+        let mask = self.keys.len() - 1;
+        let (keys, vals) = (self.keys.make_owned(), self.vals.make_owned());
+        let mut slot = fnv1a64_key(key) as usize & mask;
+        while vals[slot] != RAW_EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        keys[slot] = key;
+        vals[slot] = ix as u32;
+        Ok(())
+    }
+
+    /// Looks up a key by bounded linear probing — the one probe routine.
+    /// O(1) expected.
     fn probe(&self, key: u64) -> Option<usize> {
         let cap = self.keys.len();
         if cap == 0 {
@@ -147,39 +168,71 @@ impl RawIdTable {
     }
 }
 
-/// One direction of id lookup: a heap `HashMap` (maps built in memory) or
-/// a [`RawIdTable`] probed in place (maps loaded from a binary snapshot).
-#[derive(Debug, Clone)]
-enum Lookup {
-    Hash(HashMap<u64, u32>),
-    Raw(RawIdTable),
+/// One axis of an [`IdMaps`]: the external ids in internal order and the
+/// table that finds their indices. Ingestion grows it id by id, and at
+/// every point the table is `RawIdTable::build(order)` byte for byte.
+#[derive(Debug, Clone, Default)]
+struct Compactor {
+    order: U64Buf,
+    table: RawIdTable,
 }
 
-impl Lookup {
-    fn get(&self, external: u64) -> Option<usize> {
-        match self {
-            Lookup::Hash(map) => map.get(&external).map(|&ix| ix as usize),
-            Lookup::Raw(table) => table.probe(external),
+impl Compactor {
+    /// An axis holding exactly `order`, rejecting a repeated id.
+    fn of_unique(order: Vec<u64>, what: &str) -> Result<Compactor, SparseError> {
+        let table = RawIdTable::build(&order)?;
+        // a repeat sits behind its first occurrence, which the probe finds
+        if let Some((_, external)) = order
+            .iter()
+            .enumerate()
+            .find(|&(ix, &external)| table.probe(external) != Some(ix))
+        {
+            return Err(SparseError::Io(format!(
+                "duplicate external {what} id {external} in id map"
+            )));
         }
+        Ok(Compactor {
+            order: order.into(),
+            table,
+        })
+    }
+
+    /// The internal index of `external`, giving a never-seen id the next
+    /// index (first-appearance order). When the new id takes the load past
+    /// half the capacity, the table doubles first and re-inserts the
+    /// existing ids in index order — exactly what `build` would lay out.
+    fn get(&mut self, external: u64) -> Result<usize, SparseError> {
+        if let Some(ix) = self.table.probe(external) {
+            return Ok(ix);
+        }
+        let ix = self.order.len();
+        if 2 * (ix + 1) > self.table.keys.len() {
+            let cap = (2 * (ix + 1)).next_power_of_two();
+            self.table = RawIdTable::with_entries(&self.order, cap)?;
+        }
+        self.table.insert(external, ix)?;
+        self.order.make_owned().push(external);
+        Ok(ix)
+    }
+
+    fn is_shared(&self) -> bool {
+        self.order.is_shared() && self.table.is_shared()
     }
 }
 
 /// Mapping between external (file) ids and the dense internal indices,
 /// with O(1) lookups in both directions.
 ///
-/// The order arrays are [`U64Buf`]s and the lookups either `HashMap`s or
-/// raw probed tables, so an `IdMaps` loaded from a binary snapshot
-/// borrows everything from the snapshot's (possibly memory-mapped) byte
-/// region — engine start-up allocates no id tables. Equality compares the
-/// order arrays (the lookups are derived).
+/// Each axis is an order array ([`U64Buf`]) and a [`RawIdTable`], so an
+/// `IdMaps` loaded from a binary snapshot borrows everything from the
+/// snapshot's (possibly memory-mapped) byte region — engine start-up
+/// allocates no id tables — and one built by ingestion holds the very
+/// arrays a save writes. Equality compares the order arrays (the tables
+/// are derived).
 #[derive(Debug, Clone)]
 pub struct IdMaps {
-    /// `users[u]` = external id of internal user `u`.
-    users: U64Buf,
-    /// `items[i]` = external id of internal item `i`.
-    items: U64Buf,
-    user_lookup: Lookup,
-    item_lookup: Lookup,
+    users: Compactor,
+    items: Compactor,
 }
 
 impl PartialEq for IdMaps {
@@ -189,35 +242,6 @@ impl PartialEq for IdMaps {
 }
 
 impl Eq for IdMaps {}
-
-impl Default for IdMaps {
-    fn default() -> Self {
-        IdMaps {
-            users: U64Buf::default(),
-            items: U64Buf::default(),
-            user_lookup: Lookup::Hash(HashMap::new()),
-            item_lookup: Lookup::Hash(HashMap::new()),
-        }
-    }
-}
-
-fn build_lookup(order: &[u64], what: &str) -> Result<HashMap<u64, u32>, SparseError> {
-    if order.len() > u32::MAX as usize {
-        return Err(SparseError::Io(format!(
-            "{what} id map exceeds u32 addressing ({} entries)",
-            order.len()
-        )));
-    }
-    let mut map = HashMap::with_capacity(order.len());
-    for (ix, &external) in order.iter().enumerate() {
-        if map.insert(external, ix as u32).is_some() {
-            return Err(SparseError::Io(format!(
-                "duplicate external {what} id {external} in id map"
-            )));
-        }
-    }
-    Ok(map)
-}
 
 /// Validates a raw table against its order array: every external id must
 /// probe back to its internal index, and the occupancy must be exactly
@@ -251,13 +275,9 @@ impl IdMaps {
     /// Builds maps from the external-id tables (`users[u]` = external id of
     /// internal user `u`). Rejects duplicate external ids.
     pub fn new(users: Vec<u64>, items: Vec<u64>) -> Result<Self, SparseError> {
-        let user_lookup = build_lookup(&users, "user")?;
-        let item_lookup = build_lookup(&items, "item")?;
         Ok(IdMaps {
-            users: users.into(),
-            items: items.into(),
-            user_lookup: Lookup::Hash(user_lookup),
-            item_lookup: Lookup::Hash(item_lookup),
+            users: Compactor::of_unique(users, "user")?,
+            items: Compactor::of_unique(items, "item")?,
         })
     }
 
@@ -279,70 +299,55 @@ impl IdMaps {
         validate_raw(&users, &user_table, "user")?;
         validate_raw(&items, &item_table, "item")?;
         Ok(IdMaps {
-            users,
-            items,
-            user_lookup: Lookup::Raw(user_table),
-            item_lookup: Lookup::Raw(item_table),
+            users: Compactor {
+                order: users,
+                table: user_table,
+            },
+            items: Compactor {
+                order: items,
+                table: item_table,
+            },
         })
     }
 
-    /// The raw lookup tables for both axes, building them when the maps
-    /// are hash-backed — what the v3 snapshot writer serialises.
-    /// Deterministic for a given pair of order arrays.
-    pub fn raw_tables(&self) -> (RawIdTable, RawIdTable) {
-        let for_axis = |lookup: &Lookup, order: &[u64]| match lookup {
-            Lookup::Raw(t) => t.clone(),
-            Lookup::Hash(_) => RawIdTable::build(order),
-        };
-        (
-            for_axis(&self.user_lookup, &self.users),
-            for_axis(&self.item_lookup, &self.items),
-        )
+    /// The lookup tables of both axes — what the v3 snapshot writer
+    /// serialises, as they are.
+    pub fn raw_tables(&self) -> (&RawIdTable, &RawIdTable) {
+        (&self.users.table, &self.items.table)
     }
 
     /// Whether both order arrays and both lookup tables borrow a shared
     /// byte region (the zero-copy snapshot load path) rather than owning
     /// heap allocations.
     pub fn is_shared(&self) -> bool {
-        let lookup_shared = |lookup: &Lookup| match lookup {
-            Lookup::Hash(_) => false,
-            Lookup::Raw(t) => t.is_shared(),
-        };
-        self.users.is_shared()
-            && self.items.is_shared()
-            && lookup_shared(&self.user_lookup)
-            && lookup_shared(&self.item_lookup)
+        self.users.is_shared() && self.items.is_shared()
     }
 
-    /// Internal-constructor used by the readers: the compactors already
-    /// hold exactly the lookup tables, so nothing is rebuilt.
-    pub(crate) fn from_compactors(users: Compactor, items: Compactor) -> Self {
-        IdMaps {
-            users: users.order.into(),
-            items: items.order.into(),
-            user_lookup: Lookup::Hash(users.map),
-            item_lookup: Lookup::Hash(items.map),
-        }
+    /// The internal indices of an external `(user, item)` record, giving
+    /// never-seen ids the next index on their axis — ingestion's one
+    /// compaction step, shared by the readers and the delta-merge path.
+    pub(crate) fn compact(&mut self, user: u64, item: u64) -> Result<(usize, usize), SparseError> {
+        Ok((self.users.get(user)?, self.items.get(item)?))
     }
 
     /// External user ids in internal order.
     pub fn users(&self) -> &[u64] {
-        &self.users
+        &self.users.order
     }
 
     /// External item ids in internal order.
     pub fn items(&self) -> &[u64] {
-        &self.items
+        &self.items.order
     }
 
     /// Number of mapped users.
     pub fn n_users(&self) -> usize {
-        self.users.len()
+        self.users.order.len()
     }
 
     /// Number of mapped items.
     pub fn n_items(&self) -> usize {
-        self.items.len()
+        self.items.order.len()
     }
 
     /// Whether `other` extends this map: every internal index here maps
@@ -356,64 +361,55 @@ impl IdMaps {
 
     /// Internal index of an external user id, if seen. O(1).
     pub fn user_index(&self, external: u64) -> Option<usize> {
-        self.user_lookup.get(external)
+        self.users.table.probe(external)
     }
 
     /// Internal index of an external item id, if seen. O(1).
     pub fn item_index(&self, external: u64) -> Option<usize> {
-        self.item_lookup.get(external)
+        self.items.table.probe(external)
     }
 
     /// External id of internal user `u`, if in bounds.
     pub fn external_user(&self, u: usize) -> Option<u64> {
-        self.users.get(u).copied()
+        self.users.order.get(u).copied()
     }
 
     /// External id of internal item `i`, if in bounds.
     pub fn external_item(&self, i: usize) -> Option<u64> {
-        self.items.get(i).copied()
+        self.items.order.get(i).copied()
     }
 }
 
-pub(crate) struct Compactor {
-    pub(crate) map: HashMap<u64, u32>,
-    pub(crate) order: Vec<u64>,
+/// The tail every reader shares: compact each record's ids into the
+/// growing [`IdMaps`] and stage the pair in a chunked builder.
+struct Ingest {
+    ids: IdMaps,
+    staged: StreamingTriplets,
 }
 
-impl Compactor {
-    fn new() -> Self {
-        Compactor {
-            map: HashMap::new(),
-            order: Vec::new(),
+impl Ingest {
+    fn new(chunk_capacity: usize) -> Ingest {
+        Ingest {
+            ids: IdMaps {
+                users: Compactor::default(),
+                items: Compactor::default(),
+            },
+            staged: StreamingTriplets::with_chunk_capacity(chunk_capacity),
         }
     }
 
-    /// A compactor pre-populated with an existing id order, so further
-    /// [`get`](Compactor::get) calls extend it in first-appearance order —
-    /// the seed of the delta-merge path ([`crate::DatasetBuilder`]).
-    pub(crate) fn seeded(order: &[u64]) -> Self {
-        let mut map = HashMap::with_capacity(order.len());
-        for (ix, &external) in order.iter().enumerate() {
-            map.insert(external, ix as u32);
-        }
-        Compactor {
-            map,
-            order: order.to_vec(),
-        }
+    fn push(&mut self, user: u64, item: u64) -> Result<(), SparseError> {
+        let (r, c) = self.ids.compact(user, item)?;
+        self.staged.push(r, c)
     }
 
-    pub(crate) fn get(&mut self, external: u64) -> u32 {
-        if let Some(&ix) = self.map.get(&external) {
-            return ix;
-        }
-        let ix = self.order.len() as u32;
-        self.map.insert(external, ix);
-        self.order.push(external);
-        ix
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.order.len()
+    fn finish(self, dropped_below_threshold: usize) -> Result<ParsedInteractions, SparseError> {
+        let matrix = self.staged.finish(self.ids.n_users(), self.ids.n_items())?;
+        Ok(ParsedInteractions {
+            matrix,
+            ids: self.ids,
+            dropped_below_threshold,
+        })
     }
 }
 
@@ -504,18 +500,9 @@ fn parse_records<R: BufRead>(
     rating_threshold: Option<f64>,
     chunk_capacity: usize,
 ) -> Result<ParsedInteractions, SparseError> {
-    let mut users = Compactor::new();
-    let mut items = Compactor::new();
-    let mut staged = StreamingTriplets::with_chunk_capacity(chunk_capacity);
-    let dropped = for_each_record(reader, sep, rating_threshold, |u, i| {
-        staged.push(users.get(u) as usize, items.get(i) as usize)
-    })?;
-    let matrix = staged.finish(users.len(), items.len())?;
-    Ok(ParsedInteractions {
-        matrix,
-        ids: IdMaps::from_compactors(users, items),
-        dropped_below_threshold: dropped,
-    })
+    let mut ingest = Ingest::new(chunk_capacity);
+    let dropped = for_each_record(reader, sep, rating_threshold, |u, i| ingest.push(u, i))?;
+    ingest.finish(dropped)
 }
 
 /// Default staging-chunk capacity for the file readers.
@@ -616,15 +603,12 @@ pub fn read_movielens<P: AsRef<Path>>(
 /// Reads a directory of Netflix-prize per-movie files (`mv_*.txt`), each
 /// starting with `movie_id:` followed by `customer,rating,date` lines.
 /// Ratings `>= threshold` become positives. Streams each file through the
-/// chunked builder; nothing holds the raw record list.
+/// chunked builder; nothing holds the raw record list. A malformed line is
+/// an error naming its file and line.
 pub fn read_netflix_dir<P: AsRef<Path>>(
     dir: P,
     threshold: f64,
 ) -> Result<ParsedInteractions, SparseError> {
-    let mut users = Compactor::new();
-    let mut items = Compactor::new();
-    let mut staged = StreamingTriplets::with_chunk_capacity(READER_CHUNK);
-    let mut dropped = 0usize;
     let mut entries: Vec<_> = std::fs::read_dir(dir.as_ref())
         .map_err(|e| SparseError::Io(format!("read dir {}: {e}", dir.as_ref().display())))?
         .filter_map(|e| e.ok())
@@ -632,49 +616,55 @@ pub fn read_netflix_dir<P: AsRef<Path>>(
         .filter(|p| p.extension().map(|x| x == "txt").unwrap_or(false))
         .collect();
     entries.sort();
+    let mut ingest = Ingest::new(READER_CHUNK);
+    let mut dropped = 0usize;
+    // one line buffer for every file, not a `String` per record
+    let mut buf = String::new();
     for path in entries {
         let file = std::fs::File::open(&path)
             .map_err(|e| SparseError::Io(format!("open {}: {e}", path.display())))?;
+        let mut reader = BufReader::new(file);
         let mut movie: Option<u64> = None;
-        for line in BufReader::new(file).lines() {
-            let line = line?;
-            let line = line.trim();
+        for lineno in 1.. {
+            let err = |what: String| {
+                SparseError::Io(format!("{}: line {lineno}: {what}", path.display()))
+            };
+            buf.clear();
+            if reader.read_line(&mut buf).map_err(|e| err(e.to_string()))? == 0 {
+                break;
+            }
+            let line = buf.trim();
             if line.is_empty() {
                 continue;
             }
             if let Some(stripped) = line.strip_suffix(':') {
-                movie = Some(stripped.parse().map_err(|e| {
-                    SparseError::Io(format!("{}: bad movie id: {e}", path.display()))
-                })?);
+                movie = Some(
+                    stripped
+                        .parse()
+                        .map_err(|e| err(format!("bad movie id: {e}")))?,
+                );
                 continue;
             }
-            let movie = movie.ok_or_else(|| {
-                SparseError::Io(format!("{}: rating before movie header", path.display()))
-            })?;
+            let movie = movie.ok_or_else(|| err("rating before movie header".into()))?;
             let mut fields = line.split(',');
             let customer: u64 = fields
                 .next()
-                .ok_or_else(|| SparseError::Io("missing customer".into()))?
+                .ok_or_else(|| err("missing customer".into()))?
                 .parse()
-                .map_err(|e| SparseError::Io(format!("bad customer id: {e}")))?;
+                .map_err(|e| err(format!("bad customer id: {e}")))?;
             let rating: f64 = fields
                 .next()
-                .ok_or_else(|| SparseError::Io("missing rating".into()))?
+                .ok_or_else(|| err("missing rating".into()))?
                 .parse()
-                .map_err(|e| SparseError::Io(format!("bad rating: {e}")))?;
+                .map_err(|e| err(format!("bad rating: {e}")))?;
             if rating >= threshold {
-                staged.push(users.get(customer) as usize, items.get(movie) as usize)?;
+                ingest.push(customer, movie)?;
             } else {
                 dropped += 1;
             }
         }
     }
-    let matrix = staged.finish(users.order.len(), items.order.len())?;
-    Ok(ParsedInteractions {
-        matrix,
-        ids: IdMaps::from_compactors(users, items),
-        dropped_below_threshold: dropped,
-    })
+    ingest.finish(dropped)
 }
 
 /// Writes a matrix as a tab-separated edge list (`user\titem`), with internal
@@ -754,6 +744,23 @@ mod tests {
         // customer 1488844 liked both movies
         let u = ids.user_index(1488844).unwrap();
         assert_eq!(m.row_nnz(u), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn netflix_errors_name_file_and_line() {
+        let dir = std::env::temp_dir().join(format!("ocular_sparse_nf_err_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("mv_0000001.txt"), "1:\n7,4,2005-09-06\n").unwrap();
+        let second = dir.join("mv_0000002.txt");
+        std::fs::write(&second, "2:\n7,4,2005-09-06\n8,four,2005-09-06\n").unwrap();
+        match read_netflix_dir(&dir, 3.0) {
+            Err(SparseError::Io(msg)) => assert!(
+                msg.starts_with(&format!("{}: line 3: bad rating", second.display())),
+                "{msg}"
+            ),
+            other => panic!("expected a line-3 error, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -856,11 +863,17 @@ mod tests {
         let items: Vec<u64> = (0..200).map(|i| 900 + 3 * i).collect();
         let ids = IdMaps::new(users.clone(), items.clone()).unwrap();
         let (ut, it) = ids.raw_tables();
-        // deterministic: building twice gives identical bytes
-        let (ut2, _) = ids.raw_tables();
-        assert_eq!(ut.keys(), ut2.keys());
-        assert_eq!(ut.vals(), ut2.vals());
-        let raw = IdMaps::from_raw(users.clone().into(), items.clone().into(), ut, it).unwrap();
+        // the tables are the layout `build` lays out for the order arrays
+        let built = RawIdTable::build(&users).unwrap();
+        assert_eq!(ut.keys(), built.keys());
+        assert_eq!(ut.vals(), built.vals());
+        let raw = IdMaps::from_raw(
+            users.clone().into(),
+            items.clone().into(),
+            ut.clone(),
+            it.clone(),
+        )
+        .unwrap();
         assert_eq!(raw, ids);
         for (u, &external) in users.iter().enumerate() {
             assert_eq!(raw.user_index(external), Some(u));
@@ -879,7 +892,8 @@ mod tests {
         let ids = IdMaps::new(vec![], vec![]).unwrap();
         let (ut, it) = ids.raw_tables();
         assert!(ut.keys().is_empty());
-        let raw = IdMaps::from_raw(U64Buf::default(), U64Buf::default(), ut, it).unwrap();
+        let raw =
+            IdMaps::from_raw(U64Buf::default(), U64Buf::default(), ut.clone(), it.clone()).unwrap();
         assert_eq!(raw.user_index(0), None);
     }
 
@@ -928,16 +942,16 @@ mod tests {
 
         // capacity too small to terminate probes
         let tiny = RawIdTable::from_parts(vec![10, 20].into(), vec![0, 1].into()).unwrap();
-        assert!(IdMaps::from_raw(vec![10, 20].into(), items.into(), tiny, it).is_err());
+        assert!(IdMaps::from_raw(vec![10, 20].into(), items.into(), tiny, it.clone()).is_err());
 
         // duplicate external ids cannot round-trip
         let dup_order: Vec<u64> = vec![10, 10];
-        let table = RawIdTable::build(&dup_order);
+        let table = RawIdTable::build(&dup_order).unwrap();
         assert!(IdMaps::from_raw(
             dup_order.into(),
             vec![5].into(),
             table,
-            RawIdTable::build(&[5])
+            RawIdTable::build(&[5]).unwrap()
         )
         .is_err());
     }

@@ -15,7 +15,8 @@
 //! * [`Dataset`] — the shared dual-view interaction store every layer
 //!   trains, evaluates and serves from: the CSR matrix plus a build-once
 //!   CSC (item×user) view, cached degree stats and O(1) external↔internal
-//!   id maps;
+//!   id maps — one open-addressed [`RawIdTable`] per axis, the same from
+//!   ingest through the v3 snapshot to a served request;
 //! * [`Triplets`] — a COO staging area for incrementally collected
 //!   `(user, item)` pairs with deduplication, and [`StreamingTriplets`] —
 //!   its chunked streaming counterpart for ingestion;

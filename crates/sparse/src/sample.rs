@@ -34,19 +34,6 @@ pub fn sample_nnz_fraction(r: &CsrMatrix, fraction: f64, seed: u64) -> CsrMatrix
     r.filter_nnz(&keep)
 }
 
-/// Restricts `r` to its first `n_rows` rows (shape `[n_rows, n_cols]`).
-/// Handy for quick scale-downs in examples and smoke tests.
-pub fn take_rows(r: &CsrMatrix, n_rows: usize) -> CsrMatrix {
-    let n = n_rows.min(r.n_rows());
-    let mut t = crate::Triplets::new(n, r.n_cols());
-    for u in 0..n {
-        for &i in r.row(u) {
-            t.push(u, i as usize).expect("in-bounds by construction");
-        }
-    }
-    t.into_csr()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,19 +77,5 @@ mod tests {
         assert_eq!(a, b);
         let c = sample_nnz_fraction(&r, 0.5, 2);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn take_rows_truncates() {
-        let r = grid(10, 6);
-        let s = take_rows(&r, 4);
-        assert_eq!(s.n_rows(), 4);
-        assert_eq!(s.n_cols(), 6);
-        for (u, i) in s.iter_nnz() {
-            assert!(r.contains(u, i));
-        }
-        let over = take_rows(&r, 99);
-        assert_eq!(over.n_rows(), 10);
-        assert_eq!(over, r);
     }
 }

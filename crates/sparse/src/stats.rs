@@ -125,27 +125,6 @@ impl std::fmt::Display for MatrixStats {
     }
 }
 
-/// Histogram of degrees in logarithmic buckets `[1,2), [2,4), [4,8), …` —
-/// a quick textual view of the power-law tail.
-pub fn log2_degree_histogram(degrees: &[usize]) -> Vec<(usize, usize)> {
-    let mut buckets: Vec<usize> = Vec::new();
-    for &d in degrees {
-        if d == 0 {
-            continue;
-        }
-        let b = (usize::BITS - 1 - d.leading_zeros()) as usize; // floor(log2 d)
-        if buckets.len() <= b {
-            buckets.resize(b + 1, 0);
-        }
-        buckets[b] += 1;
-    }
-    buckets
-        .into_iter()
-        .enumerate()
-        .map(|(b, count)| (1usize << b, count))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,13 +165,6 @@ mod tests {
         let s = MatrixStats::compute(&r);
         assert_eq!(s.nnz, 0);
         assert_eq!(s.user_degrees.mean, 0.0);
-    }
-
-    #[test]
-    fn log_histogram() {
-        let h = log2_degree_histogram(&[0, 1, 1, 2, 3, 4, 9, 16]);
-        // buckets: [1,2): two, [2,4): two, [4,8): one, [8,16): one, [16,32): one
-        assert_eq!(h, vec![(1, 2), (2, 2), (4, 1), (8, 1), (16, 1)]);
     }
 
     #[test]

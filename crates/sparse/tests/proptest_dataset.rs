@@ -1,11 +1,14 @@
 //! Property-based invariants of the [`ocular_sparse::Dataset`] backbone:
 //! streaming chunked ingestion must be byte-for-byte equivalent to the
-//! in-memory path, and the cached CSC dual view must equal the exact
-//! transpose for arbitrary matrices.
+//! in-memory path, the id tables ingestion grows must be the v3 layout the
+//! snapshot writer persists, and the cached CSC dual view must equal the
+//! exact transpose for arbitrary matrices.
 
+use ocular_bytes::fnv1a64_key;
 use ocular_sparse::io::{append_edge_list_str, read_edge_list_str_chunked};
-use ocular_sparse::{CsrMatrix, Dataset, StreamingTriplets, Triplets};
+use ocular_sparse::{CsrMatrix, Dataset, IdMaps, StreamingTriplets, Triplets};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn arb_matrix() -> impl Strategy<Value = CsrMatrix> {
     (1usize..20, 1usize..20).prop_flat_map(|(n, m)| {
@@ -22,6 +25,40 @@ fn arb_records() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize)>)> {
     (1usize..16, 1usize..16).prop_flat_map(|(n, m)| {
         proptest::collection::vec((0..n, 0..m), 0..200).prop_map(move |pairs| (n, m, pairs))
     })
+}
+
+/// The v3 id-table layout, written out apart from the crate's own code:
+/// the ids inserted in index order, each into the first empty slot of a
+/// linear probe from its FNV-1a bucket, at capacity `next_power_of_two(2n)`
+/// (none for no ids), `u32::MAX` marking an empty slot.
+fn reference_table(order: &[u64]) -> (Vec<u64>, Vec<u32>) {
+    if order.is_empty() {
+        return (Vec::new(), Vec::new());
+    }
+    let cap = (2 * order.len()).next_power_of_two();
+    let (mut keys, mut vals) = (vec![0u64; cap], vec![u32::MAX; cap]);
+    for (ix, &external) in order.iter().enumerate() {
+        let mut slot = fnv1a64_key(external) as usize & (cap - 1);
+        while vals[slot] != u32::MAX {
+            slot = (slot + 1) & (cap - 1);
+        }
+        keys[slot] = external;
+        vals[slot] = ix as u32;
+    }
+    (keys, vals)
+}
+
+/// Both axes' tables, as a save would write them, are the reference layout
+/// of their order arrays.
+fn assert_reference_tables(ids: Option<&IdMaps>) -> Result<(), TestCaseError> {
+    let ids = ids.expect("read datasets carry id maps");
+    let (user_table, item_table) = ids.raw_tables();
+    for (table, order) in [(user_table, ids.users()), (item_table, ids.items())] {
+        let (keys, vals) = reference_table(order);
+        prop_assert_eq!(table.keys(), &keys[..]);
+        prop_assert_eq!(table.vals(), &vals[..]);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -67,7 +104,9 @@ proptest! {
     /// re-ingest of the concatenated base+delta stream: same CSR arrays,
     /// same id tables, same internal index for every external id — the
     /// invariant the live-refresh loop (retrain on appended log, hot-swap,
-    /// fold in newer users) rests on.
+    /// fold in newer users) rests on. Every id table grown on the way —
+    /// read at any chunk size, or extended by never-seen ids — is the
+    /// layout the snapshot writer persists.
     #[test]
     fn append_deltas_equals_full_reingest(
         (_, _, base_pairs) in arb_records(),
@@ -102,6 +141,18 @@ proptest! {
         if let (Some(b), Some(m)) = (base.ids(), merged.ids()) {
             prop_assert!(b.is_prefix_of(m));
         }
+        assert_reference_tables(base.ids())?;
+        assert_reference_tables(merged.ids())?;
+        for chunk in [1, 3, 1 << 20] {
+            let read = read_edge_list_str_chunked(&full_text, "\t", None, chunk).unwrap();
+            assert_reference_tables(Some(&read.ids))?;
+        }
+        // ids no record has used yet, each twice, on both axes
+        let fresh = delta_pairs
+            .iter()
+            .flat_map(|&(r, c)| [(5_000_000 + r as u64, 9_000_000 + c as u64); 2]);
+        let grown = merged.append_deltas(fresh).unwrap();
+        assert_reference_tables(grown.ids())?;
         for u in 0..base.n_users() {
             prop_assert_eq!(merged.user_index(base.external_user(u)), Some(u));
         }
